@@ -7,7 +7,7 @@
 // This root package is the public facade over the implementation packages:
 //
 //   - storage engine: heap files, catalog, scans, UDA executors
-//   - the IGD trainer, step rules, proximal operators
+//   - the IGD aggregate and its one epoch loop, step rules, proximal operators
 //   - tasks: LR, SVM, least squares, LMF, CRF, Kalman, portfolio
 //   - ordering strategies (shuffle-once / shuffle-always / clustered)
 //   - parallel schemes (pure-UDA averaging, Lock, AIG, NoLock/Hogwild)
@@ -24,8 +24,12 @@
 //	    MaxEpochs: 20, Order: bismarck.ShuffleOnce{},
 //	}).Run(tbl)
 //
-// See examples/ for complete programs and cmd/bench for the harness that
-// regenerates every table and figure of the paper's evaluation.
+// Every execution plan — sequential, parallel, sharded, sampled — is an
+// EpochRunner handed to the one epoch loop, Drive; Trainer and
+// ParallelTrainer are struct-literal front doors onto it.
+//
+// See examples/ for complete programs, cmd/bench for the paper's tables
+// and figures, and benchmark/ for the performance harness.
 package bismarck
 
 import (
@@ -77,8 +81,6 @@ type (
 	UDA = engine.UDA
 	// Profile emulates a hosting engine's execution characteristics.
 	Profile = engine.Profile
-	// SharedMemory mimics the RDBMS shared-memory facility.
-	SharedMemory = engine.SharedMemory
 )
 
 // Column type tags.
@@ -126,8 +128,12 @@ type (
 	Task = core.Task
 	// Model is the mutable aggregation state a Step updates.
 	Model = core.Model
-	// Trainer is the sequential Bismarck epoch loop.
+	// Trainer is the sequential plan's front door onto Drive.
 	Trainer = core.Trainer
+	// EpochRunner is one execution plan's epoch + loss pass.
+	EpochRunner = core.EpochRunner
+	// LoopConfig is the loop control every plan shares.
+	LoopConfig = core.LoopConfig
 	// Result reports a finished training run.
 	Result = core.Result
 	// StepRule produces per-epoch step sizes.
@@ -143,6 +149,9 @@ type (
 	// IGDAggregate is IGD expressed as a standard UDA.
 	IGDAggregate = core.IGDAggregate
 )
+
+// Drive is the one Bismarck epoch loop (Figure 2) over any plan's runner.
+func Drive(r EpochRunner, cfg LoopConfig) (*Result, error) { return core.Drive(r, cfg) }
 
 // DefaultStep is a mildly decaying geometric rule.
 func DefaultStep(a0 float64) StepRule { return core.DefaultStep(a0) }
@@ -231,7 +240,7 @@ type (
 // --- parallelism (§3.3) ---
 
 type (
-	// ParallelTrainer runs the epoch loop with a parallel IGD aggregate.
+	// ParallelTrainer is the §3.3 schemes' front door onto Drive.
 	ParallelTrainer = parallel.Trainer
 	// ParallelMode selects PureUDA / Lock / AIG / NoLock.
 	ParallelMode = parallel.Mode
@@ -252,14 +261,17 @@ const (
 type (
 	// Reservoir is a uniform without-replacement sampler.
 	Reservoir = sampling.Reservoir
-	// SubsampleTrainer trains on one reservoir sample only.
-	SubsampleTrainer = sampling.SubsampleTrainer
-	// MRSTrainer is multiplexed reservoir sampling.
-	MRSTrainer = sampling.MRSTrainer
 )
 
-// NewReservoir returns a reservoir of the given capacity.
-var NewReservoir = sampling.NewReservoir
+var (
+	// NewReservoir returns a reservoir of the given capacity.
+	NewReservoir = sampling.NewReservoir
+	// NewReservoirRunner is the plan that trains on one reservoir sample.
+	NewReservoirRunner = sampling.NewReservoirRunner
+	// NewMRSRunner is multiplexed reservoir sampling; call the returned
+	// stop func when training is over.
+	NewMRSRunner = sampling.NewMRSRunner
+)
 
 // --- the declarative statement layer (§2.1) ---
 

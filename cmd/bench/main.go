@@ -1,24 +1,20 @@
-// Command bench regenerates the paper's tables and figures, and emits the
-// machine-readable perf trajectory of the epoch pipeline.
+// Command bench regenerates the paper's tables and figures.
 //
 // Usage:
 //
 //	bench -exp all                 # run every experiment at default scale
 //	bench -exp fig8 -scale 0.25    # one experiment on smaller data
 //	bench -list                    # list experiment ids
-//	bench -bench-json BENCH_2.json # epoch-scan microbenchmarks as JSON
 //
-// The full-scale table/figure numbers are recorded in EXPERIMENTS.md; the
-// -bench-json output is the per-PR perf trajectory (ns/op, allocs/op,
-// rows/sec for the epoch-scan decode paths) that EXPERIMENTS.md tracks.
+// The full-scale table/figure numbers are recorded in EXPERIMENTS.md.
+// Performance is measured by the statement-level harness in benchmark/
+// (see benchmark/README.md), not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"testing"
 	"time"
 
 	"bismarck/internal/experiments"
@@ -26,27 +22,18 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment id to run, or 'all'")
-		scale     = flag.Float64("scale", 1.0, "dataset scale factor (1.0 = repo defaults)")
-		workers   = flag.Int("workers", 8, "max threads for the parallel experiments")
-		budget    = flag.Duration("budget", 15*time.Second, "per-tool budget for the Table 4 grid")
-		seed      = flag.Int64("seed", 42, "random seed for data generation and training")
-		list      = flag.Bool("list", false, "list experiment ids and exit")
-		benchJSON = flag.String("bench-json", "", "write epoch-scan microbenchmark results to this JSON file and exit")
+		exp     = flag.String("exp", "all", "experiment id to run, or 'all'")
+		scale   = flag.Float64("scale", 1.0, "dataset scale factor (1.0 = repo defaults)")
+		workers = flag.Int("workers", 8, "max threads for the parallel experiments")
+		budget  = flag.Duration("budget", 15*time.Second, "per-tool budget for the Table 4 grid")
+		seed    = flag.Int64("seed", 42, "random seed for data generation and training")
+		list    = flag.Bool("list", false, "list experiment ids and exit")
 	)
 	flag.Parse()
 
 	if *list {
 		for _, e := range experiments.All() {
 			fmt.Printf("%-8s %s\n", e.ID, e.Desc)
-		}
-		return
-	}
-
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			os.Exit(1)
 		}
 		return
 	}
@@ -74,155 +61,4 @@ func main() {
 		os.Exit(2)
 	}
 	run(e)
-}
-
-// benchEntry is one epoch-scan measurement in the perf-trajectory file.
-type benchEntry struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	RowsPerSec  float64 `json:"rows_per_sec"`
-}
-
-// servingEntry is one serving-plane measurement: predictions/sec through
-// serve.Plane at a given batch shape and client concurrency.
-type servingEntry struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	PredsPerSec float64 `json:"preds_per_sec"`
-}
-
-type benchFile struct {
-	Generated string         `json:"generated"`
-	Note      string         `json:"note"`
-	Benches   []benchEntry   `json:"benches"`
-	Serving   []servingEntry `json:"serving"`
-	Speedups  struct {
-		DenseLRCachedVsDecode    float64 `json:"dense_lr_cached_vs_decode"`
-		SparseSVMCachedVsDecode  float64 `json:"sparse_svm_cached_vs_decode"`
-		DenseLRSharded4wVs1w     float64 `json:"dense_lr_sharded_4w_vs_1w"`
-		SparseSVMSharded4wVs1w   float64 `json:"sparse_svm_sharded_4w_vs_1w"`
-		ServeBatch8VsPoint1c     float64 `json:"serve_batch8_vs_point_1c"`
-		ServePoint4cVs1c         float64 `json:"serve_point_4c_vs_1c"`
-		ServeWireBinVsTextPoint  float64 `json:"serve_wire_bin_vs_text_point"`
-		ServeWireBinVsTextBatch8 float64 `json:"serve_wire_bin_vs_text_batch8"`
-	} `json:"speedups"`
-}
-
-// writeBenchJSON runs the epoch-scan family through testing.Benchmark and
-// writes the machine-readable trajectory file.
-func writeBenchJSON(path string, seed int64) error {
-	cases, err := experiments.EpochScanCases(
-		experiments.EpochScanDenseRows, experiments.EpochScanSparseRows, seed)
-	if err != nil {
-		return err
-	}
-	sharded, err := experiments.ShardedEpochCases(
-		experiments.EpochScanDenseRows, experiments.EpochScanSparseRows, seed)
-	if err != nil {
-		return err
-	}
-	cases = append(cases, sharded...)
-	out := benchFile{
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		Note: "one op = one full epoch of gradient steps; decode = per-row " +
-			"DecodeTuple (seed path), reuse = reusable-scratch decode, cached = " +
-			"materialized columnar row cache, sharded/Kw = K shared-nothing " +
-			"shard workers merged by row-weighted model averaging; serving " +
-			"entries: preds/sec through the point-PREDICT plane (hot snapshot " +
-			"cache + admission gate) at Nc concurrent clients; wire-text/-bin " +
-			"entries go through a real TCP server with pipelined frames in the " +
-			"text and negotiated binary encodings",
-	}
-	rows := map[string]float64{}
-	for _, c := range cases {
-		c := c
-		var runErr error
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := c.Run(); err != nil {
-					runErr = err
-					b.FailNow()
-				}
-			}
-		})
-		if runErr != nil {
-			return fmt.Errorf("%s: %w", c.Name, runErr)
-		}
-		ns := float64(r.NsPerOp())
-		rps := float64(c.Rows) / (ns / 1e9)
-		rows[c.Name] = rps
-		out.Benches = append(out.Benches, benchEntry{
-			Name:        c.Name,
-			NsPerOp:     ns,
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			RowsPerSec:  rps,
-		})
-		fmt.Printf("%-24s %12.0f ns/op %8d allocs/op %14.0f rows/s\n",
-			c.Name, ns, r.AllocsPerOp(), rps)
-	}
-	if d := rows["dense-lr/decode/1w"]; d > 0 {
-		out.Speedups.DenseLRCachedVsDecode = rows["dense-lr/cached/1w"] / d
-	}
-	if d := rows["sparse-svm/decode/1w"]; d > 0 {
-		out.Speedups.SparseSVMCachedVsDecode = rows["sparse-svm/cached/1w"] / d
-	}
-	if d := rows["dense-lr/sharded/1w"]; d > 0 {
-		out.Speedups.DenseLRSharded4wVs1w = rows["dense-lr/sharded/4w"] / d
-	}
-	if d := rows["sparse-svm/sharded/1w"]; d > 0 {
-		out.Speedups.SparseSVMSharded4wVs1w = rows["sparse-svm/sharded/4w"] / d
-	}
-
-	servingCases, err := experiments.ServingCases(seed)
-	if err != nil {
-		return err
-	}
-	wireCases, wireClose, err := experiments.ServingWireCases(seed)
-	if err != nil {
-		return err
-	}
-	defer wireClose()
-	servingCases = append(servingCases, wireCases...)
-	preds := map[string]float64{}
-	for _, c := range servingCases {
-		c := c
-		var runErr error
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := c.Run(); err != nil {
-					runErr = err
-					b.FailNow()
-				}
-			}
-		})
-		if runErr != nil {
-			return fmt.Errorf("%s: %w", c.Name, runErr)
-		}
-		ns := float64(r.NsPerOp())
-		pps := float64(c.Preds) / (ns / 1e9)
-		preds[c.Name] = pps
-		out.Serving = append(out.Serving, servingEntry{
-			Name: c.Name, NsPerOp: ns, PredsPerSec: pps,
-		})
-		fmt.Printf("%-24s %12.0f ns/op %35.0f preds/s\n", c.Name, ns, pps)
-	}
-	if d := preds["serve-lr/point/1c"]; d > 0 {
-		out.Speedups.ServeBatch8VsPoint1c = preds["serve-lr/batch8/1c"] / d
-		out.Speedups.ServePoint4cVs1c = preds["serve-lr/point/4c"] / d
-	}
-	if d := preds["wire-text/point/1c"]; d > 0 {
-		out.Speedups.ServeWireBinVsTextPoint = preds["wire-bin/point/1c"] / d
-	}
-	if d := preds["wire-text/batch8/1c"]; d > 0 {
-		out.Speedups.ServeWireBinVsTextBatch8 = preds["wire-bin/batch8/1c"] / d
-	}
-	b, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }

@@ -1,6 +1,6 @@
 // Command bismarckvet checks the bismarck tree against its own
-// invariants: ticket/admission/unlock pairing, lock ordering, crash
-// fidelity of deferred cleanups, and //bismarck:noalloc hot paths.
+// invariants: ticket/admission/unlock pairing, lock ordering, and crash
+// fidelity of deferred cleanups.
 //
 // Standalone:
 //

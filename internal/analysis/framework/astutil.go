@@ -2,7 +2,6 @@ package framework
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -74,50 +73,6 @@ func IsMethodNamed(info *types.Info, call *ast.CallExpr, typeSuffix, method stri
 		return false
 	}
 	return strings.HasSuffix(name[2:close], typeSuffix) && name[close:] == ")."+method
-}
-
-// AnnotationPrefix is the magic-comment namespace of the bismarckvet
-// analyzers (e.g. "//bismarck:noalloc").
-const AnnotationPrefix = "//bismarck:"
-
-// HasAnnotation reports whether the function's doc comment carries the
-// given bismarck annotation (name without the "//bismarck:" prefix).
-// Annotations are matched on the first whitespace-delimited word, so
-// "//bismarck:noalloc scoring hot path" annotates noalloc with a reason.
-func HasAnnotation(doc *ast.CommentGroup, name string) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		rest, ok := strings.CutPrefix(c.Text, AnnotationPrefix)
-		if !ok {
-			continue
-		}
-		word, _, _ := strings.Cut(rest, " ")
-		if strings.TrimSpace(word) == name {
-			return true
-		}
-	}
-	return false
-}
-
-// LineAnnotations collects, per line of f, the bismarck annotations
-// appearing in comments on that line ("//bismarck:allowalloc reason"
-// suppressions attach to the line they share).
-func LineAnnotations(fset *token.FileSet, f *ast.File) map[int][]string {
-	out := map[int][]string{}
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			rest, ok := strings.CutPrefix(c.Text, AnnotationPrefix)
-			if !ok {
-				continue
-			}
-			word, _, _ := strings.Cut(rest, " ")
-			line := fset.Position(c.Pos()).Line
-			out[line] = append(out[line], strings.TrimSpace(word))
-		}
-	}
-	return out
 }
 
 // ObjectOf resolves the object an identifier expression denotes (through

@@ -10,18 +10,16 @@ import (
 	"bismarck/internal/analysis/crashfidelity"
 	"bismarck/internal/analysis/framework"
 	"bismarck/internal/analysis/lockorder"
-	"bismarck/internal/analysis/noalloc"
 	"bismarck/internal/analysis/ticketpair"
 )
 
 // Suite is every bismarckvet analyzer, in the order diagnostics group
 // most usefully: resource pairing first (the leaks), then ordering (the
-// deadlocks), then crash fidelity, then allocation discipline.
+// deadlocks), then crash fidelity.
 func Suite() []*framework.Analyzer {
 	return []*framework.Analyzer{
 		ticketpair.Analyzer,
 		lockorder.Analyzer,
 		crashfidelity.Analyzer,
-		noalloc.Analyzer,
 	}
 }

@@ -272,16 +272,6 @@ func TestTrainerTargetLossStops(t *testing.T) {
 	}
 }
 
-func TestTrainerValidation(t *testing.T) {
-	tbl := meanTable([]float64{1})
-	if _, err := (&Trainer{Task: meanTask{}, Step: ConstantStep{A: 1}}).Run(tbl); err == nil {
-		t.Fatal("expected error for MaxEpochs=0")
-	}
-	if _, err := (&Trainer{Task: meanTask{}, MaxEpochs: 1}).Run(tbl); err == nil {
-		t.Fatal("expected error for nil Step")
-	}
-}
-
 func TestTrainerSkipLoss(t *testing.T) {
 	tbl := meanTable([]float64{1, 2})
 	tr := &Trainer{Task: meanTask{}, Step: ConstantStep{A: 0.1}, MaxEpochs: 5, SkipLoss: true, Seed: 1}

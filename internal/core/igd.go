@@ -2,8 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
@@ -138,149 +136,97 @@ func EpochSource(tbl *engine.Table, order OrderStrategy, p engine.Profile) (
 	}, nil
 }
 
-// Trainer drives the Bismarck epoch loop of Figure 2: run the IGD aggregate
-// over the data, compute the loss, test convergence, repeat.
+// udaRunner is the sequential and pure-UDA plan: each epoch applies the
+// ordering and runs the IGD aggregate through the engine's (possibly
+// segmented) UDA executor.
+type udaRunner struct {
+	task      Task
+	tbl       *engine.Table
+	src       engine.Relation
+	prepare   func(epoch int, rng *rand.Rand) error
+	rng       *rand.Rand
+	profile   engine.Profile
+	piggyback bool
+	scanLoss  float64 // piggybacked loss of the latest epoch
+}
+
+// NewUDARunner builds the plan that runs IGD as a standard aggregate over
+// tbl: sequential under a plain profile, the shared-nothing pure-UDA
+// scheme when p.Segments > 1. The ordering draws from rand.NewSource(seed);
+// a nil order means NoOrder. With piggyback the per-epoch loss is the
+// online one accumulated during the gradient scan itself (each example's
+// loss under the model just before its step), saving the second pass.
+func NewUDARunner(task Task, tbl *engine.Table, order OrderStrategy, p engine.Profile,
+	seed int64, piggyback bool) (EpochRunner, error) {
+	if order == nil {
+		order = NoOrder{}
+	}
+	src, prepare, err := EpochSource(tbl, order, p)
+	if err != nil {
+		return nil, err
+	}
+	return &udaRunner{task: task, tbl: tbl, src: src, prepare: prepare,
+		rng: rand.New(rand.NewSource(seed)), profile: p, piggyback: piggyback}, nil
+}
+
+func (r *udaRunner) Run(epoch int, w vector.Dense, alpha float64) error {
+	if err := r.prepare(epoch, r.rng); err != nil {
+		return err
+	}
+	agg := &IGDAggregate{Task: r.task, Alpha: alpha, Init: w, PiggybackLoss: r.piggyback}
+	out, err := engine.RunUDAOn(r.src, agg, r.profile)
+	if err != nil {
+		return err
+	}
+	st := out.(*igdState)
+	copy(w, st.w)
+	r.scanLoss = st.loss
+	return nil
+}
+
+func (r *udaRunner) Loss(w vector.Dense) (float64, error) {
+	if !r.piggyback {
+		return TotalLoss(r.task, w, r.tbl)
+	}
+	loss := r.scanLoss
+	if reg, ok := r.task.(Regularized); ok {
+		loss += reg.RegPenalty(w)
+	}
+	return loss, nil
+}
+
+// Trainer is the struct-literal front door to the sequential plan: Run
+// builds a UDA runner over the table and hands it to Drive. The loop
+// fields mean what they mean on LoopConfig.
 type Trainer struct {
-	Task Task
-	Step StepRule
-	// MaxEpochs bounds the loop (required, > 0).
-	MaxEpochs int
-	// RelTol stops when the relative loss drop between consecutive epochs
-	// falls below it (0 disables). 1e-3 reproduces the paper's "0.1%
-	// tolerance" completion criterion.
-	RelTol float64
-	// TargetLoss stops as soon as the epoch loss is ≤ this value (0
-	// disables); used to measure time-to-quality against baselines.
+	Task       Task
+	Step       StepRule
+	MaxEpochs  int
+	RelTol     float64
 	TargetLoss float64
 	// Order is applied before each epoch; nil means NoOrder.
 	Order OrderStrategy
 	// Profile selects the hosting engine emulation; zero value is a plain
 	// sequential scan.
-	Profile engine.Profile
-	// Seed drives shuffling and model initialization.
-	Seed int64
-	// InitModel overrides the task's initial model when non-nil.
+	Profile   engine.Profile
+	Seed      int64
 	InitModel vector.Dense
-	// SkipLoss disables per-epoch loss evaluation (then RelTol/TargetLoss
-	// cannot fire and the loop always runs MaxEpochs).
-	SkipLoss bool
+	SkipLoss  bool
 	// PiggybackLoss computes the per-epoch loss during the gradient scan
-	// itself (each example's loss under the model just before its step)
-	// instead of a separate aggregation pass. It is an online approximation
-	// of the objective, and the convergence tests run against it.
+	// itself instead of a separate aggregation pass. It is an online
+	// approximation of the objective, and the convergence tests run
+	// against it.
 	PiggybackLoss bool
-	// Deadline, when nonzero, aborts the run with ErrDeadline before any
-	// epoch that would start after it. The partial Result is still returned.
-	Deadline time.Time
-}
-
-// ErrDeadline reports that a trainer hit its Deadline; the partial result
-// accompanies it. Used by the Table 4 scalability harness to record "did
-// not finish within budget" outcomes.
-var ErrDeadline = errors.New("bismarck: training deadline exceeded")
-
-// Result reports a finished training run.
-type Result struct {
-	Model      vector.Dense
-	Epochs     int
-	Losses     []float64 // loss after each epoch (empty if SkipLoss)
-	EpochTimes []time.Duration
-	Converged  bool
-	Total      time.Duration
-}
-
-// FinalLoss returns the last recorded loss, or NaN if none.
-func (r *Result) FinalLoss() float64 {
-	if len(r.Losses) == 0 {
-		return math.NaN()
-	}
-	return r.Losses[len(r.Losses)-1]
+	Deadline      time.Time
 }
 
 // Run trains the task over the table and returns the result.
 func (tr *Trainer) Run(tbl *engine.Table) (*Result, error) {
-	if tr.MaxEpochs <= 0 {
-		return nil, fmt.Errorf("core: Trainer.MaxEpochs must be > 0")
-	}
-	if tr.Step == nil {
-		return nil, fmt.Errorf("core: Trainer.Step is required")
-	}
-	rng := rand.New(rand.NewSource(tr.Seed))
-	w := tr.InitModel
-	if w == nil {
-		w = InitialModel(tr.Task, tr.Seed)
-	} else {
-		w = w.Clone()
-	}
-	order := tr.Order
-	if order == nil {
-		order = NoOrder{}
-	}
-
-	src, prepare, err := EpochSource(tbl, order, tr.Profile)
+	r, err := NewUDARunner(tr.Task, tbl, tr.Order, tr.Profile, tr.Seed, tr.PiggybackLoss && !tr.SkipLoss)
 	if err != nil {
 		return nil, err
 	}
-
-	res := &Result{}
-	start := time.Now()
-	prevLoss := math.NaN()
-	for e := 0; e < tr.MaxEpochs; e++ {
-		if !tr.Deadline.IsZero() && time.Now().After(tr.Deadline) {
-			res.Model = w
-			res.Total = time.Since(start)
-			return res, ErrDeadline
-		}
-		epochStart := time.Now()
-		if err := prepare(e, rng); err != nil {
-			return nil, err
-		}
-		agg := &IGDAggregate{Task: tr.Task, Alpha: tr.Step.Alpha(e), Init: w,
-			PiggybackLoss: tr.PiggybackLoss && !tr.SkipLoss}
-		out, err := engine.RunUDAOn(src, agg, tr.Profile)
-		if err != nil {
-			return nil, err
-		}
-		st := out.(*igdState)
-		w = st.w
-		res.Epochs = e + 1
-
-		if !tr.SkipLoss {
-			var loss float64
-			if tr.PiggybackLoss {
-				loss = st.loss
-				if r, ok := tr.Task.(Regularized); ok {
-					loss += r.RegPenalty(w)
-				}
-			} else {
-				var err error
-				loss, err = TotalLoss(tr.Task, w, tbl)
-				if err != nil {
-					return nil, err
-				}
-			}
-			res.Losses = append(res.Losses, loss)
-			res.EpochTimes = append(res.EpochTimes, time.Since(epochStart))
-			if tr.TargetLoss != 0 && loss <= tr.TargetLoss {
-				res.Converged = true
-				break
-			}
-			if tr.RelTol > 0 && !math.IsNaN(prevLoss) {
-				den := math.Abs(prevLoss)
-				if den == 0 {
-					den = 1
-				}
-				if math.Abs(prevLoss-loss)/den < tr.RelTol {
-					res.Converged = true
-					break
-				}
-			}
-			prevLoss = loss
-		} else {
-			res.EpochTimes = append(res.EpochTimes, time.Since(epochStart))
-		}
-	}
-	res.Model = w
-	res.Total = time.Since(start)
-	return res, nil
+	return Drive(r, LoopConfig{Task: tr.Task, Step: tr.Step, MaxEpochs: tr.MaxEpochs,
+		RelTol: tr.RelTol, TargetLoss: tr.TargetLoss, Seed: tr.Seed,
+		InitModel: tr.InitModel, SkipLoss: tr.SkipLoss, Deadline: tr.Deadline})
 }

@@ -249,37 +249,6 @@ func TestFileCatalogCreatesFiles(t *testing.T) {
 	}
 }
 
-func TestSharedMemoryRegions(t *testing.T) {
-	m := NewSharedMemory()
-	r, err := m.Allocate("model", 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r[3] = 1.5
-	r2, err := m.Attach("model")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2[3] != 1.5 {
-		t.Fatal("attach must see writes (shared)")
-	}
-	if _, err := m.Allocate("model", 5); err == nil {
-		t.Fatal("duplicate allocate should fail")
-	}
-	if _, err := m.Attach("nope"); err == nil {
-		t.Fatal("attach of missing region should fail")
-	}
-	if m.Len() != 1 {
-		t.Fatalf("Len = %d", m.Len())
-	}
-	if err := m.Free("model"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Free("model"); err == nil {
-		t.Fatal("double free should fail")
-	}
-}
-
 func TestBufferPoolHitsAndEviction(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "bp.heap")

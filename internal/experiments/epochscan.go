@@ -93,8 +93,8 @@ func EpochScanCases(denseRows, sparseRows int, seed int64) ([]EpochScanCase, err
 	return cases, nil
 }
 
-// EpochScanDefaults are the row counts cmd/bench and the BENCH_n.json
-// trajectory use, sized so one pass is milliseconds.
+// EpochScanDefaults are the row counts the root benchmarks and allocation
+// gates use, sized so one pass is milliseconds.
 const (
 	EpochScanDenseRows  = 20000
 	EpochScanSparseRows = 8000

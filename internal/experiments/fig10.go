@@ -70,8 +70,7 @@ func RunFig10A(w io.Writer, cfg Config) error {
 		if err != nil {
 			return err
 		}
-		res, err := (&sampling.SubsampleTrainer{Task: task, Step: step, MaxEpochs: epochs,
-			BufCap: buf, Seed: cfg.Seed}).Run(tbl)
+		res, err := trainSampled(task, step, epochs, buf, cfg.Seed, tbl, false)
 		if err != nil {
 			return err
 		}
@@ -84,8 +83,7 @@ func RunFig10A(w io.Writer, cfg Config) error {
 		if err != nil {
 			return err
 		}
-		res, err := (&sampling.MRSTrainer{Task: task, Step: step, Passes: epochs,
-			BufCap: buf, Seed: cfg.Seed}).Run(tbl)
+		res, err := trainSampled(task, step, epochs, buf, cfg.Seed, tbl, true)
 		if err != nil {
 			return err
 		}
@@ -142,8 +140,7 @@ func RunFig10B(w io.Writer, cfg Config) error {
 			if err != nil {
 				return err
 			}
-			res, err := (&sampling.SubsampleTrainer{Task: task, Step: step, MaxEpochs: maxEpochs,
-				BufCap: buf, Seed: cfg.Seed}).Run(tbl)
+			res, err := trainSampled(task, step, maxEpochs, buf, cfg.Seed, tbl, false)
 			if err != nil {
 				return err
 			}
@@ -155,8 +152,7 @@ func RunFig10B(w io.Writer, cfg Config) error {
 			if err != nil {
 				return err
 			}
-			res, err := (&sampling.MRSTrainer{Task: task, Step: step, Passes: maxEpochs,
-				BufCap: buf, Seed: cfg.Seed}).Run(tbl)
+			res, err := trainSampled(task, step, maxEpochs, buf, cfg.Seed, tbl, true)
 			if err != nil {
 				return err
 			}
@@ -166,6 +162,25 @@ func RunFig10B(w io.Writer, cfg Config) error {
 	}
 	t.Print(w)
 	return nil
+}
+
+// trainSampled runs one §3.4 plan — reservoir subsampling, or MRS when mrs
+// is set — for a fixed number of passes with a buf-tuple buffer.
+func trainSampled(task core.Task, step core.StepRule, epochs, buf int, seed int64,
+	tbl *engineTable, mrs bool) (*core.Result, error) {
+	var r core.EpochRunner
+	var err error
+	stop := func() {}
+	if mrs {
+		r, stop, err = sampling.NewMRSRunner(task, tbl, buf, seed)
+	} else {
+		r, err = sampling.NewReservoirRunner(task, tbl, buf, seed)
+	}
+	if err != nil {
+		return nil, err
+	}
+	defer stop()
+	return core.Drive(r, core.LoopConfig{Task: task, Step: step, MaxEpochs: epochs, Seed: seed})
 }
 
 func lossSeries(name string, losses []float64) Series {

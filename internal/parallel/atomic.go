@@ -81,11 +81,16 @@ func (m *AtomicModel) AddRacy(i int, delta float64) {
 	atomic.StoreUint64(&m.bits[i], math.Float64bits(math.Float64frombits(old)+delta))
 }
 
-// Snapshot implements core.Model.
-func (m *AtomicModel) Snapshot() vector.Dense {
-	w := vector.NewDense(len(m.bits))
+// CopyTo reads every component into w (len(w) == Dim) with atomic loads.
+func (m *AtomicModel) CopyTo(w vector.Dense) {
 	for i := range m.bits {
 		w[i] = math.Float64frombits(atomic.LoadUint64(&m.bits[i]))
 	}
+}
+
+// Snapshot implements core.Model.
+func (m *AtomicModel) Snapshot() vector.Dense {
+	w := vector.NewDense(len(m.bits))
+	m.CopyTo(w)
 	return w
 }

@@ -144,28 +144,10 @@ func TestPureUDAWorseThanSharedMemoryPerEpoch(t *testing.T) {
 	}
 }
 
-func TestTrainerValidation(t *testing.T) {
+func TestTrainerRejectsUnknownMode(t *testing.T) {
 	tbl, task := buildLRTable(t, 10, 2, 3)
-	if _, err := (&Trainer{Task: task, Step: core.ConstantStep{A: 1}}).Run(tbl); err == nil {
-		t.Fatal("MaxEpochs=0 must error")
-	}
-	if _, err := (&Trainer{Task: task, MaxEpochs: 1}).Run(tbl); err == nil {
-		t.Fatal("nil Step must error")
-	}
 	if _, err := (&Trainer{Task: task, Step: core.ConstantStep{A: 1}, MaxEpochs: 1, Mode: Mode(42)}).Run(tbl); err == nil {
 		t.Fatal("unknown mode must error")
-	}
-}
-
-func TestTrainerSharedMemoryRegion(t *testing.T) {
-	tbl, task := buildLRTable(t, 50, 4, 4)
-	shm := engine.NewSharedMemory()
-	tr := &Trainer{Task: task, Step: core.ConstantStep{A: 0.1}, MaxEpochs: 3, Workers: 2, Mode: NoLock, Seed: 1, Shm: shm}
-	if _, err := tr.Run(tbl); err != nil {
-		t.Fatal(err)
-	}
-	if shm.Len() != 0 {
-		t.Fatal("shared region leaked")
 	}
 }
 

@@ -2,10 +2,8 @@ package parallel
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
-	"time"
 
 	"bismarck/internal/core"
 	"bismarck/internal/engine"
@@ -39,12 +37,12 @@ type ShardRunner interface {
 }
 
 // ShardedEpoch drives one shared-nothing epoch (and the matching loss
-// pass) over K shard runners. It is the reusable steady-state core of
-// ShardedTrainer (and of dist.Trainer, whose runners are remote executor
-// shards), exposed so benchmarks and allocation tests measure the exact
-// trainer path: all per-shard state — runners, replicas, partial-loss
+// pass) over K shard runners. It is the core.EpochRunner of both sharded
+// plans — in-process shard heaps and remote executor shards — handed to
+// core.Drive as is: all per-shard state — runners, replicas, partial-loss
 // slots — is allocated once at construction, and Run itself allocates
-// nothing per row.
+// nothing per row. With one shard the run is bit-identical to the
+// sequential plan.
 type ShardedEpoch struct {
 	task     core.Task
 	runners  []ShardRunner
@@ -251,133 +249,4 @@ func (se *ShardedEpoch) recoverInto(i int) {
 	if r := recover(); r != nil {
 		se.errs[i] = fmt.Errorf("parallel: shard %d worker panicked: %v", i, r)
 	}
-}
-
-// DriveConfig is the convergence bookkeeping of one sharded epoch loop,
-// shared between the in-process ShardedTrainer and distributed trainers
-// built on remote runners. Field meanings mirror core.Trainer.
-type DriveConfig struct {
-	Task       core.Task
-	Step       core.StepRule
-	MaxEpochs  int
-	RelTol     float64
-	TargetLoss float64
-	Seed       int64
-	InitModel  vector.Dense
-	SkipLoss   bool
-	Deadline   time.Time
-}
-
-// Drive runs the Bismarck epoch loop over a built ShardedEpoch: run an
-// epoch, merge, compute the loss, test convergence, repeat — the single
-// loop both the in-process and the distributed sharded trainers share.
-func Drive(se *ShardedEpoch, cfg DriveConfig) (*core.Result, error) {
-	if cfg.MaxEpochs <= 0 {
-		return nil, fmt.Errorf("parallel: MaxEpochs must be > 0")
-	}
-	if cfg.Step == nil {
-		return nil, fmt.Errorf("parallel: Step is required")
-	}
-	w := cfg.InitModel
-	if w == nil {
-		w = core.InitialModel(cfg.Task, cfg.Seed)
-	} else {
-		w = w.Clone()
-	}
-
-	res := &core.Result{}
-	start := time.Now()
-	prevLoss := math.NaN()
-	for e := 0; e < cfg.MaxEpochs; e++ {
-		if !cfg.Deadline.IsZero() && time.Now().After(cfg.Deadline) {
-			res.Model = w
-			res.Total = time.Since(start)
-			return res, core.ErrDeadline
-		}
-		epochStart := time.Now()
-		if err := se.Run(e, w, cfg.Step.Alpha(e)); err != nil {
-			return nil, err
-		}
-		res.Epochs = e + 1
-		res.EpochTimes = append(res.EpochTimes, time.Since(epochStart))
-
-		if !cfg.SkipLoss {
-			loss, err := se.Loss(w)
-			if err != nil {
-				return nil, err
-			}
-			res.Losses = append(res.Losses, loss)
-			if cfg.TargetLoss != 0 && loss <= cfg.TargetLoss {
-				res.Converged = true
-				break
-			}
-			if cfg.RelTol > 0 && !math.IsNaN(prevLoss) {
-				den := math.Abs(prevLoss)
-				if den == 0 {
-					den = 1
-				}
-				if math.Abs(prevLoss-loss)/den < cfg.RelTol {
-					res.Converged = true
-					break
-				}
-			}
-			prevLoss = loss
-		}
-	}
-	res.Model = w
-	res.Total = time.Since(start)
-	return res, nil
-}
-
-// ShardedTrainer runs the Bismarck epoch loop in the shared-nothing
-// sharded mode, alongside the shared-memory Trainer: the table is
-// partitioned once into Shards shard heaps, every epoch runs one worker
-// per shard against a private replica, and the replicas merge by
-// row-weighted averaging. Convergence bookkeeping (losses, RelTol,
-// TargetLoss, Deadline) mirrors core.Trainer; with Shards=1 the run is
-// bit-identical to the sequential trainer.
-type ShardedTrainer struct {
-	Task      core.Task
-	Step      core.StepRule
-	MaxEpochs int
-	// Shards is the partition count K (>= 1); each shard gets one worker.
-	Shards int
-	// Strategy selects row-to-shard assignment (round-robin or hash).
-	Strategy engine.ShardStrategy
-	// RelTol / TargetLoss mirror core.Trainer.
-	RelTol     float64
-	TargetLoss float64
-	Order      core.OrderStrategy
-	Seed       int64
-	InitModel  vector.Dense
-	SkipLoss   bool
-	// Deadline mirrors core.Trainer.Deadline.
-	Deadline time.Time
-}
-
-// Run partitions the table and trains the task, reporting the result.
-func (tr *ShardedTrainer) Run(tbl *engine.Table) (*core.Result, error) {
-	if tr.MaxEpochs <= 0 {
-		return nil, fmt.Errorf("parallel: MaxEpochs must be > 0")
-	}
-	if tr.Step == nil {
-		return nil, fmt.Errorf("parallel: Step is required")
-	}
-	if tr.Shards < 1 {
-		return nil, fmt.Errorf("parallel: Shards must be >= 1, got %d", tr.Shards)
-	}
-	sharded, err := engine.ShardTable(tbl, tr.Shards, tr.Strategy)
-	if err != nil {
-		return nil, err
-	}
-	defer sharded.Close()
-	se, err := NewShardedEpoch(tr.Task, sharded, tr.Order, tr.Seed)
-	if err != nil {
-		return nil, err
-	}
-	return Drive(se, DriveConfig{
-		Task: tr.Task, Step: tr.Step, MaxEpochs: tr.MaxEpochs,
-		RelTol: tr.RelTol, TargetLoss: tr.TargetLoss, Seed: tr.Seed,
-		InitModel: tr.InitModel, SkipLoss: tr.SkipLoss, Deadline: tr.Deadline,
-	})
 }

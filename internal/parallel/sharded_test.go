@@ -15,6 +15,36 @@ import (
 	"bismarck/internal/vector"
 )
 
+// shardedRun is the in-process sharded plan exactly as a WITH shards=K
+// statement runs it — partition the table, build the sharded epoch, hand
+// it to core.Drive — behind a struct literal so the suites below read as
+// one plan description per run.
+type shardedRun struct {
+	Task      core.Task
+	Step      core.StepRule
+	MaxEpochs int
+	Shards    int
+	Strategy  engine.ShardStrategy
+	Order     core.OrderStrategy
+	Seed      int64
+	InitModel vector.Dense
+	SkipLoss  bool
+}
+
+func (tr *shardedRun) Run(tbl *engine.Table) (*core.Result, error) {
+	sharded, err := engine.ShardTable(tbl, tr.Shards, tr.Strategy)
+	if err != nil {
+		return nil, err
+	}
+	defer sharded.Close()
+	se, err := NewShardedEpoch(tr.Task, sharded, tr.Order, tr.Seed)
+	if err != nil {
+		return nil, err
+	}
+	return core.Drive(se, core.LoopConfig{Task: tr.Task, Step: tr.Step, MaxEpochs: tr.MaxEpochs,
+		Seed: tr.Seed, InitModel: tr.InitModel, SkipLoss: tr.SkipLoss})
+}
+
 // buildRegTable makes a dense regression dataset y = truth·x + noise for
 // the lasso parity runs (same (id, vec, label) layout as buildLRTable).
 func buildRegTable(t *testing.T, n, d int, seed int64) *engine.Table {
@@ -48,7 +78,7 @@ func TestShardedK1MatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sh, err := (&ShardedTrainer{Task: task, Step: core.DefaultStep(0.3),
+		sh, err := (&shardedRun{Task: task, Step: core.DefaultStep(0.3),
 			MaxEpochs: 6, Shards: 1, Order: order, Seed: 7}).Run(tbl)
 		if err != nil {
 			t.Fatal(err)
@@ -104,7 +134,7 @@ func TestShardedConvergenceParityMatrix(t *testing.T) {
 		}
 		for _, k := range []int{2, 4, 8} {
 			for _, strat := range []engine.ShardStrategy{engine.ShardRoundRobin, engine.ShardHash} {
-				tr := &ShardedTrainer{Task: c.task, Step: core.ConstantStep{A: c.alpha},
+				tr := &shardedRun{Task: c.task, Step: core.ConstantStep{A: c.alpha},
 					MaxEpochs: shardedParityBaseEpochs * k, Shards: k, Strategy: strat,
 					Order: ordering.ShuffleOnce{}, Seed: 11}
 				res, err := tr.Run(c.tbl)
@@ -135,7 +165,7 @@ func TestShardedConvergenceParityMatrix(t *testing.T) {
 func TestShardedDeterministicAcrossRuns(t *testing.T) {
 	tbl, task := buildLRTable(t, 400, 8, 6)
 	run := func() vector.Dense {
-		tr := &ShardedTrainer{Task: task, Step: core.DefaultStep(0.3), MaxEpochs: 8,
+		tr := &shardedRun{Task: task, Step: core.DefaultStep(0.3), MaxEpochs: 8,
 			Shards: 4, Order: ordering.ShuffleAlways{}, Seed: 9}
 		res, err := tr.Run(tbl)
 		if err != nil {
@@ -175,7 +205,7 @@ func (p *panicTask) Step(m core.Model, tp engine.Tuple, alpha float64) {
 func TestShardedWorkerPanicFailsRunNotProcess(t *testing.T) {
 	tbl, lr := buildLRTable(t, 200, 4, 8)
 	task := &panicTask{LR: lr, at: 50}
-	tr := &ShardedTrainer{Task: task, Step: core.ConstantStep{A: 0.1},
+	tr := &shardedRun{Task: task, Step: core.ConstantStep{A: 0.1},
 		MaxEpochs: 3, Shards: 4, Seed: 1}
 	_, err := tr.Run(tbl)
 	if err == nil {
@@ -203,7 +233,7 @@ func TestShardedTrainersRace(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			tr := &ShardedTrainer{Task: task, Step: core.DefaultStep(0.3), MaxEpochs: 5,
+			tr := &shardedRun{Task: task, Step: core.DefaultStep(0.3), MaxEpochs: 5,
 				Shards: 1 + g%4, Order: ordering.ShuffleOnce{}, Seed: 21}
 			res, err := tr.Run(tbl)
 			if err != nil {
@@ -224,23 +254,6 @@ func TestShardedTrainersRace(t *testing.T) {
 	}
 }
 
-func TestShardedTrainerValidation(t *testing.T) {
-	tbl, task := buildLRTable(t, 10, 2, 12)
-	if _, err := (&ShardedTrainer{Task: task, Step: core.ConstantStep{A: 1}, Shards: 2}).Run(tbl); err == nil {
-		t.Fatal("MaxEpochs=0 must error")
-	}
-	if _, err := (&ShardedTrainer{Task: task, MaxEpochs: 1, Shards: 2}).Run(tbl); err == nil {
-		t.Fatal("nil Step must error")
-	}
-	if _, err := (&ShardedTrainer{Task: task, Step: core.ConstantStep{A: 1}, MaxEpochs: 1}).Run(tbl); err == nil {
-		t.Fatal("Shards=0 must error")
-	}
-	if _, err := (&ShardedTrainer{Task: task, Step: core.ConstantStep{A: 1}, MaxEpochs: 1,
-		Shards: 2, Strategy: engine.ShardStrategy(7)}).Run(tbl); err == nil {
-		t.Fatal("unknown strategy must error")
-	}
-}
-
 // TestShardedEmptyTable: zero rows must train to the unchanged initial
 // model, not divide by zero in the merge.
 func TestShardedEmptyTable(t *testing.T) {
@@ -250,7 +263,7 @@ func TestShardedEmptyTable(t *testing.T) {
 	}
 	task := tasks.NewLR(4)
 	init := vector.Dense{1, 2, 3, 4}
-	tr := &ShardedTrainer{Task: task, Step: core.ConstantStep{A: 0.1},
+	tr := &shardedRun{Task: task, Step: core.ConstantStep{A: 0.1},
 		MaxEpochs: 3, Shards: 4, InitModel: init, SkipLoss: true}
 	res, err := tr.Run(tbl)
 	if err != nil {
@@ -265,7 +278,7 @@ func TestShardedEmptyTable(t *testing.T) {
 // populated ones still converge.
 func TestShardedMoreShardsThanRows(t *testing.T) {
 	tbl, task := buildLRTable(t, 5, 3, 13)
-	tr := &ShardedTrainer{Task: task, Step: core.ConstantStep{A: 0.1},
+	tr := &shardedRun{Task: task, Step: core.ConstantStep{A: 0.1},
 		MaxEpochs: 4, Shards: 16, Seed: 1}
 	res, err := tr.Run(tbl)
 	if err != nil {
@@ -286,7 +299,7 @@ func TestShardedOverBudgetTableTrainsViaReuse(t *testing.T) {
 
 	tbl, task := buildLRTable(t, 300, 8, 15)
 	engine.MaterializeLimitBytes = 1
-	tr := &ShardedTrainer{Task: task, Step: core.DefaultStep(0.3), MaxEpochs: 5,
+	tr := &shardedRun{Task: task, Step: core.DefaultStep(0.3), MaxEpochs: 5,
 		Shards: 4, Order: ordering.ShuffleOnce{}, Seed: 1}
 	res, err := tr.Run(tbl)
 	if err != nil {

@@ -2,7 +2,6 @@ package parallel
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -49,14 +48,95 @@ func (m Mode) String() string {
 // Modes lists all four schemes in Figure 9's order.
 func Modes() []Mode { return []Mode{PureUDA, NoLock, Lock, AIG} }
 
-// Trainer runs the Bismarck epoch loop with a parallel IGD aggregate.
+// sharedRunner is the shared-memory plan (Lock / AIG / NoLock): every
+// epoch, workers scan disjoint segments of the table and update ONE model
+// concurrently. Under Lock that model is w itself behind a mutex; under
+// AIG/NoLock it is an AtomicModel loaded from w before the scan and
+// snapshotted back into w after it.
+type sharedRunner struct {
+	task    core.Task
+	tbl     *engine.Table
+	src     engine.Relation
+	prepare func(epoch int, rng *rand.Rand) error
+	rng     *rand.Rand
+	workers int
+	mode    Mode
+	profile engine.Profile
+	shared  *AtomicModel // AIG / NoLock, sized on first use
+}
+
+// NewRunner builds the epoch runner for a §3.3 scheme over tbl. PureUDA is
+// the engine's segmented aggregation plan — core's UDA runner with
+// Segments = workers; the other modes share one model across workers. The
+// worker scans run over whichever pipeline core.EpochSource picks, and the
+// ordering draws from rand.NewSource(seed). p.Segments is ignored
+// (workers wins); workers <= 0 means 1.
+func NewRunner(task core.Task, tbl *engine.Table, mode Mode, workers int,
+	order core.OrderStrategy, p engine.Profile, seed int64) (core.EpochRunner, error) {
+	if workers <= 0 {
+		workers = 1
+	}
+	switch mode {
+	case PureUDA:
+		p.Segments = workers
+		return core.NewUDARunner(task, tbl, order, p, seed, false)
+	case Lock, AIG, NoLock:
+	default:
+		return nil, fmt.Errorf("parallel: unknown mode %v", mode)
+	}
+	if order == nil {
+		order = core.NoOrder{}
+	}
+	src, prepare, err := core.EpochSource(tbl, order, p)
+	if err != nil {
+		return nil, err
+	}
+	return &sharedRunner{task: task, tbl: tbl, src: src, prepare: prepare,
+		rng: rand.New(rand.NewSource(seed)), workers: workers, mode: mode, profile: p}, nil
+}
+
+func (r *sharedRunner) Run(epoch int, w vector.Dense, alpha float64) error {
+	if err := r.prepare(epoch, r.rng); err != nil {
+		return err
+	}
+	if r.mode == Lock {
+		var mu sync.Mutex
+		dm := &core.DenseModel{W: w}
+		return engine.RunSharedScanOn(r.src, r.workers, r.profile, func(_ int, tp engine.Tuple) error {
+			mu.Lock()
+			r.task.Step(dm, tp, alpha)
+			mu.Unlock()
+			return nil
+		})
+	}
+	if r.shared == nil {
+		r.shared = NewAtomicModel(len(w), r.mode == AIG)
+	}
+	r.shared.SetFrom(w)
+	err := engine.RunSharedScanOn(r.src, r.workers, r.profile, func(_ int, tp engine.Tuple) error {
+		r.task.Step(r.shared, tp, alpha)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	r.shared.CopyTo(w)
+	return nil
+}
+
+func (r *sharedRunner) Loss(w vector.Dense) (float64, error) {
+	return core.TotalLoss(r.task, w, r.tbl)
+}
+
+// Trainer is the struct-literal front door to the §3.3 schemes: Run builds
+// the mode's runner and hands it to core.Drive. The loop fields mean what
+// they mean on core.LoopConfig.
 type Trainer struct {
-	Task      core.Task
-	Step      core.StepRule
-	MaxEpochs int
-	Workers   int
-	Mode      Mode
-	// RelTol / TargetLoss mirror core.Trainer.
+	Task       core.Task
+	Step       core.StepRule
+	MaxEpochs  int
+	Workers    int
+	Mode       Mode
 	RelTol     float64
 	TargetLoss float64
 	Order      core.OrderStrategy
@@ -64,158 +144,16 @@ type Trainer struct {
 	Seed       int64
 	InitModel  vector.Dense
 	SkipLoss   bool
-	// Deadline mirrors core.Trainer.Deadline.
-	Deadline time.Time
-	// Shm, when set, allocates the model in the engine's shared-memory
-	// facility under the region name "bismarck.model" (mirroring how the
-	// real implementation hosts the model in RDBMS shared memory).
-	Shm *engine.SharedMemory
+	Deadline   time.Time
 }
 
 // Run trains the task and reports the result.
 func (tr *Trainer) Run(tbl *engine.Table) (*core.Result, error) {
-	if tr.MaxEpochs <= 0 {
-		return nil, fmt.Errorf("parallel: MaxEpochs must be > 0")
-	}
-	if tr.Step == nil {
-		return nil, fmt.Errorf("parallel: Step is required")
-	}
-	workers := tr.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-
-	if tr.Mode == PureUDA {
-		// The engine's built-in segmented aggregation plan already is the
-		// pure-UDA scheme; reuse the sequential trainer with a segmented
-		// profile.
-		p := tr.Profile
-		p.Segments = workers
-		ct := &core.Trainer{
-			Task: tr.Task, Step: tr.Step, MaxEpochs: tr.MaxEpochs,
-			RelTol: tr.RelTol, TargetLoss: tr.TargetLoss, Order: tr.Order,
-			Profile: p, Seed: tr.Seed, InitModel: tr.InitModel, SkipLoss: tr.SkipLoss,
-			Deadline: tr.Deadline,
-		}
-		return ct.Run(tbl)
-	}
-
-	rng := rand.New(rand.NewSource(tr.Seed))
-	w0 := tr.InitModel
-	if w0 == nil {
-		w0 = core.InitialModel(tr.Task, tr.Seed)
-	} else {
-		w0 = w0.Clone()
-	}
-	order := tr.Order
-	if order == nil {
-		order = core.NoOrder{}
-	}
-
-	var shmRegion []float64
-	if tr.Shm != nil {
-		r, err := tr.Shm.Allocate("bismarck.model", tr.Task.Dim())
-		if err != nil {
-			return nil, err
-		}
-		shmRegion = r
-		defer tr.Shm.Free("bismarck.model")
-	}
-
-	// Build the shared model once; it persists across epochs.
-	var model core.Model
-	var lockedStep func(tp engine.Tuple, alpha float64)
-	switch tr.Mode {
-	case Lock:
-		dm := &core.DenseModel{W: w0.Clone()}
-		if shmRegion != nil {
-			copy(shmRegion, w0)
-			dm.W = shmRegion
-		}
-		var mu sync.Mutex
-		model = dm
-		lockedStep = func(tp engine.Tuple, alpha float64) {
-			mu.Lock()
-			tr.Task.Step(dm, tp, alpha)
-			mu.Unlock()
-		}
-	case AIG, NoLock:
-		am := NewAtomicModel(tr.Task.Dim(), tr.Mode == AIG)
-		am.SetFrom(w0)
-		model = am
-	default:
-		return nil, fmt.Errorf("parallel: unknown mode %v", tr.Mode)
-	}
-
-	// The worker segment scans run over whichever epoch pipeline
-	// core.EpochSource picks: steady-state cached epochs with logical
-	// shuffles, or the paper-faithful physical reorder + reuse-scratch
-	// decode.
-	src, prepare, err := core.EpochSource(tbl, order, tr.Profile)
+	r, err := NewRunner(tr.Task, tbl, tr.Mode, tr.Workers, tr.Order, tr.Profile, tr.Seed)
 	if err != nil {
 		return nil, err
 	}
-
-	res := &core.Result{}
-	start := time.Now()
-	prevLoss := math.NaN()
-	for e := 0; e < tr.MaxEpochs; e++ {
-		if !tr.Deadline.IsZero() && time.Now().After(tr.Deadline) {
-			res.Model = model.Snapshot()
-			res.Total = time.Since(start)
-			return res, core.ErrDeadline
-		}
-		epochStart := time.Now()
-		if err := prepare(e, rng); err != nil {
-			return nil, err
-		}
-		alpha := tr.Step.Alpha(e)
-		var err error
-		if tr.Mode == Lock {
-			err = engine.RunSharedScanOn(src, workers, tr.Profile, func(_ int, tp engine.Tuple) error {
-				lockedStep(tp, alpha)
-				return nil
-			})
-		} else {
-			err = engine.RunSharedScanOn(src, workers, tr.Profile, func(_ int, tp engine.Tuple) error {
-				tr.Task.Step(model, tp, alpha)
-				return nil
-			})
-		}
-		if err != nil {
-			return nil, err
-		}
-		res.Epochs = e + 1
-		res.EpochTimes = append(res.EpochTimes, time.Since(epochStart))
-
-		if !tr.SkipLoss {
-			w := model.Snapshot()
-			if shmRegion != nil {
-				copy(shmRegion, w)
-			}
-			loss, err := core.TotalLoss(tr.Task, w, tbl)
-			if err != nil {
-				return nil, err
-			}
-			res.Losses = append(res.Losses, loss)
-			if tr.TargetLoss != 0 && loss <= tr.TargetLoss {
-				res.Converged = true
-				break
-			}
-			if tr.RelTol > 0 && !math.IsNaN(prevLoss) {
-				den := math.Abs(prevLoss)
-				if den == 0 {
-					den = 1
-				}
-				if math.Abs(prevLoss-loss)/den < tr.RelTol {
-					res.Converged = true
-					break
-				}
-			}
-			prevLoss = loss
-		}
-	}
-	res.Model = model.Snapshot()
-	res.Total = time.Since(start)
-	return res, nil
+	return core.Drive(r, core.LoopConfig{Task: tr.Task, Step: tr.Step, MaxEpochs: tr.MaxEpochs,
+		RelTol: tr.RelTol, TargetLoss: tr.TargetLoss, Seed: tr.Seed,
+		InitModel: tr.InitModel, SkipLoss: tr.SkipLoss, Deadline: tr.Deadline})
 }

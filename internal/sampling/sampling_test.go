@@ -109,10 +109,28 @@ func lrTable(t *testing.T, n int, seed int64) (*engine.Table, *tasks.LR) {
 	return tbl, tasks.NewLR(2)
 }
 
-func TestSubsampleTrainerLearns(t *testing.T) {
+// trainReservoir and trainMRS run a sampling plan the way a statement
+// does: build the runner, hand it to core.Drive.
+func trainReservoir(tbl *engine.Table, task core.Task, step core.StepRule, epochs, buf int) (*core.Result, error) {
+	r, err := NewReservoirRunner(task, tbl, buf, 1)
+	if err != nil {
+		return nil, err
+	}
+	return core.Drive(r, core.LoopConfig{Task: task, Step: step, MaxEpochs: epochs, Seed: 1})
+}
+
+func trainMRS(tbl *engine.Table, task core.Task, step core.StepRule, passes, buf int) (*core.Result, error) {
+	r, stop, err := NewMRSRunner(task, tbl, buf, 1)
+	if err != nil {
+		return nil, err
+	}
+	defer stop()
+	return core.Drive(r, core.LoopConfig{Task: task, Step: step, MaxEpochs: passes, Seed: 1})
+}
+
+func TestReservoirRunnerLearns(t *testing.T) {
 	tbl, task := lrTable(t, 400, 1)
-	tr := &SubsampleTrainer{Task: task, Step: core.DefaultStep(0.3), MaxEpochs: 20, BufCap: 40, Seed: 1}
-	res, err := tr.Run(tbl)
+	res, err := trainReservoir(tbl, task, core.DefaultStep(0.3), 20, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,20 +139,32 @@ func TestSubsampleTrainerLearns(t *testing.T) {
 	}
 }
 
-func TestSubsampleTrainerValidation(t *testing.T) {
+// TestSamplingPlansValidate: a zero buffer is refused at construction, and
+// the loop's own checks — which the sampling trainers used to skip, a nil
+// Step panicking inside the first epoch — now come from core.Drive.
+func TestSamplingPlansValidate(t *testing.T) {
 	tbl, task := lrTable(t, 10, 2)
-	if _, err := (&SubsampleTrainer{Task: task, Step: core.ConstantStep{A: 1}, BufCap: 5}).Run(tbl); err == nil {
-		t.Fatal("MaxEpochs=0 must error")
+	if _, err := trainReservoir(tbl, task, core.ConstantStep{A: 1}, 1, 0); err == nil {
+		t.Fatal("reservoir: BufCap=0 must error")
 	}
-	if _, err := (&SubsampleTrainer{Task: task, Step: core.ConstantStep{A: 1}, MaxEpochs: 1}).Run(tbl); err == nil {
-		t.Fatal("BufCap=0 must error")
+	if _, err := trainMRS(tbl, task, core.ConstantStep{A: 1}, 1, 0); err == nil {
+		t.Fatal("mrs: BufCap=0 must error")
+	}
+	for name, train := range map[string]func(*engine.Table, core.Task, core.StepRule, int, int) (*core.Result, error){
+		"reservoir": trainReservoir, "mrs": trainMRS,
+	} {
+		if _, err := train(tbl, task, nil, 1, 5); err == nil {
+			t.Fatalf("%s: nil Step must error, not panic", name)
+		}
+		if _, err := train(tbl, task, core.ConstantStep{A: 1}, 0, 5); err == nil {
+			t.Fatalf("%s: MaxEpochs=0 must error", name)
+		}
 	}
 }
 
-func TestMRSTrainerLearns(t *testing.T) {
+func TestMRSRunnerLearns(t *testing.T) {
 	tbl, task := lrTable(t, 400, 3)
-	tr := &MRSTrainer{Task: task, Step: core.DefaultStep(0.3), Passes: 10, BufCap: 40, Seed: 1}
-	res, err := tr.Run(tbl)
+	res, err := trainMRS(tbl, task, core.DefaultStep(0.3), 10, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,25 +182,15 @@ func TestMRSBeatsSubsamplingAtEqualBudget(t *testing.T) {
 	// passes over the data.
 	tbl, task := lrTable(t, 800, 4)
 	const buf, passes = 80, 8
-	sub, err := (&SubsampleTrainer{Task: task, Step: core.DefaultStep(0.3), MaxEpochs: passes, BufCap: buf, Seed: 1}).Run(tbl)
+	sub, err := trainReservoir(tbl, task, core.DefaultStep(0.3), passes, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mrs, err := (&MRSTrainer{Task: task, Step: core.DefaultStep(0.3), Passes: passes, BufCap: buf, Seed: 1}).Run(tbl)
+	mrs, err := trainMRS(tbl, task, core.DefaultStep(0.3), passes, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mrs.FinalLoss() >= sub.FinalLoss() {
 		t.Fatalf("MRS (%g) should beat Subsampling (%g)", mrs.FinalLoss(), sub.FinalLoss())
-	}
-}
-
-func TestMRSTrainerValidation(t *testing.T) {
-	tbl, task := lrTable(t, 10, 5)
-	if _, err := (&MRSTrainer{Task: task, Step: core.ConstantStep{A: 1}, BufCap: 5}).Run(tbl); err == nil {
-		t.Fatal("Passes=0 must error")
-	}
-	if _, err := (&MRSTrainer{Task: task, Step: core.ConstantStep{A: 1}, Passes: 1}).Run(tbl); err == nil {
-		t.Fatal("BufCap=0 must error")
 	}
 }

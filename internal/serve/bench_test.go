@@ -9,8 +9,7 @@ import (
 // admit, epoch-pointer cache hit, pooled-scratch scoring — at two batch
 // shapes, serially and with every P hammering it (the -cpu flag scales
 // the parallel variant's concurrency). CI runs one iteration of each as
-// a smoke test; cmd/bench -bench-json reports the cross-client
-// predictions/sec trajectory from the same plane.
+// a smoke test; benchmark/ measures predictions/sec against a real daemon.
 func BenchmarkServingPredict(b *testing.B) {
 	r := newRig(b, Options{Inflight: 16, MaxQueue: 1 << 16})
 	r.train(b, "pos")

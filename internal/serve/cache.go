@@ -76,8 +76,6 @@ func NewCache(cat *engine.Catalog, guard sqlish.Guard) *Cache {
 // Lookup returns the cached snapshot for the model if one is present and
 // still matches the catalog generation. This is the hot path: no locks,
 // no allocations.
-//
-//bismarck:noalloc
 func (c *Cache) Lookup(model string) (*sqlish.ModelSnapshot, uint64, bool) {
 	e, ok := (*c.cur.Load())[model]
 	if !ok || !e.valid() {

@@ -110,8 +110,6 @@ type binRequest struct {
 // decode parses payload into r, reusing r's backing arrays. r.id is set
 // as soon as the header parses so the caller can attribute errors from
 // the rest of the payload to the client's id.
-//
-//bismarck:noalloc
 func (r *binRequest) decode(payload []byte) error {
 	r.id = 0
 	if len(payload) < binReqHeader {
@@ -162,8 +160,6 @@ func (r *binRequest) decode(payload []byte) error {
 }
 
 // appendBinOK encodes a success response frame (length prefix included).
-//
-//bismarck:noalloc
 func appendBinOK(buf []byte, id uint64, scores []float64) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(binRespHeader+2+8*len(scores)))
 	buf = append(buf, binStatusOK)
@@ -177,8 +173,6 @@ func appendBinOK(buf []byte, id uint64, scores []float64) []byte {
 
 // appendBinErr encodes an error response frame (length prefix included).
 // Long messages are truncated to the u16 length field.
-//
-//bismarck:noalloc
 func appendBinErr(buf []byte, id uint64, msg string) []byte {
 	if len(msg) > math.MaxUint16 {
 		msg = msg[:math.MaxUint16]
@@ -194,14 +188,17 @@ func appendBinErr(buf []byte, id uint64, msg string) []byte {
 // readBinFrame reads one length-prefixed frame, reusing *buf as the
 // payload buffer (grown as needed). The returned slice aliases *buf and
 // is valid until the next call.
-//
-//bismarck:noalloc
 func readBinFrame(r io.Reader, buf *[]byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// The length prefix is read into *buf too: a local array would escape
+	// through the io.Reader call and cost an allocation per frame.
+	if cap(*buf) < 4 {
+		*buf = make([]byte, 4)
+	}
+	hdr := (*buf)[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(hdr)
 	if n == 0 || n > maxBinFrameBytes {
 		return nil, fmt.Errorf("server: binary frame length %d (want 1..%d)", n, maxBinFrameBytes)
 	}
@@ -264,8 +261,6 @@ type binSession struct {
 // b.out. cancel aborts a queued admission wait (connection/server
 // teardown); handle reports false only then — every other failure is an
 // error frame for the client.
-//
-//bismarck:noalloc
 func (b *binSession) handle(payload []byte, cancel <-chan struct{}) bool {
 	if err := b.req.decode(payload); err != nil {
 		b.out = appendBinErr(b.out[:0], b.req.id, oneLine(err.Error()))
@@ -275,7 +270,7 @@ func (b *binSession) handle(payload []byte, cancel <-chan struct{}) bool {
 	// memoize the conversion instead of allocating it per frame (the
 	// comparison form below is alloc-free; only a model switch converts).
 	if string(b.req.model) != b.model {
-		b.model = string(b.req.model) //bismarck:allowalloc model switches are rare; steady state takes the comparison above
+		b.model = string(b.req.model)
 	}
 	ad, err := b.plane.Admit(b.model)
 	if err != nil {

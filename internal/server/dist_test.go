@@ -215,6 +215,63 @@ func distLRFixture(t *testing.T, rows int) (*engine.Table, *tasks.LR, map[string
 	return tbl, task, ts.Snapshot(task)
 }
 
+// distRun is the WITH executors=... plan exactly as spec.Train assembles
+// it — partition, scatter through a Coordinator, hand the sharded epoch
+// over the remote runners to core.Drive — with the coordinator's Hooks
+// exposed, which a statement cannot reach. The fixture is always the
+// registry "lr" task, shuffle_once, DefaultStep(0.1).
+type distRun struct {
+	Executors  []string
+	TaskParams map[string]string
+	Task       core.Task
+	MaxEpochs  int
+	Shards     int
+	Seed       int64
+	Hooks      dist.Hooks
+}
+
+func (tr *distRun) Run(tbl *engine.Table) (*core.Result, error) {
+	sharded, err := engine.ShardTable(tbl, tr.Shards, engine.ShardRoundRobin)
+	if err != nil {
+		return nil, err
+	}
+	defer sharded.Close()
+	co, err := dist.NewCoordinator(tr.Executors, sharded, dist.ShardTask{Name: "lr",
+		Params: tr.TaskParams, Order: dist.OrderByte("shuffle_once"), Seed: tr.Seed}, 10*time.Second)
+	if err != nil {
+		return nil, err
+	}
+	defer co.Close()
+	co.Hooks = tr.Hooks
+	se, err := parallel.NewShardedEpochRunners(tr.Task, co.Runners())
+	if err != nil {
+		return nil, err
+	}
+	return core.Drive(se, core.LoopConfig{Task: tr.Task, Step: core.DefaultStep(0.1),
+		MaxEpochs: tr.MaxEpochs, Seed: tr.Seed})
+}
+
+// shardedRef is the in-process sharded run the distributed arms must
+// reproduce bit for bit.
+func shardedRef(t *testing.T, tbl *engine.Table, task core.Task, epochs, shards int, seed int64) *core.Result {
+	t.Helper()
+	sharded, err := engine.ShardTable(tbl, shards, engine.ShardRoundRobin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sharded.Close()
+	se, err := parallel.NewShardedEpoch(task, sharded, ordering.ShuffleOnce{}, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := core.Drive(se, core.LoopConfig{Task: task, Step: core.DefaultStep(0.1),
+		MaxEpochs: epochs, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ref
+}
+
 // TestDistributedExecutorLossCrashMatrix kills one of two executors at
 // each point of the STEP protocol — before the request, mid-scan on the
 // executor, and after a successful reply — and requires, for every
@@ -229,13 +286,7 @@ func TestDistributedExecutorLossCrashMatrix(t *testing.T) {
 		seed   = int64(3)
 	)
 	tbl, task, params := distLRFixture(t, 200)
-	ref, err := (&parallel.ShardedTrainer{
-		Task: task, Step: core.DefaultStep(0.1), MaxEpochs: epochs, Shards: shards,
-		Order: ordering.ShuffleOnce{}, Seed: seed,
-	}).Run(tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := shardedRef(t, tbl, task, epochs, shards, seed)
 
 	type arm struct {
 		name string
@@ -243,12 +294,12 @@ func TestDistributedExecutorLossCrashMatrix(t *testing.T) {
 		// coordinator-side arms.
 		victimHooks func(n *execNode) dist.ExecutorHooks
 		// coordHooks installs the coordinator-side kill; may be nil.
-		coordHooks func(victim *execNode, tr *dist.Trainer)
+		coordHooks func(victim *execNode, tr *distRun)
 	}
 	arms := []arm{
 		{
 			name: "before-step",
-			coordHooks: func(victim *execNode, tr *dist.Trainer) {
+			coordHooks: func(victim *execNode, tr *distRun) {
 				tr.Hooks.BeforeStep = func(shard, epoch int) {
 					if epoch == 1 {
 						victim.kill()
@@ -268,7 +319,7 @@ func TestDistributedExecutorLossCrashMatrix(t *testing.T) {
 		},
 		{
 			name: "after-reply",
-			coordHooks: func(victim *execNode, tr *dist.Trainer) {
+			coordHooks: func(victim *execNode, tr *distRun) {
 				tr.Hooks.AfterStep = func(shard, epoch int, err error) {
 					if epoch == 1 && err == nil {
 						victim.kill()
@@ -283,17 +334,13 @@ func TestDistributedExecutorLossCrashMatrix(t *testing.T) {
 			victim := startExecNode(t, a.victimHooks)
 			survivor := startExecNode(t, nil)
 
-			tr := &dist.Trainer{
+			tr := &distRun{
 				Executors:  []string{victim.addr, survivor.addr},
-				TaskName:   "lr",
 				TaskParams: params,
 				Task:       task,
-				Step:       core.DefaultStep(0.1),
-				OrderName:  "shuffle_once",
 				MaxEpochs:  epochs,
 				Shards:     shards,
 				Seed:       seed,
-				Timeout:    10 * time.Second,
 			}
 			if a.coordHooks != nil {
 				a.coordHooks(victim, tr)
@@ -354,17 +401,13 @@ func TestDistributedBusyExecutorBacksOff(t *testing.T) {
 	gate := &busyAtGate{shedAt: map[int64]bool{3: true, 17: true}}
 	addr := startFakeExecutor(t, gate)
 
-	tr := &dist.Trainer{
+	tr := &distRun{
 		Executors:  []string{addr},
-		TaskName:   "lr",
 		TaskParams: params,
 		Task:       task,
-		Step:       core.DefaultStep(0.1),
-		OrderName:  "shuffle_once",
 		MaxEpochs:  3,
 		Shards:     2,
 		Seed:       5,
-		Timeout:    10 * time.Second,
 	}
 	res, err := tr.Run(tbl)
 	if err != nil {
@@ -373,13 +416,7 @@ func TestDistributedBusyExecutorBacksOff(t *testing.T) {
 	if gate.rejections.Load() == 0 {
 		t.Fatal("gate never shed — the backoff path was not exercised")
 	}
-	ref, err := (&parallel.ShardedTrainer{
-		Task: task, Step: core.DefaultStep(0.1), MaxEpochs: 3, Shards: 2,
-		Order: ordering.ShuffleOnce{}, Seed: 5,
-	}).Run(tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := shardedRef(t, tbl, task, 3, 2, 5)
 	if d := vector.Dist2(res.Model, ref.Model); d != 0 {
 		t.Errorf("model under busy shedding diverges from the in-process run by %g", d)
 	}

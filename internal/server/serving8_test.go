@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"sync"
@@ -381,6 +382,22 @@ func TestBinFrameZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state binary frame path allocates %v/op, want 0", allocs)
+	}
+
+	// The two codec halves a healthy handle never reaches: the read
+	// loop's frame reader and the error encoder, both over reused buffers.
+	rd := bytes.NewReader(req)
+	var frame []byte
+	out := appendBinErr(nil, 1, "warm")
+	allocs = testing.AllocsPerRun(200, func() {
+		rd.Reset(req)
+		if _, err := readBinFrame(rd, &frame); err != nil {
+			t.Fatal(err)
+		}
+		out = appendBinErr(out[:0], 7, "busy: retry_after_ms=3")
+	})
+	if allocs != 0 {
+		t.Fatalf("frame read + error encode allocate %v/op, want 0", allocs)
 	}
 }
 

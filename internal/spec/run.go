@@ -335,115 +335,109 @@ type Outcome struct {
 	Method string  // human-readable dispatch description
 }
 
-// TrainDistributed runs the sharded IGD loop over remote executor
-// processes (the WITH executors=... mode): the view partitions exactly
-// like the in-process sharded trainer, the shards scatter to the listed
-// bismarckd -executor daemons, and each epoch is one STEP round trip per
-// shard merged by row-weighted averaging. It needs the TaskSpec, not
-// just the built task: the executors rebuild the task from its registry
-// name plus the Snapshot parameters, the same metadata-only path model
-// restores use.
-func TrainDistributed(ts *TaskSpec, task core.Task, k Knobs, view *engine.Table) (*Outcome, error) {
-	if ts.Snapshot == nil {
-		return nil, fmt.Errorf("spec: task %s cannot train on remote executors (no parameter snapshot to ship)", ts.Name)
-	}
-	epochs := k.Epochs
-	if epochs <= 0 {
-		epochs = 20
-	}
-	tr := &dist.Trainer{
-		Executors:  k.Executors,
-		TaskName:   ts.Name,
-		TaskParams: ts.Snapshot(task),
-		Task:       task,
-		Step:       k.StepRule(0.1),
-		OrderName:  k.Order,
-		MaxEpochs:  epochs,
-		Shards:     k.Shards,
-		MaxShards:  MaxShards,
-		Strategy:   k.ShardStrategy(),
-		RelTol:     k.Tol,
-		Seed:       k.Seed,
-	}
-	res, err := tr.Run(view)
+// Train runs a TO TRAIN statement's IGD plan: the knobs pick one epoch
+// runner — sequential, a §3.3 parallel scheme, in-process or remote
+// shards, reservoir, MRS — and core.Drive runs the one loop over it. This
+// is the single dispatch path of the unified architecture: no
+// task-specific branching happens here.
+func Train(ts *TaskSpec, task core.Task, k Knobs, view *engine.Table) (*Outcome, error) {
+	r, method, done, err := planRunner(ts, task, k, view)
 	if err != nil {
 		return nil, err
 	}
-	return &Outcome{Model: res.Model, Epochs: res.Epochs, Loss: res.FinalLoss(),
-		Method: fmt.Sprintf("IGD/Distributed(executors=%d, %s)", len(k.Executors), tr.Strategy)}, nil
-}
-
-// TrainIGD dispatches the statement onto the matching IGD trainer — the
-// sequential epoch loop, the parallel trainer, or the sampling trainers —
-// driven entirely by the knobs. This is the single dispatch path of the
-// unified architecture: no task-specific branching happens here.
-func TrainIGD(task core.Task, k Knobs, view *engine.Table) (*Outcome, error) {
+	defer done()
 	epochs := k.Epochs
 	if epochs <= 0 {
 		epochs = 20
 	}
-	step := k.StepRule(0.1)
+	res, err := core.Drive(r, core.LoopConfig{Task: task, Step: k.StepRule(0.1),
+		MaxEpochs: epochs, RelTol: k.Tol, Seed: k.Seed})
+	if err != nil {
+		return nil, err
+	}
+	return &Outcome{Model: res.Model, Epochs: res.Epochs, Loss: res.FinalLoss(), Method: method}, nil
+}
+
+// planRunner builds the epoch runner the knobs select, its human-readable
+// dispatch description, and the func that releases whatever the plan holds
+// (shard heaps, executor connections, the MRS memory worker).
+func planRunner(ts *TaskSpec, task core.Task, k Knobs, view *engine.Table) (
+	r core.EpochRunner, method string, done func(), err error) {
+	done = func() {}
 	switch {
 	case k.MRS > 0:
-		tr := &sampling.MRSTrainer{
-			Task: task, Step: step, Passes: epochs, BufCap: k.MRS, Seed: k.Seed,
-		}
-		res, err := tr.Run(view)
-		if err != nil {
-			return nil, err
-		}
-		return &Outcome{Model: res.Model, Epochs: res.Epochs, Loss: res.FinalLoss(),
-			Method: fmt.Sprintf("IGD/MRS(buf=%d)", k.MRS)}, nil
+		r, done, err = sampling.NewMRSRunner(task, view, k.MRS, k.Seed)
+		return r, fmt.Sprintf("IGD/MRS(buf=%d)", k.MRS), done, err
 
 	case k.Reservoir > 0:
-		tr := &sampling.SubsampleTrainer{
-			Task: task, Step: step, MaxEpochs: epochs, BufCap: k.Reservoir, Seed: k.Seed,
-		}
-		res, err := tr.Run(view)
-		if err != nil {
-			return nil, err
-		}
-		return &Outcome{Model: res.Model, Epochs: res.Epochs, Loss: res.FinalLoss(),
-			Method: fmt.Sprintf("IGD/Reservoir(buf=%d)", k.Reservoir)}, nil
+		r, err = sampling.NewReservoirRunner(task, view, k.Reservoir, k.Seed)
+		return r, fmt.Sprintf("IGD/Reservoir(buf=%d)", k.Reservoir), done, err
 
-	case k.Shards > 0:
-		tr := &parallel.ShardedTrainer{
-			Task: task, Step: step, MaxEpochs: epochs, Shards: k.Shards,
-			Strategy: k.ShardStrategy(), RelTol: k.Tol, Order: k.OrderStrategy(), Seed: k.Seed,
-		}
-		res, err := tr.Run(view)
-		if err != nil {
-			return nil, err
-		}
-		return &Outcome{Model: res.Model, Epochs: res.Epochs, Loss: res.FinalLoss(),
-			Method: fmt.Sprintf("IGD/Sharded×%d(%s)", k.Shards, tr.Strategy)}, nil
+	case k.Shards > 0 || len(k.Executors) > 0:
+		return shardedRunner(ts, task, k, view)
 
 	case k.Parallel != "none":
 		workers := k.Workers
 		if workers <= 0 {
 			workers = runtime.NumCPU()
 		}
-		tr := &parallel.Trainer{
-			Task: task, Step: step, MaxEpochs: epochs, Workers: workers,
-			Mode: k.ParallelMode(), RelTol: k.Tol, Order: k.OrderStrategy(), Seed: k.Seed,
-		}
-		res, err := tr.Run(view)
-		if err != nil {
-			return nil, err
-		}
-		return &Outcome{Model: res.Model, Epochs: res.Epochs, Loss: res.FinalLoss(),
-			Method: fmt.Sprintf("IGD/%s×%d", tr.Mode, workers)}, nil
+		mode := k.ParallelMode()
+		r, err = parallel.NewRunner(task, view, mode, workers, k.OrderStrategy(), engine.Profile{}, k.Seed)
+		return r, fmt.Sprintf("IGD/%s×%d", mode, workers), done, err
 
 	default:
-		tr := &core.Trainer{
-			Task: task, Step: step, MaxEpochs: epochs, RelTol: k.Tol,
-			Order: k.OrderStrategy(), Seed: k.Seed,
-		}
-		res, err := tr.Run(view)
-		if err != nil {
-			return nil, err
-		}
-		return &Outcome{Model: res.Model, Epochs: res.Epochs, Loss: res.FinalLoss(),
-			Method: "IGD"}, nil
+		r, err = core.NewUDARunner(task, view, k.OrderStrategy(), engine.Profile{}, k.Seed, false)
+		return r, "IGD", done, err
 	}
+}
+
+// shardedRunner partitions the view and builds the sharded epoch over it:
+// in-process shard workers for WITH shards=K, or — WITH executors=... —
+// the same partition scattered to the listed bismarckd -executor daemons,
+// each epoch one STEP round trip per shard. Both hand the same
+// *parallel.ShardedEpoch to core.Drive, which is why a healthy distributed
+// run reproduces the in-process one bit for bit. The remote form needs the
+// TaskSpec, not just the built task: executors rebuild the task from its
+// registry name plus the Snapshot parameters, the same metadata-only path
+// model restores use.
+func shardedRunner(ts *TaskSpec, task core.Task, k Knobs, view *engine.Table) (
+	core.EpochRunner, string, func(), error) {
+	shards, remote := k.Shards, len(k.Executors) > 0
+	if remote {
+		if ts.Snapshot == nil {
+			return nil, "", nil, fmt.Errorf("spec: task %s cannot train on remote executors (no parameter snapshot to ship)", ts.Name)
+		}
+		if dim := task.Dim(); dim > dist.MaxWireDim {
+			return nil, "", nil, fmt.Errorf("spec: task dimension %d exceeds the executor wire limit %d "+
+				"(train in-process with shards= instead)", dim, dist.MaxWireDim)
+		}
+		if shards < 1 {
+			shards = dist.AdaptiveShards(view.NumRows(), len(k.Executors), MaxShards)
+		}
+	}
+	sharded, err := engine.ShardTable(view, shards, k.ShardStrategy())
+	if err != nil {
+		return nil, "", nil, err
+	}
+	done := func() { sharded.Close() }
+	var se *parallel.ShardedEpoch
+	method := fmt.Sprintf("IGD/Sharded×%d(%s)", shards, sharded.Strategy)
+	if remote {
+		method = fmt.Sprintf("IGD/Distributed(executors=%d, %s)", len(k.Executors), sharded.Strategy)
+		var co *dist.Coordinator
+		co, err = dist.NewCoordinator(k.Executors, sharded, dist.ShardTask{
+			Name: ts.Name, Params: ts.Snapshot(task), Order: dist.OrderByte(k.Order), Seed: k.Seed}, 0)
+		if err == nil {
+			// The partition outlives the coordinator: requeue re-ships from it.
+			done = func() { co.Close(); sharded.Close() }
+			se, err = parallel.NewShardedEpochRunners(task, co.Runners())
+		}
+	} else {
+		se, err = parallel.NewShardedEpoch(task, sharded, k.OrderStrategy(), k.Seed)
+	}
+	if err != nil {
+		done()
+		return nil, "", nil, err
+	}
+	return se, method, done, nil
 }

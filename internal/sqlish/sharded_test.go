@@ -15,7 +15,7 @@ import (
 
 // TestTrainWithShardsEndToEnd drives the full statement path of the
 // sharded mode: WITH shards=K plumbs from the parser through the knobs to
-// the ShardedTrainer, the trained model persists like any other, and
+// the sharded epoch runner, the trained model persists like any other, and
 // PREDICT scores with it.
 func TestTrainWithShardsEndToEnd(t *testing.T) {
 	s, out := declSession(t)

@@ -162,8 +162,6 @@ type PointScratch struct {
 // task's raw score (probability for lr, margin for svm/lsq, predicted
 // rating for lmf). It takes no locks and, in steady state, performs zero
 // heap allocations — the serving plane's hot path.
-//
-//bismarck:noalloc
 func (sc *PointScratch) Score(snap *ModelSnapshot, vals []float64) (float64, error) {
 	lo := &snap.layout
 	if !lo.ok {

@@ -394,14 +394,9 @@ func (s *Session) train(st *spec.Statement) error {
 		return err
 	}
 	var out *spec.Outcome
-	switch {
-	case len(knobs.Executors) > 0:
-		// WITH executors=...: the sharded IGD loop with remote workers
-		// (SplitKnobs already pinned the solver to igd for this mode).
-		out, err = spec.TrainDistributed(ts, task, knobs, view.Table)
-	case knobs.Solver == "igd":
-		out, err = spec.TrainIGD(task, knobs, view.Table)
-	default:
+	if knobs.Solver == "igd" {
+		out, err = spec.Train(ts, task, knobs, view.Table)
+	} else {
 		out, err = runSolver(task, ts, knobs, view.Table)
 	}
 	if err != nil {

@@ -84,8 +84,6 @@ func Axpy(w Dense, x Dense, c float64) {
 // dot product). Both loops are the unrolled kernels above; w and x must have
 // equal length (callers pre-slice). The gain closure is invoked exactly once
 // and must not retain w.
-//
-//bismarck:noalloc
 func DotAxpy(w, x Dense, gain func(dot float64) float64) float64 {
 	s := Dot(w, x)
 	if c := gain(s); c != 0 {
@@ -97,8 +95,6 @@ func DotAxpy(w, x Dense, gain func(dot float64) float64) float64 {
 // DotAxpySparse is DotAxpy for a sparse example against a dense model:
 // s = w·x, then w += gain(s)·x over the stored coordinates only. Indices of
 // x beyond the dimension of w are ignored in both phases.
-//
-//bismarck:noalloc
 func DotAxpySparse(w Dense, x Sparse, gain func(dot float64) float64) float64 {
 	s := DotSparse(w, x)
 	if c := gain(s); c != 0 {
