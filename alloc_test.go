@@ -13,6 +13,7 @@ import (
 	"bismarck/internal/engine"
 	"bismarck/internal/experiments"
 	"bismarck/internal/ordering"
+	"bismarck/internal/spec"
 	"bismarck/internal/tasks"
 	"bismarck/internal/vector"
 )
@@ -46,6 +47,51 @@ func TestEpochScanAllocs(t *testing.T) {
 		})
 		if allocs > budget {
 			t.Errorf("%s: %.1f allocs per epoch, budget %.0f", name, allocs, budget)
+		}
+	}
+}
+
+// TestAllocBudgetRealPlan gates the plan a default TRAIN actually runs —
+// core.NewUDARunner + core.Drive over a projected, primed view — rather
+// than a hand-built step closure: the allocations one more epoch costs
+// (aggregate, state, model clone, scan scratch, loss pass) must fit a small
+// constant that does not grow with the row count.
+func TestAllocBudgetRealPlan(t *testing.T) {
+	const perEpochBudget = 16
+	st, err := spec.Parse(`SELECT * FROM src TO TRAIN lr INTO m;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		src  func(rows int) *engine.Table
+		task core.Task
+	}{
+		{"dense-lr", func(rows int) *engine.Table { return data.Forest(rows, 7) }, tasks.NewLR(54)},
+		{"sparse-svm", func(rows int) *engine.Table { return data.DBLife(rows, 41000, 12, 8) }, tasks.NewSVM(41000)},
+	} {
+		for _, rows := range []int{500, 4000} {
+			src := c.src(rows)
+			view, err := spec.ProjectView(src, st, src.Schema, spec.ViewOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			train := func(epochs int) float64 {
+				return testing.AllocsPerRun(3, func() {
+					r, err := core.NewUDARunner(c.task, view.Table, ordering.ShuffleOnce{}, engine.Profile{}, 1, false)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := core.Drive(r, core.LoopConfig{Task: c.task, Step: core.ConstantStep{A: 0.01},
+						MaxEpochs: epochs, Seed: 1}); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			if perEpoch := (train(9) - train(1)) / 8; perEpoch > perEpochBudget {
+				t.Errorf("%s over %d rows: %.1f allocations per epoch, budget %d",
+					c.name, rows, perEpoch, perEpochBudget)
+			}
 		}
 	}
 }

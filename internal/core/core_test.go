@@ -347,6 +347,30 @@ func TestIGDStateCopy(t *testing.T) {
 	}
 }
 
+// TestAllocBudgetTransition: the IGD transition — the body of every
+// sequential and pure-UDA epoch — allocates nothing: the Model wrapper over
+// the state's vector is built once, by Initialize and CopyState, not per
+// tuple.
+func TestAllocBudgetTransition(t *testing.T) {
+	agg := &IGDAggregate{Task: meanTask{}, Alpha: 0.1, Init: vector.Dense{0}, PiggybackLoss: true}
+	tp := engine.Tuple{engine.I64(0), engine.F64(3)}
+	for name, s := range map[string]engine.State{
+		"Initialize": agg.Initialize(),
+		"CopyState":  agg.Initialize().(*igdState).CopyState(),
+	} {
+		st := s.(*igdState)
+		if &st.model.W[0] != &st.w[0] {
+			t.Fatalf("%s: the state's model does not wrap the state's own vector", name)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { s = agg.Transition(s, tp) }); allocs != 0 {
+			t.Errorf("%s: Transition allocates %.1f objects per tuple, want 0", name, allocs)
+		}
+		if st.steps == 0 || st.w[0] == 0 {
+			t.Fatalf("%s: transitions did not step the state", name)
+		}
+	}
+}
+
 func TestInitialModelUsesInitializer(t *testing.T) {
 	if w := InitialModel(meanTask{}, 0); len(w) != 1 || w[0] != 0 {
 		t.Fatal("default init should be zeros")

@@ -13,14 +13,19 @@ import (
 // data (the number of gradient steps folded into it, which weighs merges).
 type igdState struct {
 	w     vector.Dense
+	model DenseModel // the Model wrapper over w handed to Task.Step, built once per state
 	steps int
 	loss  float64 // piggybacked online loss (sum of pre-step example losses)
+}
+
+func newIGDState(w vector.Dense, steps int, loss float64) *igdState {
+	return &igdState{w: w, model: DenseModel{W: w}, steps: steps, loss: loss}
 }
 
 // CopyState implements engine.StateCopier so the DBMS A profile can charge
 // model-passing overhead at merge boundaries.
 func (s *igdState) CopyState() engine.State {
-	return &igdState{w: s.w.Clone(), steps: s.steps, loss: s.loss}
+	return newIGDState(s.w.Clone(), s.steps, s.loss)
 }
 
 // IGDAggregate is incremental gradient descent expressed as a standard
@@ -41,7 +46,7 @@ type IGDAggregate struct {
 
 // Initialize implements engine.UDA.
 func (a *IGDAggregate) Initialize() engine.State {
-	return &igdState{w: a.Init.Clone()}
+	return newIGDState(a.Init.Clone(), 0, 0)
 }
 
 // Transition implements engine.UDA.
@@ -50,7 +55,7 @@ func (a *IGDAggregate) Transition(s engine.State, t engine.Tuple) engine.State {
 	if a.PiggybackLoss {
 		st.loss += a.Task.Loss(st.w, t)
 	}
-	a.Task.Step(&DenseModel{W: st.w}, t, a.Alpha)
+	a.Task.Step(&st.model, t, a.Alpha)
 	st.steps++
 	return st
 }

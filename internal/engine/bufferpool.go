@@ -17,14 +17,19 @@ const maxPoolShards = 16
 // go straight to the file, so the pool never holds dirty pages; Invalidate
 // evicts stale entries after an append or rewrite.
 //
+// The pool recycles its frames: a miss refills the least recently used
+// unpinned frame in place, so a scan of a table many times the pool leaves
+// no per-page garbage. Get pins the frame it returns until the caller
+// unpins it. Only with every frame of a shard pinned at once does a miss
+// allocate an extra frame, shed again at its unpin.
+//
 // The pool is sharded by page id: a single mutex (and an LRU list touched
 // on every hit) serializes concurrent segment scans, which is exactly the
 // contention profile of the shared-memory parallel plan. Each shard owns
 // 1/nth of the capacity and pages hash to shards by id, so a sequential
 // scan rotates through the shards instead of convoying on one lock. Within
-// a shard, a hit on the current LRU front skips the MoveToFront entirely —
-// the common case for a sequential scan re-reading the page it just
-// touched.
+// a shard, a hit on the current LRU front skips the relink entirely — the
+// common case for a sequential scan re-reading the page it just touched.
 type BufferPool struct {
 	src    io.ReaderAt
 	shards []poolShard
@@ -36,19 +41,25 @@ type BufferPool struct {
 	verify func(id int, p page) error
 }
 
+// frame is one page buffer. Everything but data's contents is guarded by
+// the shard mutex; the contents are written only by the fill that took the
+// frame and read only while it is pinned.
+type frame struct {
+	sh   *poolShard // nil for a page no pool holds (memory stores)
+	id   int
+	data page
+	pins int
+	el   *list.Element
+}
+
 type poolShard struct {
 	mu    sync.Mutex
 	cap   int
-	pages map[int]*list.Element
-	lru   *list.List // front = most recent
+	pages map[int]*frame
+	lru   *list.List // every frame the shard owns; front = most recent
 
 	hits   int64
 	misses int64
-}
-
-type poolEntry struct {
-	id   int
-	data page
 }
 
 // NewBufferPool returns a pool caching at most capPages pages of src.
@@ -74,7 +85,7 @@ func NewBufferPool(src io.ReaderAt, capPages int) *BufferPool {
 		if i < rem { // spread the remainder so total capacity == capPages
 			sh.cap++
 		}
-		sh.pages = make(map[int]*list.Element, sh.cap)
+		sh.pages = make(map[int]*frame, sh.cap)
 		sh.lru = list.New()
 	}
 	return bp
@@ -87,63 +98,106 @@ func (bp *BufferPool) shard(id int) *poolShard {
 	return &bp.shards[id%len(bp.shards)]
 }
 
-// Get returns page id, reading it from the file on a miss. The returned
-// slice aliases pool memory: callers must not write to it and must not hold
-// it across operations that may evict (it is safe for the duration of one
-// tuple-at-a-time scan step, which is how the engine uses it).
-func (bp *BufferPool) Get(id int) (page, error) {
+// pin marks a frame most recently used and in use by one more reader.
+func (sh *poolShard) pin(f *frame) *frame {
+	if sh.lru.Front() != f.el {
+		sh.lru.MoveToFront(f.el)
+	}
+	f.pins++
+	return f
+}
+
+// release drops one pin, and the extra frame of an all-pinned moment.
+func (sh *poolShard) release(f *frame) {
+	if f.pins--; f.pins == 0 && sh.lru.Len() > sh.cap {
+		sh.unmap(f)
+		sh.lru.Remove(f.el)
+	}
+}
+
+// unmap stops serving f's page from f (a no-op once invalidated).
+func (sh *poolShard) unmap(f *frame) {
+	if sh.pages[f.id] == f {
+		delete(sh.pages, f.id)
+	}
+}
+
+// Get returns page id pinned in a frame, reading it from the file on a
+// miss. The frame's data aliases pool memory: callers must not write to it,
+// and must unpin the frame when done reading — until then the pool will not
+// refill it.
+func (bp *BufferPool) Get(id int) (*frame, error) {
 	sh := bp.shard(id)
 	sh.mu.Lock()
-	if el, ok := sh.pages[id]; ok {
-		if el != sh.lru.Front() {
-			sh.lru.MoveToFront(el)
-		}
+	if f, ok := sh.pages[id]; ok {
 		sh.hits++
-		p := el.Value.(*poolEntry).data
+		sh.pin(f)
 		sh.mu.Unlock()
-		return p, nil
+		return f, nil
 	}
 	sh.misses++
+	// Refill the least recently used unpinned frame; below capacity, or with
+	// every frame pinned, a new one. The fill holds its frame pinned.
+	var f *frame
+	if sh.lru.Len() >= sh.cap {
+		for el := sh.lru.Back(); el != nil && f == nil; el = el.Prev() {
+			if v := el.Value.(*frame); v.pins == 0 {
+				f = v
+			}
+		}
+	}
+	if f == nil {
+		f = &frame{sh: sh, data: make(page, PageSize)}
+		f.el = sh.lru.PushFront(f)
+	}
+	sh.unmap(f)
+	sh.pin(f)
 	sh.mu.Unlock()
 
 	// Read outside the lock; concurrent readers may duplicate work for the
 	// same page but correctness is unaffected.
-	buf := make(page, PageSize)
-	if _, err := bp.src.ReadAt(buf, int64(id)*PageSize); err != nil {
-		return nil, fmt.Errorf("engine: buffer pool read page %d: %w", id, err)
-	}
-	if bp.verify != nil {
-		if err := bp.verify(id, buf); err != nil {
-			return nil, err
-		}
+	_, err := bp.src.ReadAt(f.data, int64(id)*PageSize)
+	if err != nil {
+		err = fmt.Errorf("engine: buffer pool read page %d: %w", id, err)
+	} else if bp.verify != nil {
+		err = bp.verify(id, f.data)
 	}
 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if el, ok := sh.pages[id]; ok { // raced with another reader
-		if el != sh.lru.Front() {
-			sh.lru.MoveToFront(el)
-		}
-		return el.Value.(*poolEntry).data, nil
+	won, raced := sh.pages[id]
+	if err == nil && !raced {
+		f.id = id
+		sh.pages[id] = f
+		return f, nil
 	}
-	el := sh.lru.PushFront(&poolEntry{id: id, data: buf})
-	sh.pages[id] = el
-	for sh.lru.Len() > sh.cap {
-		back := sh.lru.Back()
-		sh.lru.Remove(back)
-		delete(sh.pages, back.Value.(*poolEntry).id)
+	// Never cached: the frame goes back as the shard's next victim.
+	sh.lru.MoveToBack(f.el)
+	sh.release(f)
+	if err != nil {
+		return nil, err
 	}
-	return buf, nil
+	return sh.pin(won), nil
 }
 
-// Invalidate drops page id from the cache if present.
+// unpin releases a frame handed out by a page store.
+func (f *frame) unpin() {
+	if f.sh == nil {
+		return
+	}
+	f.sh.mu.Lock()
+	f.sh.release(f)
+	f.sh.mu.Unlock()
+}
+
+// Invalidate drops page id from the cache; its frame is the next victim.
 func (bp *BufferPool) Invalidate(id int) {
 	sh := bp.shard(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if el, ok := sh.pages[id]; ok {
-		sh.lru.Remove(el)
+	if f, ok := sh.pages[id]; ok {
 		delete(sh.pages, id)
+		sh.lru.MoveToBack(f.el)
 	}
 }
 
@@ -152,8 +206,7 @@ func (bp *BufferPool) InvalidateAll() {
 	for i := range bp.shards {
 		sh := &bp.shards[i]
 		sh.mu.Lock()
-		sh.pages = make(map[int]*list.Element, sh.cap)
-		sh.lru.Init()
+		clear(sh.pages)
 		sh.mu.Unlock()
 	}
 }

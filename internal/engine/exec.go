@@ -9,8 +9,8 @@ import (
 // (page-granular segments, decode per row), a table's reusable-scratch view
 // (Table.Reuse), or a materialized row cache and its logically-ordered
 // views (row-granular segments, zero decode). Consumers must not retain
-// tuples past the callback unless the concrete relation documents otherwise
-// (only Materialized rows are stable).
+// tuples past the callback; the cells of a Materialized row (not its
+// header) are the one exception — see Table.ScanStable.
 type Relation interface {
 	// Scan visits every tuple in the relation's order.
 	Scan(fn func(Tuple) error) error

@@ -16,10 +16,12 @@ import (
 // in a real engine).
 type pageStore interface {
 	numPages() int
-	// readPage returns the contents of page i. The returned slice must be
-	// treated as read-only and is only valid until the next store call on
-	// the same goroutine's pool handle.
-	readPage(i int) (page, error)
+	// readPage returns page i in a pinned frame: its data is read-only and
+	// stays valid until the caller unpins the frame, which it must do
+	// exactly once.
+	readPage(i int) (*frame, error)
+	// appendPage stores a copy of p (file stores seal it first); the
+	// caller may reuse the buffer as soon as the call returns.
 	appendPage(p page) error
 	// checkPage re-reads page i from the backing medium (bypassing any
 	// cache) and verifies its integrity — the scrub primitive. File stores
@@ -33,14 +35,14 @@ type pageStore interface {
 	close() error
 }
 
-// memStore keeps pages in memory.
+// memStore keeps pages in memory, in frames no pool recycles.
 type memStore struct {
-	pages []page
+	pages []*frame
 }
 
 func (m *memStore) numPages() int { return len(m.pages) }
 
-func (m *memStore) readPage(i int) (page, error) {
+func (m *memStore) readPage(i int) (*frame, error) {
 	if i < 0 || i >= len(m.pages) {
 		return nil, fmt.Errorf("engine: page %d out of range (%d pages)", i, len(m.pages))
 	}
@@ -50,7 +52,7 @@ func (m *memStore) readPage(i int) (page, error) {
 func (m *memStore) appendPage(p page) error {
 	cp := make(page, PageSize)
 	copy(cp, p)
-	m.pages = append(m.pages, cp)
+	m.pages = append(m.pages, &frame{data: cp})
 	return nil
 }
 
@@ -186,7 +188,7 @@ func (fs *fileStore) verifyPage(id int, p page) error {
 
 func (fs *fileStore) numPages() int { return fs.n }
 
-func (fs *fileStore) readPage(i int) (page, error) {
+func (fs *fileStore) readPage(i int) (*frame, error) {
 	if i < 0 || i >= fs.n {
 		return nil, fmt.Errorf("engine: page %d out of range (%d pages)", i, fs.n)
 	}
@@ -281,7 +283,7 @@ func (fs *fileStore) close() error { return fs.f.Close() }
 // *CorruptPageError, degraded scans skip them and count the loss.
 type Heap struct {
 	st   pageStore
-	cur  page // partially filled tail data page, nil if none
+	cur  page // tail data page not yet flushed; nil or empty if none
 	nrec int
 
 	// table is the owning table's name, stamped into CorruptPageError so
@@ -400,20 +402,23 @@ func (h *Heap) buildIndex() {
 			h.pageRecs[i] = -1
 			continue
 		}
-		switch p.kind() {
+		// Only header facts are needed; the page is unpinned before any
+		// continuation page is read, so the walk holds one frame at a time.
+		kind, slots, total, got := p.data.kind(), p.data.slotCount(), 0, 0
+		if kind == pageOverflowStart {
+			total = int(binary.LittleEndian.Uint32(p.data[pageHeaderSize:]))
+			got = min(total, p.data.payloadEnd()-pageHeaderSize-overflowHeaderSize)
+		}
+		p.unpin()
+		switch kind {
 		case pageData:
-			h.pageRecs[i] = p.slotCount()
-			n += p.slotCount()
+			h.pageRecs[i] = slots
+			n += slots
 		case pageOverflowStart:
 			// A chain holds exactly one record; if any of its pages is bad
 			// the start page is quarantined so scans skip (or fail on) the
 			// whole record in one place.
 			h.pageRecs[i] = 1
-			total := int(binary.LittleEndian.Uint32(p[pageHeaderSize:]))
-			got := p.payloadEnd() - pageHeaderSize - overflowHeaderSize
-			if got > total {
-				got = total
-			}
 			bad := ""
 			j := i + 1
 			for got < total {
@@ -429,16 +434,14 @@ func (h *Heap) buildIndex() {
 					j++
 					break
 				}
-				if cp.kind() != pageOverflowCont {
+				ckind, room := cp.data.kind(), cp.data.payloadEnd()-pageHeaderSize
+				cp.unpin()
+				if ckind != pageOverflowCont {
 					bad = fmt.Sprintf("broken overflow chain (page %d is not a continuation)", j)
 					break
 				}
 				h.pageRecs[j] = 0
-				take := total - got
-				if m := cp.payloadEnd() - pageHeaderSize; take > m {
-					take = m
-				}
-				got += take
+				got += min(total-got, room)
 				j++
 			}
 			if bad != "" {
@@ -452,7 +455,7 @@ func (h *Heap) buildIndex() {
 			// quarantined, or truncation ate the start). Scans skip it.
 			h.pageRecs[i] = 0
 		default:
-			h.quarantine(i, fmt.Sprintf("unknown page kind %d", p.kind()))
+			h.quarantine(i, fmt.Sprintf("unknown page kind %d", kind))
 			h.pageRecs[i] = -1
 		}
 	}
@@ -584,7 +587,6 @@ func (h *Heap) Append(rec []byte) error {
 		if err := h.flushCur(); err != nil {
 			return err
 		}
-		h.cur = newPage(pageData)
 		if !h.cur.insert(rec) {
 			return fmt.Errorf("engine: record of %d bytes does not fit in fresh page", len(rec))
 		}
@@ -606,13 +608,16 @@ func (h *Heap) appendTracked(p page, recs int) error {
 }
 
 func (h *Heap) flushCur() error {
-	if h.cur == nil {
+	if h.cur == nil || h.cur.slotCount() == 0 {
 		return nil
 	}
 	if err := h.appendTracked(h.cur, h.cur.slotCount()); err != nil {
 		return err
 	}
-	h.cur = nil
+	// Both stores are done with the buffer once appendPage returns (the
+	// memory store copied it, the file store wrote it): it is the next tail.
+	clear(h.cur)
+	h.cur.init(pageData)
 	return nil
 }
 
@@ -722,45 +727,33 @@ func (h *Heap) scanPages(from, to int, degraded bool, fn func(rec []byte) error)
 		}
 		p, err := h.st.readPage(i)
 		if err != nil {
-			// Fresh corruption (rot since open) is quarantined so every
-			// later scan skips or fails this page deterministically; plain
-			// I/O errors are not — a transient error must stay retryable.
-			var ce *CorruptPageError
-			if errors.As(err, &ce) {
-				h.quarantine(i, ce.Reason)
-				if ce.Table == "" {
-					ce.Table = h.table
-				}
-			}
-			if !degraded {
+			if err = h.readFailed(i, err); !degraded {
 				return stats, err
 			}
 			skipPage(i)
 			continue
 		}
-		switch p.kind() {
-		case pageData:
-			for s := 0; s < p.slotCount(); s++ {
-				rec, rerr := p.record(s)
-				if rerr != nil {
-					if !degraded {
-						return stats, rerr
-					}
-					stats.SkippedRows++ // one unreadable slot, page otherwise fine
-					continue
-				}
-				if err := fn(rec); err != nil {
-					return stats, err
-				}
+		// fn sees record bytes aliasing the pinned page; an overflow start
+		// is copied out and unpinned before its continuations are read, so
+		// a scan never holds more than the one frame it is reading.
+		kind := p.data.kind()
+		if kind == pageData {
+			if err := scanData(p, degraded, &stats, fn); err != nil {
+				return stats, err
 			}
+			continue
+		}
+		var rec []byte
+		total := 0
+		if kind == pageOverflowStart {
+			total = int(binary.LittleEndian.Uint32(p.data[pageHeaderSize:]))
+			take := min(total, p.data.payloadEnd()-pageHeaderSize-overflowHeaderSize)
+			rec = make([]byte, 0, total)
+			rec = append(rec, p.data[pageHeaderSize+overflowHeaderSize:pageHeaderSize+overflowHeaderSize+take]...)
+		}
+		p.unpin()
+		switch kind {
 		case pageOverflowStart:
-			total := int(binary.LittleEndian.Uint32(p[pageHeaderSize:]))
-			rec := make([]byte, 0, total)
-			take := total
-			if m := p.payloadEnd() - pageHeaderSize - overflowHeaderSize; take > m {
-				take = m
-			}
-			rec = append(rec, p[pageHeaderSize+overflowHeaderSize:pageHeaderSize+overflowHeaderSize+take]...)
 			j := i + 1
 			var chainErr error
 			for len(rec) < total {
@@ -774,25 +767,17 @@ func (h *Heap) scanPages(from, to int, degraded bool, fn func(rec []byte) error)
 				}
 				cp, err := h.st.readPage(j)
 				if err != nil {
-					var ce *CorruptPageError
-					if errors.As(err, &ce) {
-						h.quarantine(j, ce.Reason)
-						if ce.Table == "" {
-							ce.Table = h.table
-						}
-					}
-					chainErr = err
+					chainErr = h.readFailed(j, err)
 					break
 				}
-				if cp.kind() != pageOverflowCont {
+				if cp.data.kind() != pageOverflowCont {
+					cp.unpin()
 					chainErr = fmt.Errorf("engine: broken overflow chain at page %d", j)
 					break
 				}
-				take = total - len(rec)
-				if m := cp.payloadEnd() - pageHeaderSize; take > m {
-					take = m
-				}
-				rec = append(rec, cp[pageHeaderSize:pageHeaderSize+take]...)
+				take := min(total-len(rec), cp.data.payloadEnd()-pageHeaderSize)
+				rec = append(rec, cp.data[pageHeaderSize:pageHeaderSize+take]...)
+				cp.unpin()
 				j++
 			}
 			if chainErr != nil {
@@ -801,10 +786,7 @@ func (h *Heap) scanPages(from, to int, degraded bool, fn func(rec []byte) error)
 				}
 				// Skip the whole chain — it holds exactly one record — and
 				// step arithmetically over its remaining pages.
-				end := i + chainPages(total)
-				if end > np {
-					end = np
-				}
+				end := min(i+chainPages(total), np)
 				stats.SkippedPages += end - i
 				stats.SkippedRows++
 				i = end - 1
@@ -820,23 +802,51 @@ func (h *Heap) scanPages(from, to int, degraded bool, fn func(rec []byte) error)
 			// Owned by a chain that started before `from`; skip.
 		default:
 			if !degraded {
-				return stats, fmt.Errorf("engine: unknown page kind %d at page %d", p.kind(), i)
+				return stats, fmt.Errorf("engine: unknown page kind %d at page %d", kind, i)
 			}
 			skipPage(i)
 		}
 	}
 	if to == np && h.cur != nil {
-		for s := 0; s < h.cur.slotCount(); s++ {
-			rec, err := h.cur.record(s)
-			if err != nil {
-				return stats, err
-			}
-			if err := fn(rec); err != nil {
-				return stats, err
-			}
-		}
+		return stats, scanData(&frame{data: h.cur}, false, &stats, fn)
 	}
 	return stats, nil
+}
+
+// readFailed classifies a failed page read. Fresh corruption (rot since
+// open) is quarantined so every later scan skips or fails this page
+// deterministically; plain I/O errors are not — a transient error must stay
+// retryable.
+func (h *Heap) readFailed(i int, err error) error {
+	var ce *CorruptPageError
+	if errors.As(err, &ce) {
+		h.quarantine(i, ce.Reason)
+		if ce.Table == "" {
+			ce.Table = h.table
+		}
+	}
+	return err
+}
+
+// scanData visits every record of one data page and unpins it — also when
+// fn panics (shard workers recover task panics), or the pool is a frame
+// short for good. A degraded scan skips and counts an unreadable slot.
+func scanData(p *frame, degraded bool, stats *DegradedStats, fn func(rec []byte) error) error {
+	defer p.unpin()
+	for s := 0; s < p.data.slotCount(); s++ {
+		rec, err := p.data.record(s)
+		if err != nil {
+			if !degraded {
+				return err
+			}
+			stats.SkippedRows++
+			continue
+		}
+		if err := fn(rec); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Rewrite replaces the heap contents with the given records, in order. A

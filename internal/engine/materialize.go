@@ -20,42 +20,88 @@ import (
 // Materialized is an immutable decoded copy of a table in columnar form:
 // one contiguous slab per numeric column (all dense-vector components of a
 // column share one []float64, all sparse indices one []int32, ...) plus
-// per-row Tuple views aliasing the slabs. Rows are stable for the lifetime
-// of the cache — unlike the reusable-scratch scan path, callers may retain
-// them (the reservoir samplers do).
+// per-row offsets into them. There are no stored row headers: a scan
+// assembles each row in one scratch tuple it owns, overwritten by the next
+// row. The cells it points at are not — slabs never move or change for the
+// lifetime of the cache — so a consumer that retains rows (the reservoir
+// samplers do) copies the header and may keep the copy indefinitely.
 type Materialized struct {
 	version uint64
-	rows    []Tuple
+	schema  Schema
+	cols    []matCol
+	n       int
+	// idx lists the slab rows this cache exposes, in order (nil: all of
+	// them); a shard is its source's slabs under an idx of its own.
+	idx []int32
+}
+
+// matCol is one column's slabs; only the fields of the column's type are
+// used. Vector columns keep row r's entries at [offs[r], offs[r+1]).
+type matCol struct {
+	ints []int64
+	flts []float64
+	strs []string
+	f64s []float64 // dense components / sparse values
+	i32s []int32   // sparse indices / int32 entries
+	offs []int32
 }
 
 // NumRows returns the number of cached rows.
-func (m *Materialized) NumRows() int { return len(m.rows) }
+func (m *Materialized) NumRows() int { return m.n }
 
-// Version returns the table version this cache was built against.
+// Version returns the table version the cache was built against.
 func (m *Materialized) Version() uint64 { return m.version }
 
-// Row returns row i in storage order. The tuple aliases the cache's slabs
-// and must be treated as read-only.
-func (m *Materialized) Row(i int) Tuple { return m.rows[i] }
-
-// Scan visits every cached row in storage order.
-func (m *Materialized) Scan(fn func(Tuple) error) error {
-	for _, tp := range m.rows {
-		if err := fn(tp); err != nil {
-			return err
-		}
-	}
-	return nil
+// Row returns row i under a header of its own, retainable like the cells.
+func (m *Materialized) Row(i int) Tuple {
+	row := make(Tuple, len(m.schema))
+	m.load(row, i)
+	return row
 }
 
-// ScanSegment visits rows [from, to) in storage order — the row-granular
-// analogue of Table.ScanPages.
-func (m *Materialized) ScanSegment(from, to int, fn func(Tuple) error) error {
-	if from < 0 || to > len(m.rows) || from > to {
-		return fmt.Errorf("engine: materialized segment [%d,%d) out of [0,%d]", from, to, len(m.rows))
+// load points row at the cache's row i.
+func (m *Materialized) load(row Tuple, i int) {
+	r := i
+	if m.idx != nil {
+		r = int(m.idx[i])
 	}
-	for _, tp := range m.rows[from:to] {
-		if err := fn(tp); err != nil {
+	for c := range m.cols {
+		col, v := &m.cols[c], &row[c]
+		v.Type = m.schema[c].Type
+		switch v.Type {
+		case TInt64:
+			v.Int = col.ints[r]
+		case TFloat64:
+			v.Float = col.flts[r]
+		case TString:
+			v.Str = col.strs[r]
+		case TDenseVec:
+			lo, hi := col.offs[r], col.offs[r+1]
+			v.Dense = col.f64s[lo:hi:hi]
+		case TSparseVec:
+			lo, hi := col.offs[r], col.offs[r+1]
+			v.Sparse.Idx = col.i32s[lo:hi:hi]
+			v.Sparse.Val = col.f64s[lo:hi:hi]
+		case TInt32Vec:
+			lo, hi := col.offs[r], col.offs[r+1]
+			v.Ints = col.i32s[lo:hi:hi]
+		}
+	}
+}
+
+// Scan visits every cached row in order.
+func (m *Materialized) Scan(fn func(Tuple) error) error { return m.ScanSegment(0, m.n, fn) }
+
+// ScanSegment visits rows [from, to) in order — the row-granular analogue
+// of Table.ScanPages — through one scratch tuple.
+func (m *Materialized) ScanSegment(from, to int, fn func(Tuple) error) error {
+	if from < 0 || to > m.n || from > to {
+		return fmt.Errorf("engine: cached segment [%d,%d) out of [0,%d]", from, to, m.n)
+	}
+	row := make(Tuple, len(m.schema))
+	for i := from; i < to; i++ {
+		m.load(row, i)
+		if err := fn(row); err != nil {
 			return err
 		}
 	}
@@ -64,74 +110,57 @@ func (m *Materialized) ScanSegment(from, to int, fn func(Tuple) error) error {
 
 // Segments splits the rows into n contiguous ranges of roughly equal size.
 func (m *Materialized) Segments(n int) ([][2]int, error) {
-	return rowSegments(len(m.rows), n), nil
+	return rowSegments(m.n, n), nil
+}
+
+// subset returns a cache over the same slabs exposing only the given rows
+// (positions of m, in the order given; the slice is kept).
+func (m *Materialized) subset(rows []int32) *Materialized {
+	if m.idx != nil {
+		for i, r := range rows {
+			rows[i] = m.idx[r]
+		}
+	}
+	sub := *m
+	sub.n, sub.idx = len(rows), rows
+	return &sub
 }
 
 // View returns a fresh logically-ordered view over the cache. Each trainer
 // run takes its own view so one run's shuffle cannot leak into another's
 // notion of "stored order".
-func (m *Materialized) View() *MatView { return &MatView{m: m} }
+func (m *Materialized) View() *MatView { return &MatView{Materialized: *m} }
 
-// MatView is one trainer's ordered view over a materialization: the row
-// permutation that logical shuffles mutate. A nil permutation means storage
-// order, so an unshuffled view costs nothing. Views are not safe for
-// concurrent mutation; trainers permute between epochs only.
+// MatView is one trainer's ordered view over a materialization: the same
+// slabs under a row order that logical shuffles mutate. Until the first
+// Permute it shares the cache's order, so an unshuffled view costs nothing.
+// Views are not safe for concurrent mutation; trainers permute between
+// epochs only.
 type MatView struct {
-	m    *Materialized
-	perm []int32
+	Materialized
+	permuted bool // idx is this view's own copy
 }
-
-// NumRows returns the number of rows in the view.
-func (v *MatView) NumRows() int { return len(v.m.rows) }
 
 // Permute reshuffles the view's row order in place — the logical equivalent
 // of the ORDER BY RANDOM() table rewrite, at the cost of an O(n) index
 // shuffle instead of a full decode-sort-encode pass over the heap.
 func (v *MatView) Permute(rng *rand.Rand) {
-	if v.perm == nil {
-		v.perm = make([]int32, len(v.m.rows))
-		for i := range v.perm {
-			v.perm[i] = int32(i)
+	if !v.permuted {
+		own := make([]int32, v.n)
+		if v.idx != nil {
+			copy(own, v.idx)
+		} else {
+			for i := range own {
+				own[i] = int32(i)
+			}
 		}
+		v.idx, v.permuted = own, true
 	}
-	rng.Shuffle(len(v.perm), func(i, j int) { v.perm[i], v.perm[j] = v.perm[j], v.perm[i] })
+	rng.Shuffle(v.n, func(i, j int) { v.idx[i], v.idx[j] = v.idx[j], v.idx[i] })
 }
 
-// Scan visits every row in the view's logical order.
-func (v *MatView) Scan(fn func(Tuple) error) error {
-	if v.perm == nil {
-		return v.m.Scan(fn)
-	}
-	for _, ri := range v.perm {
-		if err := fn(v.m.rows[ri]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ScanSegment visits logical positions [from, to) of the view.
-func (v *MatView) ScanSegment(from, to int, fn func(Tuple) error) error {
-	if v.perm == nil {
-		return v.m.ScanSegment(from, to, fn)
-	}
-	if from < 0 || to > len(v.perm) || from > to {
-		return fmt.Errorf("engine: view segment [%d,%d) out of [0,%d]", from, to, len(v.perm))
-	}
-	for _, ri := range v.perm[from:to] {
-		if err := fn(v.m.rows[ri]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Segments splits the view's logical positions into n contiguous ranges.
-func (v *MatView) Segments(n int) ([][2]int, error) {
-	return rowSegments(len(v.m.rows), n), nil
-}
-
-// rowSegments splits [0, rows) into n roughly equal contiguous ranges.
+// rowSegments splits [0, rows) — rows of a cache, pages of a heap — into n
+// roughly equal contiguous ranges.
 func rowSegments(rows, n int) [][2]int {
 	if n < 1 {
 		n = 1
@@ -151,46 +180,58 @@ func rowSegments(rows, n int) [][2]int {
 
 // MatBuilder accumulates decoded rows into the columnar slabs of a
 // Materialized. Table.Materialize drives it from a reusable-scratch scan;
-// the spec layer's view projection drives it directly so a freshly
-// projected view is born with a primed cache instead of paying an
-// insert-encode-decode round trip.
+// the spec layer's view projection drives it directly, so a projected view
+// is nothing but the slabs (MatBuilder.Table).
 type MatBuilder struct {
 	schema Schema
+	cols   []matCol
 	n      int
-
-	ints  [][]int64   // per TInt64 column
-	flts  [][]float64 // per TFloat64 column
-	strs  [][]string  // per TString column
-	f64s  [][]float64 // per vector column: dense components / sparse values
-	i32s  [][]int32   // per vector column: sparse indices / int32 entries
-	offs  [][]int32   // per vector column: row offsets into the slabs (len n+1)
-	isVec []bool
+	// The first Add sizes every slab for rows rows of the first row's
+	// widths, so fixed-width data never regrows (0 leaves growth to append).
+	// srcBytes, the encoded size of the rows' source, bounds the vector
+	// slabs between them: a decoded vector is no larger than its record, so
+	// one wide first row cannot reserve more than the data could fill.
+	rows, srcBytes int
 }
 
-// NewMatBuilder returns a builder for the given schema.
-func NewMatBuilder(schema Schema) *MatBuilder {
-	b := &MatBuilder{
-		schema: schema,
-		ints:   make([][]int64, len(schema)),
-		flts:   make([][]float64, len(schema)),
-		strs:   make([][]string, len(schema)),
-		f64s:   make([][]float64, len(schema)),
-		i32s:   make([][]int32, len(schema)),
-		offs:   make([][]int32, len(schema)),
-		isVec:  make([]bool, len(schema)),
-	}
-	for c, col := range schema {
-		switch col.Type {
-		case TDenseVec, TSparseVec, TInt32Vec:
-			b.isVec[c] = true
-			b.offs[c] = append(b.offs[c], 0)
+// NewMatBuilder returns a builder for the given schema expecting about
+// rows rows decoded from srcBytes of heap.
+func NewMatBuilder(schema Schema, rows, srcBytes int) *MatBuilder {
+	return &MatBuilder{schema: schema, cols: make([]matCol, len(schema)), rows: rows, srcBytes: srcBytes}
+}
+
+// entries returns the capacity to reserve for rows rows of width entries of
+// size bytes each, taking it out of the srcBytes left.
+func (b *MatBuilder) entries(width, size int) int {
+	n := min(b.rows*width, b.srcBytes/size)
+	b.srcBytes -= n * size
+	return n
+}
+
+// reserve sizes the slabs from the first row.
+func (b *MatBuilder) reserve(first Tuple) {
+	for c := range first {
+		v, col := &first[c], &b.cols[c]
+		switch v.Type {
+		case TInt64:
+			col.ints = make([]int64, 0, b.rows)
+		case TFloat64:
+			col.flts = make([]float64, 0, b.rows)
+		case TString:
+			col.strs = make([]string, 0, b.rows)
+		case TDenseVec:
+			col.f64s = make([]float64, 0, b.entries(len(v.Dense), 8))
+		case TSparseVec:
+			col.i32s = make([]int32, 0, b.entries(len(v.Sparse.Idx), 12))
+			col.f64s = make([]float64, 0, cap(col.i32s))
+		case TInt32Vec:
+			col.i32s = make([]int32, 0, b.entries(len(v.Ints), 4))
+		}
+		if v.Type > TString { // the vector types
+			col.offs = append(make([]int32, 0, b.rows+1), 0)
 		}
 	}
-	return b
 }
-
-// NumRows returns the number of rows added so far.
-func (b *MatBuilder) NumRows() int { return b.n }
 
 // Add copies one row into the slabs, validating it against the schema. The
 // tuple may alias reusable scratch; nothing of it is retained.
@@ -198,31 +239,35 @@ func (b *MatBuilder) Add(tp Tuple) error {
 	if len(tp) != len(b.schema) {
 		return corrupt("", "row has %d columns, schema wants %d", len(tp), len(b.schema))
 	}
-	for c, v := range tp {
+	if b.n == 0 {
+		b.reserve(tp)
+	}
+	for c := range tp {
+		v, col := &tp[c], &b.cols[c]
 		if v.Type != b.schema[c].Type {
 			return corrupt("", "column %d has type %s, schema wants %s", c, v.Type, b.schema[c].Type)
 		}
 		switch v.Type {
 		case TInt64:
-			b.ints[c] = append(b.ints[c], v.Int)
+			col.ints = append(col.ints, v.Int)
 		case TFloat64:
-			b.flts[c] = append(b.flts[c], v.Float)
+			col.flts = append(col.flts, v.Float)
 		case TString:
-			b.strs[c] = append(b.strs[c], v.Str)
+			col.strs = append(col.strs, v.Str)
 		case TDenseVec:
-			b.f64s[c] = append(b.f64s[c], v.Dense...)
-			b.offs[c] = append(b.offs[c], int32(len(b.f64s[c])))
+			col.f64s = append(col.f64s, v.Dense...)
+			col.offs = append(col.offs, int32(len(col.f64s)))
 		case TSparseVec:
 			if len(v.Sparse.Idx) != len(v.Sparse.Val) {
 				return corrupt("", "column %d sparse vec has %d indices, %d values",
 					c, len(v.Sparse.Idx), len(v.Sparse.Val))
 			}
-			b.i32s[c] = append(b.i32s[c], v.Sparse.Idx...)
-			b.f64s[c] = append(b.f64s[c], v.Sparse.Val...)
-			b.offs[c] = append(b.offs[c], int32(len(b.i32s[c])))
+			col.i32s = append(col.i32s, v.Sparse.Idx...)
+			col.f64s = append(col.f64s, v.Sparse.Val...)
+			col.offs = append(col.offs, int32(len(col.i32s)))
 		case TInt32Vec:
-			b.i32s[c] = append(b.i32s[c], v.Ints...)
-			b.offs[c] = append(b.offs[c], int32(len(b.i32s[c])))
+			col.i32s = append(col.i32s, v.Ints...)
+			col.offs = append(col.offs, int32(len(col.i32s)))
 		default:
 			return corrupt("", "column %d has unsupported type %s", c, v.Type)
 		}
@@ -231,38 +276,21 @@ func (b *MatBuilder) Add(tp Tuple) error {
 	return nil
 }
 
-// Build assembles the per-row tuple views over the slabs and returns the
-// finished cache, stamped with the given table version. The builder must
-// not be reused afterwards.
+// Build hands the slabs over as a finished cache stamped with the given
+// table version. The builder must not be reused afterwards.
 func (b *MatBuilder) Build(version uint64) *Materialized {
-	nc := len(b.schema)
-	rows := make([]Tuple, b.n)
-	vals := make([]Value, b.n*nc) // one flat backing array for all row views
-	for r := 0; r < b.n; r++ {
-		row := vals[r*nc : (r+1)*nc : (r+1)*nc]
-		for c, col := range b.schema {
-			v := &row[c]
-			v.Type = col.Type
-			switch col.Type {
-			case TInt64:
-				v.Int = b.ints[c][r]
-			case TFloat64:
-				v.Float = b.flts[c][r]
-			case TString:
-				v.Str = b.strs[c][r]
-			case TDenseVec:
-				lo, hi := b.offs[c][r], b.offs[c][r+1]
-				v.Dense = b.f64s[c][lo:hi:hi]
-			case TSparseVec:
-				lo, hi := b.offs[c][r], b.offs[c][r+1]
-				v.Sparse.Idx = b.i32s[c][lo:hi:hi]
-				v.Sparse.Val = b.f64s[c][lo:hi:hi]
-			case TInt32Vec:
-				lo, hi := b.offs[c][r], b.offs[c][r+1]
-				v.Ints = b.i32s[c][lo:hi:hi]
-			}
-		}
-		rows[r] = Tuple(row)
-	}
-	return &Materialized{version: version, rows: rows}
+	return &Materialized{version: version, schema: b.schema, cols: b.cols, n: b.n}
+}
+
+// Table finishes the builder as a slab-only table.
+func (b *MatBuilder) Table(name string) *Table { return slabTable(name, b.Build(0)) }
+
+// slabTable wraps a cache nothing else refers to yet as a new table whose
+// rows live in the cache alone; a page heap is encoded from them only if a
+// physical operation ever asks for one (see Table.pages).
+func slabTable(name string, m *Materialized) *Table {
+	m.version = 0 // a new table's version
+	t := &Table{Name: name, Schema: m.schema, heap: NewMemHeap(), mat: m}
+	t.slabOnly.Store(true)
+	return t
 }

@@ -235,40 +235,6 @@ func TestMaterializeLimit(t *testing.T) {
 	}
 }
 
-func TestPrimeCache(t *testing.T) {
-	tbl := NewMemTable("pc", matSchema())
-	b := NewMatBuilder(matSchema())
-	for i := 0; i < 6; i++ {
-		tp := Tuple{I64(int64(i)), DenseV(vector.Dense{float64(i)}), F64(1)}
-		if err := tbl.Insert(tp); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.Add(tp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tbl.PrimeCache(b); err != nil {
-		t.Fatal(err)
-	}
-	mat := tbl.CachedRows()
-	if mat == nil || mat.NumRows() != 6 {
-		t.Fatal("primed cache missing or wrong size")
-	}
-	got, err := tbl.Materialize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != mat {
-		t.Fatal("Materialize rebuilt despite a fresh primed cache")
-	}
-
-	// A row-count mismatch must be rejected.
-	short := NewMatBuilder(matSchema())
-	if err := tbl.PrimeCache(short); err == nil {
-		t.Fatal("PrimeCache accepted a builder with the wrong row count")
-	}
-}
-
 func TestScanRejectsCorruptRecords(t *testing.T) {
 	schema := Schema{{Name: "a", Type: TInt64}, {Name: "b", Type: TFloat64}}
 	mk := func() *Table {

@@ -56,6 +56,12 @@ type page []byte
 
 func newPage(kind uint8) page {
 	p := page(make([]byte, PageSize))
+	p.init(kind)
+	return p
+}
+
+// init stamps the header of an all-zero page.
+func (p page) init(kind uint8) {
 	p[0] = kind
 	p[1] = pageFormatV1
 	if kind == pageData {
@@ -63,7 +69,6 @@ func newPage(kind uint8) page {
 		p.setFreeLow(pageHeaderSize)
 		p.setFreeHigh(PageSize - pageTrailerSize)
 	}
-	return p
 }
 
 func (p page) kind() uint8    { return p[0] }

@@ -1,14 +1,18 @@
 package engine
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // This file implements horizontal table sharding — the storage half of the
 // shared-nothing training mode. A ShardedTable partitions one table's rows
-// into K independent shard heaps, each with its own primed decoded-row
-// cache, so K epoch workers can each run the zero-allocation cached epoch
-// pipeline over a private slice of the data with no shared mutable state
-// at all (the scale-out counterpart of the paper's pure-UDA plan, whose
-// segments still share one heap and one buffer pool).
+// into K shard tables so K epoch workers can each run the zero-allocation
+// cached epoch pipeline over a private slice of the data with no shared
+// mutable state at all (the scale-out counterpart of the paper's pure-UDA
+// plan, whose segments still share one heap and one buffer pool). Shards
+// of a cacheable source copy nothing: each is a row index over the
+// source's immutable slabs.
 
 // ShardStrategy selects how rows are assigned to shards.
 type ShardStrategy int
@@ -45,13 +49,13 @@ func mix64(x uint64) uint64 {
 }
 
 // ShardedTable is a horizontal partitioning of one table into K in-memory
-// shard tables. It is a snapshot: built by one scan of the source, it does
-// not track later source mutations (exactly like the statement layer's
-// projected views, which is where trainers shard). Shard tables are plain
-// *Table values, so every scan path — cached epochs, reusable-scratch
-// decode, segment scans — works per shard unchanged. Shards never enter a
-// catalog and have no on-disk presence, so they are invisible to the
-// shadow-swap protocol and the recovery sweep.
+// shard tables. It is a snapshot: it does not track later source mutations
+// (exactly like the statement layer's projected views, which is where
+// trainers shard). Shard tables are plain *Table values, so every scan
+// path — cached epochs, reusable-scratch decode, segment scans — works per
+// shard unchanged. Shards never enter a catalog and have no on-disk
+// presence, so they are invisible to the shadow-swap protocol and the
+// recovery sweep.
 type ShardedTable struct {
 	Name     string
 	Schema   Schema
@@ -90,62 +94,62 @@ func ShardCounts(n, k int, strategy ShardStrategy) ([]int, error) {
 }
 
 // ShardTable partitions src's rows into k shards under the given strategy.
-// Each shard's decoded-row cache is primed during the partitioning scan
-// (when src is within the materialization budget), so shard workers never
-// pay an insert-encode-decode round trip before their first epoch.
+// A source within the materialization budget is partitioned by row index
+// over its decoded-row cache (built here if it has none): the shards are
+// slab-only tables sharing the source's slabs, so no row is copied, encoded
+// or decoded. An over-budget source is re-inserted into k shard heaps that
+// are pinned out of the cache — each would fit the per-table budget on its
+// own, so without the pin a later lazy Materialize per shard would rebuild,
+// K pieces at a time, the exact decoded copy the source was refused.
 func ShardTable(src *Table, k int, strategy ShardStrategy) (*ShardedTable, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("engine: shard count must be >= 1, got %d", k)
+	rows, err := ShardCounts(src.NumRows(), k, strategy)
+	if err != nil {
+		return nil, err
 	}
-	switch strategy {
-	case ShardRoundRobin, ShardHash:
-	default:
-		return nil, fmt.Errorf("engine: unknown shard strategy %v", strategy)
+	shardOf := func(row uint64) uint64 {
+		if strategy == ShardHash {
+			return mix64(row) % uint64(k)
+		}
+		return row % uint64(k)
 	}
 	st := &ShardedTable{Name: src.Name, Schema: src.Schema, Strategy: strategy,
-		shards: make([]*Table, k), rows: make([]int, k)}
-	// Priming honors the same budget Table.Materialize enforces: the shards
-	// jointly hold one decoded copy of the source, so the source's own
-	// cache eligibility is the gate. An over-budget source additionally
-	// pins its shards out of the cache outright — each shard fits the
-	// per-table budget on its own, so without the pin a later lazy
-	// Materialize per shard would rebuild, K pieces at a time, the exact
-	// decoded copy the source was refused.
-	prime := src.Cacheable()
-	builders := make([]*MatBuilder, k)
-	for i := range st.shards {
-		st.shards[i] = NewMemTable(fmt.Sprintf("%s__shard%d", src.Name, i), src.Schema)
-		st.shards[i].uncacheable = !prime
-		if prime {
-			builders[i] = NewMatBuilder(src.Schema)
+		shards: make([]*Table, k), rows: rows}
+	name := func(i int) string { return fmt.Sprintf("%s__shard%d", src.Name, i) }
+
+	mat, err := src.Materialize()
+	if err == nil {
+		idx := make([][]int32, k)
+		for i := range idx {
+			idx[i] = make([]int32, 0, rows[i])
 		}
+		for row := 0; row < mat.NumRows(); row++ {
+			si := shardOf(uint64(row))
+			idx[si] = append(idx[si], int32(row))
+		}
+		for i := range st.shards {
+			st.shards[i] = slabTable(name(i), mat.subset(idx[i]))
+		}
+		return st, nil
+	}
+	if !errors.Is(err, ErrUncacheable) {
+		return nil, err
+	}
+	for i := range st.shards {
+		st.shards[i] = NewMemTable(name(i), src.Schema)
+		st.shards[i].uncacheable = true
 	}
 	row := uint64(0)
-	err := src.ScanReuse(func(tp Tuple) error {
-		si := row % uint64(k)
-		if strategy == ShardHash {
-			si = mix64(row) % uint64(k)
-		}
+	err = src.ScanReuse(func(tp Tuple) error {
+		si := shardOf(row)
 		row++
-		st.rows[si]++
-		if builders[si] != nil {
-			if err := builders[si].Add(tp); err != nil {
-				return err
-			}
-		}
 		return st.shards[si].Insert(tp)
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i, t := range st.shards {
+	for _, t := range st.shards {
 		if err := t.Flush(); err != nil {
 			return nil, err
-		}
-		if builders[i] != nil {
-			if err := t.PrimeCache(builders[i]); err != nil {
-				return nil, err
-			}
 		}
 	}
 	return st, nil
@@ -155,8 +159,8 @@ func ShardTable(src *Table, k int, strategy ShardStrategy) (*ShardedTable, error
 // network shipping: fn receives consecutive batches whose summed record
 // bytes stay under maxBytes (a single over-sized record still travels
 // alone — the transport's frame cap is the caller's to enforce). The
-// record slices are freshly encoded and do not alias heap pages, so fn
-// may retain them until it returns.
+// record slices are freshly encoded and alias neither heap pages nor
+// slabs, so fn may retain them until it returns.
 func (st *ShardedTable) ShardChunks(i int, maxBytes int, fn func(records [][]byte) error) error {
 	if maxBytes <= 0 {
 		return fmt.Errorf("engine: ShardChunks wants a positive byte budget, got %d", maxBytes)
@@ -171,7 +175,7 @@ func (st *ShardedTable) ShardChunks(i int, maxBytes int, fn func(records [][]byt
 		chunk, size = chunk[:0], 0
 		return err
 	}
-	err := st.shards[i].ScanReuse(func(tp Tuple) error {
+	err := st.shards[i].Rows().Scan(func(tp Tuple) error {
 		rec := tp.Encode()
 		if size+len(rec) > maxBytes {
 			if err := flush(); err != nil {

@@ -38,6 +38,10 @@ type Table struct {
 	Name   string
 	Schema Schema
 	heap   *Heap
+	// slabOnly marks a projected view or index shard whose rows live in mat
+	// alone: heap stays empty until pages() encodes them into it for the
+	// first physical operation — mutations included, so mat cannot go stale.
+	slabOnly atomic.Bool
 
 	version atomic.Uint64
 	matMu   sync.Mutex
@@ -53,6 +57,22 @@ type Table struct {
 // NewMemTable creates an in-memory table.
 func NewMemTable(name string, schema Schema) *Table {
 	return &Table{Name: name, Schema: schema, heap: NewMemHeap()}
+}
+
+// pages returns the table's heap, first encoding a slab-only table's rows
+// into it. Appends to a memory heap cannot fail, so neither can that.
+func (t *Table) pages() *Heap {
+	if t.slabOnly.Load() {
+		t.matMu.Lock()
+		defer t.matMu.Unlock()
+		if t.slabOnly.Load() {
+			if err := t.mat.Scan(func(tp Tuple) error { return t.heap.Append(tp.Encode()) }); err != nil {
+				panic(fmt.Sprintf("engine: building the page heap of %s: %v", t.Name, err))
+			}
+			t.slabOnly.Store(false)
+		}
+	}
+	return t.heap
 }
 
 // newFileTable creates/opens a file-backed table under dir, reporting what
@@ -71,7 +91,7 @@ func (t *Table) Insert(tp Tuple) error {
 	if !tp.Matches(t.Schema) {
 		return fmt.Errorf("engine: tuple does not match schema of %s", t.Name)
 	}
-	if err := t.heap.Append(tp.Encode()); err != nil {
+	if err := t.pages().Append(tp.Encode()); err != nil {
 		return err
 	}
 	t.version.Add(1)
@@ -90,9 +110,15 @@ func (t *Table) MustInsert(tp Tuple) {
 }
 
 // NumRows returns the row count.
-func (t *Table) NumRows() int { return t.heap.NumRecords() }
+func (t *Table) NumRows() int {
+	if t.slabOnly.Load() {
+		return t.mat.NumRows()
+	}
+	return t.heap.NumRecords()
+}
 
-// NumPages returns the flushed page count.
+// NumPages returns the flushed page count (0 while the rows live in slabs
+// alone).
 func (t *Table) NumPages() int { return t.heap.NumPages() }
 
 // Flush seals the in-memory tail page (required before parallel scans).
@@ -106,7 +132,7 @@ func (t *Table) Sync() error { return t.heap.Sync() }
 // allocated, so callers may retain them; bulk read paths that do not retain
 // rows should prefer ScanReuse or the materialized cache.
 func (t *Table) Scan(fn func(Tuple) error) error {
-	return t.ScanPages(0, t.heap.NumPages(), fn)
+	return t.ScanPages(0, t.pages().NumPages(), fn)
 }
 
 // ScanPages visits tuples stored in pages [from, to) — the unit of
@@ -114,7 +140,7 @@ func (t *Table) Scan(fn func(Tuple) error) error {
 // the table schema (a truncated heap record would otherwise surface as an
 // index panic deep inside task code) return a *CorruptRecordError.
 func (t *Table) ScanPages(from, to int, fn func(Tuple) error) error {
-	return t.heap.ScanPages(from, to, func(rec []byte) error {
+	return t.pages().ScanPages(from, to, func(rec []byte) error {
 		tp, err := DecodeTuple(rec)
 		if err != nil {
 			return corrupt(t.Name, "%v", err)
@@ -138,14 +164,14 @@ func (t *Table) ScanSegment(from, to int, fn func(Tuple) error) error {
 // is overwritten by the next row and must not be retained. Steady state
 // allocates nothing beyond the scratch's high-water mark.
 func (t *Table) ScanReuse(fn func(Tuple) error) error {
-	return t.ScanPagesReuse(0, t.heap.NumPages(), fn)
+	return t.ScanPagesReuse(0, t.pages().NumPages(), fn)
 }
 
 // ScanPagesReuse is ScanReuse over the page range [from, to). Each call
 // owns its own scratch, so concurrent segment scans are safe.
 func (t *Table) ScanPagesReuse(from, to int, fn func(Tuple) error) error {
 	sc := NewTupleScratch(t.Schema)
-	return t.heap.ScanPages(from, to, func(rec []byte) error {
+	return t.pages().ScanPages(from, to, func(rec []byte) error {
 		tp, err := DecodeTupleInto(rec, sc)
 		if err != nil {
 			var ce *CorruptRecordError
@@ -181,7 +207,7 @@ func (t *Table) Reuse() Relation { return reuseRelation{t} }
 func (t *Table) ScanReuseDegraded(fn func(Tuple) error) (DegradedStats, error) {
 	sc := NewTupleScratch(t.Schema)
 	badRecs := 0
-	stats, err := t.heap.ScanDegraded(func(rec []byte) error {
+	stats, err := t.pages().ScanDegraded(func(rec []byte) error {
 		tp, derr := DecodeTupleInto(rec, sc)
 		if derr != nil {
 			badRecs++
@@ -250,7 +276,7 @@ func (t *Table) Materialize() (*Materialized, error) {
 	if !t.Cacheable() {
 		return nil, ErrUncacheable
 	}
-	b := NewMatBuilder(t.Schema)
+	b := NewMatBuilder(t.Schema, t.NumRows(), (t.heap.NumPages()+1)*PageSize)
 	if err := t.ScanReuse(func(tp Tuple) error { return b.Add(tp) }); err != nil {
 		return nil, err
 	}
@@ -271,34 +297,13 @@ func (t *Table) CachedRows() *Materialized {
 	return nil
 }
 
-// PrimeCache installs rows decoded elsewhere as the table's cache — the
-// spec layer's view projection builds the slabs while inserting, saving the
-// initial decode pass. The builder must hold exactly the table's rows, in
-// storage order, under the table's schema.
-func (t *Table) PrimeCache(b *MatBuilder) error {
-	t.matMu.Lock()
-	defer t.matMu.Unlock()
-	if b.NumRows() != t.NumRows() {
-		return fmt.Errorf("engine: PrimeCache: builder has %d rows, table %s has %d",
-			b.NumRows(), t.Name, t.NumRows())
-	}
-	if len(b.schema) != len(t.Schema) {
-		return fmt.Errorf("engine: PrimeCache: schema arity mismatch for %s", t.Name)
-	}
-	for i, c := range b.schema {
-		if c.Type != t.Schema[i].Type {
-			return fmt.Errorf("engine: PrimeCache: column %d type mismatch for %s", i, t.Name)
-		}
-	}
-	t.mat = b.Build(t.Version())
-	return nil
-}
-
-// ScanStable visits every tuple with rows the caller may retain past the
+// ScanStable visits every tuple with cells the caller may retain past the
 // callback (the rule the reservoir samplers need): the fresh decoded-row
-// cache when present — its rows are stable and pinned by the table anyway —
-// otherwise freshly allocated tuples via Scan. It never builds a cache, so
-// retaining a small sample cannot pin a whole decoded table.
+// cache when present — its slabs never move and are pinned by the table
+// anyway — otherwise freshly allocated tuples via Scan. Only the cells are
+// stable: the cache reuses one tuple header for every row, so a retainer
+// copies the header. It never builds a cache, so retaining a small sample
+// cannot pin a whole decoded table.
 func (t *Table) ScanStable(fn func(Tuple) error) error {
 	if mat := t.CachedRows(); mat != nil {
 		return mat.Scan(fn)
@@ -323,26 +328,11 @@ func (t *Table) Rows() Relation {
 // Segments splits the table's pages into n contiguous ranges of roughly
 // equal page count for parallel scanning. It flushes the tail page first.
 func (t *Table) Segments(n int) ([][2]int, error) {
-	if n < 1 {
-		n = 1
-	}
-	if err := t.heap.Flush(); err != nil {
+	h := t.pages()
+	if err := h.Flush(); err != nil {
 		return nil, err
 	}
-	np := t.heap.NumPages()
-	if np == 0 {
-		return [][2]int{{0, 0}}, nil
-	}
-	if n > np {
-		n = np
-	}
-	segs := make([][2]int, 0, n)
-	for i := 0; i < n; i++ {
-		from := i * np / n
-		to := (i + 1) * np / n
-		segs = append(segs, [2]int{from, to})
-	}
-	return segs, nil
+	return rowSegments(h.NumPages(), n), nil
 }
 
 // Shuffle randomly permutes the table rows on disk the way ORDER BY
@@ -357,7 +347,7 @@ func (t *Table) Shuffle(rng *rand.Rand) error {
 		tp Tuple
 	}
 	var rows []keyed
-	err := t.heap.Scan(func(rec []byte) error {
+	err := t.pages().Scan(func(rec []byte) error {
 		tp, err := DecodeTuple(rec)
 		if err != nil {
 			return err
@@ -373,7 +363,7 @@ func (t *Table) Shuffle(rng *rand.Rand) error {
 	for i := range rows {
 		out[i] = rows[i].tp.Encode()
 	}
-	if err := t.heap.Rewrite(out); err != nil {
+	if err := t.pages().Rewrite(out); err != nil {
 		return err
 	}
 	t.version.Add(1)
@@ -389,7 +379,7 @@ func (t *Table) ClusterBy(key func(Tuple) float64) error {
 		b []byte
 	}
 	var recs []rec
-	err := t.heap.Scan(func(b []byte) error {
+	err := t.pages().Scan(func(b []byte) error {
 		tp, err := DecodeTuple(b)
 		if err != nil {
 			return err
@@ -405,7 +395,7 @@ func (t *Table) ClusterBy(key func(Tuple) float64) error {
 	for i := range recs {
 		out[i] = recs[i].b
 	}
-	if err := t.heap.Rewrite(out); err != nil {
+	if err := t.pages().Rewrite(out); err != nil {
 		return err
 	}
 	t.version.Add(1)
@@ -449,8 +439,8 @@ func (t *Table) CopyTo(dst *Table) error {
 				SrcType: t.Schema[i].Type, DstType: dst.Schema[i].Type}
 		}
 	}
-	err := t.heap.Scan(func(rec []byte) error {
-		return dst.heap.Append(append([]byte(nil), rec...))
+	err := t.pages().Scan(func(rec []byte) error {
+		return dst.pages().Append(rec) // Append copies the record into its page
 	})
 	dst.version.Add(1)
 	return err

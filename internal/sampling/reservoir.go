@@ -32,17 +32,18 @@ func NewReservoir(capTuples int, rng *rand.Rand) *Reservoir {
 // Offer presents one tuple. It returns the tuple that was *dropped* by the
 // sampler (nil while the reservoir is still filling): either the offered
 // tuple itself or the buffer entry it evicted. MRS feeds the dropped tuple
-// to the I/O worker's gradient step, so no data is wasted.
+// to the I/O worker's gradient step, so no data is wasted. What it keeps is
+// a copy of the header: engine.Table.ScanStable promises stable cells only.
 func (r *Reservoir) Offer(t engine.Tuple) engine.Tuple {
 	r.seen++
 	if len(r.buf) < r.cap {
-		r.buf = append(r.buf, t)
+		r.buf = append(r.buf, append(engine.Tuple(nil), t...))
 		return nil
 	}
 	s := r.rng.Intn(r.seen)
 	if s < r.cap {
 		dropped := r.buf[s]
-		r.buf[s] = t
+		r.buf[s] = append(engine.Tuple(nil), t...)
 		return dropped
 	}
 	return t
@@ -59,7 +60,7 @@ func (r *Reservoir) Seen() int { return r.seen }
 
 // SampleTable scans tbl once and returns a uniform sample of up to
 // capTuples rows. The reservoir retains tuples past the scan callback, so
-// the scan goes through ScanStable — rows from an already-fresh cache or
+// the scan goes through ScanStable — cells in an already-fresh cache or in
 // freshly allocated tuples, never the reusable-scratch path, and never a
 // cache built just for the sample (which would pin a full decoded copy of
 // a table this trainer exists to avoid holding).

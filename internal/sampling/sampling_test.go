@@ -93,6 +93,43 @@ func TestSampleTable(t *testing.T) {
 	}
 }
 
+// TestSampleOfCachedTableIsRetainable: over a cached table the stable scan
+// reuses one tuple header, so the reservoir must copy what it keeps — a
+// sample has to read its own rows' values after later scans and a view
+// permutation have run over the same slabs.
+func TestSampleOfCachedTableIsRetainable(t *testing.T) {
+	tbl := engine.NewMemTable("t", engine.Schema{{Name: "id", Type: engine.TInt64}, {Name: "vec", Type: engine.TDenseVec}})
+	for i := 0; i < 300; i++ {
+		tbl.MustInsert(engine.Tuple{engine.I64(int64(i)), engine.DenseV(vector.Dense{float64(i), float64(2 * i)})})
+	}
+	mat, err := tbl.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sample, err := SampleTable(tbl, 25, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := mat.View()
+	view.Permute(rand.New(rand.NewSource(6)))
+	for _, scan := range []func(func(engine.Tuple) error) error{view.Scan, tbl.ScanStable} {
+		if err := scan(func(engine.Tuple) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seen := map[int64]bool{}
+	for _, tp := range sample {
+		id := tp[0].Int
+		if seen[id] || tp[1].Dense[0] != float64(id) || tp[1].Dense[1] != float64(2*id) {
+			t.Fatalf("sampled row %d reads %v (duplicate: %v)", id, tp[1].Dense, seen[id])
+		}
+		seen[id] = true
+	}
+	if len(seen) != 25 {
+		t.Fatalf("sample holds %d distinct rows, want 25", len(seen))
+	}
+}
+
 func lrTable(t *testing.T, n int, seed int64) (*engine.Table, *tasks.LR) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))

@@ -33,7 +33,7 @@ type View struct {
 }
 
 // ProjectView materializes the statement's select/where/column/label
-// clauses over the source table as an in-memory view in the task's
+// clauses over the source table as a private in-memory view in the task's
 // canonical layout:
 //
 //   - the WHERE predicates filter rows;
@@ -144,17 +144,23 @@ func ProjectView(src *engine.Table, st *Statement, schema engine.Schema, opt Vie
 	}
 
 	// The projection runs through the zero-allocation scratch machinery:
-	// the source is decoded through reusable buffers, one row tuple is
-	// reused for every output row (Insert encodes it immediately, and the
-	// cache builder copies it into its slabs), and the finished view is
-	// born with a primed decoded-row cache so the trainers' first epoch
-	// never pays an insert-encode-decode round trip. Priming honors the
-	// same budget Table.Materialize enforces — a source past the limit
-	// must not get a full decoded copy forced on it here.
+	// the source is decoded through reusable buffers and one row tuple is
+	// reused for every output row. A source within the materialization
+	// budget yields a slab-only view — each projected row is copied once,
+	// into columnar slabs sized up front from the source's row count, and
+	// that is the whole view (engine.MatBuilder.Table). A source past the
+	// budget must not get a full decoded copy forced on it here: its view
+	// is a page heap the trainers re-decode per epoch.
 	view := engine.NewMemTable(src.Name+"_view", out)
+	emit := view.Insert
 	var builder *engine.MatBuilder
 	if src.Cacheable() {
-		builder = engine.NewMatBuilder(out)
+		hint := src.NumRows()
+		if len(st.Where) > 0 {
+			hint = 0 // selectivity unknown: let the slabs grow
+		}
+		builder = engine.NewMatBuilder(out, hint, (src.NumPages()+1)*engine.PageSize)
+		emit = builder.Add
 	}
 	row := make(engine.Tuple, n)
 	rowNum := int64(0)
@@ -174,12 +180,7 @@ func ProjectView(src *engine.Table, st *Statement, schema engine.Schema, opt Vie
 			}
 		}
 		rowNum++
-		if builder != nil {
-			if err := builder.Add(row); err != nil {
-				return err
-			}
-		}
-		return view.Insert(row)
+		return emit(row)
 	}
 	var skipped engine.DegradedStats
 	if opt.Degraded {
@@ -191,9 +192,7 @@ func ProjectView(src *engine.Table, st *Statement, schema engine.Schema, opt Vie
 		return nil, err
 	}
 	if builder != nil {
-		if err := view.PrimeCache(builder); err != nil {
-			return nil, err
-		}
+		view = builder.Table(view.Name)
 	}
 	return &View{Table: view, HasLabel: srcIdx[labelIdx] >= 0, Skipped: skipped}, nil
 }

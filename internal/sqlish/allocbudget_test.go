@@ -1,0 +1,74 @@
+package sqlish
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"bismarck/internal/data"
+	"bismarck/internal/engine"
+)
+
+// TestAllocBudgetTrainStatement is the byte budget for obtaining the data,
+// exact and timing-free: a sequential one-epoch TRAIN over a file table
+// many times the buffer pool may allocate at most 1.5x the heap file's
+// bytes (one copy into the slabs, plus the row permutation, the model and
+// statement bookkeeping) in fewer than rows/4 objects — nothing per row,
+// nothing per page. Before the one-copy path this statement allocated
+// ~11.7x the file in ~2.5 objects per row.
+func TestAllocBudgetTrainStatement(t *testing.T) {
+	const rows, poolPages = 20000, 64
+	dir := t.TempDir()
+	cat, err := engine.OpenFileCatalog(dir, poolPages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := data.Forest(rows, 5)
+	dst, err := cat.Create("papers", src.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.CopyTo(dst); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.Save(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.Close(); err != nil {
+		t.Fatal(err)
+	}
+	src = nil
+	if cat, err = engine.OpenFileCatalog(dir, poolPages); err != nil {
+		t.Fatal(err)
+	}
+	defer cat.Close()
+	st, err := os.Stat(filepath.Join(dir, "papers.heap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pages := st.Size() / engine.PageSize; pages < 10*poolPages {
+		t.Fatalf("table is %d pages, want at least 10x the %d-page pool", pages, poolPages)
+	}
+
+	var out bytes.Buffer
+	s := &Session{Cat: cat, Out: &out}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	err = s.Exec(`SELECT * FROM papers TO TRAIN lr WITH epochs=1, seed=3 INTO m;`)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bytesAlloc, objects := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	t.Logf("heap file %d bytes; statement allocated %d bytes (%.2fx) in %d objects (%.3f per row)",
+		st.Size(), bytesAlloc, float64(bytesAlloc)/float64(st.Size()), objects, float64(objects)/rows)
+	if limit := uint64(st.Size()) * 3 / 2; bytesAlloc > limit {
+		t.Errorf("TRAIN allocated %d bytes, budget %d (1.5x the %d-byte heap file)", bytesAlloc, limit, st.Size())
+	}
+	if objects > rows/4 {
+		t.Errorf("TRAIN made %d allocations over %d rows, budget %d", objects, rows, rows/4)
+	}
+}

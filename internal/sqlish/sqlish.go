@@ -552,6 +552,9 @@ func (s *Session) predict(st *spec.Statement) error {
 		score float64
 	}
 	var preds []prediction
+	if st.Into != "" {
+		preds = make([]prediction, 0, view.Table.NumRows())
+	}
 	labelIdx := len(ts.Schema) - 1
 	var n, pos, correct int
 	// The batch scoring loop reads through the view's primed decoded-row
