@@ -35,11 +35,10 @@ import (
 
 func main() {
 	var (
-		dataDir    = flag.String("data", "./bismarck-data", "catalog directory")
-		connect    = flag.String("connect", "", "bismarckd address; statements run remotely instead of on -data")
-		epochs     = flag.Int("epochs", 0, "default training epochs when a statement sets none (0 = 20)")
-		alpha      = flag.Float64("alpha", 0, "default initial step size when a statement sets none (0 = task preference)")
-		serveCache = flag.Bool("serve-cache", true, "score inline PREDICT (...) USING m from a hot-model cache instead of reloading the model per statement")
+		dataDir = flag.String("data", "./bismarck-data", "catalog directory")
+		connect = flag.String("connect", "", "bismarckd address; statements run remotely instead of on -data")
+		epochs  = flag.Int("epochs", 0, "default training epochs when a statement sets none (0 = 20)")
+		alpha   = flag.Float64("alpha", 0, "default initial step size when a statement sets none (0 = task preference)")
 	)
 	flag.Parse()
 
@@ -51,7 +50,7 @@ func main() {
 		var misused []string
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "data", "epochs", "alpha", "serve-cache":
+			case "data", "epochs", "alpha":
 				misused = append(misused, "-"+f.Name)
 			}
 		})
@@ -73,10 +72,7 @@ func main() {
 	// The local serving plane answers inline point-PREDICT from cached
 	// snapshots — repeated scoring in a REPL stops reloading the model
 	// every statement. No Guard: this process owns the catalog.
-	var plane *serve.Plane
-	if *serveCache {
-		plane = serve.New(cat, nil, serve.Options{})
-	}
+	plane := serve.New(cat, nil, serve.Options{})
 
 	status := 0
 	if flag.NArg() > 0 {
@@ -203,14 +199,14 @@ func execAll(sess *sqlish.Session, plane *serve.Plane, text string) {
 }
 
 // execOne runs a single statement: inline point-PREDICT through the local
-// serving plane when -serve-cache is on (hot snapshots, generation-
-// checked against the catalog), everything else through the session.
+// serving plane (hot snapshots, generation-checked against the catalog),
+// everything else through the session.
 func execOne(sess *sqlish.Session, plane *serve.Plane, stmt string) error {
 	st, err := spec.Parse(stmt)
 	if err != nil {
 		return err
 	}
-	if st.Kind == spec.KindPointPredict && plane != nil {
+	if st.Kind == spec.KindPointPredict {
 		scores := make([]float64, len(st.Points))
 		if _, err := plane.Predict(st.Model, st.Points, scores); err != nil {
 			return err
@@ -220,7 +216,7 @@ func execOne(sess *sqlish.Session, plane *serve.Plane, stmt string) error {
 		}
 		return nil
 	}
-	if st.Kind == spec.KindShowServing && plane != nil {
+	if st.Kind == spec.KindShowServing {
 		gs, models := plane.Stats()
 		fmt.Fprintf(sess.Out, "gate inflight=%d/%d queued=%d/%d models=%d\n",
 			gs.Inflight, gs.InflightCap, gs.Queued, gs.QueueCap, gs.Models)

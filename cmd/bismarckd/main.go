@@ -22,8 +22,8 @@
 // The -serve-inflight / -serve-queue flags size the plane's global
 // admission control and -serve-model-inflight / -serve-model-queue one
 // model's share of it: past a queue the daemon sheds with "ERR busy: ...
-// retry_after_ms=<hint>". -serve-warm pre-decodes persisted models at
-// start, and SHOW SERVING reports the per-model serving counters.
+// retry_after_ms=<hint>". Persisted models are pre-decoded into the serving
+// cache at start, and SHOW SERVING reports the per-model serving counters.
 //
 // On SIGINT/SIGTERM the daemon stops accepting, cancels still-queued
 // jobs, lets running jobs finish and commit, and saves the catalog before
@@ -44,30 +44,29 @@ import (
 
 func main() {
 	var (
-		dataDir   = flag.String("data", "./bismarck-data", "catalog directory")
-		listen    = flag.String("listen", "127.0.0.1:7077", "TCP listen address")
-		workers   = flag.Int("workers", 0, "async TRAIN worker pool size (0 = NumCPU, max 8)")
-		epochs    = flag.Int("epochs", 0, "default training epochs when a statement sets none (0 = 20)")
-		alpha     = flag.Float64("alpha", 0, "default initial step size when a statement sets none (0 = task preference)")
-		serveIn   = flag.Int("serve-inflight", 0, "concurrent point-PREDICT scoring slots (0 = GOMAXPROCS)")
-		serveQ    = flag.Int("serve-queue", 0, "point-PREDICT waiters beyond the slots before shedding with ERR busy (0 = 4x slots)")
-		serveMIn  = flag.Int("serve-model-inflight", 0, "one model's concurrent scoring slots (0 = the global slots)")
-		serveMQ   = flag.Int("serve-model-queue", 0, "one model's waiters before shedding (0 = half the global queue)")
-		serveWarm = flag.Bool("serve-warm", true, "pre-decode every persisted model into the serving cache at start")
-		executor  = flag.Bool("executor", false, "run as a shard executor: in-memory catalog, no persistence — host training shards shipped by WITH executors=... coordinators")
-		execIn    = flag.Int("exec-inflight", 0, "concurrent executor shard-op slots (0 = GOMAXPROCS)")
-		execQ     = flag.Int("exec-queue", 0, "executor shard-op waiters before shedding with ERR busy (0 = 4x slots)")
+		dataDir  = flag.String("data", "./bismarck-data", "catalog directory")
+		listen   = flag.String("listen", "127.0.0.1:7077", "TCP listen address")
+		workers  = flag.Int("workers", 0, "async TRAIN worker pool size (0 = NumCPU, max 8)")
+		epochs   = flag.Int("epochs", 0, "default training epochs when a statement sets none (0 = 20)")
+		alpha    = flag.Float64("alpha", 0, "default initial step size when a statement sets none (0 = task preference)")
+		serveIn  = flag.Int("serve-inflight", 0, "concurrent point-PREDICT scoring slots (0 = GOMAXPROCS)")
+		serveQ   = flag.Int("serve-queue", 0, "point-PREDICT waiters beyond the slots before shedding with ERR busy (0 = 4x slots)")
+		serveMIn = flag.Int("serve-model-inflight", 0, "one model's concurrent scoring slots (0 = the global slots)")
+		serveMQ  = flag.Int("serve-model-queue", 0, "one model's waiters before shedding (0 = half the global queue)")
+		executor = flag.Bool("executor", false, "run as a shard executor: in-memory catalog, no persistence — host training shards shipped by WITH executors=... coordinators")
+		execIn   = flag.Int("exec-inflight", 0, "concurrent executor shard-op slots (0 = GOMAXPROCS)")
+		execQ    = flag.Int("exec-queue", 0, "executor shard-op waiters before shedding with ERR busy (0 = 4x slots)")
 	)
 	flag.Parse()
 	if err := run(*dataDir, *listen, *workers, *epochs, *alpha,
-		*serveIn, *serveQ, *serveMIn, *serveMQ, *serveWarm,
+		*serveIn, *serveQ, *serveMIn, *serveMQ,
 		*executor, *execIn, *execQ); err != nil {
 		fmt.Fprintf(os.Stderr, "bismarckd: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(dataDir, listen string, workers, epochs int, alpha float64, serveIn, serveQ, serveMIn, serveMQ int, serveWarm bool, executor bool, execIn, execQ int) error {
+func run(dataDir, listen string, workers, epochs int, alpha float64, serveIn, serveQ, serveMIn, serveMQ int, executor bool, execIn, execQ int) error {
 	// Executor mode is stateless by design: shard heaps live only on
 	// their coordinator connections, so there is nothing to persist — an
 	// in-memory catalog keeps a dead executor from leaving artifacts a
@@ -112,7 +111,7 @@ func run(dataDir, listen string, workers, epochs int, alpha float64, serveIn, se
 	// accepting connections, so the first PREDICT after a restart is a cache
 	// hit instead of a decode behind the fill mutex. Executor mode starts
 	// with an empty in-memory catalog — nothing to warm.
-	if serveWarm && !executor {
+	if !executor {
 		if warmed := mgr.Plane().Warm(); len(warmed) > 0 {
 			fmt.Printf("bismarckd: warmed %d model(s) into the serving cache: %v\n", len(warmed), warmed)
 		}

@@ -58,7 +58,7 @@ func (a *ALS) Run(tbl *engine.Table) (*ALSResult, error) {
 	// Materialize per-row and per-column rating lists (one scan).
 	byRow := make([][]cell, a.Rows)
 	byCol := make([][]cell, a.Cols)
-	err := tbl.Scan(func(tp engine.Tuple) error {
+	err := tbl.Rows().Scan(func(tp engine.Tuple) error {
 		i, j, v := int(tp[0].Int), int(tp[1].Int), tp[2].Float
 		if i < 0 || i >= a.Rows || j < 0 || j >= a.Cols {
 			return fmt.Errorf("baselines: rating (%d,%d) outside %dx%d", i, j, a.Rows, a.Cols)
@@ -126,7 +126,7 @@ func (a *ALS) Run(tbl *engine.Table) (*ALSResult, error) {
 		res.Sweeps = sweep + 1
 		w := a.flatten(L, R)
 		var loss float64
-		err := tbl.Scan(func(tp engine.Tuple) error {
+		err := tbl.Rows().Scan(func(tp engine.Tuple) error {
 			loss += lmf.Loss(w, tp)
 			return nil
 		})

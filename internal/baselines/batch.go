@@ -64,7 +64,7 @@ func (b *BatchGD) Run(tbl *engine.Table) (*core.Result, error) {
 		grad.Zero()
 		// One full scan: accumulate Σ ∇f_i(w) using the task's Step as a
 		// gradient oracle (Step(w, z, 1) moves the scratch model by −∇f).
-		err := tbl.Scan(func(tp engine.Tuple) error {
+		err := tbl.Rows().Scan(func(tp engine.Tuple) error {
 			copy(scratch.W, w)
 			b.Task.Step(scratch, tp, 1)
 			for i := range grad {

@@ -61,7 +61,7 @@ func (ir *IRLS) Run(tbl *engine.Table) (*IRLSResult, error) {
 		}
 		H := NewMatrix(d)
 		g := vector.NewDense(d)
-		err := tbl.Scan(func(tp engine.Tuple) error {
+		err := tbl.Rows().Scan(func(tp engine.Tuple) error {
 			x := tp[tasks.ColVec].Dense
 			y := tp[tasks.ColLabel].Float
 			wx := vector.Dot(w[:len(x)], x)
@@ -121,7 +121,7 @@ func (ir *IRLS) Run(tbl *engine.Table) (*IRLSResult, error) {
 
 func totalLRLoss(t *tasks.LR, w vector.Dense, tbl *engine.Table) (float64, error) {
 	var sum float64
-	err := tbl.Scan(func(tp engine.Tuple) error {
+	err := tbl.Rows().Scan(func(tp engine.Tuple) error {
 		sum += t.Loss(w, tp)
 		return nil
 	})

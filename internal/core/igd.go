@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"math/rand"
 	"time"
 
@@ -115,26 +114,22 @@ func (NoOrder) PrepareLogical(*engine.MatView, int, *rand.Rand) error { return n
 // sequential and parallel trainers. The zero-allocation steady state runs
 // every epoch over the table's decoded-row cache, expressing shuffles as
 // permutations of a per-run view; only the initial materialization touches
-// page bytes. The physical path — profile charges rewrite cost, ordering
-// has no logical form, or the table exceeds the cache limit — reorders on
-// disk and re-decodes per epoch through reusable scratch. The returned
-// prepare function applies the ordering before each epoch against
-// whichever pipeline was chosen.
+// page bytes. The physical path — profile charges rewrite cost, or the
+// ordering has no logical form — reorders on disk and re-decodes per epoch
+// through reusable scratch. The returned prepare function applies the
+// ordering before each epoch against whichever pipeline was chosen.
 func EpochSource(tbl *engine.Table, order OrderStrategy, p engine.Profile) (
 	engine.Relation, func(epoch int, rng *rand.Rand) error, error) {
 	logical, canLogical := order.(LogicalOrderStrategy)
 	if !p.PhysicalReorder && canLogical {
 		mat, err := tbl.Materialize()
-		switch {
-		case err == nil:
-			view := mat.View()
-			return view, func(e int, rng *rand.Rand) error {
-				return logical.PrepareLogical(view, e, rng)
-			}, nil
-		case !errors.Is(err, engine.ErrUncacheable):
+		if err != nil {
 			return nil, nil, err
 		}
-		// Too big to cache: reuse-scratch scans below.
+		view := mat.View()
+		return view, func(e int, rng *rand.Rand) error {
+			return logical.PrepareLogical(view, e, rng)
+		}, nil
 	}
 	return tbl.Reuse(), func(e int, rng *rand.Rand) error {
 		return order.Prepare(tbl, e, rng)
@@ -179,7 +174,7 @@ func (r *udaRunner) Run(epoch int, w vector.Dense, alpha float64) error {
 		return err
 	}
 	agg := &IGDAggregate{Task: r.task, Alpha: alpha, Init: w, PiggybackLoss: r.piggyback}
-	out, err := engine.RunUDAOn(r.src, agg, r.profile)
+	out, err := engine.RunUDA(r.src, agg, r.profile)
 	if err != nil {
 		return err
 	}

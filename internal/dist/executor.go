@@ -50,7 +50,7 @@ var MaxExecutorBytes = int64(256 << 20)
 // epoch pipeline, the ordering replay cursor, and the task replica.
 type execShard struct {
 	tbl     *engine.Table
-	schema  engine.Schema
+	scratch *engine.TupleScratch // decodes every shipped record under the declared schema
 	task    core.Task
 	order   core.OrderStrategy
 	rng     *rand.Rand
@@ -269,7 +269,7 @@ func (ex *Executor) load(shard uint32, body []byte) error {
 	}
 	sh := &execShard{
 		tbl:       engine.NewMemTable(fmt.Sprintf("__exec_shard%d", shard), schema),
-		schema:    schema,
+		scratch:   engine.NewTupleScratch(schema),
 		task:      task,
 		order:     order,
 		rng:       rand.New(rand.NewSource(seed)),
@@ -312,12 +312,9 @@ func (ex *Executor) rows(shard uint32, body []byte) error {
 		if ex.bytes += int64(n); ex.bytes > MaxExecutorBytes {
 			return fmt.Errorf("dist: connection exceeded the %d-byte shard budget", MaxExecutorBytes)
 		}
-		tp, err := engine.DecodeTuple(body[:n])
+		tp, err := engine.DecodeTupleInto(body[:n], sh.scratch)
 		if err != nil {
 			return fmt.Errorf("dist: record %d: %w", i, err)
-		}
-		if !tp.Matches(sh.schema) {
-			return fmt.Errorf("dist: record %d does not match the declared schema", i)
 		}
 		if err := sh.tbl.Insert(tp); err != nil {
 			return err

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -186,10 +187,28 @@ func TestExecutorProtocolGuards(t *testing.T) {
 	f, _ = AppendStep(nil, 95, 0, 2, 0.1, w)
 	expectErr("truncated STEP", f[:len(f)-8], "model bytes")
 
+	// A record cut exactly at a column boundary (the label column gone) is a
+	// well-formed shorter tuple to a schema-less decoder; under the declared
+	// schema it is a typed corrupt record, and none of the frame is inserted.
+	f, _ = AppendLoad(nil, 96, 1, OrderAsStored, 7, "lr", nil, tasks.DenseExampleSchema)
+	if _, err := roundTrip(t, ex, f); err != nil {
+		t.Fatalf("LOAD of a second shard: %v", err)
+	}
+	rec := engine.Tuple{engine.I64(1), engine.DenseV(make([]float64, 54)), engine.F64(1)}.Encode()
+	f, _ = AppendRows(nil, 97, 1, [][]byte{rec[:len(rec)-9]})
+	expectErr("record cut at a column boundary", f, "record has 2 columns, schema wants 3")
+	var ce *engine.CorruptRecordError
+	if err := ex.rows(1, f[4+1+8+4:]); !errors.As(err, &ce) { // past length, op, id, shard
+		t.Errorf("cut record: %v, want a *engine.CorruptRecordError", err)
+	}
+	if sh := ex.shards[1]; sh.rows != 0 || sh.tbl.NumRows() != 0 {
+		t.Errorf("cut record inserted rows: counted %d, table holds %d", sh.rows, sh.tbl.NumRows())
+	}
+
 	// The executor still works after every rejection.
 	stepAt(t, ex, 2, w)
-	if got := ex.Shards(); got != 1 {
-		t.Fatalf("executor holds %d shards, want 1", got)
+	if got := ex.Shards(); got != 2 {
+		t.Fatalf("executor holds %d shards, want 2", got)
 	}
 }
 

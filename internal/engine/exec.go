@@ -30,20 +30,14 @@ var (
 	_ Relation = reuseRelation{}
 )
 
-// RunUDA executes a user-defined aggregate over a table under an engine
-// profile: the standard aggregation query plan. Tuples are decoded fresh
-// per row (a UDA may retain them); the trainers run the same plan over the
-// decoded-row cache via RunUDAOn.
-func RunUDA(t *Table, u UDA, p Profile) (State, error) {
-	return RunUDAOn(t, u, p)
-}
-
-// RunUDAOn executes a user-defined aggregate over any relation. With
-// Segments == 1 the scan is sequential; otherwise the engine's built-in
-// shared-nothing parallelism is used — each segment aggregates
-// independently and the states are merged left-to-right, which requires the
-// UDA to implement Merger.
-func RunUDAOn(r Relation, u UDA, p Profile) (State, error) {
+// RunUDA executes a user-defined aggregate over a relation under an engine
+// profile: the standard aggregation query plan. Over a *Table tuples are
+// decoded fresh per row (a UDA may retain them); the trainers run the same
+// plan over the decoded-row cache. With Segments == 1 the scan is
+// sequential; otherwise the engine's built-in shared-nothing parallelism is
+// used — each segment aggregates independently and the states are merged
+// left-to-right, which requires the UDA to implement Merger.
+func RunUDA(r Relation, u UDA, p Profile) (State, error) {
 	if p.Segments <= 1 {
 		s := u.Initialize()
 		err := r.Scan(func(tp Tuple) error {
@@ -114,20 +108,14 @@ func copyState(s State) State {
 	return s
 }
 
-// RunSharedScan drives the shared-memory UDA plan over a table; see
-// RunSharedScanOn.
-func RunSharedScan(t *Table, workers int, p Profile, fn func(worker int, tp Tuple) error) error {
-	return RunSharedScanOn(t, workers, p, fn)
-}
-
-// RunSharedScanOn drives the shared-memory UDA plan over any relation:
+// RunSharedScan drives the shared-memory UDA plan over a relation:
 // `workers` goroutines scan disjoint segments concurrently and deliver
 // tuples to fn. The aggregation state lives in shared memory owned by the
 // caller (the model), which is exactly how the paper's shared-memory
 // variant keeps the three-function abstraction while updating one model
 // concurrently; the concurrency scheme (Lock / AIG / NoLock) is the
 // caller's choice of model representation.
-func RunSharedScanOn(r Relation, workers int, p Profile, fn func(worker int, tp Tuple) error) error {
+func RunSharedScan(r Relation, workers int, p Profile, fn func(worker int, tp Tuple) error) error {
 	if workers <= 1 {
 		return r.Scan(func(tp Tuple) error {
 			spin(p.PerCallOverhead)

@@ -170,13 +170,13 @@ func TestTornWriteCrashAndRepair(t *testing.T) {
 	if _, err := OpenFileHeap(path, 16); err == nil || !strings.Contains(err.Error(), "not page aligned") {
 		t.Fatalf("plain open of torn file = %v, want alignment refusal", err)
 	}
-	h2, info, err := openFileHeap(path, 16, nil, true)
+	h2, repaired, err := openFileHeap(path, 16, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h2.Close()
-	if info.repairedBytes != PageSize/2 {
-		t.Fatalf("repairedBytes = %d, want %d", info.repairedBytes, PageSize/2)
+	if repaired != PageSize/2 {
+		t.Fatalf("repaired bytes = %d, want %d", repaired, PageSize/2)
 	}
 	if got := collect(t, h2); len(got) != len(recs) {
 		t.Fatalf("repaired heap has %d records, want %d", len(got), len(recs))
@@ -454,146 +454,43 @@ func TestBitRotOffsetClassMatrix(t *testing.T) {
 	}
 }
 
-// --- legacy format: the silent-corruption regression ---
+// --- one page format: a page without a valid trailer is a corrupt page ---
 
-// legacyDataPage builds a pre-checksum (version 0) data page: payload runs
-// to the page end, no CRC trailer.
-func legacyDataPage(recs [][]byte) page {
-	p := make(page, PageSize)
-	p[0] = pageData
-	p[1] = 0
-	p.setSlotCount(0)
-	p.setFreeLow(pageHeaderSize)
-	p.setFreeHigh(PageSize)
-	for _, r := range recs {
-		if !p.insert(r) {
-			panic("legacy test page overflow")
-		}
-	}
-	return p
-}
-
-// writeLegacyHeap writes a two-page version-0 heap file.
-func writeLegacyHeap(t *testing.T, path string, recs [][]byte) {
-	t.Helper()
-	half := len(recs) / 2
+// TestUnsealedPagesAreQuarantined: a file of well-formed pages that were
+// never sealed (what a pre-checksum writer would have left) is not read on
+// trust — every page fails verification at open like any other checksum
+// failure, and nothing in it counts as readable.
+func TestUnsealedPagesAreQuarantined(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "unsealed.heap")
+	recs := faultRecs(40)
 	var buf bytes.Buffer
-	buf.Write(legacyDataPage(recs[:half]))
-	buf.Write(legacyDataPage(recs[half:]))
+	for _, half := range [][][]byte{recs[:20], recs[20:]} {
+		p := newPage(pageData)
+		for _, r := range half {
+			if !p.insert(r) {
+				t.Fatal("test page overflow")
+			}
+		}
+		buf.Write(p) // no seal: the trailer stays zero
+	}
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestLegacySilentCorruptionThenDetected reproduces the bug the checksum
-// closes: on the pre-checksum format a flipped record-body bit decodes
-// without any error — the scan returns wrong bytes and nothing notices.
-// After migration to the checksummed format, the same flip is detected.
-func TestLegacySilentCorruptionThenDetected(t *testing.T) {
-	dir := t.TempDir()
-	recs := faultRecs(40)
-	// Record bodies grow backward from the page end: the last bytes of
-	// page 0 are the body of the first record.
-	rotOff := int64(PageSize - 10)
-
-	// Part 1: the legacy format absorbs the rot silently.
-	legacy := filepath.Join(dir, "legacy.heap")
-	writeLegacyHeap(t, legacy, recs)
-	flipBit(t, legacy, rotOff)
-	fs, _, err := openFileStore(legacy, 16, nil, false)
+	h, err := OpenFileHeap(path, 16)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("open must quarantine, not fail: %v", err)
 	}
-	if !fs.legacy {
-		t.Fatal("legacy file not sniffed as legacy")
+	defer h.Close()
+	q := h.QuarantinedPages()
+	if len(q) != 2 || q[0] != "checksum mismatch" || q[1] != "checksum mismatch" {
+		t.Fatalf("quarantine map = %v, want both pages with a checksum mismatch", q)
 	}
-	h := &Heap{st: fs}
-	h.buildIndex()
-	var got [][]byte
-	if err := h.Scan(func(rec []byte) error {
-		got = append(got, append([]byte(nil), rec...))
-		return nil
-	}); err != nil {
-		t.Fatalf("legacy scan should succeed SILENTLY (that is the bug): %v", err)
+	if h.NumRecords() != 0 {
+		t.Fatalf("NumRecords = %d, want 0", h.NumRecords())
 	}
-	fs.close()
-	if len(got) != len(recs) {
-		t.Fatalf("legacy scan records = %d, want %d", len(got), len(recs))
-	}
-	corruptedSomething := false
-	for i := range got {
-		if !bytes.Equal(got[i], recs[i]) {
-			corruptedSomething = true
-		}
-	}
-	if !corruptedSomething {
-		t.Fatal("rot did not land in a record body; silent-corruption repro is vacuous")
-	}
-
-	// Part 2: migration to the checksummed format, then the same flip is
-	// caught instead of silently served.
-	migrated := filepath.Join(dir, "migrated.heap")
-	writeLegacyHeap(t, migrated, recs)
-	h2, info, err := openFileHeap(migrated, 16, nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !info.migrated {
-		t.Fatal("legacy heap was not migrated")
-	}
-	if got := collect(t, h2); len(got) != len(recs) || !bytes.Equal(got[0], recs[0]) {
-		t.Fatalf("migration lost data: %d records", len(got))
-	}
-	h2.Close()
-	b, _ := os.ReadFile(migrated)
-	for i := 0; i*PageSize < len(b); i++ {
-		if b[i*PageSize+1] != pageFormatV1 {
-			t.Fatalf("page %d still version %d after migration", i, b[i*PageSize+1])
-		}
-	}
-	flipBit(t, migrated, rotOff)
-	h3, err := OpenFileHeap(migrated, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h3.Close()
-	if len(h3.QuarantinedPages()) == 0 {
-		t.Fatal("post-migration rot was not detected")
-	}
-}
-
-// TestLegacyMigrationIdempotentAndCrashSafe: a stale .migrate side file
-// from a crashed migration is discarded, the migration still completes,
-// and a second open does not migrate again.
-func TestLegacyMigrationIdempotentAndCrashSafe(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "m.heap")
-	recs := faultRecs(40)
-	writeLegacyHeap(t, path, recs)
-	if err := os.WriteFile(path+".migrate", []byte("stale junk from a crash"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	h, info, err := openFileHeap(path, 16, nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !info.migrated {
-		t.Fatal("not migrated")
-	}
-	if got := collect(t, h); len(got) != len(recs) {
-		t.Fatalf("records = %d, want %d", len(got), len(recs))
-	}
-	h.Close()
-	if _, err := os.Stat(path + ".migrate"); !os.IsNotExist(err) {
-		t.Fatal("side file left behind")
-	}
-	h2, info2, err := openFileHeap(path, 16, nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h2.Close()
-	if info2.migrated {
-		t.Fatal("second open migrated again")
+	var ce *CorruptPageError
+	if err := h.Scan(func([]byte) error { return nil }); !errors.As(err, &ce) || ce.Page != 0 {
+		t.Fatalf("strict scan = %v, want a CorruptPageError on page 0", err)
 	}
 }
 

@@ -4,9 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
-	"path/filepath"
 	"sync"
 )
 
@@ -82,13 +80,6 @@ type fileStore struct {
 	n    int
 	pool *BufferPool
 	io   *IOHooks
-	// legacy marks a pre-checksum file (every page's version byte is 0):
-	// verification is impossible, and the open path migrates the file to
-	// the v1 format before handing out a heap. The flag is per-FILE, never
-	// per-page — in a v1 file the checksum covers the version byte, so rot
-	// there fails verification instead of downgrading the page to
-	// "unverifiable".
-	legacy bool
 }
 
 // openFileStore opens (or creates) the page file at path. With repairTail,
@@ -124,30 +115,9 @@ func openFileStore(path string, poolPages int, io *IOHooks, repairTail bool) (*f
 		repaired = rem
 	}
 	fs := &fileStore{f: f, path: path, n: int(size / PageSize), io: io}
-	fs.legacy = fs.sniffLegacy()
 	fs.pool = NewBufferPool(fs, poolPages)
 	fs.pool.verify = fs.verifyPage
 	return fs, repaired, nil
-}
-
-// sniffLegacy reports whether the file predates the checksummed format:
-// non-empty with every page's version byte 0. It reads the raw file, not
-// the fault layer — format detection is metadata, and an injected read
-// fault here would misclassify the file rather than exercise a read path.
-func (fs *fileStore) sniffLegacy() bool {
-	if fs.n == 0 {
-		return false
-	}
-	var vb [1]byte
-	for i := 0; i < fs.n; i++ {
-		if _, err := fs.f.ReadAt(vb[:], int64(i)*PageSize+1); err != nil {
-			return false // unreadable: let page verification report it
-		}
-		if vb[0] != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // ReadAt implements io.ReaderAt for the buffer pool, applying read faults.
@@ -177,9 +147,6 @@ func (fs *fileStore) ReadAt(b []byte, off int64) (int, error) {
 // verifyPage is the pool's fill-time verifier: a page is checksummed once
 // when it comes off the disk and never again while cached.
 func (fs *fileStore) verifyPage(id int, p page) error {
-	if fs.legacy {
-		return nil // pre-checksum file: nothing to verify (migration pending)
-	}
 	if !p.checksumOK() {
 		return &CorruptPageError{Path: fs.path, Page: id, Reason: "checksum mismatch"}
 	}
@@ -309,81 +276,28 @@ func NewMemHeap() *Heap { return &Heap{st: &memStore{}} }
 // heaps: 1024 pages = 8 MB.
 const DefaultPoolPages = 1024
 
-// heapOpenInfo reports what opening a file heap had to do beyond opening.
-type heapOpenInfo struct {
-	migrated      bool  // legacy pre-checksum file rewritten to v1
-	repairedBytes int64 // torn tail truncated (repairTail only)
-}
-
-// OpenFileHeap opens (or creates) a file-backed heap at path. Pre-checksum
-// files are migrated to the checksummed format in place (via a side file
-// and one rename, so a crash leaves either format complete, never a mix).
-// Every page is verified at open; pages that fail are quarantined rather
-// than failing the open, and NumRecords counts what is actually readable.
+// OpenFileHeap opens (or creates) a file-backed heap at path. Every page is
+// verified at open; pages that fail — a file of unsealed pages included —
+// are quarantined rather than failing the open, and NumRecords counts what
+// is actually readable.
 func OpenFileHeap(path string, poolPages int) (*Heap, error) {
 	h, _, err := openFileHeap(path, poolPages, nil, false)
 	return h, err
 }
 
-func openFileHeap(path string, poolPages int, io *IOHooks, repairTail bool) (*Heap, heapOpenInfo, error) {
+// openFileHeap also reports how many bytes of torn tail it truncated
+// (repairTail only).
+func openFileHeap(path string, poolPages int, io *IOHooks, repairTail bool) (*Heap, int64, error) {
 	if poolPages <= 0 {
 		poolPages = DefaultPoolPages
 	}
-	var info heapOpenInfo
 	fs, repaired, err := openFileStore(path, poolPages, io, repairTail)
 	if err != nil {
-		return nil, info, err
-	}
-	info.repairedBytes = repaired
-	if fs.legacy {
-		if err := migrateLegacyHeap(fs); err != nil {
-			return nil, info, err
-		}
-		info.migrated = true
-		if fs, _, err = openFileStore(path, poolPages, io, false); err != nil {
-			return nil, info, err
-		}
+		return nil, 0, err
 	}
 	h := &Heap{st: fs, quar: map[int]string{}}
 	h.buildIndex()
-	return h, info, nil
-}
-
-// migrateLegacyHeap rewrites a pre-checksum heap into the v1 format via a
-// side file: records are scanned out of the legacy pages, written sealed
-// into <path>.migrate, synced, and renamed over the original. A crash at
-// any point leaves either the untouched legacy file or the complete v1
-// file — never a mix. The legacy store is closed either way.
-func migrateLegacyHeap(fs *fileStore) error {
-	src := &Heap{st: fs}
-	path, dir := fs.path, filepath.Dir(fs.path)
-	tmp := path + ".migrate"
-	_ = os.Remove(tmp) // stale side file from an interrupted migration
-	dstFS, _, err := openFileStore(tmp, 64, fs.io, false)
-	if err != nil {
-		fs.close()
-		return err
-	}
-	dst := &Heap{st: dstFS}
-	err = src.Scan(func(rec []byte) error { return dst.Append(rec) })
-	if err == nil {
-		err = dst.Sync()
-	}
-	if cerr := dst.Close(); err == nil {
-		err = cerr
-	}
-	if cerr := fs.close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("engine: migrating legacy heap %s: %w", path, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		_ = os.Remove(tmp)
-		return err
-	}
-	return syncDir(dir)
+	return h, repaired, nil
 }
 
 // buildIndex walks every flushed page once at open: the walk itself
@@ -407,7 +321,7 @@ func (h *Heap) buildIndex() {
 		kind, slots, total, got := p.data.kind(), p.data.slotCount(), 0, 0
 		if kind == pageOverflowStart {
 			total = int(binary.LittleEndian.Uint32(p.data[pageHeaderSize:]))
-			got = min(total, p.data.payloadEnd()-pageHeaderSize-overflowHeaderSize)
+			got = min(total, payloadEnd-pageHeaderSize-overflowHeaderSize)
 		}
 		p.unpin()
 		switch kind {
@@ -434,7 +348,7 @@ func (h *Heap) buildIndex() {
 					j++
 					break
 				}
-				ckind, room := cp.data.kind(), cp.data.payloadEnd()-pageHeaderSize
+				ckind, room := cp.data.kind(), payloadEnd-pageHeaderSize
 				cp.unpin()
 				if ckind != pageOverflowCont {
 					bad = fmt.Sprintf("broken overflow chain (page %d is not a continuation)", j)
@@ -645,14 +559,14 @@ func (h *Heap) appendOverflow(rec []byte) error {
 	// First page: kind, then uint32 total length, then data.
 	first := newPage(pageOverflowStart)
 	binary.LittleEndian.PutUint32(first[pageHeaderSize:], uint32(len(rec)))
-	n := copy(first[pageHeaderSize+overflowHeaderSize:first.payloadEnd()], rec)
+	n := copy(first[pageHeaderSize+overflowHeaderSize:payloadEnd], rec)
 	if err := h.appendTracked(first, 1); err != nil {
 		return err
 	}
 	rec = rec[n:]
 	for len(rec) > 0 {
 		cont := newPage(pageOverflowCont)
-		n = copy(cont[pageHeaderSize:cont.payloadEnd()], rec)
+		n = copy(cont[pageHeaderSize:payloadEnd], rec)
 		if err := h.appendTracked(cont, 0); err != nil {
 			return err
 		}
@@ -661,15 +575,15 @@ func (h *Heap) appendOverflow(rec []byte) error {
 	return nil
 }
 
-// chainPages returns how many pages a v1 overflow chain of `total` payload
+// chainPages returns how many pages an overflow chain of `total` payload
 // bytes occupies — what lets a degraded scan step over a chain it cannot
 // read.
 func chainPages(total int) int {
-	firstCap := PageSize - pageHeaderSize - overflowHeaderSize - pageTrailerSize
+	firstCap := payloadEnd - pageHeaderSize - overflowHeaderSize
 	if total <= firstCap {
 		return 1
 	}
-	contCap := PageSize - pageHeaderSize - pageTrailerSize
+	contCap := payloadEnd - pageHeaderSize
 	return 1 + (total-firstCap+contCap-1)/contCap
 }
 
@@ -697,11 +611,6 @@ func (h *Heap) ScanDegraded(fn func(rec []byte) error) (DegradedStats, error) {
 func (h *Heap) ScanPages(from, to int, fn func(rec []byte) error) error {
 	_, err := h.scanPages(from, to, false, fn)
 	return err
-}
-
-// ScanPagesDegraded is ScanDegraded over the page range [from, to).
-func (h *Heap) ScanPagesDegraded(from, to int, fn func(rec []byte) error) (DegradedStats, error) {
-	return h.scanPages(from, to, true, fn)
 }
 
 func (h *Heap) scanPages(from, to int, degraded bool, fn func(rec []byte) error) (DegradedStats, error) {
@@ -747,7 +656,7 @@ func (h *Heap) scanPages(from, to int, degraded bool, fn func(rec []byte) error)
 		total := 0
 		if kind == pageOverflowStart {
 			total = int(binary.LittleEndian.Uint32(p.data[pageHeaderSize:]))
-			take := min(total, p.data.payloadEnd()-pageHeaderSize-overflowHeaderSize)
+			take := min(total, payloadEnd-pageHeaderSize-overflowHeaderSize)
 			rec = make([]byte, 0, total)
 			rec = append(rec, p.data[pageHeaderSize+overflowHeaderSize:pageHeaderSize+overflowHeaderSize+take]...)
 		}
@@ -775,7 +684,7 @@ func (h *Heap) scanPages(from, to int, degraded bool, fn func(rec []byte) error)
 					chainErr = fmt.Errorf("engine: broken overflow chain at page %d", j)
 					break
 				}
-				take := min(total-len(rec), cp.data.payloadEnd()-pageHeaderSize)
+				take := min(total-len(rec), payloadEnd-pageHeaderSize)
 				rec = append(rec, cp.data[pageHeaderSize:pageHeaderSize+take]...)
 				cp.unpin()
 				j++
@@ -867,28 +776,6 @@ func (h *Heap) Rewrite(records [][]byte) error {
 		}
 	}
 	return h.Flush()
-}
-
-// materialize reads every record into memory (used by reordering ops).
-func (h *Heap) materialize() ([][]byte, error) {
-	recs := make([][]byte, 0, h.nrec)
-	err := h.Scan(func(rec []byte) error {
-		recs = append(recs, append([]byte(nil), rec...))
-		return nil
-	})
-	return recs, err
-}
-
-// Shuffle randomly permutes the heap's records — the engine-level
-// implementation of ORDER BY RANDOM() from §3.1 of the paper. It is a full
-// table rewrite, which is exactly why shuffle-always is expensive.
-func (h *Heap) Shuffle(rng *rand.Rand) error {
-	recs, err := h.materialize()
-	if err != nil {
-		return err
-	}
-	rng.Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
-	return h.Rewrite(recs)
 }
 
 // Close releases the underlying store.

@@ -153,44 +153,6 @@ func TestHeapScanIncludesUnflushedTail(t *testing.T) {
 	}
 }
 
-func TestHeapShufflePreservesMultiset(t *testing.T) {
-	h := NewMemHeap()
-	const n = 300
-	for i := 0; i < n; i++ {
-		if err := h.Append([]byte(fmt.Sprintf("%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := h.Shuffle(rand.New(rand.NewSource(1))); err != nil {
-		t.Fatal(err)
-	}
-	if h.NumRecords() != n {
-		t.Fatalf("NumRecords after shuffle = %d", h.NumRecords())
-	}
-	seen := make(map[string]bool)
-	order := make([]string, 0, n)
-	if err := h.Scan(func(rec []byte) error {
-		seen[string(rec)] = true
-		order = append(order, string(rec))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != n {
-		t.Fatalf("shuffle lost records: %d distinct", len(seen))
-	}
-	same := true
-	for i := range order {
-		if order[i] != fmt.Sprintf("%d", i) {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("shuffle produced identity permutation on 300 records (astronomically unlikely)")
-	}
-}
-
 func TestHeapRewriteReplaces(t *testing.T) {
 	h := NewMemHeap()
 	for i := 0; i < 10; i++ {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -233,6 +234,28 @@ func (b *MatBuilder) reserve(first Tuple) {
 	}
 }
 
+// SlabOverflowError reports a cache that would outgrow the int32 its slabs
+// are indexed by: more than 2³¹−1 rows, or more than 2³¹−1 entries in one
+// vector column.
+type SlabOverflowError struct {
+	Count int
+}
+
+// Error implements error.
+func (e *SlabOverflowError) Error() string {
+	return fmt.Sprintf("engine: a cache of %d rows or vector entries exceeds the %d its int32 indexes hold",
+		e.Count, math.MaxInt32)
+}
+
+// endRow closes a vector column's row at slab length n.
+func (c *matCol) endRow(n int) error {
+	if n > math.MaxInt32 {
+		return &SlabOverflowError{Count: n}
+	}
+	c.offs = append(c.offs, int32(n))
+	return nil
+}
+
 // Add copies one row into the slabs, validating it against the schema. The
 // tuple may alias reusable scratch; nothing of it is retained.
 func (b *MatBuilder) Add(tp Tuple) error {
@@ -241,6 +264,9 @@ func (b *MatBuilder) Add(tp Tuple) error {
 	}
 	if b.n == 0 {
 		b.reserve(tp)
+	}
+	if b.n == math.MaxInt32 {
+		return &SlabOverflowError{Count: b.n + 1}
 	}
 	for c := range tp {
 		v, col := &tp[c], &b.cols[c]
@@ -256,7 +282,9 @@ func (b *MatBuilder) Add(tp Tuple) error {
 			col.strs = append(col.strs, v.Str)
 		case TDenseVec:
 			col.f64s = append(col.f64s, v.Dense...)
-			col.offs = append(col.offs, int32(len(col.f64s)))
+			if err := col.endRow(len(col.f64s)); err != nil {
+				return err
+			}
 		case TSparseVec:
 			if len(v.Sparse.Idx) != len(v.Sparse.Val) {
 				return corrupt("", "column %d sparse vec has %d indices, %d values",
@@ -264,10 +292,14 @@ func (b *MatBuilder) Add(tp Tuple) error {
 			}
 			col.i32s = append(col.i32s, v.Sparse.Idx...)
 			col.f64s = append(col.f64s, v.Sparse.Val...)
-			col.offs = append(col.offs, int32(len(col.i32s)))
+			if err := col.endRow(len(col.i32s)); err != nil {
+				return err
+			}
 		case TInt32Vec:
 			col.i32s = append(col.i32s, v.Ints...)
-			col.offs = append(col.offs, int32(len(col.i32s)))
+			if err := col.endRow(len(col.i32s)); err != nil {
+				return err
+			}
 		default:
 			return corrupt("", "column %d has unsupported type %s", c, v.Type)
 		}

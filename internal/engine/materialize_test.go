@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"sync"
@@ -215,23 +216,33 @@ func TestMatViewPermutationIsolation(t *testing.T) {
 	}
 }
 
-func TestMaterializeLimit(t *testing.T) {
-	old := MaterializeLimitBytes
-	defer func() { MaterializeLimitBytes = old }()
-	MaterializeLimitBytes = 1 // nothing fits
-
-	tbl := NewMemTable("big", matSchema())
-	fillMatTable(t, tbl, 3, 2)
-	if _, err := tbl.Materialize(); !errors.Is(err, ErrUncacheable) {
-		t.Fatalf("want ErrUncacheable, got %v", err)
+// TestSlabIndexGuard: slabs are indexed by int32, so a cache fails loudly —
+// with the typed error, before any offset wraps — once it would pass 2³¹−1
+// rows or 2³¹−1 entries in one vector column. The boundary is driven
+// through the builder's own counters, not a 16 GiB allocation.
+func TestSlabIndexGuard(t *testing.T) {
+	var col matCol
+	if err := col.endRow(math.MaxInt32); err != nil || col.offs[0] != math.MaxInt32 {
+		t.Fatalf("endRow at the last representable offset: %v, offs %v", err, col.offs)
 	}
-	// Rows() must degrade to the reuse relation, not fail.
-	n := 0
-	if err := tbl.Rows().Scan(func(Tuple) error { n++; return nil }); err != nil {
+	var so *SlabOverflowError
+	if err := col.endRow(math.MaxInt32 + 1); !errors.As(err, &so) || so.Count != math.MaxInt32+1 {
+		t.Fatalf("endRow past int32 = %v, want *SlabOverflowError", err)
+	}
+	if len(col.offs) != 1 {
+		t.Fatalf("a refused offset was appended: %d offsets", len(col.offs))
+	}
+
+	b := NewMatBuilder(Schema{{Name: "x", Type: TInt64}}, 0, 0)
+	if err := b.Add(Tuple{I64(1)}); err != nil {
 		t.Fatal(err)
 	}
-	if n != 3 {
-		t.Fatalf("fallback relation scanned %d rows, want 3", n)
+	b.n = math.MaxInt32 // as if that many rows had been added
+	if err := b.Add(Tuple{I64(2)}); !errors.As(err, &so) {
+		t.Fatalf("Add past 2^31-1 rows = %v, want *SlabOverflowError", err)
+	}
+	if b.n != math.MaxInt32 || len(b.cols[0].ints) != 1 {
+		t.Fatalf("a refused row was added: n=%d, %d cells", b.n, len(b.cols[0].ints))
 	}
 }
 

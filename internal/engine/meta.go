@@ -171,8 +171,7 @@ type RecoveryReport struct {
 	// Model/__meta pair members never appear here — corrupt coefficient or
 	// metadata pages condemn the pair into Skipped instead.
 	Quarantined map[string][]int
-	// Repaired maps table names to what the open repaired in place:
-	// a pre-checksum heap migrated to the checksummed format, or a torn
+	// Repaired maps table names to what the open repaired in place: a torn
 	// (non-page-aligned) tail truncated back to the last full page.
 	Repaired map[string]string
 }
@@ -201,9 +200,8 @@ func (r RecoveryReport) Clean() bool {
 //     heaps are quarantined as *.heap.orphaned rather than reopened. A
 //     truncated PLAIN table (no pair partner) is repaired instead: the
 //     torn tail is cut back to the last full page and the loss reported.
-//  3. Opening each survivor doubles as a scrub: every page is verified,
-//     pre-checksum heaps are migrated to the checksummed format, and
-//     corrupt pages are quarantined. Model pair members with quarantined
+//  3. Opening each survivor doubles as a scrub: every page is verified
+//     and corrupt pages are quarantined. Model pair members with quarantined
 //     pages are condemned (a model is never served degraded); plain
 //     tables register with their corruption map surfaced in Quarantined.
 //  4. Uncommitted shadow heaps (*__shadow.heap) and stale checkpoint temp
@@ -335,24 +333,17 @@ func OpenFileCatalogIO(dir string, poolPages int, io IOHooks) (*Catalog, error) 
 		for _, cm := range tm.Columns {
 			schema = append(schema, Column{Name: cm.Name, Type: Type(cm.Type)})
 		}
-		t, info, err := c.createTrusted(tm.Name, schema, repairTail[tm.Name])
+		t, repaired, err := c.createTrusted(tm.Name, schema, repairTail[tm.Name])
 		if err != nil {
-			// The heap cannot be opened at all (unreadable file, failed
-			// legacy migration). Same treatment as a missing heap — clean
-			// absence, partner condemned below.
+			// The heap cannot be opened at all (unreadable file). Same
+			// treatment as a missing heap — clean absence, partner
+			// condemned below.
 			c.Recovery.Skipped[tm.Name] = fmt.Sprintf("heap unreadable: %v", err)
 			c.quarantineHeap(tm.Name)
 			continue
 		}
-		var repairs []string
-		if info.migrated {
-			repairs = append(repairs, "migrated pre-checksum heap to the checksummed page format")
-		}
-		if info.repairedBytes > 0 {
-			repairs = append(repairs, fmt.Sprintf("truncated torn tail (%d bytes past the last full page)", info.repairedBytes))
-		}
-		if len(repairs) > 0 {
-			c.Recovery.Repaired[tm.Name] = strings.Join(repairs, "; ")
+		if repaired > 0 {
+			c.Recovery.Repaired[tm.Name] = fmt.Sprintf("truncated torn tail (%d bytes past the last full page)", repaired)
 		}
 		if q := t.QuarantinedPages(); len(q) > 0 {
 			if isPairMember(tm.Name) {
@@ -513,14 +504,8 @@ func (c *Catalog) sweepStrayFiles() {
 			continue
 		}
 		n := e.Name()
-		if strings.HasSuffix(n, ShadowSuffix+".heap") ||
-			// A crash mid-migration leaves <name>.heap.migrate next to the
-			// intact legacy file; the next open of that heap replaces it,
-			// but a heap nothing references anymore would keep it forever.
-			strings.HasSuffix(n, ".heap.migrate") {
-			if os.Remove(filepath.Join(c.dir, n)) == nil {
-				c.Recovery.Swept = append(c.Recovery.Swept, n)
-			}
+		if strings.HasSuffix(n, ShadowSuffix+".heap") && os.Remove(filepath.Join(c.dir, n)) == nil {
+			c.Recovery.Swept = append(c.Recovery.Swept, n)
 		}
 	}
 	os.Remove(filepath.Join(c.dir, catalogFile+".tmp"))

@@ -22,27 +22,28 @@ const (
 // Page header layout (8 bytes):
 //
 //	[0]    kind
-//	[1]    format version (0 = legacy pre-checksum, 1 = checksummed)
+//	[1]    format version (always 1)
 //	[2:4]  slotCount  (data pages)
 //	[4:6]  freeLow    (first byte after the slot directory)
 //	[6:8]  freeHigh   (first byte of the record area)
 //
 // The slot directory grows forward from byte 8; each entry is 4 bytes
 // (offset uint16, length uint16). Records grow backward from the end of the
-// payload area. Version-1 pages reserve their last 4 bytes for a CRC32C
-// (Castagnoli) trailer covering everything before it — header, slots,
-// records, and padding, so a bit flip anywhere in the page (including the
-// version byte itself) fails verification. Version-0 pages have no trailer;
-// whole files of them are migrated to version 1 at open.
+// payload area, which stops at payloadEnd: the last 4 bytes of every page
+// are a CRC32C (Castagnoli) trailer covering everything before it — header,
+// slots, records, and padding, so a bit flip anywhere in the page fails
+// verification. There is one format: a page without a valid trailer is a
+// corrupt page, whatever its version byte says.
 const (
 	pageHeaderSize  = 8
 	slotEntrySize   = 4
 	pageTrailerSize = 4
 	pageFormatV1    = 1
+	payloadEnd      = PageSize - pageTrailerSize
 )
 
 // maxInlineRecord is the largest record that fits in a single data page.
-const maxInlineRecord = PageSize - pageHeaderSize - slotEntrySize - pageTrailerSize
+const maxInlineRecord = payloadEnd - pageHeaderSize - slotEntrySize
 
 // castagnoli is the CRC32C polynomial table (hardware-accelerated on
 // amd64/arm64), the same checksum family RocksDB and ext4 metadata use.
@@ -67,43 +68,23 @@ func (p page) init(kind uint8) {
 	if kind == pageData {
 		p.setSlotCount(0)
 		p.setFreeLow(pageHeaderSize)
-		p.setFreeHigh(PageSize - pageTrailerSize)
+		p.setFreeHigh(payloadEnd)
 	}
 }
 
-func (p page) kind() uint8    { return p[0] }
-func (p page) version() uint8 { return p[1] }
-
-// payloadEnd returns the first byte past the usable payload area: v1 pages
-// stop short of the checksum trailer, legacy pages run to the page end.
-// Per-page dispatch keeps the scan code able to read a legacy file during
-// its one-shot migration.
-func (p page) payloadEnd() int {
-	if p.version() == 0 {
-		return PageSize
-	}
-	return PageSize - pageTrailerSize
-}
+func (p page) kind() uint8 { return p[0] }
 
 // seal computes and stores the checksum trailer. Called once per page as it
 // is written to a file store; in-memory stores never verify, so sealing
 // their pages would be wasted work.
 func (p page) seal() {
-	if p.version() == 0 {
-		return
-	}
-	sum := crc32.Checksum(p[:PageSize-pageTrailerSize], castagnoli)
-	binary.LittleEndian.PutUint32(p[PageSize-pageTrailerSize:], sum)
+	binary.LittleEndian.PutUint32(p[payloadEnd:], crc32.Checksum(p[:payloadEnd], castagnoli))
 }
 
-// checksumOK recomputes the checksum and compares it to the trailer. It is
-// format-unconditional on purpose: a v1 file verifies EVERY page this way,
-// so rot that flips the version byte to 0 cannot talk a page out of being
-// verified (the CRC covers byte 1).
+// checksumOK recomputes the checksum and compares it to the trailer.
 func (p page) checksumOK() bool {
 	crcVerifies.Add(1)
-	sum := crc32.Checksum(p[:PageSize-pageTrailerSize], castagnoli)
-	return binary.LittleEndian.Uint32(p[PageSize-pageTrailerSize:]) == sum
+	return binary.LittleEndian.Uint32(p[payloadEnd:]) == crc32.Checksum(p[:payloadEnd], castagnoli)
 }
 
 func (p page) slotCount() int     { return int(binary.LittleEndian.Uint16(p[2:4])) }
@@ -147,7 +128,7 @@ func (p page) record(i int) ([]byte, error) {
 	slotPos := pageHeaderSize + i*slotEntrySize
 	off := int(binary.LittleEndian.Uint16(p[slotPos:]))
 	ln := int(binary.LittleEndian.Uint16(p[slotPos+2:]))
-	if off+ln > p.payloadEnd() || off < pageHeaderSize {
+	if off+ln > payloadEnd || off < pageHeaderSize {
 		return nil, fmt.Errorf("engine: corrupt slot %d (off=%d len=%d)", i, off, ln)
 	}
 	return p[off : off+ln], nil

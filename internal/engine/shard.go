@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // This file implements horizontal table sharding — the storage half of the
 // shared-nothing training mode. A ShardedTable partitions one table's rows
@@ -11,8 +8,7 @@ import (
 // cached epoch pipeline over a private slice of the data with no shared
 // mutable state at all (the scale-out counterpart of the paper's pure-UDA
 // plan, whose segments still share one heap and one buffer pool). Shards
-// of a cacheable source copy nothing: each is a row index over the
-// source's immutable slabs.
+// copy nothing: each is a row index over the source's immutable slabs.
 
 // ShardStrategy selects how rows are assigned to shards.
 type ShardStrategy int
@@ -68,8 +64,8 @@ type ShardedTable struct {
 // ShardCounts computes the per-shard row counts a k-way partition of n
 // rows would produce, without building anything: both strategies assign by
 // row index alone, so the distribution is a pure function of (n, k). SHOW
-// SHARDS reports through this — partitioning a near-limit table twice just
-// to print 2×k integers would be a multi-gigabyte diagnostic.
+// SHARDS reports through this — materializing a large table just to print
+// 2×k integers would be a multi-gigabyte diagnostic.
 func ShardCounts(n, k int, strategy ShardStrategy) ([]int, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("engine: shard count must be >= 1, got %d", k)
@@ -93,64 +89,34 @@ func ShardCounts(n, k int, strategy ShardStrategy) ([]int, error) {
 	return counts, nil
 }
 
-// ShardTable partitions src's rows into k shards under the given strategy.
-// A source within the materialization budget is partitioned by row index
-// over its decoded-row cache (built here if it has none): the shards are
-// slab-only tables sharing the source's slabs, so no row is copied, encoded
-// or decoded. An over-budget source is re-inserted into k shard heaps that
-// are pinned out of the cache — each would fit the per-table budget on its
-// own, so without the pin a later lazy Materialize per shard would rebuild,
-// K pieces at a time, the exact decoded copy the source was refused.
+// ShardTable partitions src's rows into k shards under the given strategy,
+// by row index over its decoded-row cache (built here if it has none): the
+// shards are slab-only tables sharing the source's slabs, so no row is
+// copied, encoded or decoded.
 func ShardTable(src *Table, k int, strategy ShardStrategy) (*ShardedTable, error) {
 	rows, err := ShardCounts(src.NumRows(), k, strategy)
 	if err != nil {
 		return nil, err
 	}
-	shardOf := func(row uint64) uint64 {
-		if strategy == ShardHash {
-			return mix64(row) % uint64(k)
-		}
-		return row % uint64(k)
-	}
-	st := &ShardedTable{Name: src.Name, Schema: src.Schema, Strategy: strategy,
-		shards: make([]*Table, k), rows: rows}
-	name := func(i int) string { return fmt.Sprintf("%s__shard%d", src.Name, i) }
-
 	mat, err := src.Materialize()
-	if err == nil {
-		idx := make([][]int32, k)
-		for i := range idx {
-			idx[i] = make([]int32, 0, rows[i])
-		}
-		for row := 0; row < mat.NumRows(); row++ {
-			si := shardOf(uint64(row))
-			idx[si] = append(idx[si], int32(row))
-		}
-		for i := range st.shards {
-			st.shards[i] = slabTable(name(i), mat.subset(idx[i]))
-		}
-		return st, nil
-	}
-	if !errors.Is(err, ErrUncacheable) {
-		return nil, err
-	}
-	for i := range st.shards {
-		st.shards[i] = NewMemTable(name(i), src.Schema)
-		st.shards[i].uncacheable = true
-	}
-	row := uint64(0)
-	err = src.ScanReuse(func(tp Tuple) error {
-		si := shardOf(row)
-		row++
-		return st.shards[si].Insert(tp)
-	})
 	if err != nil {
 		return nil, err
 	}
-	for _, t := range st.shards {
-		if err := t.Flush(); err != nil {
-			return nil, err
+	idx := make([][]int32, k)
+	for i := range idx {
+		idx[i] = make([]int32, 0, rows[i])
+	}
+	for row := 0; row < mat.NumRows(); row++ {
+		si := uint64(row) % uint64(k)
+		if strategy == ShardHash {
+			si = mix64(uint64(row)) % uint64(k)
 		}
+		idx[si] = append(idx[si], int32(row))
+	}
+	st := &ShardedTable{Name: src.Name, Schema: src.Schema, Strategy: strategy,
+		shards: make([]*Table, k), rows: rows}
+	for i := range st.shards {
+		st.shards[i] = slabTable(fmt.Sprintf("%s__shard%d", src.Name, i), mat.subset(idx[i]))
 	}
 	return st, nil
 }

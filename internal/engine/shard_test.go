@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 )
@@ -218,49 +217,5 @@ func TestShardCountsMatchShardTable(t *testing.T) {
 	}
 	if _, err := ShardCounts(10, 2, ShardStrategy(9)); err == nil {
 		t.Fatal("unknown strategy must error")
-	}
-}
-
-// TestShardTableOverBudgetSourceStaysUndecoded reproduces the budget
-// bypass: each shard of an over-budget source fits the per-table
-// materialization limit on its own, so without the uncacheable pin a lazy
-// per-shard Materialize would rebuild — K pieces at a time — the full
-// decoded copy the source itself was refused. Shards of such a source
-// must refuse the cache and scan through reusable scratch instead.
-func TestShardTableOverBudgetSourceStaysUndecoded(t *testing.T) {
-	old := MaterializeLimitBytes
-	defer func() { MaterializeLimitBytes = old }()
-
-	src := shardSrcTable(t, 200)
-	MaterializeLimitBytes = 1 // the source no longer fits
-	if src.Cacheable() {
-		t.Fatal("source should be over budget")
-	}
-	sharded, err := ShardTable(src, 4, ShardRoundRobin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sharded.Close()
-	total := 0
-	for i := 0; i < sharded.NumShards(); i++ {
-		sh := sharded.Shard(i)
-		if sh.CachedRows() != nil {
-			t.Fatalf("shard %d primed a cache for an over-budget source", i)
-		}
-		if sh.Cacheable() {
-			t.Fatalf("shard %d reports cacheable", i)
-		}
-		if _, err := sh.Materialize(); !errors.Is(err, ErrUncacheable) {
-			t.Fatalf("shard %d Materialize: %v, want ErrUncacheable", i, err)
-		}
-		// The reuse-scratch scan path still serves every row.
-		rows := 0
-		if err := sh.ScanReuse(func(Tuple) error { rows++; return nil }); err != nil {
-			t.Fatal(err)
-		}
-		total += rows
-	}
-	if total != 200 {
-		t.Fatalf("reuse scans covered %d rows, want 200", total)
 	}
 }

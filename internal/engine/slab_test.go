@@ -192,23 +192,13 @@ func TestSlabViewRetainedCellsStable(t *testing.T) {
 	}
 }
 
-// TestIndexShardMatchesReinsert: shards of a cached source are row indexes
-// over its slabs — no per-row allocation — and every shard scans exactly
-// the rows, in the order, that re-inserting them into shard heaps (the
-// over-budget path, and the only path before) produces; ShardChunks frames
-// are byte-identical.
+// TestIndexShardMatchesReinsert: shards are row indexes over the source's
+// slabs — no per-row allocation — and shard i scans exactly the rows r, in
+// source order, that the partition function assigns it (r % k, or
+// mix64(r) % k), as re-inserting them into a shard heap would hold them;
+// ShardChunks frames are those records cut at the byte budget.
 func TestIndexShardMatchesReinsert(t *testing.T) {
-	const n = 1000
-	chunks := func(st *ShardedTable, i int) [][]byte {
-		var out [][]byte
-		if err := st.ShardChunks(i, 4096, func(recs [][]byte) error {
-			out = append(out, bytes.Join(recs, []byte{0xff}))
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
+	const n, budget = 1000, 4096
 	permuted := func(tb *Table) [][]byte {
 		mat, err := tb.Materialize()
 		if err != nil {
@@ -234,38 +224,49 @@ func TestIndexShardMatchesReinsert(t *testing.T) {
 					t.Errorf("index sharding of %d rows made %d allocations: per-row work", n, m)
 				}
 
-				old := MaterializeLimitBytes
-				MaterializeLimitBytes = 1 // force the re-insert path
-				heapSrc := NewMemTable("src", src.Schema)
-				for i := 0; i < n; i++ {
-					heapSrc.MustInsert(slabRow(i))
+				// The oracle: the partition function over the row generator.
+				reinserted := make([]*Table, k)
+				for i := range reinserted {
+					reinserted[i] = NewMemTable("ref", src.Schema)
 				}
-				reinserted, err := ShardTable(heapSrc, k, strat)
-				MaterializeLimitBytes = old
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer reinserted.Close()
-
-				if fmt.Sprint(indexed.RowCounts()) != fmt.Sprint(reinserted.RowCounts()) {
-					t.Fatalf("row counts %v != %v", indexed.RowCounts(), reinserted.RowCounts())
+				for r := 0; r < n; r++ {
+					i := uint64(r) % uint64(k)
+					if strat == ShardHash {
+						i = mix64(uint64(r)) % uint64(k)
+					}
+					reinserted[i].MustInsert(slabRow(r))
 				}
 				for i := 0; i < k; i++ {
 					sh := indexed.Shard(i)
 					if !sh.slabOnly.Load() || sh.CachedRows() == nil {
 						t.Fatalf("shard %d is not a slab-only table with a fresh cache", i)
 					}
-					want := encodedRows(t, reinserted.Shard(i).Scan)
+					want := encodedRows(t, reinserted[i].Scan)
+					if indexed.RowCounts()[i] != len(want) {
+						t.Fatalf("shard %d counts %d rows, want %d", i, indexed.RowCounts()[i], len(want))
+					}
 					sameRecords(t, "cached scan", encodedRows(t, sh.Rows().Scan), want)
-					// A permuted view of the shard is the same permutation
-					// of the same rows the re-inserted shard's view yields
-					// (ref: a cacheable copy of the pinned-out shard).
-					ref := NewMemTable("ref", src.Schema)
-					if err := reinserted.Shard(i).CopyTo(ref); err != nil {
+					// A permuted view of the shard is the same permutation of
+					// the same rows the re-inserted shard's view yields.
+					sameRecords(t, "permuted view", permuted(sh), permuted(reinserted[i]))
+
+					var frames, wantFrames [][]byte
+					if err := indexed.ShardChunks(i, budget, func(recs [][]byte) error {
+						frames = append(frames, bytes.Join(recs, []byte{0xff}))
+						return nil
+					}); err != nil {
 						t.Fatal(err)
 					}
-					sameRecords(t, "permuted view", permuted(sh), permuted(ref))
-					sameRecords(t, "ShardChunks", chunks(indexed, i), chunks(reinserted, i))
+					for lo := 0; lo < len(want); {
+						hi, size := lo, 0
+						for hi < len(want) && (hi == lo || size+len(want[hi]) <= budget) {
+							size += len(want[hi])
+							hi++
+						}
+						wantFrames = append(wantFrames, bytes.Join(want[lo:hi], []byte{0xff}))
+						lo = hi
+					}
+					sameRecords(t, "ShardChunks", frames, wantFrames)
 					sameRecords(t, "page scan", encodedRows(t, sh.Scan), want) // builds the lazy heap
 				}
 			})

@@ -46,12 +46,6 @@ type Table struct {
 	version atomic.Uint64
 	matMu   sync.Mutex
 	mat     *Materialized
-	// uncacheable pins the table out of the decoded-row cache regardless
-	// of its own size. ShardTable sets it on the shards of an over-budget
-	// source: each shard fits the per-table budget, but materializing all
-	// of them would rebuild the full decoded copy the source itself was
-	// refused.
-	uncacheable bool
 }
 
 // NewMemTable creates an in-memory table.
@@ -75,15 +69,15 @@ func (t *Table) pages() *Heap {
 	return t.heap
 }
 
-// newFileTable creates/opens a file-backed table under dir, reporting what
-// the open had to repair (legacy-format migration, torn-tail truncation).
-func newFileTable(dir, name string, schema Schema, poolPages int, io *IOHooks, repairTail bool) (*Table, heapOpenInfo, error) {
-	h, info, err := openFileHeap(filepath.Join(dir, name+".heap"), poolPages, io, repairTail)
+// newFileTable creates/opens a file-backed table under dir, reporting how
+// many bytes of torn tail the open truncated (repairTail only).
+func newFileTable(dir, name string, schema Schema, poolPages int, io *IOHooks, repairTail bool) (*Table, int64, error) {
+	h, repaired, err := openFileHeap(filepath.Join(dir, name+".heap"), poolPages, io, repairTail)
 	if err != nil {
-		return nil, info, err
+		return nil, 0, err
 	}
 	h.table = name
-	return &Table{Name: name, Schema: schema, heap: h}, info, nil
+	return &Table{Name: name, Schema: schema, heap: h}, repaired, nil
 }
 
 // Insert appends one tuple, validating it against the schema.
@@ -141,16 +135,25 @@ func (t *Table) Scan(fn func(Tuple) error) error {
 // index panic deep inside task code) return a *CorruptRecordError.
 func (t *Table) ScanPages(from, to int, fn func(Tuple) error) error {
 	return t.pages().ScanPages(from, to, func(rec []byte) error {
-		tp, err := DecodeTuple(rec)
+		tp, err := t.decode(rec, NewTupleScratch(t.Schema))
 		if err != nil {
-			return corrupt(t.Name, "%v", err)
-		}
-		if !tp.Matches(t.Schema) {
-			return corrupt(t.Name, "decoded %d columns, schema wants %d (or type mismatch)",
-				len(tp), len(t.Schema))
+			return err
 		}
 		return fn(tp)
 	})
+}
+
+// decode parses one heap record under the table's schema into sc, stamping
+// the table's name into a *CorruptRecordError.
+func (t *Table) decode(rec []byte, sc *TupleScratch) (Tuple, error) {
+	tp, err := DecodeTupleInto(rec, sc)
+	if err != nil {
+		var ce *CorruptRecordError
+		if errors.As(err, &ce) && ce.Table == "" {
+			ce.Table = t.Name
+		}
+	}
+	return tp, err
 }
 
 // ScanSegment makes Table satisfy the Relation scan contract; segments are
@@ -172,12 +175,8 @@ func (t *Table) ScanReuse(fn func(Tuple) error) error {
 func (t *Table) ScanPagesReuse(from, to int, fn func(Tuple) error) error {
 	sc := NewTupleScratch(t.Schema)
 	return t.pages().ScanPages(from, to, func(rec []byte) error {
-		tp, err := DecodeTupleInto(rec, sc)
+		tp, err := t.decode(rec, sc)
 		if err != nil {
-			var ce *CorruptRecordError
-			if errors.As(err, &ce) && ce.Table == "" {
-				ce.Table = t.Name
-			}
 			return err
 		}
 		return fn(tp)
@@ -213,10 +212,6 @@ func (t *Table) ScanReuseDegraded(fn func(Tuple) error) (DegradedStats, error) {
 			badRecs++
 			return nil
 		}
-		if !tp.Matches(t.Schema) {
-			badRecs++
-			return nil
-		}
 		return fn(tp)
 	})
 	stats.SkippedRows += badRecs
@@ -238,29 +233,6 @@ func (t *Table) QuarantinedPages() map[int]string { return t.heap.QuarantinedPag
 // scans over it fail with a *CorruptPageError until it is rewritten.
 func (t *Table) Degraded() bool { return len(t.heap.QuarantinedPages()) > 0 }
 
-// MaterializeLimitBytes caps how much heap a table may occupy and still be
-// eligible for the decoded-row cache; larger tables fall back to the
-// reusable-scratch scan path. The limit is deliberately generous — the
-// cache is the whole point of the epoch pipeline — but keeps a pathological
-// table from doubling its footprint in decoded form.
-var MaterializeLimitBytes = 1 << 30
-
-// ErrUncacheable reports that a table exceeds MaterializeLimitBytes;
-// callers fall back to ScanReuse.
-var ErrUncacheable = errors.New("engine: table exceeds the materialization limit")
-
-// Cacheable reports whether the table is eligible for the decoded-row
-// cache: within the materialization budget and not pinned out of it. The
-// one estimate every priming gate shares — Materialize, the spec layer's
-// view projection, and ShardTable all decide through it, so "primed" and
-// "materializable" cannot drift apart.
-func (t *Table) Cacheable() bool {
-	if t.uncacheable {
-		return false
-	}
-	return int64(t.heap.NumPages()+1)*PageSize <= int64(MaterializeLimitBytes)
-}
-
 // Materialize returns the table's decoded-row cache, building (or
 // rebuilding) it when the table version has moved since the last build.
 // The returned cache is immutable and shared: callers that reorder rows
@@ -272,9 +244,6 @@ func (t *Table) Materialize() (*Materialized, error) {
 	v := t.Version()
 	if t.mat != nil && t.mat.version == v {
 		return t.mat, nil
-	}
-	if !t.Cacheable() {
-		return nil, ErrUncacheable
 	}
 	b := NewMatBuilder(t.Schema, t.NumRows(), (t.heap.NumPages()+1)*PageSize)
 	if err := t.ScanReuse(func(tp Tuple) error { return b.Add(tp) }); err != nil {
@@ -347,11 +316,7 @@ func (t *Table) Shuffle(rng *rand.Rand) error {
 		tp Tuple
 	}
 	var rows []keyed
-	err := t.pages().Scan(func(rec []byte) error {
-		tp, err := DecodeTuple(rec)
-		if err != nil {
-			return err
-		}
+	err := t.Scan(func(tp Tuple) error {
 		rows = append(rows, keyed{k: rng.Float64(), tp: tp})
 		return nil
 	})
@@ -379,8 +344,9 @@ func (t *Table) ClusterBy(key func(Tuple) float64) error {
 		b []byte
 	}
 	var recs []rec
+	sc := NewTupleScratch(t.Schema)
 	err := t.pages().Scan(func(b []byte) error {
-		tp, err := DecodeTuple(b)
+		tp, err := t.decode(b, sc)
 		if err != nil {
 			return err
 		}
@@ -543,38 +509,39 @@ func (c *Catalog) Create(name string, schema Schema) (*Table, error) {
 // written by an older release with laxer rules — because refusing one
 // legacy name would strand every other table in the catalog. repairTail
 // additionally truncates a torn (non-page-aligned) heap tail back to the
-// last full page; recovery grants it only to tables outside model pairs.
-func (c *Catalog) createTrusted(name string, schema Schema, repairTail bool) (*Table, heapOpenInfo, error) {
+// last full page, returning the bytes cut; recovery grants it only to
+// tables outside model pairs.
+func (c *Catalog) createTrusted(name string, schema Schema, repairTail bool) (*Table, int64, error) {
 	return c.create(name, schema, true, repairTail)
 }
 
-func (c *Catalog) create(name string, schema Schema, trusted, repairTail bool) (*Table, heapOpenInfo, error) {
+func (c *Catalog) create(name string, schema Schema, trusted, repairTail bool) (*Table, int64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var info heapOpenInfo
 	if _, ok := c.tables[name]; ok {
-		return nil, info, fmt.Errorf("engine: table %q already exists", name)
+		return nil, 0, fmt.Errorf("engine: table %q already exists", name)
 	}
 	if !trusted && c.dir != "" {
 		for existing := range c.tables {
 			if strings.EqualFold(existing, name) {
-				return nil, info, fmt.Errorf("engine: table name %q collides case-insensitively with existing %q", name, existing)
+				return nil, 0, fmt.Errorf("engine: table name %q collides case-insensitively with existing %q", name, existing)
 			}
 		}
 	}
 	var t *Table
+	var repaired int64
 	var err error
 	if c.dir == "" {
 		t = NewMemTable(name, schema)
 	} else {
-		t, info, err = newFileTable(c.dir, name, schema, c.poolPages, &c.IO, repairTail)
+		t, repaired, err = newFileTable(c.dir, name, schema, c.poolPages, &c.IO, repairTail)
 		if err != nil {
-			return nil, info, err
+			return nil, 0, err
 		}
 	}
 	c.tables[name] = t
 	c.bumpGen(name)
-	return t, info, nil
+	return t, repaired, nil
 }
 
 // FindCaseConflict returns an existing table name equal to name under

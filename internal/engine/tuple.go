@@ -166,101 +166,6 @@ func (t Tuple) Encode() []byte {
 	return buf
 }
 
-// DecodeTuple parses a record produced by Encode. It returns an error rather
-// than panicking so corrupt pages surface cleanly.
-func DecodeTuple(buf []byte) (Tuple, error) {
-	var t Tuple
-	for len(buf) > 0 {
-		ty := Type(buf[0])
-		buf = buf[1:]
-		var v Value
-		v.Type = ty
-		switch ty {
-		case TInt64:
-			if len(buf) < 8 {
-				return nil, fmt.Errorf("engine: decode: short int64")
-			}
-			v.Int = int64(binary.LittleEndian.Uint64(buf))
-			buf = buf[8:]
-		case TFloat64:
-			if len(buf) < 8 {
-				return nil, fmt.Errorf("engine: decode: short float64")
-			}
-			v.Float = math.Float64frombits(binary.LittleEndian.Uint64(buf))
-			buf = buf[8:]
-		case TString:
-			n, rest, err := readLen(buf)
-			if err != nil {
-				return nil, err
-			}
-			if len(rest) < n {
-				return nil, fmt.Errorf("engine: decode: short string")
-			}
-			v.Str = string(rest[:n])
-			buf = rest[n:]
-		case TDenseVec:
-			n, rest, err := readLen(buf)
-			if err != nil {
-				return nil, err
-			}
-			if len(rest) < 8*n {
-				return nil, fmt.Errorf("engine: decode: short dense vec")
-			}
-			v.Dense = make(vector.Dense, n)
-			for i := 0; i < n; i++ {
-				v.Dense[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[8*i:]))
-			}
-			buf = rest[8*n:]
-		case TSparseVec:
-			n, rest, err := readLen(buf)
-			if err != nil {
-				return nil, err
-			}
-			if len(rest) < 12*n {
-				return nil, fmt.Errorf("engine: decode: short sparse vec")
-			}
-			v.Sparse.Idx = make([]int32, n)
-			v.Sparse.Val = make([]float64, n)
-			prev := int32(-1)
-			for i := 0; i < n; i++ {
-				ix := int32(binary.LittleEndian.Uint32(rest[4*i:]))
-				// Sparse indices are strictly ascending and non-negative by
-				// construction (vector.NewSparse); a violation means the
-				// record bytes are corrupt, and must be rejected here — the
-				// sorted-index fast paths of the vector kernels trust the
-				// last index to bound all of them.
-				if ix <= prev {
-					return nil, fmt.Errorf("engine: decode: sparse vec indices not ascending")
-				}
-				prev = ix
-				v.Sparse.Idx[i] = ix
-			}
-			rest = rest[4*n:]
-			for i := 0; i < n; i++ {
-				v.Sparse.Val[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[8*i:]))
-			}
-			buf = rest[8*n:]
-		case TInt32Vec:
-			n, rest, err := readLen(buf)
-			if err != nil {
-				return nil, err
-			}
-			if len(rest) < 4*n {
-				return nil, fmt.Errorf("engine: decode: short int32 vec")
-			}
-			v.Ints = make([]int32, n)
-			for i := 0; i < n; i++ {
-				v.Ints[i] = int32(binary.LittleEndian.Uint32(rest[4*i:]))
-			}
-			buf = rest[4*n:]
-		default:
-			return nil, fmt.Errorf("engine: decode: unknown type tag %d", ty)
-		}
-		t = append(t, v)
-	}
-	return t, nil
-}
-
 func readLen(buf []byte) (int, []byte, error) {
 	if len(buf) < 4 {
 		return 0, nil, fmt.Errorf("engine: decode: short length prefix")
@@ -336,7 +241,9 @@ func (sc *TupleScratch) growI32(col, n int) []int32 {
 // reusable buffers, validating arity and column types against the scratch's
 // schema as it goes. The returned tuple (and every slice-typed cell in it)
 // aliases the scratch and is only valid until the next call; callers that
-// retain rows must use DecodeTuple instead. Steady state allocates nothing.
+// retain a row decode it through a scratch of its own. It returns a
+// *CorruptRecordError rather than panicking so corrupt pages surface
+// cleanly. Steady state allocates nothing.
 func DecodeTupleInto(buf []byte, sc *TupleScratch) (Tuple, error) {
 	col := 0
 	for len(buf) > 0 {
@@ -391,9 +298,11 @@ func DecodeTupleInto(buf []byte, sc *TupleScratch) (Tuple, error) {
 			prev := int32(-1)
 			for i := 0; i < n; i++ {
 				ix := int32(binary.LittleEndian.Uint32(rest[4*i:]))
-				// Same ascending-index invariant as DecodeTuple: the vector
-				// kernels' fast paths trust the last index to bound all of
-				// them, so corrupt orderings must die here, typed.
+				// Sparse indices are strictly ascending and non-negative by
+				// construction (vector.NewSparse); a violation means the
+				// record bytes are corrupt, and must be rejected here — the
+				// sorted-index fast paths of the vector kernels trust the
+				// last index to bound all of them.
 				if ix <= prev {
 					return nil, corrupt("", "sparse vec indices not ascending in column %d", col)
 				}

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -74,9 +76,18 @@ func tuplesEqual(a, b Tuple) bool {
 	return true
 }
 
+// decodeAs decodes rec under a schema built from want's cell types.
+func decodeAs(want Tuple, rec []byte) (Tuple, error) {
+	s := make(Schema, len(want))
+	for i, v := range want {
+		s[i].Type = v.Type
+	}
+	return DecodeTupleInto(rec, NewTupleScratch(s))
+}
+
 func TestTupleEncodeDecodeRoundTrip(t *testing.T) {
 	tp := sampleTuple()
-	got, err := DecodeTuple(tp.Encode())
+	got, err := decodeAs(tp, tp.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,25 +103,79 @@ func TestTupleEncodeSizeExact(t *testing.T) {
 	}
 }
 
+// TestDecodeTruncatedFails: every proper prefix is rejected with the typed
+// error — a cut at a column boundary too, where a schema-less decoder would
+// have returned a shorter tuple.
 func TestDecodeTruncatedFails(t *testing.T) {
-	enc := sampleTuple().Encode()
-	for cut := 1; cut < len(enc); cut += 7 {
-		if _, err := DecodeTuple(enc[:cut]); err == nil {
-			// Truncation at a value boundary legitimately yields a shorter
-			// tuple; only fail when the cut is mid-value and decode
-			// silently succeeds with the full prefix AND consumed garbage.
-			tp, _ := DecodeTuple(enc[:cut])
-			if tp == nil {
-				t.Fatalf("cut=%d: decode succeeded but returned nil", cut)
-			}
+	tp := sampleTuple()
+	enc := tp.Encode()
+	for cut := 0; cut < len(enc); cut++ {
+		var ce *CorruptRecordError
+		if got, err := decodeAs(tp, enc[:cut]); !errors.As(err, &ce) || got != nil {
+			t.Fatalf("cut=%d: decoded %v, %v; want a *CorruptRecordError", cut, got, err)
 		}
 	}
 }
 
 func TestDecodeUnknownTagFails(t *testing.T) {
-	if _, err := DecodeTuple([]byte{0xFF, 1, 2, 3}); err == nil {
-		t.Fatal("expected error for unknown type tag")
+	for _, want := range []Tuple{{I64(0)}, {{Type: 0xFF}}} {
+		var ce *CorruptRecordError
+		if _, err := decodeAs(want, []byte{0xFF, 1, 2, 3}); !errors.As(err, &ce) {
+			t.Fatalf("unknown type tag under %v: %v, want a *CorruptRecordError", want, err)
+		}
 	}
+}
+
+// FuzzDecodeTupleInto: for any schema and any bytes the decoder returns
+// either a tuple that re-encodes to exactly the input or a
+// *CorruptRecordError — never a panic, and never a buffer longer than the
+// input could fill (a hostile length prefix must be refused before it is
+// allocated).
+func FuzzDecodeTupleInto(f *testing.F) {
+	types := func(tp Tuple) []byte {
+		out := make([]byte, len(tp))
+		for i, v := range tp {
+			out[i] = byte(v.Type)
+		}
+		return out
+	}
+	sample := sampleTuple()
+	enc := sample.Encode()
+	f.Add(types(sample), enc)
+	f.Add(types(sample), enc[:len(enc)/2])
+	f.Add(types(sample), enc[:9]) // cut at the first column boundary
+	f.Add(types(sample[:1]), enc)
+	f.Add([]byte{byte(TInt64)}, []byte{0xFF, 1, 2, 3})
+	f.Add([]byte{byte(TDenseVec)}, []byte{byte(TDenseVec), 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{byte(TSparseVec)}, Tuple{SparseV(vector.Sparse{Idx: []int32{7, 2}, Val: []float64{1, 2}})}.Encode())
+	f.Add([]byte{}, []byte{})
+	f.Fuzz(func(t *testing.T, colTypes, rec []byte) {
+		if len(colTypes) > 16 {
+			colTypes = colTypes[:16]
+		}
+		schema := make(Schema, len(colTypes))
+		for i, ty := range colTypes {
+			schema[i].Type = Type(ty)
+		}
+		sc := NewTupleScratch(schema)
+		tp, err := DecodeTupleInto(rec, sc)
+		for c := range schema {
+			if 8*cap(sc.f64[c]) > len(rec) || 4*cap(sc.i32[c]) > len(rec) {
+				t.Fatalf("column %d buffers (%d floats, %d ints) outgrew a %d-byte record",
+					c, cap(sc.f64[c]), cap(sc.i32[c]), len(rec))
+			}
+		}
+		if err != nil {
+			var ce *CorruptRecordError
+			if !errors.As(err, &ce) || tp != nil {
+				t.Fatalf("decode failed with %v (tuple %v), want a bare *CorruptRecordError", err, tp)
+			}
+			return
+		}
+		if !tp.Matches(schema) || !bytes.Equal(tp.Encode(), rec) {
+			t.Fatalf("accepted %x under %v but it re-encodes to %x", rec, schema, tp.Encode())
+		}
+	})
 }
 
 func TestTupleMatches(t *testing.T) {
@@ -166,7 +231,7 @@ func TestQuickTupleRoundTrip(t *testing.T) {
 			dn[k] = rng.NormFloat64()
 		}
 		tp := Tuple{I64(iv), F64(fv), Str(s), SparseV(vector.NewSparse(idx, val)), DenseV(dn)}
-		got, err := DecodeTuple(tp.Encode())
+		got, err := decodeAs(tp, tp.Encode())
 		if err != nil {
 			return false
 		}

@@ -14,10 +14,10 @@ import (
 // full pass of gradient steps over a fixed dataset through one of the
 // three decode paths of the epoch pipeline —
 //
-//	decode  per-row DecodeTuple, a fresh Tuple and vector per row
+//	decode  per-row Table.Scan, a fresh Tuple and vector per row
 //	        (the seed engine's only path: what every epoch used to cost)
 //	reuse   reusable-scratch decode (ScanReuse): page bytes every epoch,
-//	        ~zero allocations (the fallback for uncacheable tables)
+//	        ~zero allocations (the physical-reorder path)
 //	cached  the materialized columnar cache: no page bytes, no decode,
 //	        no allocations (the steady-state trainer path)
 //
@@ -83,11 +83,11 @@ func EpochScanCases(denseRows, sparseRows int, seed int64) ([]EpochScanCase, err
 			EpochScanCase{Name: wl.name + "/cached/1w", Rows: wl.rows,
 				Run: func() error { return mat.Scan(seqStep) }},
 			EpochScanCase{Name: wl.name + "/decode/4w", Rows: wl.rows,
-				Run: func() error { return engine.RunSharedScanOn(tbl, 4, engine.Profile{}, parStep) }},
+				Run: func() error { return engine.RunSharedScan(tbl, 4, engine.Profile{}, parStep) }},
 			EpochScanCase{Name: wl.name + "/reuse/4w", Rows: wl.rows,
-				Run: func() error { return engine.RunSharedScanOn(reuse, 4, engine.Profile{}, parStep) }},
+				Run: func() error { return engine.RunSharedScan(reuse, 4, engine.Profile{}, parStep) }},
 			EpochScanCase{Name: wl.name + "/cached/4w", Rows: wl.rows,
-				Run: func() error { return engine.RunSharedScanOn(mat, 4, engine.Profile{}, parStep) }},
+				Run: func() error { return engine.RunSharedScan(mat, 4, engine.Profile{}, parStep) }},
 		)
 	}
 	return cases, nil

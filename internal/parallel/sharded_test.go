@@ -289,30 +289,6 @@ func TestShardedMoreShardsThanRows(t *testing.T) {
 	}
 }
 
-// TestShardedOverBudgetTableTrainsViaReuse: when the source exceeds the
-// materialization budget, shard workers must fall back to the
-// reuse-scratch epoch path (no shard may build a decoded cache — see the
-// engine-level budget-bypass regression test) and still converge.
-func TestShardedOverBudgetTableTrainsViaReuse(t *testing.T) {
-	old := engine.MaterializeLimitBytes
-	defer func() { engine.MaterializeLimitBytes = old }()
-
-	tbl, task := buildLRTable(t, 300, 8, 15)
-	engine.MaterializeLimitBytes = 1
-	tr := &shardedRun{Task: task, Step: core.DefaultStep(0.3), MaxEpochs: 5,
-		Shards: 4, Order: ordering.ShuffleOnce{}, Seed: 1}
-	res, err := tr.Run(tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.IsNaN(res.FinalLoss()) || res.FinalLoss() <= 0 {
-		t.Fatalf("degenerate loss %g", res.FinalLoss())
-	}
-	if len(res.Losses) > 1 && res.FinalLoss() >= res.Losses[0] {
-		t.Fatalf("no progress on the reuse path (%g → %g)", res.Losses[0], res.FinalLoss())
-	}
-}
-
 // flakyRunner is a ShardRunner whose passes fail on demand — the fixture
 // for the stale-error-slot regression tests below.
 type flakyRunner struct {

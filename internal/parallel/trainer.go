@@ -102,7 +102,7 @@ func (r *sharedRunner) Run(epoch int, w vector.Dense, alpha float64) error {
 	if r.mode == Lock {
 		var mu sync.Mutex
 		dm := &core.DenseModel{W: w}
-		return engine.RunSharedScanOn(r.src, r.workers, r.profile, func(_ int, tp engine.Tuple) error {
+		return engine.RunSharedScan(r.src, r.workers, r.profile, func(_ int, tp engine.Tuple) error {
 			mu.Lock()
 			r.task.Step(dm, tp, alpha)
 			mu.Unlock()
@@ -113,7 +113,7 @@ func (r *sharedRunner) Run(epoch int, w vector.Dense, alpha float64) error {
 		r.shared = NewAtomicModel(len(w), r.mode == AIG)
 	}
 	r.shared.SetFrom(w)
-	err := engine.RunSharedScanOn(r.src, r.workers, r.profile, func(_ int, tp engine.Tuple) error {
+	err := engine.RunSharedScan(r.src, r.workers, r.profile, func(_ int, tp engine.Tuple) error {
 		r.task.Step(r.shared, tp, alpha)
 		return nil
 	})

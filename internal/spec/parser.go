@@ -641,111 +641,59 @@ func (p *parser) legacyCall() (*Statement, error) {
 	return st, p.validate(st)
 }
 
-// legacyArity describes one legacy function's shape.
-func lowerLegacy(fn string, args []Literal) (*Statement, error) {
-	argStr := func(i int) (string, error) {
-		s, ok := args[i].Text()
-		if !ok {
-			return "", fmt.Errorf("spec: %s: argument %d must be a string", fn, i+1)
-		}
-		return s, nil
-	}
-	argInt := func(i int, key string) (Param, error) {
-		if args[i].Kind != LitNumber || !args[i].IsInt {
-			return Param{}, fmt.Errorf("spec: %s: argument %d (%s) must be an integer", fn, i+1, key)
-		}
-		return Param{Key: key, Val: args[i]}, nil
-	}
-	need := func(n int, usage string) error {
-		if len(args) != n {
-			return fmt.Errorf("spec: %s needs %s", fn, usage)
-		}
-		return nil
-	}
-
-	switch strings.ToLower(fn) {
-	case "lrtrain", "svmtrain":
-		if err := need(4, "(model, table, vecCol, labelCol)"); err != nil {
-			return nil, err
-		}
-		model, err1 := argStr(0)
-		tbl, err2 := argStr(1)
-		vec, err3 := argStr(2)
-		label, err4 := argStr(3)
-		if err := firstErr(err1, err2, err3, err4); err != nil {
-			return nil, err
-		}
-		task := "svm"
-		if strings.EqualFold(fn, "lrtrain") {
-			task = "lr"
-		}
-		return &Statement{Kind: KindTrain, From: tbl, Task: task,
-			Columns: []string{vec}, Label: label, Into: model}, nil
-
-	case "lmftrain":
-		if err := need(5, "(model, table, rows, cols, rank)"); err != nil {
-			return nil, err
-		}
-		model, err1 := argStr(0)
-		tbl, err2 := argStr(1)
-		if err := firstErr(err1, err2); err != nil {
-			return nil, err
-		}
-		var with []Param
-		for i, key := range []string{"rows", "cols", "rank"} {
-			pr, err := argInt(2+i, key)
-			if err != nil {
-				return nil, err
-			}
-			with = append(with, pr)
-		}
-		return &Statement{Kind: KindTrain, From: tbl, Task: "lmf", With: with, Into: model}, nil
-
-	case "crftrain":
-		if err := need(4, "(model, table, numFeatures, numLabels)"); err != nil {
-			return nil, err
-		}
-		model, err1 := argStr(0)
-		tbl, err2 := argStr(1)
-		if err := firstErr(err1, err2); err != nil {
-			return nil, err
-		}
-		var with []Param
-		for i, key := range []string{"features", "labels"} {
-			pr, err := argInt(2+i, key)
-			if err != nil {
-				return nil, err
-			}
-			with = append(with, pr)
-		}
-		return &Statement{Kind: KindTrain, From: tbl, Task: "crf", With: with, Into: model}, nil
-
-	case "predict":
-		if err := need(3, "(model, table, vecCol)"); err != nil {
-			return nil, err
-		}
-		model, err1 := argStr(0)
-		tbl, err2 := argStr(1)
-		vec, err3 := argStr(2)
-		if err := firstErr(err1, err2, err3); err != nil {
-			return nil, err
-		}
-		return &Statement{Kind: KindPredict, From: tbl, Columns: []string{vec}, Model: model}, nil
-
-	case "tables":
-		if err := need(0, "no arguments"); err != nil {
-			return nil, err
-		}
-		return &Statement{Kind: KindShowTables}, nil
-	}
-	return nil, fmt.Errorf("spec: unknown function %q", fn)
+// legacyFunc is one call of the paper's §2.1 interface: the statement it
+// lowers to and what each positional argument binds — the clause a string
+// argument fills ("into", "from", "using", "column", "label"), or
+// "with:<key>" for an integer WITH parameter.
+type legacyFunc struct {
+	kind  Kind
+	task  string
+	usage string
+	args  []string
 }
 
-func firstErr(errs ...error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
+var legacyFuncs = map[string]legacyFunc{
+	"lrtrain":  {KindTrain, "lr", "(model, table, vecCol, labelCol)", []string{"into", "from", "column", "label"}},
+	"svmtrain": {KindTrain, "svm", "(model, table, vecCol, labelCol)", []string{"into", "from", "column", "label"}},
+	"lmftrain": {KindTrain, "lmf", "(model, table, rows, cols, rank)", []string{"into", "from", "with:rows", "with:cols", "with:rank"}},
+	"crftrain": {KindTrain, "crf", "(model, table, numFeatures, numLabels)", []string{"into", "from", "with:features", "with:labels"}},
+	"predict":  {KindPredict, "", "(model, table, vecCol)", []string{"using", "from", "column"}},
+	"tables":   {KindShowTables, "", "no arguments", nil},
+}
+
+func lowerLegacy(fn string, args []Literal) (*Statement, error) {
+	f, ok := legacyFuncs[strings.ToLower(fn)]
+	if !ok {
+		return nil, fmt.Errorf("spec: unknown function %q", fn)
+	}
+	if len(args) != len(f.args) {
+		return nil, fmt.Errorf("spec: %s needs %s", fn, f.usage)
+	}
+	st := &Statement{Kind: f.kind, Task: f.task}
+	for i, bind := range f.args {
+		if key, isWith := strings.CutPrefix(bind, "with:"); isWith {
+			if args[i].Kind != LitNumber || !args[i].IsInt {
+				return nil, fmt.Errorf("spec: %s: argument %d (%s) must be an integer", fn, i+1, key)
+			}
+			st.With = append(st.With, Param{Key: key, Val: args[i]})
+			continue
+		}
+		s, ok := args[i].Text()
+		if !ok {
+			return nil, fmt.Errorf("spec: %s: argument %d must be a string", fn, i+1)
+		}
+		switch bind {
+		case "into":
+			st.Into = s
+		case "from":
+			st.From = s
+		case "using":
+			st.Model = s
+		case "column":
+			st.Columns = []string{s}
+		case "label":
+			st.Label = s
 		}
 	}
-	return nil
+	return st, nil
 }

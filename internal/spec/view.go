@@ -145,23 +145,14 @@ func ProjectView(src *engine.Table, st *Statement, schema engine.Schema, opt Vie
 
 	// The projection runs through the zero-allocation scratch machinery:
 	// the source is decoded through reusable buffers and one row tuple is
-	// reused for every output row. A source within the materialization
-	// budget yields a slab-only view — each projected row is copied once,
-	// into columnar slabs sized up front from the source's row count, and
-	// that is the whole view (engine.MatBuilder.Table). A source past the
-	// budget must not get a full decoded copy forced on it here: its view
-	// is a page heap the trainers re-decode per epoch.
-	view := engine.NewMemTable(src.Name+"_view", out)
-	emit := view.Insert
-	var builder *engine.MatBuilder
-	if src.Cacheable() {
-		hint := src.NumRows()
-		if len(st.Where) > 0 {
-			hint = 0 // selectivity unknown: let the slabs grow
-		}
-		builder = engine.NewMatBuilder(out, hint, (src.NumPages()+1)*engine.PageSize)
-		emit = builder.Add
+	// reused for every output row. Each projected row is copied once, into
+	// columnar slabs sized up front from the source's row count, and that
+	// is the whole view (engine.MatBuilder.Table).
+	hint := src.NumRows()
+	if len(st.Where) > 0 {
+		hint = 0 // selectivity unknown: let the slabs grow
 	}
+	builder := engine.NewMatBuilder(out, hint, (src.NumPages()+1)*engine.PageSize)
 	row := make(engine.Tuple, n)
 	rowNum := int64(0)
 	scanRow := func(tp engine.Tuple) error {
@@ -180,7 +171,7 @@ func ProjectView(src *engine.Table, st *Statement, schema engine.Schema, opt Vie
 			}
 		}
 		rowNum++
-		return emit(row)
+		return builder.Add(row)
 	}
 	var skipped engine.DegradedStats
 	if opt.Degraded {
@@ -191,10 +182,7 @@ func ProjectView(src *engine.Table, st *Statement, schema engine.Schema, opt Vie
 	if err != nil {
 		return nil, err
 	}
-	if builder != nil {
-		view = builder.Table(view.Name)
-	}
-	return &View{Table: view, HasLabel: srcIdx[labelIdx] >= 0, Skipped: skipped}, nil
+	return &View{Table: builder.Table(src.Name + "_view"), HasLabel: srcIdx[labelIdx] >= 0, Skipped: skipped}, nil
 }
 
 func clauseFor(label bool) string {

@@ -121,7 +121,7 @@ func (s *Session) Run(st *spec.Statement) error {
 	case spec.KindShowJobs, spec.KindWaitJob, spec.KindCancelJob:
 		return fmt.Errorf("sqlish: %v needs the job scheduler — connect to a bismarckd server", st.Kind)
 	case spec.KindShowServing:
-		return fmt.Errorf("sqlish: %v needs the serving plane — connect to a bismarckd server (or run the bismarck REPL with -serve-cache)", st.Kind)
+		return fmt.Errorf("sqlish: %v needs the serving plane — connect to a bismarckd server (or run the bismarck REPL)", st.Kind)
 	case spec.KindTrain:
 		return s.train(st)
 	case spec.KindPredict:
@@ -557,9 +557,8 @@ func (s *Session) predict(st *spec.Statement) error {
 	}
 	labelIdx := len(ts.Schema) - 1
 	var n, pos, correct int
-	// The batch scoring loop reads through the view's primed decoded-row
-	// cache (falling back to reusable scratch); it copies out id and score,
-	// never the tuple itself.
+	// The batch scoring loop reads the view's slabs; it copies out id and
+	// score, never the tuple itself.
 	err = view.Table.Rows().Scan(func(tp engine.Tuple) error {
 		score := ts.Predict(task, w, tp)
 		id := int64(n)
@@ -595,17 +594,17 @@ func (s *Session) predict(st *spec.Statement) error {
 		// mid-fill leaves the previous result table fully readable. If the
 		// destination was previously a model, its __meta side table retires
 		// at the same commit so no stale metadata outlives the coefficients.
-		err := s.fillAndSwap(st.Into, engine.Schema{
+		err := s.fillAndSwap([]string{metaTable(st.Into)}, shadowFill{st.Into, engine.Schema{
 			{Name: "id", Type: engine.TInt64},
 			{Name: "score", Type: engine.TFloat64},
-		}, []string{metaTable(st.Into)}, func(dst *engine.Table) error {
+		}, func(dst *engine.Table) error {
 			for _, p := range preds {
 				if err := dst.Insert(engine.Tuple{engine.I64(p.id), engine.F64(p.score)}); err != nil {
 					return err
 				}
 			}
 			return nil
-		})
+		}})
 		if err != nil {
 			return err
 		}
@@ -692,32 +691,55 @@ func (s *Session) dropShadow(name string) {
 	}
 }
 
-// fillAndSwap runs the single-table shadow protocol: build name's shadow,
-// fill and flush it (no lock on name held — readers of the previous
-// generation proceed throughout), then commit via Catalog.Swap under
-// name's exclusive lock, atomically retiring dropAlso names that exist.
-// The fill window itself is serialized per name by the shadow name's
-// exclusive lock, so two concurrent writers of one destination queue up
-// instead of colliding on the shadow heap.
-func (s *Session) fillAndSwap(name string, schema engine.Schema, dropAlso []string, fill func(*engine.Table) error) (err error) {
+// shadowFill is one table of a shadow-generation commit: its final name,
+// its schema, and what fills its shadow.
+type shadowFill struct {
+	name   string
+	schema engine.Schema
+	fill   func(*engine.Table) error
+}
+
+// fillAndSwap runs the shadow protocol over one or more tables that must
+// change generation together: build each table's shadow, fill and flush it
+// (no lock on the final names held — readers of the previous generation
+// proceed throughout), then publish them all by one Catalog.Swap commit
+// under the first name's exclusive lock, atomically retiring the dropAlso
+// names that exist. The lock guards only the rename; a failure — or a
+// crash — anywhere in the fill window leaves the previous generation fully
+// readable, and the tables can only ever move between generations together.
+//
+// Lock order: the shadow fill lock of the first name (so two concurrent
+// writers of one destination queue up instead of colliding on the shadow
+// heaps) is held while that name's lock is taken for the commit. The pair
+// is always acquired in that order and the name lock is never held while
+// waiting on a shadow lock, which is what the no-two-model-locks
+// cycle-freedom argument (DESIGN.md §6) needs.
+func (s *Session) fillAndSwap(dropAlso []string, fills ...shadowFill) (err error) {
+	name := fills[0].name
 	defer s.lockName(shadowName(name))()
 	defer func() {
 		if err != nil && !errors.Is(err, engine.ErrInjectedCrash) {
-			s.dropShadow(name)
+			for _, f := range fills {
+				s.dropShadow(f.name)
+			}
 		}
 	}()
-	dst, err := s.buildShadow(name, schema)
-	if err != nil {
-		return err
-	}
-	if err := fill(dst); err != nil {
-		return err
-	}
-	if err := dst.Flush(); err != nil {
-		return err
+	names, shadows := make([]string, len(fills)), make([]string, len(fills))
+	for i, f := range fills {
+		dst, err := s.buildShadow(f.name, f.schema)
+		if err != nil {
+			return err
+		}
+		if err := f.fill(dst); err != nil {
+			return err
+		}
+		if err := dst.Flush(); err != nil {
+			return err
+		}
+		names[i], shadows[i] = f.name, shadowName(f.name)
 	}
 	unlock := s.lockName(name)
-	err = s.Cat.Swap([]string{name}, []string{shadowName(name)}, dropAlso)
+	err = s.Cat.Swap(names, shadows, dropAlso)
 	unlock()
 	return err
 }
@@ -727,75 +749,43 @@ func (s *Session) fillAndSwap(name string, schema engine.Schema, dropAlso []stri
 // leave new coefficients paired with old (or no) metadata.
 var metaFillFault func(model string) error
 
-// saveModel persists the trained model through the shadow-generation
-// protocol: both the coefficient table and the metadata side table are
-// built and flushed under reserved shadow names with no lock on the model
-// (readers keep scoring against the previous generation), then published
-// together by one Catalog.Swap commit under the model's exclusive lock.
-// The lock now guards only the rename; a failure — or a crash — anywhere
-// in the fill window leaves the previous model generation fully readable,
-// and the two tables can only ever move between generations as a pair.
-//
-// Lock order within this one call site: the shadow fill lock (serializing
-// concurrent saves of the same model) is held while the model lock is
-// taken for the commit. The pair is always acquired in that order and the
-// model lock is never held while waiting on a shadow lock, so the
-// documented no-two-model-locks cycle-freedom argument still holds.
-func (s *Session) saveModel(name string, ts *spec.TaskSpec, task core.Task, w vector.Dense) (err error) {
-	defer s.lockName(shadowName(name))()
-	defer func() {
-		if err != nil && !errors.Is(err, engine.ErrInjectedCrash) {
-			s.dropShadow(name)
-			s.dropShadow(metaTable(name))
-		}
-	}()
-	tbl, err := s.buildShadow(name, ModelSchema)
-	if err != nil {
-		return err
-	}
-	for i, v := range w {
-		if v == 0 {
-			continue // store sparsely
-		}
-		if err := tbl.Insert(engine.Tuple{engine.I64(int64(i)), engine.F64(v)}); err != nil {
-			return err
-		}
-	}
-	if err := tbl.Flush(); err != nil {
-		return err
-	}
-	meta, err := s.buildShadow(metaTable(name), MetaSchema)
-	if err != nil {
-		return err
-	}
-	if metaFillFault != nil {
-		if err := metaFillFault(name); err != nil {
-			return err
-		}
-	}
-	if err := meta.Insert(engine.Tuple{engine.Str("task"), engine.Str(ts.Name)}); err != nil {
-		return err
-	}
-	if err := meta.Insert(engine.Tuple{engine.Str("dim"), engine.Str(fmt.Sprint(task.Dim()))}); err != nil {
-		return err
-	}
-	if ts.Snapshot != nil {
-		for k, v := range ts.Snapshot(task) {
-			if err := meta.Insert(engine.Tuple{engine.Str("p:" + k), engine.Str(v)}); err != nil {
-				return err
+// saveModel persists the trained model — the coefficient table and the
+// metadata side table, as one fillAndSwap pair keyed on the model's name.
+func (s *Session) saveModel(name string, ts *spec.TaskSpec, task core.Task, w vector.Dense) error {
+	return s.fillAndSwap(nil,
+		shadowFill{name, ModelSchema, func(tbl *engine.Table) error {
+			for i, v := range w {
+				if v == 0 {
+					continue // store sparsely
+				}
+				if err := tbl.Insert(engine.Tuple{engine.I64(int64(i)), engine.F64(v)}); err != nil {
+					return err
+				}
 			}
-		}
-	}
-	if err := meta.Flush(); err != nil {
-		return err
-	}
-	unlock := s.lockName(name)
-	err = s.Cat.Swap(
-		[]string{name, metaTable(name)},
-		[]string{shadowName(name), shadowName(metaTable(name))},
-		nil)
-	unlock()
-	return err
+			return nil
+		}},
+		shadowFill{metaTable(name), MetaSchema, func(meta *engine.Table) error {
+			if metaFillFault != nil {
+				if err := metaFillFault(name); err != nil {
+					return err
+				}
+			}
+			rows := []engine.Tuple{
+				{engine.Str("task"), engine.Str(ts.Name)},
+				{engine.Str("dim"), engine.Str(fmt.Sprint(task.Dim()))},
+			}
+			if ts.Snapshot != nil {
+				for k, v := range ts.Snapshot(task) {
+					rows = append(rows, engine.Tuple{engine.Str("p:" + k), engine.Str(v)})
+				}
+			}
+			for _, row := range rows {
+				if err := meta.Insert(row); err != nil {
+					return err
+				}
+			}
+			return nil
+		}})
 }
 
 // loadModel reads the persisted coefficient table into a dense vector of
