@@ -30,7 +30,7 @@ import (
 // package-local.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and on the command
-	// line. By convention a single lowercase word (e.g. "ticketpair").
+	// line. By convention a single lowercase word (e.g. "lockorder").
 	Name string
 	// Doc is the analyzer's help text; the first line is its summary.
 	Doc string

@@ -1,22 +1,19 @@
 // Package lockorder implements the bismarckvet analyzer for the
 // codebase's lock-acquisition disciplines, the rules whose violations
-// are deadlocks rather than leaks:
+// are deadlocks rather than leaks. Name locks are scoped — a session
+// takes one only through withLock / withRLock(name, fn), which hold it
+// for exactly fn's body — so rules A and E read the lock windows off the
+// closure nesting:
 //
-//   - Rule A (one name lock per session): a function never holds two
-//     exclusive name locks at once. The sole sanctioned exception is the
-//     shadow-then-final window of the replace-and-fill protocol, where
-//     one of the keys is derived via shadowName and therefore disjoint
-//     by construction.
+//   - Rule A (one name lock per session): an exclusive withLock is never
+//     taken inside another exclusive withLock's fn. The sole sanctioned
+//     exception is the shadow-then-final window of the replace-and-fill
+//     protocol, where one of the keys is derived via shadowName and
+//     therefore disjoint by construction.
 //   - Rule B (__meta collapses): lock keys normalize any __meta suffix
 //     chain to the base name. Locking a literal "...__meta" key through
-//     a raw Guard/NameLocks call bypasses that collapse and silently
+//     a raw Guard/nameLocks call bypasses that collapse and silently
 //     stops contending with the model's writer.
-//   - Rule C (model slot ⇒ global slot): a second-level Gate.Admit may
-//     take a slot only on a path that has checked the first-level
-//     ticket is booked; the queued path must use admitQueued. Taking a
-//     model slot while waiting for a global one is the two-gate
-//     deadlock shape TestQueuedGlobalAdmissionHoldsNoModelSlot guards
-//     at runtime.
 //   - Rule D (xxxLocked under the mutex): a method named *Locked is a
 //     contract that the receiver's mutex is held. Calling one from a
 //     function that is not itself *Locked and has not locked a mutex on
@@ -24,9 +21,9 @@
 //     cache fill published entries concurrently because a *Locked
 //     helper ran outside the critical section.
 //   - Rule E (no client I/O under a name lock): session output can be a
-//     network connection; fmt.Fprint* while a name lock is held lets one
-//     stalled client write stall every writer queued on the table's
-//     exclusive lock. Compute under the lock, release, then print.
+//     network connection; fmt.Fprint* inside a withLock / withRLock fn
+//     lets one stalled client write stall every writer queued on the
+//     table's exclusive lock. Compute under the lock, release, then print.
 package lockorder
 
 import (
@@ -41,33 +38,25 @@ import (
 // Analyzer is the lockorder analyzer.
 var Analyzer = &framework.Analyzer{
 	Name: "lockorder",
-	Doc: "check name-lock and admission ordering disciplines\n\n" +
-		"Reports nested exclusive name locks (outside the shadow-swap exception), raw lock\n" +
-		"calls on __meta keys that bypass lockKey's collapse, second-level admissions not\n" +
-		"guarded by a booked check, *Locked methods called without the mutex, and output\n" +
-		"writes made while a name lock is held.",
+	Doc: "check name-lock ordering disciplines\n\n" +
+		"Reports exclusive withLock scopes nested in one another (outside the shadow-swap\n" +
+		"exception), raw lock calls on __meta keys that bypass lockKey's collapse, *Locked\n" +
+		"methods called without the mutex, and output written inside a name-lock scope.",
 	Run: run,
 }
 
 func run(pass *framework.Pass) error {
 	for _, f := range pass.Files {
+		checkLockScopes(pass, f)
 		ast.Inspect(f, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			var name string
 			switch fn := n.(type) {
 			case *ast.FuncDecl:
-				body, name = fn.Body, fn.Name.Name
+				if fn.Body != nil {
+					checkLockedCalls(pass, fn.Name.Name, fn.Body)
+				}
 			case *ast.FuncLit:
-				body, name = fn.Body, ""
-			default:
-				return true
+				checkLockedCalls(pass, "", fn.Body)
 			}
-			if body == nil {
-				return true
-			}
-			checkNestedNameLocks(pass, body)
-			checkAdmissionOrder(pass, body)
-			checkLockedCalls(pass, name, body)
 			return true
 		})
 		checkMetaKeys(pass, f)
@@ -75,40 +64,26 @@ func run(pass *framework.Pass) error {
 	return nil
 }
 
-// isNameLockAcquire reports whether call acquires a name lock, and
-// whether it is exclusive. The matched shapes are the Guard contract
-// (Lock/RLock returning func()) and the session wrappers
-// lockName/rlockName.
-func isNameLockAcquire(info *types.Info, call *ast.CallExpr) (acquire, exclusive bool) {
+// lockScope matches a scoped name-lock call — withLock(key, fn) or
+// withRLock(key, fn) — returning whether it is exclusive.
+func lockScope(info *types.Info, call *ast.CallExpr) (ok, exclusive bool) {
 	fn := framework.CalleeOf(info, call)
-	if fn == nil {
+	if fn == nil || len(call.Args) != 2 {
 		return false, false
 	}
 	switch fn.Name() {
-	case "Lock", "lockName":
-		exclusive = true
-	case "RLock", "rlockName":
-	default:
-		return false, false
+	case "withLock":
+		return true, true
+	case "withRLock":
+		return true, false
 	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Results().Len() != 1 {
-		return false, false
-	}
-	rsig, ok := sig.Results().At(0).Type().Underlying().(*types.Signature)
-	if !ok || rsig.Params().Len() != 0 || rsig.Results().Len() != 0 {
-		return false, false
-	}
-	return true, exclusive
+	return false, false
 }
 
 // keyIsShadowDerived reports whether the lock key expression goes through
 // shadowName — the replace-and-fill exception, disjoint from the base key
 // by construction.
 func keyIsShadowDerived(call *ast.CallExpr) bool {
-	if len(call.Args) == 0 {
-		return false
-	}
 	derived := false
 	ast.Inspect(call.Args[0], func(n ast.Node) bool {
 		if inner, ok := n.(*ast.CallExpr); ok {
@@ -121,115 +96,53 @@ func keyIsShadowDerived(call *ast.CallExpr) bool {
 	return derived
 }
 
-// heldLock is one name lock the linear scan believes is held.
+// heldLock is one withLock / withRLock scope enclosing the code being
+// visited.
 type heldLock struct {
 	pos    token.Pos
-	shadow bool
 	excl   bool
-	obj    types.Object // unlock closure variable, nil for defer-immediate
-	pinned bool         // held to end of function (deferred release)
+	shadow bool
 }
 
-// checkNestedNameLocks walks the body in source order, tracking which
-// name locks are held. It reports a second exclusive acquisition while
-// another exclusive lock is held — unless one of the two keys is
-// shadow-derived — and any fmt.Fprint* output written while any name
-// lock is held. The scan is linear (branches are not forked): the
-// locking protocol keeps lock windows straight-line, and the one
-// sanctioned nesting is recognized by key, not by path.
-func checkNestedNameLocks(pass *framework.Pass, body *ast.BlockStmt) {
+// checkLockScopes enforces rules A and E over the closure nesting: the fn
+// argument of a withLock / withRLock call is visited with that lock held,
+// everything else with the enclosing scopes only. It reports an exclusive
+// scope opened inside another exclusive one — unless one of the two keys
+// is shadow-derived — and any fmt.Fprint* inside any scope.
+func checkLockScopes(pass *framework.Pass, f *ast.File) {
 	info := pass.TypesInfo
-	var held []heldLock
-
-	report := func(call *ast.CallExpr, prior heldLock) {
-		pass.Reportf(call.Pos(),
-			"exclusive name lock taken while another (line %d) is still held; a session holds at most one name lock (shadow-swap keys are the only exception)",
-			pass.Fset.Position(prior.pos).Line)
-	}
-	acquireAt := func(call *ast.CallExpr, obj types.Object, pinned, excl bool) {
-		shadow := keyIsShadowDerived(call)
-		if excl {
-			for _, h := range held {
-				if h.excl && !h.shadow && !shadow {
-					report(call, h)
-					return // one diagnostic per site
-				}
+	var walk func(root ast.Node, held []heldLock)
+	walk = func(root ast.Node, held []heldLock) {
+		ast.Inspect(root, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
 			}
-		}
-		held = append(held, heldLock{pos: call.Pos(), shadow: shadow, excl: excl, obj: obj, pinned: pinned})
-	}
-	releaseObj := func(obj types.Object) {
-		for i, h := range held {
-			if h.obj == obj && !h.pinned {
-				held = append(held[:i], held[i+1:]...)
-				return
-			}
-		}
-	}
-
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch s := n.(type) {
-		case *ast.FuncLit:
-			return false // its body is scanned as its own function
-		case *ast.DeferStmt:
-			// defer s.lockName(k)(): acquire now, release at return —
-			// pinned for the rest of the scan.
-			if inner, ok := ast.Unparen(s.Call.Fun).(*ast.CallExpr); ok {
-				if ok, excl := isNameLockAcquire(info, inner); ok {
-					acquireAt(inner, nil, true, excl)
-				}
-				return false
-			}
-			// defer unlock(): pin the corresponding lock.
-			if obj := framework.ObjectOf(info, s.Call.Fun); obj != nil {
-				for i := range held {
-					if held[i].obj == obj {
-						held[i].pinned = true
-					}
-				}
-			}
-			return false
-		case *ast.AssignStmt:
-			if len(s.Rhs) == 1 {
-				if call, ok := ast.Unparen(s.Rhs[0]).(*ast.CallExpr); ok {
-					if ok, excl := isNameLockAcquire(info, call); ok {
-						var obj types.Object
-						if len(s.Lhs) == 1 {
-							if id, isID := ast.Unparen(s.Lhs[0]).(*ast.Ident); isID && id.Name != "_" {
-								obj = framework.ObjectOf(info, s.Lhs[0])
-								if obj == nil {
-									obj = info.Defs[id]
-								}
-							}
-						}
-						acquireAt(call, obj, false, excl)
-						return false
-					}
-				}
-			}
-		case *ast.ExprStmt:
-			if call, ok := s.X.(*ast.CallExpr); ok {
-				// unlock() releases; an immediate s.lockName(k)() pair is
-				// a degenerate no-op window.
-				if obj := framework.ObjectOf(info, call.Fun); obj != nil {
-					releaseObj(obj)
-				}
-				if inner, ok := ast.Unparen(call.Fun).(*ast.CallExpr); ok {
-					if ok, _ := isNameLockAcquire(info, inner); ok {
-						return false
-					}
-				}
-			}
-		case *ast.CallExpr:
-			// Rule E: session output while any name lock is held.
-			if len(held) > 0 && isOutputWrite(info, s) {
-				pass.Reportf(s.Pos(),
+			if len(held) > 0 && isOutputWrite(info, call) {
+				pass.Reportf(call.Pos(),
 					"output written while a name lock (line %d) is held; compute under the lock, release it, then print — a stalled client write must not stall the table's writers",
 					pass.Fset.Position(held[0].pos).Line)
 			}
-		}
-		return true
-	})
+			ok, excl := lockScope(info, call)
+			if !ok {
+				return true
+			}
+			h := heldLock{pos: call.Pos(), excl: excl, shadow: keyIsShadowDerived(call)}
+			for _, prior := range held {
+				if excl && prior.excl && !prior.shadow && !h.shadow {
+					pass.Reportf(call.Pos(),
+						"exclusive name lock taken while another (line %d) is still held; a session holds at most one name lock (shadow-swap keys are the only exception)",
+						pass.Fset.Position(prior.pos).Line)
+					break
+				}
+			}
+			walk(call.Fun, held)
+			walk(call.Args[0], held)
+			walk(call.Args[1], append(held[:len(held):len(held)], h))
+			return false
+		})
+	}
+	walk(f, nil)
 }
 
 // isOutputWrite reports whether call is a fmt.Fprint* write — the
@@ -240,24 +153,30 @@ func isOutputWrite(info *types.Info, call *ast.CallExpr) bool {
 		strings.HasPrefix(fn.Name(), "Fprint")
 }
 
-// checkMetaKeys reports raw Guard/NameLocks lock calls whose key ends in
+// checkMetaKeys reports raw Guard/nameLocks lock calls whose key ends in
 // __meta: lockKey collapses the suffix, so a raw __meta key locks a
-// DIFFERENT lock than every normalized path uses.
+// DIFFERENT lock than every normalized path uses. A raw lock call is a
+// Lock/RLock whose only result is a niladic func — the Guard contract.
 func checkMetaKeys(pass *framework.Pass, f *ast.File) {
 	info := pass.TypesInfo
 	ast.Inspect(f, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok {
+		if !ok || len(call.Args) != 1 {
 			return true
 		}
 		fn := framework.CalleeOf(info, call)
 		if fn == nil || (fn.Name() != "Lock" && fn.Name() != "RLock") {
 			return true
 		}
-		if ok, _ := isNameLockAcquire(info, call); !ok {
+		sig, ok := fn.Type().(*types.Signature)
+		if !ok || sig.Results().Len() != 1 {
 			return true
 		}
-		if len(call.Args) == 1 && hasMetaSuffix(info, call.Args[0]) {
+		rsig, ok := sig.Results().At(0).Type().Underlying().(*types.Signature)
+		if !ok || rsig.Params().Len() != 0 || rsig.Results().Len() != 0 {
+			return true
+		}
+		if hasMetaSuffix(info, call.Args[0]) {
 			pass.Reportf(call.Args[0].Pos(),
 				"raw lock on a __meta key bypasses lockKey's collapse; lock the base model name instead")
 		}
@@ -278,64 +197,6 @@ func hasMetaSuffix(info *types.Info, e ast.Expr) bool {
 		return hasMetaSuffix(info, be.Y)
 	}
 	return false
-}
-
-// checkAdmissionOrder enforces rule C inside one function: after a first
-// Gate.Admit, any further Gate.Admit must be under a branch that checked
-// the booked field of an earlier ticket (the queued path books a queue
-// position with admitQueued instead).
-func checkAdmissionOrder(pass *framework.Pass, body *ast.BlockStmt) {
-	info := pass.TypesInfo
-	admits := 0
-	var walk func(n ast.Node, bookedGuarded bool)
-	walk = func(n ast.Node, bookedGuarded bool) {
-		switch s := n.(type) {
-		case nil:
-			return
-		case *ast.FuncLit:
-			return
-		case *ast.IfStmt:
-			if s.Init != nil {
-				walk(s.Init, bookedGuarded)
-			}
-			walk(s.Cond, bookedGuarded)
-			pos, neg := bookedCondition(s.Cond)
-			walk(s.Body, bookedGuarded || pos)
-			if s.Else != nil {
-				walk(s.Else, bookedGuarded || neg)
-			}
-			return
-		case *ast.CallExpr:
-			if framework.IsMethodNamed(info, s, "Gate", "Admit") {
-				admits++
-				if admits > 1 && !bookedGuarded {
-					pass.Reportf(s.Pos(),
-						"second-level Admit without checking the first ticket is booked: a queued global admission must take only a queue position (admitQueued), or two requests deadlock holding one slot each")
-				}
-			}
-			if framework.IsMethodNamed(info, s, "Gate", "admitQueued") {
-				admits++ // occupies the second level; further Admits need the guard too
-			}
-		}
-		children(n, func(c ast.Node) { walk(c, bookedGuarded) })
-	}
-	walk(body, false)
-}
-
-// bookedCondition reports whether cond is a booked-field check: pos for
-// `x.booked`-shaped truth, neg for its negation (whose ELSE branch is the
-// guarded one).
-func bookedCondition(cond ast.Expr) (pos, neg bool) {
-	e := ast.Unparen(cond)
-	if ue, ok := e.(*ast.UnaryExpr); ok && ue.Op == token.NOT {
-		p, _ := bookedCondition(ue.X)
-		return false, p
-	}
-	if sel, ok := e.(*ast.SelectorExpr); ok {
-		name := sel.Sel.Name
-		return name == "booked" || name == "Booked", false
-	}
-	return false, false
 }
 
 // checkLockedCalls enforces rule D: a call to x.fooLocked() must come
@@ -399,20 +260,4 @@ func rootObject(info *types.Info, e ast.Expr) types.Object {
 			return nil
 		}
 	}
-}
-
-// children invokes fn for each immediate child node of n (one-level
-// Inspect).
-func children(n ast.Node, fn func(ast.Node)) {
-	first := true
-	ast.Inspect(n, func(c ast.Node) bool {
-		if first {
-			first = false
-			return true
-		}
-		if c != nil {
-			fn(c)
-		}
-		return false
-	})
 }

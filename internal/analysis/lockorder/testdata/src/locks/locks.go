@@ -1,7 +1,7 @@
 // Package locks seeds the deadlock-shaped bug classes lockorder must
-// catch: nested exclusive name locks, raw __meta lock keys, the two-gate
-// admission deadlock, and *Locked helpers called outside the critical
-// section (the decode-storm class).
+// catch: nested exclusive name-lock scopes, raw __meta lock keys, output
+// written inside a lock scope, and *Locked helpers called outside the
+// critical section (the decode-storm class).
 package locks
 
 import (
@@ -16,39 +16,53 @@ type Guard interface {
 	RLock(name string) (unlock func())
 }
 
-func shadowName(name string) string { return name + "__shadow" }
+// session mirrors sqlish.Session's scoped lock helpers: fn runs holding
+// the name lock, released in a defer.
+type session struct{ g Guard }
 
-// badNested holds two exclusive name locks at once.
-func badNested(g Guard) {
-	unlock := g.Lock("alpha")
-	defer unlock()
-	u2 := g.Lock("beta") // want `exclusive name lock taken while another`
-	u2()
+func (s *session) withLock(name string, fn func() error) error {
+	defer s.g.Lock(name)()
+	return fn()
 }
 
-// okSequential closes one window before opening the next.
-func okSequential(g Guard) {
-	u := g.Lock("alpha")
-	u()
-	u2 := g.Lock("beta")
-	u2()
+func (s *session) withRLock(name string, fn func() error) error {
+	defer s.g.RLock(name)()
+	return fn()
+}
+
+func shadowName(name string) string { return name + "__shadow" }
+
+func nothing() error { return nil }
+
+// badNested holds two exclusive name locks at once.
+func badNested(s *session) error {
+	return s.withLock("alpha", func() error {
+		return s.withLock("beta", nothing) // want `exclusive name lock taken while another`
+	})
+}
+
+// okSequential closes one scope before opening the next.
+func okSequential(s *session) error {
+	if err := s.withLock("alpha", nothing); err != nil {
+		return err
+	}
+	return s.withLock("beta", nothing)
 }
 
 // okShadowSwap is the sanctioned replace-and-fill nesting: the shadow key
 // is disjoint from the base key by construction.
-func okShadowSwap(g Guard, name string) {
-	defer g.Lock(shadowName(name))()
-	unlock := g.Lock(name)
-	defer unlock()
+func okShadowSwap(s *session, name string) error {
+	return s.withLock(shadowName(name), func() error {
+		return s.withLock(name, nothing)
+	})
 }
 
 // okReadThenWrite holds a shared lock only; rule A constrains exclusive
 // pairs.
-func okReadThenWrite(g Guard) {
-	ru := g.RLock("alpha")
-	defer ru()
-	u := g.Lock("beta")
-	u()
+func okReadThenWrite(s *session) error {
+	return s.withRLock("alpha", func() error {
+		return s.withLock("beta", nothing)
+	})
 }
 
 // badMetaKey locks the side table's raw name, missing every writer that
@@ -64,67 +78,26 @@ func badMetaConcat(g Guard, model string) {
 	u()
 }
 
-// badPrintUnderLock writes to the session output while the name lock is
-// held: if out is a network connection, one stalled client write stalls
-// every writer queued on the table's exclusive lock.
-func badPrintUnderLock(g Guard, out io.Writer, rows int) {
-	defer g.Lock("papers")()
-	fmt.Fprintf(out, "table has %d rows\n", rows) // want `output written while a name lock`
+// badPrintUnderLock writes to the session output inside the lock scope:
+// if out is a network connection, one stalled client write stalls every
+// writer queued on the table's exclusive lock.
+func badPrintUnderLock(s *session, out io.Writer, rows int) error {
+	return s.withRLock("papers", func() error {
+		fmt.Fprintf(out, "table has %d rows\n", rows) // want `output written while a name lock`
+		return nil
+	})
 }
 
-// okPrintAfterUnlock computes under the lock and prints after release.
-func okPrintAfterUnlock(g Guard, out io.Writer, count func() int) {
-	unlock := g.RLock("papers")
-	rows := count()
-	unlock()
+// okPrintAfterUnlock computes inside the scope and prints after it.
+func okPrintAfterUnlock(s *session, out io.Writer, count func() int) error {
+	var rows int
+	if err := s.withRLock("papers", func() error {
+		rows = count()
+		return nil
+	}); err != nil {
+		return err
+	}
 	fmt.Fprintf(out, "table has %d rows\n", rows)
-}
-
-// Ticket and Gate mirror the serve admission shapes.
-type Ticket struct{ booked bool }
-
-func (t *Ticket) Release() {}
-
-type Gate struct{}
-
-func (g *Gate) Admit() (Ticket, error)       { return Ticket{booked: true}, nil }
-func (g *Gate) admitQueued() (Ticket, error) { return Ticket{}, nil }
-
-// badTwoLevel is the admission deadlock shape: the model slot is taken
-// while the global admission may still be queued, so two requests can
-// hold one slot each of the two gates and wait forever for the other's.
-func badTwoLevel(global, model *Gate) error {
-	gt, err := global.Admit()
-	if err != nil {
-		return err
-	}
-	defer gt.Release()
-	mt, err := model.Admit() // want `second-level Admit without checking the first ticket is booked`
-	if err != nil {
-		return err
-	}
-	defer mt.Release()
-	return nil
-}
-
-// okTwoLevel takes the model slot only when the global slot is already
-// booked; the queued path books a queue position.
-func okTwoLevel(global, model *Gate) error {
-	gt, err := global.Admit()
-	if err != nil {
-		return err
-	}
-	defer gt.Release()
-	var mt Ticket
-	if gt.booked {
-		mt, err = model.Admit()
-	} else {
-		mt, err = model.admitQueued()
-	}
-	if err != nil {
-		return err
-	}
-	defer mt.Release()
 	return nil
 }
 

@@ -10,15 +10,14 @@ import (
 	"bismarck/internal/analysis/crashfidelity"
 	"bismarck/internal/analysis/framework"
 	"bismarck/internal/analysis/lockorder"
-	"bismarck/internal/analysis/ticketpair"
 )
 
 // Suite is every bismarckvet analyzer, in the order diagnostics group
-// most usefully: resource pairing first (the leaks), then ordering (the
-// deadlocks), then crash fidelity.
+// most usefully: ordering (the deadlocks), then crash fidelity. Release
+// of admissions and name locks needs no analyzer: every acquisition is
+// scoped (serve.Gate.Do, serve.Plane.Do/Go, sqlish withLock/withRLock).
 func Suite() []*framework.Analyzer {
 	return []*framework.Analyzer{
-		ticketpair.Analyzer,
 		lockorder.Analyzer,
 		crashfidelity.Analyzer,
 	}

@@ -19,18 +19,19 @@ import (
 type BuildTask func(name string, params map[string]string) (core.Task, error)
 
 // Gate is the executor's admission hook, wrapped around the server's
-// serving gate. Admit may block while queued for a slot; it returns a
-// release func on success, ok=false when the server is shutting down
-// (tear the connection down, answer nothing), and an error — typically a
-// busy rejection carrying retry_after_ms — when the request is shed.
+// serving gate. Do may block while queued for a slot, then runs fn
+// holding it and releases it before returning. It reports ok=false when
+// the server is shutting down (fn did not run: tear the connection down,
+// answer nothing), and an error — typically a busy rejection carrying
+// retry_after_ms — when the request is shed.
 type Gate interface {
-	Admit() (release func(), ok bool, err error)
+	Do(fn func()) (ok bool, err error)
 }
 
 // nopGate admits everything (standalone executors without a gate).
 type nopGate struct{}
 
-func (nopGate) Admit() (func(), bool, error) { return func() {}, true, nil }
+func (nopGate) Do(fn func()) (bool, error) { fn(); return true, nil }
 
 // ExecutorHooks expose test seams inside op handling. Nil hooks cost one
 // pointer compare.
@@ -134,15 +135,15 @@ func (ex *Executor) Handle(payload []byte) (resp []byte, ok bool) {
 	}
 	op := payload[0]
 	id := binary.LittleEndian.Uint64(payload[1:9])
-	release, ok, err := ex.gate.Admit()
+	var vals []float64
+	var herr error
+	ok, err := ex.gate.Do(func() { vals, herr = ex.dispatch(op, payload[reqHeader:]) })
 	if !ok {
 		return nil, false
 	}
 	if err != nil {
 		return AppendErr(ex.out[:0], id, err.Error()), true
 	}
-	defer release()
-	vals, herr := ex.dispatch(op, payload[reqHeader:])
 	if herr != nil {
 		return AppendErr(ex.out[:0], id, herr.Error()), true
 	}

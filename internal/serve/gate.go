@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync/atomic"
@@ -20,11 +21,16 @@ func (e *BusyError) Error() string {
 	return fmt.Sprintf("busy: serving queue full, retry_after_ms=%d", e.RetryAfterMS)
 }
 
+// ErrCanceled reports a request whose cancel channel closed while it was
+// queued for a slot (or before it started): it held no slot when it
+// returned and ran nothing.
+var ErrCanceled = errors.New("serve: canceled while queued for a slot")
+
 // Gate is the admission controller: Inflight concurrent scoring slots and
-// a bounded count of waiters. Admission is decided synchronously —
-// Admit never blocks — so a connection reader can shed load before
-// spawning any per-request work; only Wait blocks, and only for requests
-// already admitted. This bounds both goroutines and memory under overload.
+// a bounded count of waiters. Admission is decided synchronously — a full
+// queue sheds before anything waits — so a connection reader can shed
+// load before spawning any per-request work. This bounds both goroutines
+// and memory under overload.
 type Gate struct {
 	slots    chan struct{}
 	queued   atomic.Int64
@@ -57,15 +63,32 @@ func NewGate(inflight, maxQueue int) *Gate {
 	}
 }
 
-// Ticket is one admitted request's claim on the gate. Call Wait (or
-// WaitOrCancel) to block until a scoring slot is free, then Release when
-// done. A Ticket is a value (no allocation per request) and must not be
-// copied after Wait.
+// Ticket is one admitted request's claim on the gate: WaitOrCancel blocks
+// until a scoring slot is free, Release returns it. A Ticket is a value
+// (no allocation per request) and must not be copied after the wait.
+// Callers outside this package use Do, which pairs the two structurally.
 type Ticket struct {
 	g      *Gate
 	inQ    bool
 	booked bool
-	start  int64 // nanotime via time.Now().UnixNano(), set by Wait
+	start  int64 // nanotime via time.Now().UnixNano(), set by WaitOrCancel
+}
+
+// Do admits one request, waits for a slot (or returns ErrCanceled when
+// cancel closes first; a nil cancel never fires), runs fn holding the
+// slot, and releases it in a defer — a panicking fn frees its slot too. A
+// full queue sheds with *BusyError before anything waits.
+func (g *Gate) Do(cancel <-chan struct{}, fn func()) error {
+	t, err := g.Admit()
+	if err != nil {
+		return err
+	}
+	if !t.WaitOrCancel(cancel) {
+		return ErrCanceled
+	}
+	defer t.Release()
+	fn()
+	return nil
 }
 
 // Admit decides synchronously whether this request may proceed. A free
@@ -86,10 +109,10 @@ func (g *Gate) Admit() (Ticket, error) {
 
 // admitQueued admits as a waiter only: it books a queue position (or
 // sheds) but never takes a slot, even if one is free — the slot is
-// acquired later by Wait. The two-level plane needs this for a request
-// whose global admission is queued: taking this gate's slot while not
-// holding a global slot would break the global-before-model slot order
-// that keeps the two-level protocol deadlock-free.
+// acquired later by WaitOrCancel. The two-level plane needs this for a
+// request whose global admission is queued: taking this gate's slot while
+// not holding a global slot would break the global-before-model slot
+// order that keeps the two-level protocol deadlock-free.
 func (g *Gate) admitQueued() (Ticket, error) {
 	if q := g.queued.Add(1); q > g.maxQueue {
 		g.queued.Add(-1)
@@ -98,22 +121,13 @@ func (g *Gate) admitQueued() (Ticket, error) {
 	return Ticket{g: g, inQ: true}, nil
 }
 
-// Wait blocks until the admitted request holds a scoring slot and starts
-// its service-time clock.
-//
-// Deprecated: Wait cannot be interrupted, so a caller that also owns a
-// teardown channel can strand a queued booking past shutdown. Use
-// WaitOrCancel with that channel; keep plain Wait only where no cancel
-// signal exists at all. bismarckvet's ticketpair analyzer flags Wait
-// calls made while a done channel is in scope.
-func (t *Ticket) Wait() { t.WaitOrCancel(nil) }
-
-// WaitOrCancel blocks like Wait but gives up when cancel closes first,
+// WaitOrCancel blocks until the admitted request holds a scoring slot and
+// starts its service-time clock, or gives up when cancel closes first,
 // returning false with the ticket's queue booking released — the caller
-// owns no slot and must not Release. A nil cancel never fires (plain
-// Wait). This is the teardown path for pipelined connections: a client
-// that disconnects while its frames are queued must not keep burning
-// scoring slots on answers nobody will read.
+// owns no slot and must not Release. A nil cancel never fires. This is the
+// teardown path for pipelined connections: a client that disconnects
+// while its frames are queued must not keep burning scoring slots on
+// answers nobody will read.
 func (t *Ticket) WaitOrCancel(cancel <-chan struct{}) bool {
 	if t.inQ {
 		select {
@@ -131,11 +145,11 @@ func (t *Ticket) WaitOrCancel(cancel <-chan struct{}) bool {
 	return true
 }
 
-// Abandon returns an admitted-but-unserved ticket to the gate: a queue
+// abandon returns an admitted-but-unserved ticket to the gate: a queue
 // booking is released, a held slot is freed without feeding the EWMA (no
 // service happened, so there is no service time to observe). Safe on a
 // zero ticket and after WaitOrCancel returned false.
-func (t *Ticket) Abandon() {
+func (t *Ticket) abandon() {
 	if t.inQ {
 		t.inQ = false
 		t.g.queued.Add(-1)

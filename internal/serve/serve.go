@@ -137,18 +137,18 @@ func (p *Plane) model(name string) *modelPlane {
 	return mp
 }
 
-// Admission is one request's claimed passage through both admission
+// admission is one request's claimed passage through both admission
 // levels: the global gate (the plane-wide bound) and the model's gate
 // (its share of the plane). It is a value — no allocation per request —
-// and must not be copied after Wait.
-type Admission struct {
-	p      *Plane
+// and must not be copied after wait. Only Do and Go hold one, and both
+// release it structurally.
+type admission struct {
 	mp     *modelPlane
 	global Ticket
 	model  Ticket
 }
 
-// Admit decides synchronously whether a request against the model may
+// admit decides synchronously whether a request against the model may
 // proceed. Shedding at either level returns *BusyError — with the retry
 // hint of the gate that shed — and counts against the model's shed
 // counter; nothing is spawned or queued for a shed request.
@@ -160,12 +160,12 @@ type Admission struct {
 // hold one slot each of the two gates and wait for the other's, and
 // with both gates' remaining slots held the same way the plane deadlocks
 // (TestQueuedGlobalAdmissionHoldsNoModelSlot is the regression).
-func (p *Plane) Admit(model string) (Admission, error) {
+func (p *Plane) admit(model string) (admission, error) {
 	mp := p.model(model)
 	global, err := p.gate.Admit()
 	if err != nil {
 		mp.sheds.Add(1)
-		return Admission{}, err
+		return admission{}, err
 	}
 	var mtk Ticket
 	if global.booked {
@@ -174,63 +174,100 @@ func (p *Plane) Admit(model string) (Admission, error) {
 		mtk, err = mp.gate.admitQueued()
 	}
 	if err != nil {
-		global.Abandon()
+		global.abandon()
 		mp.sheds.Add(1)
-		return Admission{}, err
+		return admission{}, err
 	}
-	return Admission{p: p, mp: mp, global: global, model: mtk}, nil
+	return admission{mp: mp, global: global, model: mtk}, nil
 }
 
-// Wait blocks until the admission holds both scoring slots, or cancel
-// closes first — then every booking is returned to its gate and Wait
-// reports false: the caller owns nothing and must not Release. Slot
+// wait blocks until the admission holds both scoring slots, or cancel
+// closes first — then every booking is returned to its gate and wait
+// reports false: the caller owns nothing and must not release. Slot
 // order is fixed (global, then model) so a model-slot holder is always
 // actively scoring, never blocked on the global gate — which is what
 // makes the two-level protocol deadlock-free.
-func (a *Admission) Wait(cancel <-chan struct{}) bool {
+func (a *admission) wait(cancel <-chan struct{}) bool {
 	if !a.global.WaitOrCancel(cancel) {
-		a.model.Abandon()
+		a.model.abandon()
 		return false
 	}
 	if !a.model.WaitOrCancel(cancel) {
-		a.global.Abandon()
+		a.global.abandon()
 		return false
 	}
 	return true
 }
 
-// Release frees both slots, feeding the observed service time into both
+// release frees both slots, feeding the observed service time into both
 // gates' retry-hint EWMAs.
-func (a *Admission) Release() {
+func (a *admission) release() {
 	a.model.Release()
 	a.global.Release()
 }
 
-// Score scores the batch through this admission (the caller holds both
-// slots between Wait and Release). The whole batch is scored against one
-// cache entry — one generation — looked up once; a TRAIN committing
-// mid-batch changes nothing already in flight.
-func (a *Admission) Score(model string, points [][]float64, scores []float64) (uint64, error) {
-	return a.p.score(a.mp, model, points, scores)
-}
-
-// Predict scores every tuple of points against the named model and writes
-// the raw scores into scores[:len(points)], returning the model generation
-// that produced them.
+// Do scores every tuple of points against the named model and writes the
+// raw scores into scores[:len(points)], returning the model generation
+// that produced them. It admits through both gates, waits for both slots
+// (or returns ErrCanceled when cancel closes first; nil never fires),
+// scores, and releases in a defer.
 //
-// The call admits through both gates first: an overloaded plane returns
-// *BusyError (with a retry-after hint) without touching the cache. A
-// model that does not exist returns *sqlish.UnknownModelError. On the
-// steady-state path — cache hit, warm scratch — Predict takes no
-// per-name locks and performs zero heap allocations.
-func (p *Plane) Predict(model string, points [][]float64, scores []float64) (uint64, error) {
-	ad, err := p.Admit(model)
+// An overloaded plane returns *BusyError (with a retry-after hint)
+// without touching the cache. A model that does not exist returns
+// *sqlish.UnknownModelError. On the steady-state path — cache hit, warm
+// scratch — Do takes no per-name locks and performs zero heap
+// allocations.
+func (p *Plane) Do(model string, cancel <-chan struct{}, points [][]float64, scores []float64) (uint64, error) {
+	ad, err := p.admit(model)
 	if err != nil {
 		return 0, err
 	}
-	ad.Wait(nil)
-	defer ad.Release()
-	return ad.Score(model, points, scores)
+	return p.run(&ad, model, cancel, points, scores)
+}
+
+// Predict is Do with no cancel channel.
+func (p *Plane) Predict(model string, points [][]float64, scores []float64) (uint64, error) {
+	return p.Do(model, nil, points, scores)
+}
+
+// Go is Do handed off to one worker goroutine, for callers that must not
+// block their reader (pipelined text frames). Admission is decided here,
+// in the caller: a shed returns *BusyError and spawns nothing. Otherwise
+// Go adds one worker to wg and returns nil. The worker waits for its
+// slots, scores into a fresh buffer, releases, and only then calls reply.
+// When cancel closes before scoring starts, the worker returns every
+// booking and exits without calling reply.
+func (p *Plane) Go(model string, points [][]float64, cancel <-chan struct{}, wg *sync.WaitGroup, reply func(scores []float64, err error)) error {
+	ad, err := p.admit(model)
+	if err != nil {
+		return err
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		scores := make([]float64, len(points))
+		if _, err := p.run(&ad, model, cancel, points, scores); err != ErrCanceled {
+			reply(scores, err)
+		}
+	}()
+	return nil
+}
+
+// run holds ad's slots across one scoring: wait or cancel, skip the work
+// if cancel closed meanwhile, score the whole batch against one cache
+// entry — one generation — and release in a defer. A TRAIN committing
+// mid-batch changes nothing already in flight.
+func (p *Plane) run(ad *admission, model string, cancel <-chan struct{}, points [][]float64, scores []float64) (uint64, error) {
+	if !ad.wait(cancel) {
+		return 0, ErrCanceled
+	}
+	defer ad.release()
+	select {
+	case <-cancel:
+		return 0, ErrCanceled
+	default:
+	}
+	return p.score(ad.mp, model, points, scores)
 }
 
 // score is the shared scoring tail: validate, snapshot, pooled scratch.
@@ -304,6 +341,7 @@ type ModelStats struct {
 	Hits         uint64 // cache hits (requests served from a hot snapshot)
 	Fills        uint64 // snapshot decodes (cold, post-retrain, warming)
 	Sheds        uint64 // requests rejected busy at either admission level
+	Inflight     int    // scoring slots this model holds right now
 	Queued       int64  // waiters parked on this model's gate right now
 	RetryAfterMS int64  // current retry hint (0 = never served anything)
 }
@@ -326,6 +364,7 @@ func (p *Plane) Stats() (GateStats, []ModelStats) {
 			Hits:         mp.hits.Load(),
 			Fills:        mp.fills.Load(),
 			Sheds:        mp.sheds.Load(),
+			Inflight:     mp.gate.Inflight(),
 			Queued:       mp.gate.Queued(),
 			RetryAfterMS: mp.gate.RetryHintMS(),
 		})

@@ -16,7 +16,7 @@ func TestTicketCancelReleasesQueueAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	holder.Wait()
+	holder.WaitOrCancel(nil)
 
 	// Two waiters fill the queue.
 	w1, err := g.Admit()
@@ -40,31 +40,95 @@ func TestTicketCancelReleasesQueueAccounting(t *testing.T) {
 	if g.Queued() != 1 {
 		t.Fatalf("canceled waiter left queue accounting at %d, want 1", g.Queued())
 	}
-	// Abandon after a failed wait is a no-op, not a double release.
-	w1.Abandon()
+	// abandon after a failed wait is a no-op, not a double release.
+	w1.abandon()
 	if g.Queued() != 1 {
-		t.Fatalf("Abandon after canceled wait changed queue to %d", g.Queued())
+		t.Fatalf("abandon after canceled wait changed queue to %d", g.Queued())
 	}
 
-	// Abandon the other waiter outright (admitted, never waited).
-	w2.Abandon()
+	// abandon the other waiter outright (admitted, never waited).
+	w2.abandon()
 	if g.Queued() != 0 {
 		t.Fatalf("abandoned waiter left queue accounting at %d, want 0", g.Queued())
 	}
 
-	// Abandon a held slot: freed without feeding the EWMA.
-	holder.Abandon()
+	// abandon a held slot: freed without feeding the EWMA.
+	holder.abandon()
 	if g.Samples() != 0 {
-		t.Fatalf("Abandon fed the EWMA: samples=%d", g.Samples())
+		t.Fatalf("abandon fed the EWMA: samples=%d", g.Samples())
 	}
 	tk, err := g.Admit()
 	if err != nil {
 		t.Fatalf("gate did not recover after cancels: %v", err)
 	}
-	tk.Wait()
+	tk.WaitOrCancel(nil)
 	tk.Release()
 	if g.Samples() != 1 {
 		t.Fatalf("Release did not feed the EWMA: samples=%d", g.Samples())
+	}
+}
+
+// TestGateDoReleasesOnPanic: Do releases its slot in a defer, so a
+// panicking fn cannot strand it — the panic propagates and the gate
+// admits again at once.
+func TestGateDoReleasesOnPanic(t *testing.T) {
+	g := NewGate(1, 1)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("fn's panic did not propagate through Do")
+			}
+		}()
+		g.Do(nil, func() { panic("scoring blew up") })
+	}()
+	if in := g.Inflight(); in != 0 {
+		t.Fatalf("panicking fn left %d slot(s) held", in)
+	}
+	ran := false
+	if err := g.Do(nil, func() { ran = true }); err != nil || !ran {
+		t.Fatalf("gate after a panic: ran=%v err=%v", ran, err)
+	}
+}
+
+// TestGateDoCanceled: a Do queued behind a held slot returns ErrCanceled
+// when its cancel closes, never runs fn, and gives its queue booking back.
+func TestGateDoCanceled(t *testing.T) {
+	g := NewGate(1, 1)
+	hold, err := g.Admit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hold.WaitOrCancel(nil)
+
+	cancel := make(chan struct{})
+	done := make(chan error, 1)
+	ran := false
+	go func() { done <- g.Do(cancel, func() { ran = true }) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for g.Queued() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("Do never queued behind the held slot")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(cancel)
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("canceled Do returned %v, want ErrCanceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Do ignored its cancel channel")
+	}
+	if ran {
+		t.Fatal("canceled Do ran fn")
+	}
+	if q := g.Queued(); q != 0 {
+		t.Fatalf("canceled Do left queue accounting at %d, want 0", q)
+	}
+	hold.Release()
+	if in := g.Inflight(); in != 0 {
+		t.Fatalf("inflight=%d after the holder released, want 0", in)
 	}
 }
 
@@ -196,19 +260,19 @@ func TestPerModelAdmission(t *testing.T) {
 	r.train(t, "pos")
 
 	// Hold hot's only model slot.
-	holder, err := r.plane.Admit("hot")
+	holder, err := r.plane.admit("hot")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !holder.Wait(nil) {
-		t.Fatal("uncontended Wait reported canceled")
+	if !holder.wait(nil) {
+		t.Fatal("uncontended wait reported canceled")
 	}
 	// One waiter fits hot's queue; the next is shed at the model level.
-	waiter, err := r.plane.Admit("hot")
+	waiter, err := r.plane.admit("hot")
 	if err != nil {
 		t.Fatalf("hot's queue slot should admit: %v", err)
 	}
-	_, err = r.plane.Admit("hot")
+	_, err = r.plane.admit("hot")
 	var busy *BusyError
 	if !errors.As(err, &busy) {
 		t.Fatalf("want *BusyError for saturated model, got %T: %v", err, err)
@@ -222,10 +286,10 @@ func TestPerModelAdmission(t *testing.T) {
 	}
 
 	// The shed landed on hot's counters, not m's.
-	waiter.model.Abandon()
-	waiter.global.Abandon()
-	holder.model.Abandon()
-	holder.global.Abandon()
+	waiter.model.abandon()
+	waiter.global.abandon()
+	holder.model.abandon()
+	holder.global.abandon()
 	_, models := r.plane.Stats()
 	byName := map[string]ModelStats{}
 	for _, ms := range models {
@@ -244,19 +308,19 @@ func TestPerModelAdmission(t *testing.T) {
 func TestAdmissionCancelDuringModelWait(t *testing.T) {
 	r := newRig(t, Options{Inflight: 4, MaxQueue: 8, ModelInflight: 1, ModelQueue: 2})
 
-	holder, err := r.plane.Admit("hot")
+	holder, err := r.plane.admit("hot")
 	if err != nil {
 		t.Fatal(err)
 	}
-	holder.Wait(nil)
-	queued, err := r.plane.Admit("hot")
+	holder.wait(nil)
+	queued, err := r.plane.admit("hot")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cancel := make(chan struct{})
 	close(cancel)
-	if queued.Wait(cancel) {
-		t.Fatal("Wait with closed cancel and an occupied model slot should report false")
+	if queued.wait(cancel) {
+		t.Fatal("wait with closed cancel and an occupied model slot should report false")
 	}
 	gs, _ := r.plane.Stats()
 	if gs.Queued != 0 {
@@ -265,7 +329,7 @@ func TestAdmissionCancelDuringModelWait(t *testing.T) {
 	if q := r.plane.model("hot").gate.Queued(); q != 0 {
 		t.Fatalf("model queue accounting leaked: %d", q)
 	}
-	holder.Release()
+	holder.release()
 	// Both levels recovered: a full Predict admits and completes (it fails
 	// only at scoring, since "hot" was never trained).
 	scores := make([]float64, 1)
@@ -294,10 +358,10 @@ func TestQueuedGlobalAdmissionHoldsNoModelSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mid.Wait()
+	mid.WaitOrCancel(nil)
 
 	// A globally-queued admission for m must book m's queue, not m's slot.
-	ad, err := r.plane.Admit("m")
+	ad, err := r.plane.admit("m")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,20 +379,20 @@ func TestQueuedGlobalAdmissionHoldsNoModelSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mtk.Wait()
+	mtk.WaitOrCancel(nil)
 	mtk.Release()
 	mid.Release()
 
 	// ...which unblocks the queued admission end to end.
 	done := make(chan error, 1)
 	go func() {
-		if !ad.Wait(nil) {
-			done <- errors.New("Wait(nil) reported canceled")
+		if !ad.wait(nil) {
+			done <- errors.New("wait(nil) reported canceled")
 			return
 		}
-		defer ad.Release()
+		defer ad.release()
 		scores := make([]float64, 1)
-		_, err := ad.Score("m", [][]float64{{1, 1}}, scores)
+		_, err := r.plane.score(ad.mp, "m", [][]float64{{1, 1}}, scores)
 		done <- err
 	}()
 	select {

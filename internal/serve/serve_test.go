@@ -14,7 +14,7 @@ import (
 )
 
 // mapGuard is a minimal sqlish.Guard for tests (the real server installs
-// its refcounted NameLocks; the serving plane only needs the interface).
+// its refcounted nameLocks; the serving plane only needs the interface).
 type mapGuard struct {
 	mu sync.Mutex
 	m  map[string]*sync.RWMutex
@@ -175,7 +175,7 @@ func TestGateShedding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	holder.Wait()
+	holder.WaitOrCancel(nil)
 
 	// One waiter fits in the queue.
 	waiter, err := g.Admit()
@@ -202,7 +202,7 @@ func TestGateShedding(t *testing.T) {
 	// Drain: the waiter gets the slot when the holder releases.
 	done := make(chan struct{})
 	go func() {
-		waiter.Wait()
+		waiter.WaitOrCancel(nil)
 		waiter.Release()
 		close(done)
 	}()
@@ -214,7 +214,7 @@ func TestGateShedding(t *testing.T) {
 	if tk, err := g.Admit(); err != nil {
 		t.Fatalf("gate did not recover: %v", err)
 	} else {
-		tk.Wait()
+		tk.WaitOrCancel(nil)
 		tk.Release()
 	}
 }

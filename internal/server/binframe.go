@@ -272,22 +272,15 @@ func (b *binSession) handle(payload []byte, cancel <-chan struct{}) bool {
 	if string(b.req.model) != b.model {
 		b.model = string(b.req.model)
 	}
-	ad, err := b.plane.Admit(b.model)
-	if err != nil {
-		b.out = appendBinErr(b.out[:0], b.req.id, oneLine(err.Error()))
-		return true
-	}
-	if !ad.Wait(cancel) {
-		return false
-	}
 	if cap(b.scores) < len(b.req.points) {
 		b.scores = make([]float64, len(b.req.points))
 	}
 	b.scores = b.scores[:len(b.req.points)]
-	_, serr := ad.Score(b.model, b.req.points, b.scores)
-	ad.Release()
-	if serr != nil {
-		b.out = appendBinErr(b.out[:0], b.req.id, oneLine(serr.Error()))
+	if _, err := b.plane.Do(b.model, cancel, b.req.points, b.scores); err != nil {
+		if err == serve.ErrCanceled {
+			return false
+		}
+		b.out = appendBinErr(b.out[:0], b.req.id, oneLine(err.Error()))
 		return true
 	}
 	b.out = appendBinOK(b.out[:0], b.req.id, b.scores)

@@ -160,4 +160,5 @@ func TestEightClientConcurrentSessions(t *testing.T) {
 	if w := readModel(t, m.Catalog(), "shared"); len(w) == 0 {
 		t.Error("shared model empty")
 	}
+	quiescent(t, m)
 }

@@ -82,6 +82,7 @@ func startExecNode(t *testing.T, hooks func(n *execNode) dist.ExecutorHooks) *ex
 	lis := &trackingListener{Listener: raw}
 	m := NewManager(engine.NewCatalog(), Options{})
 	srv := NewTCPServer(m)
+	servers.Store(m, srv)
 	n := &execNode{addr: raw.Addr().String(), m: m, srv: srv}
 	var once sync.Once
 	n.kill = func() {
@@ -103,18 +104,13 @@ func startExecNode(t *testing.T, hooks func(n *execNode) dist.ExecutorHooks) *ex
 	return n
 }
 
-// drained asserts the node holds no leaked admission tickets and no
-// lingering executor connections. Close first: it waits for the in-flight
-// connection handlers, so a mid-scan victim has released its ticket.
+// drained asserts the node is quiescent — no admission or name lock left
+// behind; quiescent closes the server first, which waits for the
+// in-flight connection handlers, so a mid-scan victim has released its
+// slot — and holds no lingering executor connection.
 func (n *execNode) drained(t *testing.T, name string) {
 	t.Helper()
-	n.srv.Close()
-	if in := n.m.execGate.Inflight(); in != 0 {
-		t.Errorf("%s: %d executor gate tickets still inflight", name, in)
-	}
-	if q := n.m.execGate.Queued(); q != 0 {
-		t.Errorf("%s: %d executor gate tickets still queued", name, q)
-	}
+	quiescent(t, n.m)
 	if c := n.m.execConns.Load(); c != 0 {
 		t.Errorf("%s: %d executor connections still registered", name, c)
 	}
@@ -431,12 +427,13 @@ type busyAtGate struct {
 	rejections atomic.Int64
 }
 
-func (g *busyAtGate) Admit() (func(), bool, error) {
+func (g *busyAtGate) Do(fn func()) (bool, error) {
 	if g.shedAt[g.n.Add(1)] {
 		g.rejections.Add(1)
-		return nil, true, &serve.BusyError{RetryAfterMS: 1}
+		return true, &serve.BusyError{RetryAfterMS: 1}
 	}
-	return func() {}, true, nil
+	fn()
+	return true, nil
 }
 
 // startFakeExecutor serves the executor wire protocol by hand — banner,

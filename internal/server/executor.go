@@ -35,22 +35,19 @@ func buildRegistryTask(name string, params map[string]string) (core.Task, error)
 // execGate adapts a serve.Gate (plus the server's closing channel) to
 // dist.Gate: synchronous shed with the retry-after hint the coordinator
 // parses, a cancellable wait for a slot, and ok=false at shutdown so the
-// binary loop tears the connection down instead of answering.
+// binary loop tears the connection down instead of answering. The slot is
+// released inside serve.Gate.Do; nothing to release crosses into dist.
 type execGate struct {
 	g       *serve.Gate
 	closing <-chan struct{}
 }
 
-// Admit implements dist.Gate.
-func (e execGate) Admit() (func(), bool, error) {
-	t, err := e.g.Admit()
-	if err != nil {
-		return nil, true, err
+// Do implements dist.Gate.
+func (e execGate) Do(fn func()) (bool, error) {
+	if err := e.g.Do(e.closing, fn); err != nil {
+		return err != serve.ErrCanceled, err
 	}
-	if !t.WaitOrCancel(e.closing) {
-		return nil, false, nil
-	}
-	return t.Release, true, nil
+	return true, nil
 }
 
 // isExecOp reports whether a binary frame opcode belongs to the executor

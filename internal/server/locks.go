@@ -2,7 +2,7 @@ package server
 
 import "sync"
 
-// NameLocks is the per-model (more generally, per-table-name) reader/writer
+// nameLocks is the per-model (more generally, per-table-name) reader/writer
 // lock registry of the session manager: TRAIN persists a model under the
 // name's write lock, PREDICT / EVALUATE load it under the read lock, so
 // scoring statements see a stable model snapshot while a TRAIN on the same
@@ -12,9 +12,9 @@ import "sync"
 // Entries are refcounted and evicted as soon as the last holder releases:
 // names arrive from untrusted network statements once a catalog is served
 // over TCP, so an attacker looping over random model names must not be
-// able to grow the registry without bound. NameLocks implements
+// able to grow the registry without bound. nameLocks implements
 // sqlish.Guard.
-type NameLocks struct {
+type nameLocks struct {
 	mu    sync.Mutex
 	locks map[string]*nameLock
 }
@@ -24,16 +24,16 @@ type nameLock struct {
 	refs int
 }
 
-// NewNameLocks returns an empty registry.
-func NewNameLocks() *NameLocks {
-	return &NameLocks{locks: make(map[string]*nameLock)}
+// newNameLocks returns an empty registry.
+func newNameLocks() *nameLocks {
+	return &nameLocks{locks: make(map[string]*nameLock)}
 }
 
 // acquire resolves the name's lock entry and pins it. This is the
 // manager-level lock of the documented order (manager → model → catalog):
 // it is only ever held for the map access, never while blocking on a
 // model lock.
-func (nl *NameLocks) acquire(name string) *nameLock {
+func (nl *nameLocks) acquire(name string) *nameLock {
 	nl.mu.Lock()
 	defer nl.mu.Unlock()
 	l, ok := nl.locks[name]
@@ -48,7 +48,7 @@ func (nl *NameLocks) acquire(name string) *nameLock {
 // release unpins the entry, evicting it once nobody holds or waits on it.
 // The pin spans the whole hold, so a name in use always resolves to the
 // same RWMutex — eviction can only happen when no holder exists.
-func (nl *NameLocks) release(name string, l *nameLock) {
+func (nl *nameLocks) release(name string, l *nameLock) {
 	nl.mu.Lock()
 	defer nl.mu.Unlock()
 	l.refs--
@@ -59,7 +59,7 @@ func (nl *NameLocks) release(name string, l *nameLock) {
 
 // Lock takes the name's exclusive lock and returns its release (call it
 // exactly once).
-func (nl *NameLocks) Lock(name string) func() {
+func (nl *nameLocks) Lock(name string) func() {
 	l := nl.acquire(name)
 	l.mu.Lock()
 	return func() {
@@ -70,7 +70,7 @@ func (nl *NameLocks) Lock(name string) func() {
 
 // RLock takes the name's shared lock and returns its release (call it
 // exactly once).
-func (nl *NameLocks) RLock(name string) func() {
+func (nl *nameLocks) RLock(name string) func() {
 	l := nl.acquire(name)
 	l.mu.RLock()
 	return func() {

@@ -67,3 +67,38 @@ func testCatalogDir(t *testing.T) string {
 	})
 	return dir
 }
+
+// quiescent is the runtime leak backstop for admissions and name locks:
+// it closes the manager's TCP server (which waits out every connection
+// handler and frame worker) and drains its jobs, then requires the
+// name-lock registry to be empty — entries are refcounted, so any entry
+// is a held or leaked lock — and every gate (global, per-model, executor)
+// to show no slot held and no waiter queued.
+func quiescent(t *testing.T, m *Manager) {
+	t.Helper()
+	if srv, ok := servers.Load(m); ok {
+		srv.(*TCPServer).Close()
+	}
+	m.Drain()
+	m.locks.mu.Lock()
+	var names []string
+	for name := range m.locks.locks {
+		names = append(names, name)
+	}
+	m.locks.mu.Unlock()
+	if len(names) > 0 {
+		t.Errorf("name locks still registered after close: %v", names)
+	}
+	gs, models := m.plane.Stats()
+	if gs.Inflight != 0 || gs.Queued != 0 {
+		t.Errorf("global gate after close: inflight=%d queued=%d", gs.Inflight, gs.Queued)
+	}
+	for _, ms := range models {
+		if ms.Inflight != 0 || ms.Queued != 0 {
+			t.Errorf("model %s gate after close: inflight=%d queued=%d", ms.Model, ms.Inflight, ms.Queued)
+		}
+	}
+	if in, q := m.execGate.Inflight(), m.execGate.Queued(); in != 0 || q != 0 {
+		t.Errorf("executor gate after close: inflight=%d queued=%d", in, q)
+	}
+}

@@ -137,7 +137,7 @@ func TestFrameBusyShedding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hold.Wait()
+	hold.WaitOrCancel(nil)
 	queued, err := m.Plane().Gate().Admit()
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestFrameBusyShedding(t *testing.T) {
 	}
 
 	// Release capacity: the plane serves again.
-	go func() { queued.Wait(); queued.Release() }()
+	go func() { queued.WaitOrCancel(nil); queued.Release() }()
 	hold.Release()
 	if err := c.SendFrame(2, "PREDICT (1, 1) USING m"); err != nil {
 		t.Fatal(err)
@@ -264,4 +264,5 @@ func TestPipelinedPredictDuringAsyncTrain(t *testing.T) {
 	for err := range errc {
 		t.Error(err)
 	}
+	quiescent(t, m)
 }

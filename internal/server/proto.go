@@ -331,8 +331,8 @@ func (s *TCPServer) handle(conn net.Conn) {
 // or malformed frame is answered without spawning anything, which bounds
 // the per-connection goroutine count by the gate's inflight+queue budget
 // no matter how fast a client pipelines. done closes at connection
-// teardown: a worker still queued for a slot then abandons its booking
-// (releasing the queue accounting) instead of scoring for a dead client.
+// teardown: a worker still queued for a slot then returns its booking
+// (Plane.Go) instead of scoring for a dead client.
 func (s *TCPServer) serveFrame(line string, write func(id uint64, payload string), cwg *sync.WaitGroup, done <-chan struct{}) {
 	id, stmt, err := parseFrameRequest(line)
 	if err != nil {
@@ -350,25 +350,8 @@ func (s *TCPServer) serveFrame(line string, write func(id uint64, payload string
 		write(id, fmt.Sprintf("%s frames carry inline point-PREDICT only, not %v — use the line protocol for other statements", TermErr, st.Kind))
 		return
 	}
-	ad, err := s.m.plane.Admit(st.Model)
-	if err != nil {
-		write(id, TermErr+" "+oneLine(err.Error()))
-		return
-	}
-	cwg.Add(1)
-	go func() {
-		defer cwg.Done()
-		if !ad.Wait(done) {
-			return // connection torn down while queued; booking released
-		}
-		defer ad.Release()
-		select {
-		case <-done:
-			return // client left while we waited; don't score for nobody
-		default:
-		}
-		scores := make([]float64, len(st.Points))
-		if _, err := ad.Score(st.Model, st.Points, scores); err != nil {
+	err = s.m.plane.Go(st.Model, st.Points, done, cwg, func(scores []float64, err error) {
+		if err != nil {
 			write(id, TermErr+" "+oneLine(err.Error()))
 			return
 		}
@@ -378,7 +361,10 @@ func (s *TCPServer) serveFrame(line string, write func(id uint64, payload string
 			fmt.Fprintf(&b, " %.6g", v)
 		}
 		write(id, b.String())
-	}()
+	})
+	if err != nil {
+		write(id, TermErr+" "+oneLine(err.Error()))
+	}
 }
 
 // parseFrameRequest splits "@<id> <stmt>" into its id and statement text.

@@ -8,10 +8,15 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"bismarck/internal/engine"
 )
+
+// servers maps each manager to the TCP server started over it (startTCP,
+// startExecNode), so quiescent can close it before asserting.
+var servers sync.Map // *Manager → *TCPServer
 
 // startTCP spins a served manager on a loopback port.
 func startTCP(t *testing.T, m *Manager) (addr string) {
@@ -21,6 +26,7 @@ func startTCP(t *testing.T, m *Manager) (addr string) {
 		t.Fatal(err)
 	}
 	srv := NewTCPServer(m)
+	servers.Store(m, srv)
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(lis) }()
 	t.Cleanup(func() {

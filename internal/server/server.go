@@ -6,7 +6,7 @@
 // daemon.
 //
 // Locking protocol (documented in DESIGN.md): lock order is manager →
-// model → catalog. The manager level is NameLocks' registry mutex (held
+// model → catalog. The manager level is nameLocks' registry mutex (held
 // only to resolve a name to its RWMutex), the model level is the per-name
 // RWMutex (write-held across a model's replace-and-fill window, read-held
 // across metadata+coefficient loads), and the catalog level is
@@ -78,7 +78,7 @@ type Hooks struct {
 // job scheduler behind the ASYNC grammar.
 type Manager struct {
 	cat   *engine.Catalog
-	locks *NameLocks
+	locks *nameLocks
 	sched *scheduler
 	plane *serve.Plane
 	opts  Options
@@ -107,7 +107,7 @@ func NewManager(cat *engine.Catalog, opts Options) *Manager {
 	if opts.JobHistory <= 0 {
 		opts.JobHistory = 1024
 	}
-	m := &Manager{cat: cat, locks: NewNameLocks(), opts: opts}
+	m := &Manager{cat: cat, locks: newNameLocks(), opts: opts}
 	m.sched = newScheduler(m, opts.Workers, opts.QueueDepth, opts.JobHistory)
 	// The plane shares the manager's lock registry: its cache fills take a
 	// model's read lock exactly like a PREDICT statement, so a TRAIN
@@ -170,9 +170,10 @@ type Session struct {
 	out io.Writer
 	sq  *sqlish.Session
 
-	// Shutdown, when non-nil, aborts blocking statements (WAIT JOB) once
-	// closed — the TCP server installs its closing channel so a draining
-	// daemon is never deadlocked behind a handler parked on a queued job.
+	// Shutdown, when non-nil, aborts blocking statements (WAIT JOB, a
+	// point PREDICT queued for a scoring slot) once closed — the TCP
+	// server installs its closing channel so a draining daemon is never
+	// deadlocked behind a handler parked on a queue.
 	Shutdown <-chan struct{}
 }
 
@@ -264,9 +265,10 @@ func (s *Session) Run(st *spec.Statement, text string) error {
 	case st.Kind == spec.KindPointPredict:
 		// Inline scoring goes through the serving plane: hot cached
 		// snapshots under admission control, instead of sqlish's per-
-		// statement model reload. Read-only — no catalog checkpoint.
+		// statement model reload. Read-only — no catalog checkpoint. A
+		// request queued for a slot gives up when the server shuts down.
 		scores := make([]float64, len(st.Points))
-		if _, err := s.m.plane.Predict(st.Model, st.Points, scores); err != nil {
+		if _, err := s.m.plane.Do(st.Model, s.Shutdown, st.Points, scores); err != nil {
 			return err
 		}
 		for _, v := range scores {

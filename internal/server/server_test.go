@@ -66,7 +66,7 @@ func mustExec(t *testing.T, s *Session, stmt string) {
 // TestNameLocksExcludeWriters sanity-checks the lock registry: distinct
 // names are independent, same-name writers exclude readers.
 func TestNameLocksExcludeWriters(t *testing.T) {
-	nl := NewNameLocks()
+	nl := newNameLocks()
 	unlockA := nl.Lock("a")
 	unlockB := nl.Lock("b") // distinct name: must not block
 	unlockB()
@@ -335,7 +335,7 @@ func TestJobHistoryEviction(t *testing.T) {
 // name ever mentioned — an attacker looping over random model names would
 // otherwise grow daemon memory without bound.
 func TestNameLocksEvictIdleEntries(t *testing.T) {
-	nl := NewNameLocks()
+	nl := newNameLocks()
 	for i := 0; i < 1000; i++ {
 		nl.Lock(fmt.Sprintf("w%d", i))()
 		nl.RLock(fmt.Sprintf("r%d", i))()

@@ -48,7 +48,7 @@ func TestFrameDisconnectReleasesQueuedSlots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hold.Wait()
+	hold.WaitOrCancel(nil)
 
 	// Client A books the entire queue with pipelined frames...
 	a, err := Dial(addr)
@@ -97,6 +97,59 @@ func TestFrameDisconnectReleasesQueuedSlots(t *testing.T) {
 	if err != nil || f.ID != 1 || f.Err != "" || len(f.Scores) != 1 || f.Scores[0] < 5 {
 		t.Fatalf("live client's frame after release: %+v, %v", f, err)
 	}
+	quiescent(t, m)
+}
+
+// TestPointPredictHonoursShutdown: a line-protocol point PREDICT queued
+// for a scoring slot must give up when the server closes, not park the
+// connection handler (and with it TCPServer.Close) until a slot frees.
+func TestPointPredictHonoursShutdown(t *testing.T) {
+	m := NewManager(engine.NewCatalog(), Options{Workers: 1, ServeInflight: 1, ServeQueue: 2})
+	seedSignSets(t, m)
+	addr := startTCP(t, m)
+
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Exec(fmt.Sprintf(trainSignFmt, "pos", "")); err != nil {
+		t.Fatal(err)
+	}
+
+	// Hold every global slot so the statement can only queue.
+	hold, err := m.Plane().Gate().Admit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hold.WaitOrCancel(nil)
+	if err := c.Send("PREDICT (1, 1) USING m;"); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "the statement queued", func() bool { return m.Plane().Gate().Queued() == 1 })
+
+	srv, _ := servers.Load(m)
+	closed := make(chan struct{})
+	go func() {
+		srv.(*TCPServer).Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		hold.Release() // unwedge Close so the cleanup can finish
+		t.Fatal("TCPServer.Close hung behind a queued line-protocol PREDICT")
+	}
+	if q := m.Plane().Gate().Queued(); q != 0 {
+		t.Fatalf("queued PREDICT kept its booking past shutdown: queued=%d", q)
+	}
+	// The client sees an error line or a closed connection, never scores.
+	var body strings.Builder
+	if _, err := c.ReadResponse(&body); err == nil {
+		t.Fatalf("queued PREDICT answered OK across shutdown: %q", body.String())
+	}
+	hold.Release()
+	quiescent(t, m)
 }
 
 // TestBinaryFrameRoundTrip drives the negotiated binary encoding over
@@ -276,6 +329,7 @@ func TestBinaryFrameChurnBounded(t *testing.T) {
 	if max := uint64(1 + retrains*(1+fillAttemptsWire)); fills > max {
 		t.Fatalf("fill churn did not converge: %d fills for %d retrains (want <= %d)", fills, retrains, max)
 	}
+	quiescent(t, m)
 }
 
 // fillAttemptsWire mirrors serve's fillAttempts bound for the churn math
@@ -285,7 +339,8 @@ const fillAttemptsWire = 2
 // TestShowServingE2E checks SHOW SERVING's counters against a workload
 // the test itself drove.
 func TestShowServingE2E(t *testing.T) {
-	m := NewManager(engine.NewCatalog(), Options{Workers: 1})
+	m := NewManager(engine.NewCatalog(), Options{Workers: 1,
+		ServeInflight: 1, ServeQueue: 4, ServeModelQueue: 1})
 	seedSignSets(t, m)
 	addr := startTCP(t, m)
 
@@ -308,21 +363,29 @@ func TestShowServingE2E(t *testing.T) {
 			t.Fatalf("frame %d: %+v, %v", id, f, err)
 		}
 	}
-	// And one shed against a saturated fake model name.
-	holdA, err := m.Plane().Admit("ghost")
+	// And one shed against a fake model name: with the only global slot
+	// held, the first request books ghost's single queue position and the
+	// second is shed at the model level.
+	hold, err := m.Plane().Gate().Admit()
 	if err != nil {
 		t.Fatal(err)
 	}
-	holdA.Wait(nil)
-	for i := 0; ; i++ {
-		_, err := m.Plane().Admit("ghost")
-		if err != nil {
-			break // saturated: this admission shed
-		}
-		if i > 1024 {
-			t.Fatal("could not saturate ghost's gate")
-		}
+	hold.WaitOrCancel(nil)
+	cancel := make(chan struct{})
+	var wg sync.WaitGroup
+	noReply := func([]float64, error) { t.Error("a canceled ghost request replied") }
+	if err := m.Plane().Go("ghost", [][]float64{{1, 1}}, cancel, &wg, noReply); err != nil {
+		t.Fatalf("ghost's queue position should admit: %v", err)
 	}
+	if err := m.Plane().Go("ghost", [][]float64{{1, 1}}, cancel, &wg, noReply); !strings.Contains(fmt.Sprint(err), "busy") {
+		t.Fatalf("second ghost request should shed busy, got %v", err)
+	}
+	defer func() {
+		close(cancel)
+		wg.Wait()
+		hold.Release()
+		quiescent(t, m)
+	}()
 
 	body, err := c.Exec("SHOW SERVING;")
 	if err != nil {

@@ -37,22 +37,25 @@ func lockKey(name string) string {
 	}
 }
 
-// lockName takes the exclusive lock on a shared table name (no-op without
-// a Guard).
-func (s *Session) lockName(name string) func() {
+// withLock runs fn holding the exclusive lock on a shared table name and
+// releases it in a defer (no lock without a Guard). These two helpers are
+// the only callers of Guard.Lock / RLock: every lock window is a closure,
+// so a path that forgets the unlock cannot be written.
+func (s *Session) withLock(name string, fn func() error) error {
 	if s.Guard == nil {
-		return func() {}
+		return fn()
 	}
-	return s.Guard.Lock(lockKey(name))
+	defer s.Guard.Lock(lockKey(name))()
+	return fn()
 }
 
-// rlockName takes the shared lock on a shared table name (no-op without a
-// Guard).
-func (s *Session) rlockName(name string) func() {
+// withRLock is withLock with the shared lock.
+func (s *Session) withRLock(name string, fn func() error) error {
 	if s.Guard == nil {
-		return func() {}
+		return fn()
 	}
-	return s.Guard.RLock(lockKey(name))
+	defer s.Guard.RLock(lockKey(name))()
+	return fn()
 }
 
 // UnknownModelError reports a PREDICT / EVALUATE against a model name that

@@ -100,27 +100,17 @@ func (snap *ModelSnapshot) SupportsPoint() (bool, string) {
 }
 
 // LoadSnapshot decodes the persisted model into a serving snapshot. The
-// model name's shared lock spans the metadata and coefficient reads (same
-// invariant as restore), and the returned generation is the catalog
-// generation observed inside that lock window — a swap cannot commit while
-// the lock is held, so snapshot and generation always belong together. A
-// never-trained (or dropped) model surfaces as *UnknownModelError.
+// metadata, coefficients and returned generation come from one locked
+// read (readModel, shared with restore), so snapshot and generation
+// always belong together. A never-trained (or dropped) model surfaces as
+// *UnknownModelError.
 //
 // The task is rebuilt from metadata alone (no data view): a committed
 // model's metadata carries its fully-resolved constructor parameters, so
 // the Build hook never reaches dimension inference. This is what makes a
 // cache fill independent of any table scan — loadModel becomes the fill.
 func (s *Session) LoadSnapshot(model string) (*ModelSnapshot, uint64, error) {
-	unlock := s.rlockName(model)
-	gen := s.Cat.Generation(model)
-	taskName, kv, err := s.loadMeta(model)
-	var w vector.Dense
-	if err == nil {
-		var dim int64
-		fmt.Sscan(kv["__dim"], &dim)
-		w, err = s.loadModel(model, dim)
-	}
-	unlock()
+	taskName, kv, w, gen, err := s.readModel(model)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -128,7 +118,6 @@ func (s *Session) LoadSnapshot(model string) (*ModelSnapshot, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	delete(kv, "__dim") // reserved: model dimension, not a task parameter
 	params, err := spec.RebindStrings(ts.Params, kv)
 	if err != nil {
 		return nil, 0, err

@@ -182,13 +182,16 @@ func (s *Session) prepare(st *spec.Statement) (*spec.TaskSpec, spec.Knobs, spec.
 // view of it under the source name's shared lock: projection is the only
 // moment a statement scans a shared table, so the lock window is exactly
 // the copy (training and scoring then run on the private view).
-func (s *Session) projectFrom(st *spec.Statement, schema engine.Schema, opt spec.ViewOptions) (*spec.View, error) {
-	defer s.rlockName(st.From)()
-	src, err := s.Cat.Get(st.From)
-	if err != nil {
-		return nil, err
-	}
-	return spec.ProjectView(src, st, schema, opt)
+func (s *Session) projectFrom(st *spec.Statement, schema engine.Schema, opt spec.ViewOptions) (view *spec.View, err error) {
+	err = s.withRLock(st.From, func() error {
+		src, err := s.Cat.Get(st.From)
+		if err != nil {
+			return err
+		}
+		view, err = spec.ProjectView(src, st, schema, opt)
+		return err
+	})
+	return view, err
 }
 
 // showModels lists every persisted model (a coefficient table paired with
@@ -199,14 +202,16 @@ func (s *Session) showModels() error {
 		if !ok {
 			continue
 		}
-		unlock := s.rlockName(base)
-		taskName, _, err := s.loadMeta(base)
-		if err == nil {
-			if _, err := s.Cat.Get(base); err != nil {
-				err = fmt.Errorf("missing coefficient table")
+		var taskName string
+		err := s.withRLock(base, func() (err error) {
+			if taskName, _, err = s.loadMeta(base); err != nil {
+				return err
 			}
-		}
-		unlock()
+			if _, err := s.Cat.Get(base); err != nil {
+				return fmt.Errorf("missing coefficient table")
+			}
+			return nil
+		})
 		if err != nil {
 			fmt.Fprintf(s.Out, "%-12s (broken: %v)\n", base, err)
 			continue
@@ -236,14 +241,17 @@ func (s *Session) showShards(st *spec.Statement) error {
 	// a stalled client write must not stall writers queued on the table's
 	// exclusive lock (lockorder rule E; the window used to span the
 	// printing below).
-	unlock := s.rlockName(st.From)
-	tbl, err := s.Cat.Get(st.From)
-	if err != nil {
-		unlock()
+	var n int
+	if err := s.withRLock(st.From, func() error {
+		tbl, err := s.Cat.Get(st.From)
+		if err != nil {
+			return err
+		}
+		n = tbl.NumRows()
+		return nil
+	}); err != nil {
 		return err
 	}
-	n := tbl.NumRows()
-	unlock()
 	k := int(st.ShardCount)
 	if k <= 0 {
 		k = runtime.NumCPU()
@@ -294,14 +302,17 @@ func (s *Session) checkTable(st *spec.Statement) error {
 	// prints only after release: a slow client draining the per-page
 	// lines must not hold the table's writers off (lockorder rule E; the
 	// window used to span the printing below).
-	unlock := s.rlockName(st.From)
-	tbl, err := s.Cat.Get(st.From)
-	if err != nil {
-		unlock()
+	var rep engine.ScrubReport
+	if err := s.withRLock(st.From, func() error {
+		tbl, err := s.Cat.Get(st.From)
+		if err != nil {
+			return err
+		}
+		rep = tbl.Scrub()
+		return nil
+	}); err != nil {
 		return err
 	}
-	rep := tbl.Scrub()
-	unlock()
 	if rep.Clean() {
 		fmt.Fprintf(s.Out, "table %q: %d pages, all checksums ok\n", st.From, rep.Pages)
 		return nil
@@ -319,15 +330,18 @@ func (s *Session) checkTable(st *spec.Statement) error {
 // failures. It only reads state; CHECK TABLE re-verifies on demand.
 func (s *Session) showScrub() error {
 	for _, name := range s.Cat.Names() {
-		unlock := s.rlockName(name)
-		tbl, err := s.Cat.Get(name)
-		if err != nil {
-			unlock()
+		var pages int
+		var quar map[int]string
+		if err := s.withRLock(name, func() error {
+			tbl, err := s.Cat.Get(name)
+			if err != nil {
+				return err
+			}
+			pages, quar = tbl.NumPages(), tbl.QuarantinedPages()
+			return nil
+		}); err != nil {
 			continue
 		}
-		pages := tbl.NumPages()
-		quar := tbl.QuarantinedPages()
-		unlock()
 		if len(quar) == 0 {
 			fmt.Fprintf(s.Out, "%-12s %d pages, clean\n", name, pages)
 			continue
@@ -487,18 +501,7 @@ func (s *Session) restore(st *spec.Statement, opt spec.ViewOptions) (*spec.TaskS
 	// loads below stay strict — a model with quarantined pages must never
 	// silently score with a subset of its coefficients.
 	opt.Degraded = knobs.Degraded
-	// The model name's shared lock spans both the metadata and coefficient
-	// reads, so a concurrent re-TRAIN of the same name can never hand us
-	// metadata from one model generation and coefficients from another.
-	unlock := s.rlockName(st.Model)
-	taskName, kv, err := s.loadMeta(st.Model)
-	var w vector.Dense
-	if err == nil {
-		var dim int64
-		fmt.Sscan(kv["__dim"], &dim)
-		w, err = s.loadModel(st.Model, dim)
-	}
-	unlock()
+	taskName, kv, w, _, err := s.readModel(st.Model)
 	if err != nil {
 		return fail(err)
 	}
@@ -506,7 +509,6 @@ func (s *Session) restore(st *spec.Statement, opt spec.ViewOptions) (*spec.TaskS
 	if err != nil {
 		return fail(err)
 	}
-	delete(kv, "__dim") // reserved: model dimension, not a task parameter
 	params, err := spec.RebindStrings(ts.Params, kv)
 	if err != nil {
 		return fail(err)
@@ -710,38 +712,39 @@ type shadowFill struct {
 //
 // Lock order: the shadow fill lock of the first name (so two concurrent
 // writers of one destination queue up instead of colliding on the shadow
-// heaps) is held while that name's lock is taken for the commit. The pair
-// is always acquired in that order and the name lock is never held while
-// waiting on a shadow lock, which is what the no-two-model-locks
-// cycle-freedom argument (DESIGN.md §6) needs.
-func (s *Session) fillAndSwap(dropAlso []string, fills ...shadowFill) (err error) {
+// heaps) is the outer withLock, and that name's lock is a withLock nested
+// inside it around the Swap only. The pair is always acquired in that
+// order and the name lock is never held while waiting on a shadow lock,
+// which is what the no-two-model-locks cycle-freedom argument (DESIGN.md
+// §6) needs.
+func (s *Session) fillAndSwap(dropAlso []string, fills ...shadowFill) error {
 	name := fills[0].name
-	defer s.lockName(shadowName(name))()
-	defer func() {
-		if err != nil && !errors.Is(err, engine.ErrInjectedCrash) {
-			for _, f := range fills {
-				s.dropShadow(f.name)
+	return s.withLock(shadowName(name), func() (err error) {
+		defer func() {
+			if err != nil && !errors.Is(err, engine.ErrInjectedCrash) {
+				for _, f := range fills {
+					s.dropShadow(f.name)
+				}
 			}
+		}()
+		names, shadows := make([]string, len(fills)), make([]string, len(fills))
+		for i, f := range fills {
+			dst, err := s.buildShadow(f.name, f.schema)
+			if err != nil {
+				return err
+			}
+			if err := f.fill(dst); err != nil {
+				return err
+			}
+			if err := dst.Flush(); err != nil {
+				return err
+			}
+			names[i], shadows[i] = f.name, shadowName(f.name)
 		}
-	}()
-	names, shadows := make([]string, len(fills)), make([]string, len(fills))
-	for i, f := range fills {
-		dst, err := s.buildShadow(f.name, f.schema)
-		if err != nil {
-			return err
-		}
-		if err := f.fill(dst); err != nil {
-			return err
-		}
-		if err := dst.Flush(); err != nil {
-			return err
-		}
-		names[i], shadows[i] = f.name, shadowName(f.name)
-	}
-	unlock := s.lockName(name)
-	err = s.Cat.Swap(names, shadows, dropAlso)
-	unlock()
-	return err
+		return s.withLock(name, func() error {
+			return s.Cat.Swap(names, shadows, dropAlso)
+		})
+	})
 }
 
 // metaFillFault, when set by a test, fails the metadata fill after the
@@ -786,6 +789,27 @@ func (s *Session) saveModel(name string, ts *spec.TaskSpec, task core.Task, w ve
 			}
 			return nil
 		}})
+}
+
+// readModel reads a persisted model — task name, parameters, coefficients
+// — under one hold of the model name's shared lock, so a concurrent
+// re-TRAIN of the same name can never hand back metadata from one
+// generation and coefficients from another. gen is the catalog generation
+// observed inside that window: a swap cannot commit while the lock is
+// held, so it belongs to the same generation.
+func (s *Session) readModel(model string) (taskName string, kv map[string]string, w vector.Dense, gen uint64, err error) {
+	err = s.withRLock(model, func() (err error) {
+		gen = s.Cat.Generation(model)
+		if taskName, kv, err = s.loadMeta(model); err != nil {
+			return err
+		}
+		var dim int64
+		fmt.Sscan(kv["__dim"], &dim)
+		delete(kv, "__dim") // reserved: model dimension, not a task parameter
+		w, err = s.loadModel(model, dim)
+		return err
+	})
+	return taskName, kv, w, gen, err
 }
 
 // loadModel reads the persisted coefficient table into a dense vector of
