@@ -90,6 +90,16 @@ var planFingerprints = map[string]string{
 	"sparse-svm/sql/step=constant":                                       "model=025a038ce9db387f reply=SVM trained on src via IGD: 4 epochs, final loss 50.2735; model saved to table \"m\"",
 	"sparse-svm/sql/step=diminishing, decay=0.7":                         "model=da993e7829c4cce6 reply=SVM trained on src via IGD: 4 epochs, final loss 52.8155; model saved to table \"m\"",
 	"sparse-svm/sql/tol=0.02, epochs=40":                                 "model=9fac4a22fbe11d50 reply=SVM trained on src via IGD: 13 epochs, final loss 17.6233; model saved to table \"m\"",
+
+	// The solver= plans, recorded while the baseline solvers still ran
+	// their own loops outside core.Drive.
+	"dense-lr/sql/solver=batch, alpha=0.1, seed=11, epochs=4":             "model=3c7669323d2f3c96 reply=LR trained on dense via BatchGD: 4 epochs, final loss 82.792; model saved to table \"m\"",
+	"dense-lr/sql/solver=batch, alpha=0.1, seed=11, tol=0.001, epochs=40": "model=5170306ef55c374a reply=LR trained on dense via BatchGD: 40 epochs, final loss 15.9878; model saved to table \"m\"",
+	"dense-lr/sql/solver=irls, epochs=4":                                  "model=c919188be5ca63d4 reply=LR trained on dense via IRLS: 4 epochs, final loss 3.38912; model saved to table \"m\"",
+	"dense-lr/sql/solver=irls, tol=0.001, epochs=40":                      "model=e92a2cafc6aaa71a reply=LR trained on dense via IRLS: 13 epochs, final loss 0.000517991; model saved to table \"m\"",
+	"ratings-lmf/sql/solver=als, rank=3, seed=11, epochs=4":               "model=9f24c23ae7521429 reply=LMF trained on ratings via ALS: 4 epochs, final loss 56.7336; model saved to table \"m\"",
+	"ratings-lmf/sql/solver=als, rank=3, seed=11, tol=0.001, epochs=40":   "model=74d025475fe1065b reply=LMF trained on ratings via ALS: 10 epochs, final loss 55.0001; model saved to table \"m\"",
+	"sparse-svm/sql/solver=batch, alpha=0.1, seed=11, epochs=4":           "model=6d52a0bcdfff074a reply=SVM trained on sparse via BatchGD: 4 epochs, final loss 238.618; model saved to table \"m\"",
 }
 
 // TestPlanFingerprints proves a refactor of the training loops changed no
@@ -192,6 +202,31 @@ func TestPlanFingerprints(t *testing.T) {
 			got[wl.name+"/sql/"+with] = fmt.Sprintf("model=%016x reply=%s",
 				modelFP(snap.W), strings.TrimSpace(out.String()))
 		}
+	}
+
+	// Solver plans, each with only the knobs its solver reads: irls takes
+	// neither alpha nor seed, als takes no alpha.
+	s, out := declSession(t)
+	copyInto(t, s, "dense", data.Forest(300, 5))
+	copyInto(t, s, "sparse", data.DBLife(300, 2000, 12, 7))
+	copyInto(t, s, "ratings", data.MovieLens(20, 15, 300, 3, 0.2, 9))
+	for _, p := range []struct{ name, from, task, with string }{
+		{"dense-lr", "dense", "lr", "solver=batch, alpha=0.1, seed=11, epochs=4"},
+		{"dense-lr", "dense", "lr", "solver=batch, alpha=0.1, seed=11, tol=0.001, epochs=40"},
+		{"dense-lr", "dense", "lr", "solver=irls, epochs=4"},
+		{"dense-lr", "dense", "lr", "solver=irls, tol=0.001, epochs=40"},
+		{"sparse-svm", "sparse", "svm", "solver=batch, alpha=0.1, seed=11, epochs=4"},
+		{"ratings-lmf", "ratings", "lmf", "solver=als, rank=3, seed=11, epochs=4"},
+		{"ratings-lmf", "ratings", "lmf", "solver=als, rank=3, seed=11, tol=0.001, epochs=40"},
+	} {
+		out.Reset()
+		mustExec(t, s, fmt.Sprintf("SELECT * FROM %s TO TRAIN %s WITH %s INTO m;", p.from, p.task, p.with))
+		snap, _, err := s.LoadSnapshot("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[p.name+"/sql/"+p.with] = fmt.Sprintf("model=%016x reply=%s",
+			modelFP(snap.W), strings.TrimSpace(out.String()))
 	}
 
 	bad := false
