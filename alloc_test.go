@@ -1,8 +1,9 @@
-// Allocation-regression tests for the zero-allocation epoch pipeline: the
-// steady-state cached epoch (dense LR and sparse SVM) and the fused step
-// kernel must not allocate. These guard the whole point of the decoded-row
-// cache — a regression here silently reintroduces the decode-and-allocate
-// pass per row per epoch that the cache exists to remove.
+// Allocation-regression tests for the zero-allocation epoch pipeline: one
+// more epoch of a real plan (sequential or sharded) costs a constant number
+// of allocations, and the fused step kernel allocates nothing. These guard
+// the whole point of the decoded-row cache — a regression here silently
+// reintroduces the decode-and-allocate pass per row per epoch that the
+// cache exists to remove.
 package bismarck_test
 
 import (
@@ -11,44 +12,22 @@ import (
 	"bismarck/internal/core"
 	"bismarck/internal/data"
 	"bismarck/internal/engine"
-	"bismarck/internal/experiments"
 	"bismarck/internal/ordering"
+	"bismarck/internal/parallel"
 	"bismarck/internal/spec"
 	"bismarck/internal/tasks"
 	"bismarck/internal/vector"
 )
 
-// TestEpochScanAllocs asserts that a full cached epoch of gradient steps
-// allocates (almost) nothing, and that the reuse-scratch fallback stays
-// within its small constant budget.
-func TestEpochScanAllocs(t *testing.T) {
-	cases, err := experiments.EpochScanCases(2000, 800, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	budgets := map[string]float64{
-		"dense-lr/cached/1w":   1, // acceptance bound: ≤1 alloc per epoch
-		"sparse-svm/cached/1w": 1,
-		"dense-lr/reuse/1w":    16, // one scratch + decode high-water growth
-		"sparse-svm/reuse/1w":  16,
-	}
-	for name, budget := range budgets {
-		c, err := experiments.FindEpochScanCase(cases, name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Run(); err != nil { // warm up scratch high-water marks
-			t.Fatal(err)
-		}
-		allocs := testing.AllocsPerRun(5, func() {
-			if err := c.Run(); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs > budget {
-			t.Errorf("%s: %.1f allocs per epoch, budget %.0f", name, allocs, budget)
-		}
-	}
+// planWorkloads are the dense and sparse sources the real-plan gates train
+// on.
+var planWorkloads = []struct {
+	name string
+	src  func(rows int) *engine.Table
+	task core.Task
+}{
+	{"dense-lr", func(rows int) *engine.Table { return data.Forest(rows, 7) }, tasks.NewLR(54)},
+	{"sparse-svm", func(rows int) *engine.Table { return data.DBLife(rows, 41000, 12, 8) }, tasks.NewSVM(41000)},
 }
 
 // TestAllocBudgetRealPlan gates the plan a default TRAIN actually runs —
@@ -62,14 +41,7 @@ func TestAllocBudgetRealPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct {
-		name string
-		src  func(rows int) *engine.Table
-		task core.Task
-	}{
-		{"dense-lr", func(rows int) *engine.Table { return data.Forest(rows, 7) }, tasks.NewLR(54)},
-		{"sparse-svm", func(rows int) *engine.Table { return data.DBLife(rows, 41000, 12, 8) }, tasks.NewSVM(41000)},
-	} {
+	for _, c := range planWorkloads {
 		for _, rows := range []int{500, 4000} {
 			src := c.src(rows)
 			view, err := spec.ProjectView(src, st, src.Schema, spec.ViewOptions{})
@@ -96,38 +68,39 @@ func TestAllocBudgetRealPlan(t *testing.T) {
 	}
 }
 
-// TestShardedEpochAllocs asserts the shared-nothing epoch workers are
-// zero-alloc in steady state: all per-shard machinery (epoch sources,
-// replicas, step closures) is built once, so a whole sharded epoch —
-// thousands of rows — stays within a tiny constant budget that only covers
-// goroutine spawn bookkeeping. Any per-row allocation would blow the
-// budget by orders of magnitude.
-func TestShardedEpochAllocs(t *testing.T) {
-	cases, err := experiments.ShardedEpochCases(2000, 800, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	budgets := map[string]float64{
-		"dense-lr/sharded/1w":   2,
-		"dense-lr/sharded/4w":   8,
-		"sparse-svm/sharded/1w": 2,
-		"sparse-svm/sharded/4w": 8,
-	}
-	for name, budget := range budgets {
-		c, err := experiments.FindEpochScanCase(cases, name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Run(); err != nil { // warm up goroutine free lists
-			t.Fatal(err)
-		}
-		allocs := testing.AllocsPerRun(5, func() {
-			if err := c.Run(); err != nil {
-				t.Fatal(err)
+// TestAllocBudgetShardedPlan gates the plan a WITH shards=K TRAIN runs —
+// engine.ShardTable + parallel.NewShardedEpoch + core.Drive — the same way:
+// every per-shard source, replica and step closure is built once, so one
+// more epoch costs only the K worker spawns, the merge and the loss pass,
+// a constant that does not grow with the row count.
+func TestAllocBudgetShardedPlan(t *testing.T) {
+	budgets := map[int]float64{1: 8, 4: 24}
+	for _, c := range planWorkloads {
+		for _, rows := range []int{500, 4000} {
+			src := c.src(rows)
+			for k, budget := range budgets {
+				sharded, err := engine.ShardTable(src, k, engine.ShardRoundRobin)
+				if err != nil {
+					t.Fatal(err)
+				}
+				train := func(epochs int) float64 {
+					return testing.AllocsPerRun(3, func() {
+						se, err := parallel.NewShardedEpoch(c.task, sharded, ordering.ShuffleOnce{}, 1)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if _, err := core.Drive(se, core.LoopConfig{Task: c.task, Step: core.ConstantStep{A: 0.01},
+							MaxEpochs: epochs, Seed: 1}); err != nil {
+							t.Fatal(err)
+						}
+					})
+				}
+				if perEpoch := (train(9) - train(1)) / 8; perEpoch > budget {
+					t.Errorf("%s K=%d over %d rows: %.1f allocations per epoch, budget %.0f",
+						c.name, k, rows, perEpoch, budget)
+				}
+				sharded.Close()
 			}
-		})
-		if allocs > budget {
-			t.Errorf("%s: %.1f allocs per sharded epoch, budget %.0f", name, allocs, budget)
 		}
 	}
 }

@@ -203,58 +203,6 @@ func BenchmarkOrderingLogical(b *testing.B) {
 	}
 }
 
-// BenchmarkEpochScan is the epoch pipeline's decode-path ablation: one full
-// pass of gradient steps per op over dense LR and sparse SVM workloads,
-// comparing the seed decode-per-epoch path against reusable-scratch decode
-// and the materialized columnar cache, sequentially and with 4 shared-
-// memory workers. The cached dense-LR steady state must hold ≤1 alloc/op
-// (see TestEpochScanAllocs) and ≥2x decode's rows/sec.
-func BenchmarkEpochScan(b *testing.B) {
-	cases, err := experiments.EpochScanCases(
-		experiments.EpochScanDenseRows, experiments.EpochScanSparseRows, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, c := range cases {
-		b.Run(c.Name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := c.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(c.Rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-		})
-	}
-}
-
-// BenchmarkShardedEpoch is the shared-nothing scaling family: one op = one
-// sharded epoch (K workers over per-shard row caches, then one
-// row-weighted model average) at K = 1, 2, 4 over dense LR and sparse SVM.
-// rows/s should scale with K on a multicore machine, and the steady state
-// must stay zero-alloc per row (see TestShardedEpochAllocs); the K=1 case
-// is the mode's overhead floor against BenchmarkEpochScan's cached/1w.
-func BenchmarkShardedEpoch(b *testing.B) {
-	cases, err := experiments.ShardedEpochCases(
-		experiments.EpochScanDenseRows, experiments.EpochScanSparseRows, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, c := range cases {
-		b.Run(c.Name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := c.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(c.Rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-		})
-	}
-}
-
 // BenchmarkDotAxpy isolates the fused step kernel against the separate
 // dot-then-axpy calls it replaced.
 func BenchmarkDotAxpy(b *testing.B) {

@@ -24,9 +24,9 @@
 //	    MaxEpochs: 20, Order: bismarck.ShuffleOnce{},
 //	}).Run(tbl)
 //
-// Every execution plan — sequential, parallel, sharded, sampled — is an
-// EpochRunner handed to the one epoch loop, Drive; Trainer and
-// ParallelTrainer are struct-literal front doors onto it.
+// Every execution plan — sequential, parallel, sharded, sampled, and the
+// baseline solvers — is an EpochRunner handed to the one epoch loop, Drive;
+// Trainer and ParallelTrainer are struct-literal front doors onto it.
 //
 // See examples/ for complete programs, cmd/bench for the paper's tables
 // and figures, and benchmark/ for the performance harness.
@@ -330,11 +330,13 @@ func DialServer(addr string) (*ServerClient, error) { return server.Dial(addr) }
 
 // --- baselines ---
 
-type (
-	// IRLS is Newton-method logistic regression (MADlib-style).
-	IRLS = baselines.IRLS
-	// BatchGD is full-gradient descent over any task.
-	BatchGD = baselines.BatchGD
-	// ALS is alternating least squares matrix factorization.
-	ALS = baselines.ALS
+// The baseline solvers are plans like any other: hand the runner to Drive,
+// and one epoch is one iteration or sweep.
+var (
+	// NewIRLSRunner is Newton-method logistic regression (MADlib-style).
+	NewIRLSRunner = baselines.NewIRLSRunner
+	// NewBatchRunner is full-gradient descent over any task.
+	NewBatchRunner = baselines.NewBatchRunner
+	// NewALSRunner is alternating least squares matrix factorization.
+	NewALSRunner = baselines.NewALSRunner
 )

@@ -2,9 +2,6 @@ package baselines
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
-	"time"
 
 	"bismarck/internal/core"
 	"bismarck/internal/engine"
@@ -12,32 +9,17 @@ import (
 	"bismarck/internal/vector"
 )
 
-// ALS trains low-rank matrix factorization by alternating least squares,
-// the MADlib-style LMF algorithm: holding R fixed, each L_i is the solution
-// of a k×k ridge system over the row's observed cells, and vice versa. Per
-// sweep it materializes the rating lists per row and per column and solves
-// (rows+cols) dense k×k systems — much heavier machinery per pass than the
-// IGD transition, which is how Bismarck ends up orders of magnitude faster
-// on MovieLens-scale data (Figure 7A).
-type ALS struct {
-	Rows, Cols, Rank int
-	Mu               float64 // ridge term (defaults to 1e-6 when 0)
-	MaxSweeps        int
-	RelTol           float64
-	TargetLoss       float64
-	Seed             int64
-	// Deadline mirrors core.Trainer.Deadline.
-	Deadline time.Time
-}
-
-// ALSResult reports a finished ALS run.
-type ALSResult struct {
-	// Model is flattened exactly like tasks.LMF: L rows then R rows.
-	Model     vector.Dense
-	Sweeps    int
-	Losses    []float64
-	Total     time.Duration
-	Converged bool
+// alsRunner trains low-rank matrix factorization by alternating least
+// squares, the MADlib-style LMF algorithm: holding R fixed, each L_i is the
+// solution of a k×k ridge system over the row's observed cells, and vice
+// versa. Per sweep it solves (rows+cols) dense k×k systems over rating
+// lists materialized per row and per column — much heavier machinery per
+// pass than the IGD transition, which is how Bismarck ends up orders of
+// magnitude faster on MovieLens-scale data (Figure 7A).
+type alsRunner struct {
+	lmf          *tasks.LMF
+	tbl          *engine.Table
+	byRow, byCol [][]cell
 }
 
 type cell struct {
@@ -45,125 +27,69 @@ type cell struct {
 	v     float64
 }
 
-// Run trains on a RatingSchema table.
-func (a *ALS) Run(tbl *engine.Table) (*ALSResult, error) {
-	if a.MaxSweeps <= 0 {
-		return nil, fmt.Errorf("baselines: ALS.MaxSweeps must be > 0")
-	}
-	mu := a.Mu
-	if mu == 0 {
-		mu = 1e-6
-	}
-	k := a.Rank
-	// Materialize per-row and per-column rating lists (one scan).
-	byRow := make([][]cell, a.Rows)
-	byCol := make([][]cell, a.Cols)
+// NewALSRunner builds the ALS plan for lmf over a RatingSchema table,
+// reading the per-row and per-column rating lists in one scan. The factors
+// live in w in tasks.LMF's layout, so the run starts from the task's own
+// initial model. The task's Mu is the ridge term (1e-6 when 0); ALS has no
+// step size, so Run ignores alpha.
+func NewALSRunner(lmf *tasks.LMF, tbl *engine.Table) (core.EpochRunner, error) {
+	r := &alsRunner{lmf: lmf, tbl: tbl,
+		byRow: make([][]cell, lmf.Rows), byCol: make([][]cell, lmf.Cols)}
 	err := tbl.Rows().Scan(func(tp engine.Tuple) error {
 		i, j, v := int(tp[0].Int), int(tp[1].Int), tp[2].Float
-		if i < 0 || i >= a.Rows || j < 0 || j >= a.Cols {
-			return fmt.Errorf("baselines: rating (%d,%d) outside %dx%d", i, j, a.Rows, a.Cols)
+		if i < 0 || i >= lmf.Rows || j < 0 || j >= lmf.Cols {
+			return fmt.Errorf("baselines: rating (%d,%d) outside %dx%d", i, j, lmf.Rows, lmf.Cols)
 		}
-		byRow[i] = append(byRow[i], cell{other: j, v: v})
-		byCol[j] = append(byCol[j], cell{other: i, v: v})
+		r.byRow[i] = append(r.byRow[i], cell{other: j, v: v})
+		r.byCol[j] = append(r.byCol[j], cell{other: i, v: v})
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	return r, nil
+}
 
-	rng := rand.New(rand.NewSource(a.Seed))
-	L := make([]vector.Dense, a.Rows)
-	R := make([]vector.Dense, a.Cols)
-	for i := range L {
-		L[i] = randVec(rng, k, 0.1)
+// Run is one sweep: re-solve every row factor, then every column factor.
+func (r *alsRunner) Run(_ int, w vector.Dense, _ float64) error {
+	L, R := w[:r.lmf.Rows*r.lmf.Rank], w[r.lmf.Rows*r.lmf.Rank:]
+	if err := r.solveSide(L, R, r.byRow); err != nil {
+		return err
 	}
-	for j := range R {
-		R[j] = randVec(rng, k, 0.1)
-	}
+	return r.solveSide(R, L, r.byCol)
+}
 
-	lmf := tasks.NewLMF(a.Rows, a.Cols, a.Rank)
-	res := &ALSResult{}
-	start := time.Now()
-	prevLoss := math.NaN()
-	solveSide := func(target []vector.Dense, fixed []vector.Dense, lists [][]cell) error {
-		for idx, cells := range lists {
-			if len(cells) == 0 {
-				continue
-			}
-			H := NewMatrix(k)
-			b := make([]float64, k)
-			for _, c := range cells {
-				f := fixed[c.other]
-				for p := 0; p < k; p++ {
-					b[p] += c.v * f[p]
-					hp := H.A[p*k:]
-					for q := 0; q < k; q++ {
-						hp[q] += f[p] * f[q]
-					}
+// solveSide re-solves each factor of target against the fixed side; both
+// are flattened k-vectors, one per row (or column).
+func (r *alsRunner) solveSide(target, fixed vector.Dense, lists [][]cell) error {
+	k, mu := r.lmf.Rank, r.lmf.Mu
+	if mu == 0 {
+		mu = 1e-6
+	}
+	for idx, cells := range lists {
+		if len(cells) == 0 {
+			continue
+		}
+		H := NewMatrix(k)
+		b := make([]float64, k)
+		for _, c := range cells {
+			f := fixed[c.other*k : (c.other+1)*k]
+			for p := 0; p < k; p++ {
+				b[p] += c.v * f[p]
+				hp := H.A[p*k:]
+				for q := 0; q < k; q++ {
+					hp[q] += f[p] * f[q]
 				}
 			}
-			H.AddDiag(mu)
-			x, err := H.Solve(b)
-			if err != nil {
-				return err
-			}
-			copy(target[idx], x)
 		}
-		return nil
-	}
-	for sweep := 0; sweep < a.MaxSweeps; sweep++ {
-		if !a.Deadline.IsZero() && time.Now().After(a.Deadline) {
-			res.Model = a.flatten(L, R)
-			res.Total = time.Since(start)
-			return res, core.ErrDeadline
-		}
-		if err := solveSide(L, R, byRow); err != nil {
-			return nil, err
-		}
-		if err := solveSide(R, L, byCol); err != nil {
-			return nil, err
-		}
-		res.Sweeps = sweep + 1
-		w := a.flatten(L, R)
-		var loss float64
-		err := tbl.Rows().Scan(func(tp engine.Tuple) error {
-			loss += lmf.Loss(w, tp)
-			return nil
-		})
+		H.AddDiag(mu)
+		x, err := H.Solve(b)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		res.Losses = append(res.Losses, loss)
-		if a.TargetLoss != 0 && loss <= a.TargetLoss {
-			res.Converged = true
-			break
-		}
-		if a.RelTol > 0 && !math.IsNaN(prevLoss) && math.Abs(prevLoss-loss)/math.Max(math.Abs(prevLoss), 1) < a.RelTol {
-			res.Converged = true
-			break
-		}
-		prevLoss = loss
+		copy(target[idx*k:(idx+1)*k], x)
 	}
-	res.Model = a.flatten(L, R)
-	res.Total = time.Since(start)
-	return res, nil
+	return nil
 }
 
-func (a *ALS) flatten(L, R []vector.Dense) vector.Dense {
-	w := vector.NewDense((a.Rows + a.Cols) * a.Rank)
-	for i, l := range L {
-		copy(w[i*a.Rank:], l)
-	}
-	for j, r := range R {
-		copy(w[(a.Rows+j)*a.Rank:], r)
-	}
-	return w
-}
-
-func randVec(rng *rand.Rand, k int, scale float64) vector.Dense {
-	v := vector.NewDense(k)
-	for i := range v {
-		v[i] = scale * rng.NormFloat64()
-	}
-	return v
-}
+func (r *alsRunner) Loss(w vector.Dense) (float64, error) { return core.TotalLoss(r.lmf, w, r.tbl) }

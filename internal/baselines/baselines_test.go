@@ -96,45 +96,51 @@ func denseLRTable(t *testing.T, n, d int, seed int64) (*engine.Table, vector.Den
 	return tbl, truth
 }
 
-func TestIRLSConvergesQuadratically(t *testing.T) {
-	tbl, _ := denseLRTable(t, 400, 6, 1)
-	ir := &IRLS{D: 6, Mu: 0.1, MaxIters: 20, RelTol: 1e-8}
-	res, err := ir.Run(tbl)
+// drive runs a baseline runner under core.Drive with a constant step.
+func drive(t *testing.T, r core.EpochRunner, task core.Task, alpha float64, iters int, relTol float64) *core.Result {
+	t.Helper()
+	res, err := core.Drive(r, core.LoopConfig{Task: task, Step: core.ConstantStep{A: alpha},
+		MaxEpochs: iters, RelTol: relTol, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res
+}
+
+// batch runs line-search batch GD on tbl.
+func batch(t *testing.T, task core.Task, tbl *engine.Table, alpha float64, iters int) *core.Result {
+	t.Helper()
+	r, err := NewBatchRunner(task, tbl, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return drive(t, r, task, alpha, iters, 0)
+}
+
+func TestIRLSConvergesQuadratically(t *testing.T) {
+	tbl, _ := denseLRTable(t, 400, 6, 1)
+	lr := &tasks.LR{D: 6, Mu: 0.1}
+	res := drive(t, NewIRLSRunner(lr, tbl), lr, 1, 20, 1e-8)
 	if !res.Converged {
-		t.Fatalf("IRLS did not converge in %d iters (losses %v)", res.Iters, res.Losses)
+		t.Fatalf("IRLS did not converge in %d iters (losses %v)", res.Epochs, res.Losses)
 	}
 	// Newton on a smooth strongly convex objective converges in few iters.
-	if res.Iters > 12 {
-		t.Fatalf("IRLS took %d iterations", res.Iters)
+	if res.Epochs > 12 {
+		t.Fatalf("IRLS took %d iterations", res.Epochs)
 	}
 	// Its optimum must be at least as good as a long IGD run.
 	igd, err := (&core.Trainer{Task: &tasks.LR{D: 6, Mu: 0.1}, Step: core.DefaultStep(0.1), MaxEpochs: 60, Seed: 1}).Run(tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Losses[len(res.Losses)-1] > igd.FinalLoss()*1.02 {
-		t.Fatalf("IRLS loss %g worse than IGD %g", res.Losses[len(res.Losses)-1], igd.FinalLoss())
-	}
-}
-
-func TestIRLSMaxDimGate(t *testing.T) {
-	tbl, _ := denseLRTable(t, 10, 4, 2)
-	ir := &IRLS{D: 4, MaxIters: 2, MaxDim: 3}
-	if _, err := ir.Run(tbl); err == nil {
-		t.Fatal("expected MaxDim gate to fire")
+	if res.FinalLoss() > igd.FinalLoss()*1.02 {
+		t.Fatalf("IRLS loss %g worse than IGD %g", res.FinalLoss(), igd.FinalLoss())
 	}
 }
 
 func TestBatchGDDecreasesLossOnLR(t *testing.T) {
 	tbl, _ := denseLRTable(t, 300, 5, 3)
-	b := &BatchGD{Task: tasks.NewLR(5), Alpha: 1.0, MaxIters: 40, LineSearch: true, Seed: 1}
-	res, err := b.Run(tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := batch(t, tasks.NewLR(5), tbl, 1.0, 40)
 	if res.FinalLoss() >= res.Losses[0] {
 		t.Fatalf("batch GD did not improve: %v", res.Losses)
 	}
@@ -154,11 +160,7 @@ func TestBatchGDNeedsMoreScansThanIGDForSameLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := igd.FinalLoss()
-	b := &BatchGD{Task: tasks.NewLR(5), Alpha: 1.0, MaxIters: 3, LineSearch: true, Seed: 1}
-	bres, err := b.Run(tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bres := batch(t, tasks.NewLR(5), tbl, 1.0, 3)
 	if bres.FinalLoss() <= target {
 		t.Fatalf("batch GD (%g) unexpectedly beat IGD (%g) at equal scans", bres.FinalLoss(), target)
 	}
@@ -166,14 +168,15 @@ func TestBatchGDNeedsMoreScansThanIGDForSameLoss(t *testing.T) {
 
 func TestBatchGDValidation(t *testing.T) {
 	tbl, _ := denseLRTable(t, 10, 2, 5)
-	if _, err := (&BatchGD{Task: tasks.NewLR(2), Alpha: 1}).Run(tbl); err == nil {
-		t.Fatal("MaxIters=0 must error")
+	r, err := NewBatchRunner(tasks.NewLR(2), tbl, false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := (&BatchGD{Task: tasks.NewLR(2), MaxIters: 1}).Run(tbl); err == nil {
-		t.Fatal("Alpha=0 must error")
+	if _, err := core.Drive(r, core.LoopConfig{Task: tasks.NewLR(2), Step: core.ConstantStep{}, MaxEpochs: 1}); err == nil {
+		t.Fatal("a zero step must error")
 	}
 	empty := engine.NewMemTable("e", tasks.DenseExampleSchema)
-	if _, err := (&BatchGD{Task: tasks.NewLR(2), Alpha: 1, MaxIters: 1}).Run(empty); err == nil {
+	if _, err := NewBatchRunner(tasks.NewLR(2), empty, false); err == nil {
 		t.Fatal("empty table must error")
 	}
 }
@@ -181,13 +184,20 @@ func TestBatchGDValidation(t *testing.T) {
 func ratingTable(t *testing.T, rows, cols, rank int, density float64, seed int64) *engine.Table {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
+	factor := func() vector.Dense {
+		v := vector.NewDense(rank)
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+		return v
+	}
 	L := make([]vector.Dense, rows)
 	R := make([]vector.Dense, cols)
 	for i := range L {
-		L[i] = randVec(rng, rank, 1)
+		L[i] = factor()
 	}
 	for j := range R {
-		R[j] = randVec(rng, rank, 1)
+		R[j] = factor()
 	}
 	tbl := engine.NewMemTable("r", tasks.RatingSchema)
 	for i := 0; i < rows; i++ {
@@ -202,12 +212,16 @@ func ratingTable(t *testing.T, rows, cols, rank int, density float64, seed int64
 
 func TestALSRecoversLowRankMatrix(t *testing.T) {
 	tbl := ratingTable(t, 25, 20, 2, 0.5, 6)
-	als := &ALS{Rows: 25, Cols: 20, Rank: 2, MaxSweeps: 60, RelTol: 1e-10, Seed: 2}
-	res, err := als.Run(tbl)
+	lmf := tasks.NewLMF(25, 20, 2)
+	r, err := NewALSRunner(lmf, tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rmse := math.Sqrt(res.Losses[len(res.Losses)-1] / float64(tbl.NumRows()))
+	res, err := core.Drive(r, core.LoopConfig{Task: lmf, Step: core.ConstantStep{}, MaxEpochs: 60, RelTol: 1e-10, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rmse := math.Sqrt(res.FinalLoss() / float64(tbl.NumRows()))
 	if rmse > 0.05 {
 		t.Fatalf("ALS rmse = %g", rmse)
 	}
@@ -216,16 +230,8 @@ func TestALSRecoversLowRankMatrix(t *testing.T) {
 func TestALSRejectsOutOfRangeRatings(t *testing.T) {
 	tbl := engine.NewMemTable("r", tasks.RatingSchema)
 	tbl.MustInsert(engine.Tuple{engine.I64(99), engine.I64(0), engine.F64(1)})
-	als := &ALS{Rows: 2, Cols: 2, Rank: 1, MaxSweeps: 1}
-	if _, err := als.Run(tbl); err == nil {
+	if _, err := NewALSRunner(tasks.NewLMF(2, 2, 1), tbl); err == nil {
 		t.Fatal("expected out-of-range error")
-	}
-}
-
-func TestALSValidation(t *testing.T) {
-	tbl := engine.NewMemTable("r", tasks.RatingSchema)
-	if _, err := (&ALS{Rows: 1, Cols: 1, Rank: 1}).Run(tbl); err == nil {
-		t.Fatal("MaxSweeps=0 must error")
 	}
 }
 
@@ -247,11 +253,7 @@ func TestBatchGDOnCRFImproves(t *testing.T) {
 		}
 		tbl.MustInsert(engine.Tuple{engine.I64(int64(s)), engine.IntsV(offsets), engine.IntsV(feats), engine.IntsV(labels)})
 	}
-	b := &BatchGD{Task: tasks.NewCRF(F, L), Alpha: 2, MaxIters: 25, LineSearch: true, Seed: 1}
-	res, err := b.Run(tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := batch(t, tasks.NewCRF(F, L), tbl, 2, 25)
 	if res.FinalLoss() >= res.Losses[0]/2 {
 		t.Fatalf("batch CRF did not improve enough: %g -> %g", res.Losses[0], res.FinalLoss())
 	}

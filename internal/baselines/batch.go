@@ -3,110 +3,89 @@ package baselines
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"bismarck/internal/core"
 	"bismarck/internal/engine"
 	"bismarck/internal/vector"
 )
 
-// BatchGD trains any core.Task by full (deterministic) gradient descent:
-// every iteration scans ALL the data to form one gradient, then takes one
-// step. It is the classical alternative to IGD — and the reason IGD wins:
-// an IGD epoch takes N steps for the same scan cost. With a conservative
-// step size (Mallet-style) it is slower still; BatchGD is the stand-in for
-// the batch optimizers inside CRF++ / Mallet and the "native tool" gradient
-// code paths.
+// batchRunner trains any core.Task by full (deterministic) gradient
+// descent: every Run scans ALL the data to form one gradient, then takes
+// one step. It is the classical alternative to IGD — and the reason IGD
+// wins: an IGD epoch takes N steps for the same scan cost. With a
+// conservative step size (Mallet-style) it is slower still; batch GD is the
+// stand-in for the batch optimizers inside CRF++ / Mallet and the "native
+// tool" gradient code paths.
 //
 // The gradient is recovered from the task's own Step function by running it
 // against a scratch model with α = 1 and differencing, so any Bismarck task
 // gets a batch baseline for free.
-type BatchGD struct {
-	Task       core.Task
-	Alpha      float64 // step size applied to the averaged gradient
-	MaxIters   int
-	RelTol     float64
-	TargetLoss float64
-	// LineSearch halves Alpha whenever a step fails to decrease the loss.
-	LineSearch bool
-	Seed       int64
-	// Deadline mirrors core.Trainer.Deadline.
-	Deadline time.Time
+type batchRunner struct {
+	task       core.Task
+	tbl        *engine.Table
+	lineSearch bool
+	scale      float64 // line-search halvings of Drive's alpha so far
+	inv        float64 // 1/N: the gradient is averaged over the rows
+	grad, cand vector.Dense
+	scratch    *core.DenseModel
+	loss       float64 // objective at the latest step's model; NaN before the first
 }
 
-// Run trains and reports per-iteration losses.
-func (b *BatchGD) Run(tbl *engine.Table) (*core.Result, error) {
-	if b.MaxIters <= 0 {
-		return nil, fmt.Errorf("baselines: BatchGD.MaxIters must be > 0")
-	}
-	if b.Alpha <= 0 {
-		return nil, fmt.Errorf("baselines: BatchGD.Alpha must be > 0")
-	}
-	d := b.Task.Dim()
-	w := core.InitialModel(b.Task, b.Seed)
-	res := &core.Result{}
-	start := time.Now()
-	alpha := b.Alpha
-	prevLoss := math.NaN()
+// NewBatchRunner builds the batch gradient descent plan over tbl. With
+// lineSearch, a step that fails to decrease the loss is retried at half the
+// step size, and the halving persists for the rest of the run. Loss returns
+// the objective the step already computed, so a Run is one gradient scan
+// plus one or two loss scans.
+func NewBatchRunner(task core.Task, tbl *engine.Table, lineSearch bool) (core.EpochRunner, error) {
 	n := tbl.NumRows()
 	if n == 0 {
 		return nil, fmt.Errorf("baselines: empty table")
 	}
-	grad := vector.NewDense(d)
-	scratch := &core.DenseModel{W: vector.NewDense(d)}
-	for it := 0; it < b.MaxIters; it++ {
-		if !b.Deadline.IsZero() && time.Now().After(b.Deadline) {
-			res.Model = w
-			res.Total = time.Since(start)
-			return res, core.ErrDeadline
-		}
-		iterStart := time.Now()
-		grad.Zero()
-		// One full scan: accumulate Σ ∇f_i(w) using the task's Step as a
-		// gradient oracle (Step(w, z, 1) moves the scratch model by −∇f).
-		err := tbl.Rows().Scan(func(tp engine.Tuple) error {
-			copy(scratch.W, w)
-			b.Task.Step(scratch, tp, 1)
-			for i := range grad {
-				grad[i] += w[i] - scratch.W[i] // = ∇f_i(w)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		inv := 1 / float64(n)
-		cand := w.Clone()
-		vector.Axpy(cand, grad, -alpha*inv)
-		loss, err := core.TotalLoss(b.Task, cand, tbl)
-		if err != nil {
-			return nil, err
-		}
-		if b.LineSearch && !math.IsNaN(prevLoss) && loss > prevLoss {
-			alpha /= 2
-			// Retry the halved step from the same w.
-			cand = w.Clone()
-			vector.Axpy(cand, grad, -alpha*inv)
-			loss, err = core.TotalLoss(b.Task, cand, tbl)
-			if err != nil {
-				return nil, err
-			}
-		}
-		w = cand
-		res.Epochs = it + 1
-		res.Losses = append(res.Losses, loss)
-		res.EpochTimes = append(res.EpochTimes, time.Since(iterStart))
-		if b.TargetLoss != 0 && loss <= b.TargetLoss {
-			res.Converged = true
-			break
-		}
-		if b.RelTol > 0 && !math.IsNaN(prevLoss) && math.Abs(prevLoss-loss)/math.Max(math.Abs(prevLoss), 1) < b.RelTol {
-			res.Converged = true
-			break
-		}
-		prevLoss = loss
-	}
-	res.Model = w
-	res.Total = time.Since(start)
-	return res, nil
+	d := task.Dim()
+	return &batchRunner{task: task, tbl: tbl, lineSearch: lineSearch, scale: 1,
+		inv: 1 / float64(n), grad: vector.NewDense(d), cand: vector.NewDense(d),
+		scratch: &core.DenseModel{W: vector.NewDense(d)}, loss: math.NaN()}, nil
 }
+
+func (r *batchRunner) Run(_ int, w vector.Dense, alpha float64) error {
+	if alpha <= 0 {
+		return fmt.Errorf("baselines: batch GD step must be > 0, got %g", alpha)
+	}
+	r.grad.Zero()
+	// One full scan: accumulate Σ ∇f_i(w) using the task's Step as a
+	// gradient oracle (Step(w, z, 1) moves the scratch model by −∇f).
+	err := r.tbl.Rows().Scan(func(tp engine.Tuple) error {
+		copy(r.scratch.W, w)
+		r.task.Step(r.scratch, tp, 1)
+		for i := range r.grad {
+			r.grad[i] += w[i] - r.scratch.W[i] // = ∇f_i(w)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	loss, err := r.try(w, alpha*r.scale)
+	if err != nil {
+		return err
+	}
+	if r.lineSearch && !math.IsNaN(r.loss) && loss > r.loss {
+		// Retry the halved step from the same w.
+		r.scale /= 2
+		if loss, err = r.try(w, alpha*r.scale); err != nil {
+			return err
+		}
+	}
+	copy(w, r.cand)
+	r.loss = loss
+	return nil
+}
+
+// try forms the candidate w − step·ḡ and returns its objective.
+func (r *batchRunner) try(w vector.Dense, step float64) (float64, error) {
+	copy(r.cand, w)
+	vector.Axpy(r.cand, r.grad, -step*r.inv)
+	return core.TotalLoss(r.task, r.cand, r.tbl)
+}
+
+func (r *batchRunner) Loss(vector.Dense) (float64, error) { return r.loss, nil }

@@ -11,7 +11,9 @@
 //   - Batch CRF trainers standing in for CRF++ and Mallet.
 //
 // None of these share Bismarck's tuple-at-a-time UDA shape; that contrast
-// is the point of Figure 7 and Table 4.
+// is the point of Figure 7 and Table 4. They do share its loop: each is a
+// core.EpochRunner whose Run is one iteration or sweep, so core.Drive owns
+// their convergence test, deadline and timing exactly as it does IGD's.
 package baselines
 
 import (

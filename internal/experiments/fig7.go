@@ -67,13 +67,13 @@ func RunFig7B(w io.Writer, cfg Config) error {
 	}
 	cumBis := cumulative(bis.EpochTimes)
 
-	crfpp, err := (&baselines.BatchGD{Task: task, Alpha: 8, MaxIters: 60, LineSearch: true,
-		Seed: cfg.Seed, Deadline: time.Now().Add(cfg.budget())}).Run(tbl)
+	crfpp, err := baseline{task: task, alpha: 8, iters: 60, seed: cfg.Seed, budget: cfg.budget()}.
+		drive(baselines.NewBatchRunner(task, tbl, true))
 	if err != nil && !errors.Is(err, core.ErrDeadline) {
 		return err
 	}
-	mallet, err := (&baselines.BatchGD{Task: task, Alpha: 1.5, MaxIters: 120,
-		Seed: cfg.Seed, Deadline: time.Now().Add(cfg.budget())}).Run(tbl)
+	mallet, err := baseline{task: task, alpha: 1.5, iters: 120, seed: cfg.Seed, budget: cfg.budget()}.
+		drive(baselines.NewBatchRunner(task, tbl, false))
 	if err != nil && !errors.Is(err, core.ErrDeadline) {
 		return err
 	}

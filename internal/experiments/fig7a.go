@@ -79,8 +79,8 @@ func RunFig7A(w io.Writer, cfg Config) error {
 	batch := func(task core.Task, tbl *engine.Table, alpha float64) toolRun {
 		return toolRun{name: "Batch GD", run: func() (float64, time.Duration, error) {
 			start := time.Now()
-			res, err := (&baselines.BatchGD{Task: task, Alpha: alpha, MaxIters: 500, LineSearch: true,
-				RelTol: relTol, Seed: cfg.Seed, Deadline: time.Now().Add(budget)}).Run(tbl)
+			res, err := baseline{task: task, alpha: alpha, iters: 500, relTol: relTol, seed: cfg.Seed,
+				budget: budget}.drive(baselines.NewBatchRunner(task, tbl, true))
 			if err != nil && !errors.Is(err, core.ErrDeadline) {
 				return 0, 0, err
 			}
@@ -102,15 +102,16 @@ func RunFig7A(w io.Writer, cfg Config) error {
 				bismarck(&tasks.LR{D: 54, Mu: 1e-4}, forest, core.GeometricStep{A0: 0.1, Rho: 0.7}, 40),
 				{name: "IRLS (Newton)", run: func() (float64, time.Duration, error) {
 					start := time.Now()
-					res, err := (&baselines.IRLS{D: 54, Mu: 1e-4, MaxIters: 30, RelTol: relTol,
-						Deadline: time.Now().Add(budget)}).Run(forest)
+					lr := &tasks.LR{D: 54, Mu: 1e-4}
+					res, err := baseline{task: lr, iters: 30, relTol: relTol, budget: budget}.
+						drive(baselines.NewIRLSRunner(lr, forest), nil)
 					if err != nil && !errors.Is(err, core.ErrDeadline) {
 						return 0, 0, err
 					}
 					if len(res.Losses) == 0 {
 						return 0, 0, errors.New("no iterations in budget")
 					}
-					return res.Losses[len(res.Losses)-1], time.Since(start), nil
+					return res.FinalLoss(), time.Since(start), nil
 				}},
 			},
 		},
@@ -141,16 +142,20 @@ func RunFig7A(w io.Writer, cfg Config) error {
 				bismarck(lmfTask(mRows, mCols), ml, core.GeometricStep{A0: 0.04, Rho: 0.97}, 150),
 				{name: "ALS", run: func() (float64, time.Duration, error) {
 					start := time.Now()
-					res, err := (&baselines.ALS{Rows: mRows, Cols: mCols, Rank: 10, Mu: 0.05,
-						MaxSweeps: 60, RelTol: relTol, Seed: cfg.Seed,
-						Deadline: time.Now().Add(budget)}).Run(ml)
+					lmf := tasks.NewLMF(mRows, mCols, 10)
+					lmf.Mu = 0.05
+					res, err := baseline{task: lmf, iters: 60, relTol: relTol, seed: cfg.Seed, budget: budget}.
+						drive(baselines.NewALSRunner(lmf, ml))
 					if err != nil && !errors.Is(err, core.ErrDeadline) {
 						return 0, 0, err
 					}
 					if len(res.Losses) == 0 {
 						return 0, 0, errors.New("no sweeps in budget")
 					}
-					return res.Losses[len(res.Losses)-1], time.Since(start), nil
+					// Report the objective the other tools are judged on, without
+					// the ridge term ALS trains with.
+					loss, err := core.TotalLoss(lmfTask(mRows, mCols), res.Model, ml)
+					return loss, time.Since(start), err
 				}},
 				batch(lmfTask(mRows, mCols), ml, 0.02),
 			},

@@ -3,6 +3,7 @@ package experiments
 import (
 	"time"
 
+	"bismarck/internal/core"
 	"bismarck/internal/engine"
 )
 
@@ -24,4 +25,26 @@ func timeToTarget(losses []float64, times []time.Duration, target float64) strin
 		}
 	}
 	return "-"
+}
+
+// baseline is one baseline-solver run under core.Drive: a constant step
+// (IRLS and ALS ignore it), an iteration cap, a tolerance, and a wall-clock
+// budget that starts when drive is called.
+type baseline struct {
+	task   core.Task
+	alpha  float64
+	iters  int
+	relTol float64
+	seed   int64
+	budget time.Duration
+}
+
+// drive runs the solver's plan as its constructor returns it. A run the
+// budget cuts short returns its partial result with core.ErrDeadline.
+func (b baseline) drive(r core.EpochRunner, err error) (*core.Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	return core.Drive(r, core.LoopConfig{Task: b.task, Step: core.ConstantStep{A: b.alpha},
+		MaxEpochs: b.iters, RelTol: b.relTol, Seed: b.seed, Deadline: time.Now().Add(b.budget)})
 }

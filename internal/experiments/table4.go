@@ -48,13 +48,15 @@ func RunTable4(w io.Writer, cfg Config) error {
 
 	// --- LR on Classify300M-style ---
 	{
-		bres, berr := (&core.Trainer{Task: tasks.NewLR(50), Step: core.GeometricStep{A0: 0.05, Rho: 0.8},
+		lr := tasks.NewLR(50)
+		bres, berr := (&core.Trainer{Task: lr, Step: core.GeometricStep{A0: 0.05, Rho: 0.8},
 			MaxEpochs: 30, RelTol: 1e-3, Seed: cfg.Seed, PiggybackLoss: true,
 			Deadline: deadline()}).Run(classify)
-		nres, nerr := (&baselines.IRLS{D: 50, Mu: 1e-4, MaxIters: 30, RelTol: 1e-6,
-			Deadline: deadline()}).Run(classify)
-		gres, gerr := (&baselines.BatchGD{Task: tasks.NewLR(50), Alpha: 1, MaxIters: 500,
-			LineSearch: true, RelTol: 1e-4, Seed: cfg.Seed, Deadline: deadline()}).Run(classify)
+		newton := &tasks.LR{D: 50, Mu: 1e-4}
+		nres, nerr := baseline{task: newton, iters: 30, relTol: 1e-6, budget: budget}.
+			drive(baselines.NewIRLSRunner(newton, classify), nil)
+		gres, gerr := baseline{task: lr, alpha: 1, iters: 500, relTol: 1e-4, seed: cfg.Seed, budget: budget}.
+			drive(baselines.NewBatchRunner(lr, classify, true))
 		t.Add("LR", mark(bres != nil && bres.Converged, berr),
 			mark(nres != nil && nres.Converged, nerr),
 			mark(gres != nil && gres.Converged, gerr), "N/A",
@@ -63,11 +65,12 @@ func RunTable4(w io.Writer, cfg Config) error {
 
 	// --- SVM on Classify300M-style ---
 	{
-		bres, berr := (&core.Trainer{Task: tasks.NewSVM(50), Step: core.GeometricStep{A0: 0.05, Rho: 0.8},
+		svm := tasks.NewSVM(50)
+		bres, berr := (&core.Trainer{Task: svm, Step: core.GeometricStep{A0: 0.05, Rho: 0.8},
 			MaxEpochs: 30, RelTol: 1e-3, Seed: cfg.Seed, PiggybackLoss: true,
 			Deadline: deadline()}).Run(classify)
-		gres, gerr := (&baselines.BatchGD{Task: tasks.NewSVM(50), Alpha: 0.5, MaxIters: 500,
-			RelTol: 1e-5, Seed: cfg.Seed, Deadline: deadline()}).Run(classify)
+		gres, gerr := baseline{task: svm, alpha: 0.5, iters: 500, relTol: 1e-5, seed: cfg.Seed, budget: budget}.
+			drive(baselines.NewBatchRunner(svm, classify, false))
 		t.Add("SVM", mark(bres != nil && bres.Converged, berr), "N/A",
 			mark(gres != nil && gres.Converged, gerr), "N/A",
 			"hinge loss; batch GD converges slowly without line search")
@@ -79,8 +82,10 @@ func RunTable4(w io.Writer, cfg Config) error {
 		bres, berr := (&core.Trainer{Task: lmf, Step: core.GeometricStep{A0: 0.02, Rho: 0.85},
 			MaxEpochs: 25, RelTol: 5e-3, Seed: cfg.Seed, PiggybackLoss: true,
 			Deadline: deadline()}).Run(matrix)
-		ares, aerr := (&baselines.ALS{Rows: mRows, Cols: mCols, Rank: 10, Mu: 0.05,
-			MaxSweeps: 60, RelTol: 5e-3, Seed: cfg.Seed, Deadline: deadline()}).Run(matrix)
+		als := tasks.NewLMF(mRows, mCols, 10)
+		als.Mu = 0.05
+		ares, aerr := baseline{task: als, iters: 60, relTol: 5e-3, seed: cfg.Seed, budget: budget}.
+			drive(baselines.NewALSRunner(als, matrix))
 		t.Add("LMF", mark(bres != nil && bres.Converged, berr), "N/A", "N/A",
 			mark(ares != nil && ares.Converged, aerr),
 			"706k x 706k shape (scaled cells), rank 10")
@@ -92,8 +97,8 @@ func RunTable4(w io.Writer, cfg Config) error {
 		bres, berr := (&core.Trainer{Task: crf, Step: core.GeometricStep{A0: 0.1, Rho: 0.8},
 			MaxEpochs: 45, RelTol: 1e-3, Seed: cfg.Seed, PiggybackLoss: true,
 			Deadline: deadline()}).Run(dblp)
-		gres, gerr := (&baselines.BatchGD{Task: crf, Alpha: 1, MaxIters: 200, RelTol: 1e-5,
-			Seed: cfg.Seed, Deadline: deadline()}).Run(dblp)
+		gres, gerr := baseline{task: crf, alpha: 1, iters: 200, relTol: 1e-5, seed: cfg.Seed, budget: budget}.
+			drive(baselines.NewBatchRunner(crf, dblp, false))
 		t.Add("CRF", mark(bres != nil && bres.Converged, berr), "N/A",
 			mark(gres != nil && gres.Converged, gerr), "N/A",
 			"sequence labeling; batch trainers need many full scans")

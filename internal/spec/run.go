@@ -8,12 +8,14 @@ import (
 	"strconv"
 	"strings"
 
+	"bismarck/internal/baselines"
 	"bismarck/internal/core"
 	"bismarck/internal/dist"
 	"bismarck/internal/engine"
 	"bismarck/internal/ordering"
 	"bismarck/internal/parallel"
 	"bismarck/internal/sampling"
+	"bismarck/internal/tasks"
 	"bismarck/internal/vector"
 )
 
@@ -240,7 +242,9 @@ func SplitKnobs(with []Param) (Knobs, []Param, error) {
 		if exclusive > 0 {
 			return Knobs{}, nil, fmt.Errorf("spec: solver=%s does not combine with parallel/mrs/reservoir/shards", k.Solver)
 		}
-		if err := rejectExplicit("solver="+k.Solver, KnobOrder, KnobStep, KnobDecay); err != nil {
+		// IRLS and ALS take no step size, and IRLS always starts from zero.
+		ignored := map[string][]string{"irls": {KnobAlpha, KnobSeed}, "als": {KnobAlpha}}[k.Solver]
+		if err := rejectExplicit("solver="+k.Solver, append(ignored, KnobOrder, KnobStep, KnobDecay)...); err != nil {
 			return Knobs{}, nil, err
 		}
 	}
@@ -270,15 +274,17 @@ func SplitKnobs(with []Param) (Knobs, []Param, error) {
 }
 
 // StepRule builds the statement's step rule; alpha0 resolves unset alpha.
+// A baseline solver takes its step as given: batch GD's line search does
+// its own shrinking, and IRLS / ALS have no step size at all.
 func (k Knobs) StepRule(alpha0 float64) core.StepRule {
 	a := k.Alpha
 	if a == 0 {
 		a = alpha0
 	}
-	switch k.Step {
-	case "constant":
+	switch {
+	case k.Solver != "igd" || k.Step == "constant":
 		return core.ConstantStep{A: a}
-	case "diminishing":
+	case k.Step == "diminishing":
 		p := k.Decay
 		if p <= 0 || p > 1 {
 			p = 1
@@ -335,11 +341,11 @@ type Outcome struct {
 	Method string  // human-readable dispatch description
 }
 
-// Train runs a TO TRAIN statement's IGD plan: the knobs pick one epoch
-// runner — sequential, a §3.3 parallel scheme, in-process or remote
-// shards, reservoir, MRS — and core.Drive runs the one loop over it. This
-// is the single dispatch path of the unified architecture: no
-// task-specific branching happens here.
+// Train runs a TO TRAIN statement's plan: the knobs pick one epoch runner —
+// sequential, a §3.3 parallel scheme, in-process or remote shards,
+// reservoir, MRS, or a baseline solver — and core.Drive runs the one loop
+// over it. This is the single dispatch path of the unified architecture:
+// no task-specific branching happens here.
 func Train(ts *TaskSpec, task core.Task, k Knobs, view *engine.Table) (*Outcome, error) {
 	r, method, done, err := planRunner(ts, task, k, view)
 	if err != nil {
@@ -365,6 +371,26 @@ func planRunner(ts *TaskSpec, task core.Task, k Knobs, view *engine.Table) (
 	r core.EpochRunner, method string, done func(), err error) {
 	done = func() {}
 	switch {
+	case k.Solver != "igd":
+		// One epoch is one full-gradient step, one Newton iteration or one
+		// ALS sweep; SplitKnobs has already kept every IGD-only knob away.
+		if !ts.SupportsSolver(k.Solver) {
+			return nil, "", done, fmt.Errorf("spec: task %s does not support solver=%s", ts.Name, k.Solver)
+		}
+		lr, isLR := task.(*tasks.LR)
+		lmf, isLMF := task.(*tasks.LMF)
+		switch {
+		case k.Solver == "batch":
+			r, err = baselines.NewBatchRunner(task, view, true)
+			return r, "BatchGD", done, err
+		case k.Solver == "irls" && isLR:
+			return baselines.NewIRLSRunner(lr, view), "IRLS", done, nil
+		case k.Solver == "als" && isLMF:
+			r, err = baselines.NewALSRunner(lmf, view)
+			return r, "ALS", done, err
+		}
+		return nil, "", done, fmt.Errorf("spec: solver=%s cannot train task %s", k.Solver, ts.Name)
+
 	case k.MRS > 0:
 		r, done, err = sampling.NewMRSRunner(task, view, k.MRS, k.Seed)
 		return r, fmt.Sprintf("IGD/MRS(buf=%d)", k.MRS), done, err

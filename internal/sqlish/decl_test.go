@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"bismarck/internal/core"
 	"bismarck/internal/data"
 	"bismarck/internal/engine"
 	"bismarck/internal/spec"
@@ -264,6 +265,10 @@ func TestDeclarativeErrors(t *testing.T) {
 		`SELECT * FROM papers WHERE ghost = 1 TO TRAIN lr INTO m`:   "unknown column",
 		`SELECT * FROM papers TO TRAIN lr WITH solver=als INTO m`:   "does not support solver",
 		`SELECT * FROM papers TO TRAIN svm WITH solver=irls INTO m`: "does not support solver",
+		// Knobs a solver never reads are refused, not ignored.
+		`SELECT * FROM papers TO TRAIN lr WITH solver=irls, alpha=0.5 INTO m`: "ignores alpha",
+		`SELECT * FROM papers TO TRAIN lr WITH solver=irls, seed=3 INTO m`:    "ignores seed",
+		`SELECT * FROM papers TO TRAIN lmf WITH solver=als, alpha=0.5 INTO m`: "ignores alpha",
 	}
 	for stmt, want := range cases {
 		err := s.Exec(stmt)
@@ -545,6 +550,39 @@ func TestSolverRejectsIgnoredKnobs(t *testing.T) {
 	err = s.Exec(`SELECT * FROM ratings TO TRAIN lmf WITH rank=3, solver=als, step=diminishing INTO m;`)
 	if err == nil || !strings.Contains(err.Error(), "ignores step") {
 		t.Fatalf("als+step: %v", err)
+	}
+}
+
+// TestALSTrainsTheStatementsTask checks solver=als starts from and reports
+// the task the statement built: init_scale picks the initial factors, and
+// the reply's loss is the task's whole objective, mu penalty included.
+func TestALSTrainsTheStatementsTask(t *testing.T) {
+	s, out := declSession(t)
+	copyInto(t, s, "ratings", data.MovieLens(20, 15, 300, 3, 0.2, 9))
+	train := func(with string) *ModelSnapshot {
+		out.Reset()
+		mustExec(t, s, `SELECT * FROM ratings TO TRAIN lmf WITH rank=3, epochs=3, solver=als, `+with+` INTO m;`)
+		snap, _, err := s.LoadSnapshot("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	if small, large := train("init_scale=0.1"), train("init_scale=0.5"); modelFP(small.W) == modelFP(large.W) {
+		t.Fatal("init_scale=0.5 trained the same model as init_scale=0.1")
+	}
+
+	snap := train("mu=0.1")
+	src, err := s.Cat.Get("ratings")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loss, err := core.TotalLoss(snap.Task, snap.W, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("final loss %.6g;", loss); !strings.Contains(out.String(), want) {
+		t.Fatalf("reply %q does not report the objective (%s)", out.String(), want)
 	}
 }
 

