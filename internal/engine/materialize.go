@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 )
 
 // This file implements the decoded-row cache of the zero-allocation epoch
@@ -34,6 +35,9 @@ type Materialized struct {
 	// idx lists the slab rows this cache exposes, in order (nil: all of
 	// them); a shard is its source's slabs under an idx of its own.
 	idx []int32
+	// shuffled: idx is a random order this value owns (MatView.Permute set
+	// it), so Permute may reshuffle it in place and scans gather ahead.
+	shuffled bool
 }
 
 // matCol is one column's slabs; only the fields of the column's type are
@@ -93,20 +97,84 @@ func (m *Materialized) load(row Tuple, i int) {
 // Scan visits every cached row in order.
 func (m *Materialized) Scan(fn func(Tuple) error) error { return m.ScanSegment(0, m.n, fn) }
 
+// gatherRows is the block a shuffled scan reads ahead of its callbacks.
+const gatherRows = 64
+
 // ScanSegment visits rows [from, to) in order — the row-granular analogue
-// of Table.ScanPages — through one scratch tuple.
+// of Table.ScanPages — through one scratch tuple. A shuffled index visits
+// them in blocks of gatherRows, each gathered before its first callback:
+// in random order every row is a cache and TLB miss, and the gather puts a
+// block's misses in flight together instead of stalling on them one by one.
+// Ascending and strided indexes skip it; the hardware prefetcher has them.
 func (m *Materialized) ScanSegment(from, to int, fn func(Tuple) error) error {
 	if from < 0 || to > m.n || from > to {
 		return fmt.Errorf("engine: cached segment [%d,%d) out of [0,%d]", from, to, m.n)
 	}
 	row := make(Tuple, len(m.schema))
 	for i := from; i < to; i++ {
+		if m.shuffled && (i-from)%gatherRows == 0 {
+			m.gather(m.idx[i:min(i+gatherRows, to)])
+		}
 		m.load(row, i)
 		if err := fn(row); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// gather reads one word of every cache line the given slab rows occupy:
+// the scalar cells and vector offsets first, then the vector entries their
+// offsets locate. String contents are not read. The sums only keep the
+// loads alive; they are local because concurrent scans share the view.
+func (m *Materialized) gather(rows []int32) {
+	var ints int64
+	var flts float64
+	for c := range m.cols {
+		col, typ := &m.cols[c], m.schema[c].Type
+		for _, r := range rows {
+			switch typ {
+			case TInt64:
+				ints += col.ints[r]
+			case TFloat64:
+				flts += col.flts[r]
+			case TString:
+				ints += int64(len(col.strs[r]))
+			default:
+				ints += int64(col.offs[r]) + int64(col.offs[r+1])
+			}
+		}
+	}
+	for c := range m.cols {
+		col, typ := &m.cols[c], m.schema[c].Type
+		if typ <= TString { // not a vector type
+			continue
+		}
+		for _, r := range rows {
+			lo, hi := col.offs[r], col.offs[r+1]
+			if typ != TInt32Vec {
+				flts += lineSum(col.f64s[lo:hi], 8)
+			}
+			if typ != TDenseVec {
+				ints += int64(lineSum(col.i32s[lo:hi], 16))
+			}
+		}
+	}
+	runtime.KeepAlive(ints)
+	runtime.KeepAlive(flts)
+}
+
+// lineSum adds one entry of every 64-byte cache line s spans, perLine
+// entries to a line.
+func lineSum[T int32 | float64](s []T, perLine int) T {
+	var sum T
+	for k := 0; k < len(s); k += perLine {
+		sum += s[k]
+	}
+	if len(s) > 0 {
+		sum += s[len(s)-1]
+	}
+	return sum
 }
 
 // Segments splits the rows into n contiguous ranges of roughly equal size.
@@ -130,7 +198,11 @@ func (m *Materialized) subset(rows []int32) *Materialized {
 // View returns a fresh logically-ordered view over the cache. Each trainer
 // run takes its own view so one run's shuffle cannot leak into another's
 // notion of "stored order".
-func (m *Materialized) View() *MatView { return &MatView{Materialized: *m} }
+func (m *Materialized) View() *MatView {
+	v := &MatView{Materialized: *m}
+	v.shuffled = false // the index stays shared until the view's first Permute
+	return v
+}
 
 // MatView is one trainer's ordered view over a materialization: the same
 // slabs under a row order that logical shuffles mutate. Until the first
@@ -139,14 +211,13 @@ func (m *Materialized) View() *MatView { return &MatView{Materialized: *m} }
 // epochs only.
 type MatView struct {
 	Materialized
-	permuted bool // idx is this view's own copy
 }
 
 // Permute reshuffles the view's row order in place — the logical equivalent
 // of the ORDER BY RANDOM() table rewrite, at the cost of an O(n) index
 // shuffle instead of a full decode-sort-encode pass over the heap.
 func (v *MatView) Permute(rng *rand.Rand) {
-	if !v.permuted {
+	if !v.shuffled {
 		own := make([]int32, v.n)
 		if v.idx != nil {
 			copy(own, v.idx)
@@ -155,7 +226,7 @@ func (v *MatView) Permute(rng *rand.Rand) {
 				own[i] = int32(i)
 			}
 		}
-		v.idx, v.permuted = own, true
+		v.idx, v.shuffled = own, true
 	}
 	rng.Shuffle(v.n, func(i, j int) { v.idx[i], v.idx[j] = v.idx[j], v.idx[i] })
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -214,6 +215,150 @@ func TestMatViewPermutationIsolation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// gatherRow is a row of every column type whose vectors run from empty to
+// several cache lines wide, so gathered blocks straddle line boundaries.
+func gatherRow(i int) Tuple {
+	w := i % 41
+	dense := make(vector.Dense, w)
+	for j := range dense {
+		dense[j] = float64(i) + float64(j)/64
+	}
+	idx, val := make([]int32, w/2), make([]float64, w/2)
+	for j := range idx {
+		idx[j], val[j] = int32(3*j+i%3), -float64(i*j)
+	}
+	ints := make([]int32, i*7%37)
+	for j := range ints {
+		ints[j] = int32(i - j)
+	}
+	return Tuple{I64(int64(i)), F64(float64(i) / 7), Str(fmt.Sprintf("r%d", i)), DenseV(dense),
+		SparseV(vector.NewSparse(idx, val)), IntsV(ints)}
+}
+
+// TestPermutedScanGather: a scan over a shuffled index, which gathers each
+// block of rows before visiting it, visits exactly the rows Row returns, in
+// order, over every [from, to) shape around the block size; stops at the
+// row whose callback fails; and allocates what an unpermuted scan of the
+// same view does.
+func TestPermutedScanGather(t *testing.T) {
+	const n = 8*gatherRows + 21
+	schema := Schema{{Name: "id", Type: TInt64}, {Name: "f", Type: TFloat64}, {Name: "s", Type: TString},
+		{Name: "vec", Type: TDenseVec}, {Name: "sv", Type: TSparseVec}, {Name: "iv", Type: TInt32Vec}}
+	b := NewMatBuilder(schema, n, n*PageSize)
+	for i := 0; i < n; i++ {
+		if err := b.Add(gatherRow(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src := b.Table("g")
+	shards, err := ShardTable(src, 2, ShardRoundRobin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := ShardTable(shards.Shard(1), 2, ShardHash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached := func(tb *Table) *Materialized {
+		mat, err := tb.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mat
+	}
+	permuted := func(mat *Materialized, seed int64) *Materialized {
+		v := mat.View()
+		v.Permute(rand.New(rand.NewSource(seed)))
+		return &v.Materialized
+	}
+	every3rd := func(m *Materialized) []int32 {
+		var rows []int32
+		for i := 0; i < m.n; i += 3 {
+			rows = append(rows, int32(i))
+		}
+		return rows
+	}
+	mat := cached(src)
+	pv := permuted(mat, 1)
+	cases := []struct {
+		name          string
+		plain, gather *Materialized
+	}{
+		{"view", mat, pv},
+		{"shard", cached(shards.Shard(1)), permuted(cached(shards.Shard(1)), 2)},
+		{"shard of shard", cached(inner.Shard(0)), permuted(cached(inner.Shard(0)), 3)},
+		{"subset of permuted", mat.subset(every3rd(mat)), pv.subset(every3rd(pv))},
+	}
+	errStop := errors.New("stop")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := c.gather
+			if !m.shuffled || c.plain.shuffled {
+				t.Fatalf("shuffled: gathered view %v, plain view %v", m.shuffled, c.plain.shuffled)
+			}
+			for _, from := range []int{0, 5, gatherRows - 1} {
+				for _, length := range []int{0, 1, gatherRows - 1, gatherRows, gatherRows + 1,
+					2*gatherRows + 30, m.n - from} {
+					to := from + length
+					if to > m.n {
+						continue
+					}
+					i := from
+					if err := m.ScanSegment(from, to, func(tp Tuple) error {
+						if !bytes.Equal(tp.Encode(), m.Row(i).Encode()) {
+							return fmt.Errorf("position %d differs from Row", i)
+						}
+						i++
+						return nil
+					}); err != nil {
+						t.Fatalf("[%d,%d): %v", from, to, err)
+					}
+					if i != to {
+						t.Fatalf("[%d,%d) stopped at %d", from, to, i)
+					}
+				}
+			}
+			for _, fail := range []int{0, 30, gatherRows, gatherRows + 30} {
+				calls := 0
+				err := m.ScanSegment(0, m.n, func(Tuple) error {
+					calls++
+					if calls == fail+1 {
+						return errStop
+					}
+					return nil
+				})
+				if !errors.Is(err, errStop) || calls != fail+1 {
+					t.Fatalf("fn failing at row %d: %d callbacks, err %v", fail, calls, err)
+				}
+			}
+			scan := func(m *Materialized) func() {
+				return func() {
+					if err := m.ScanSegment(0, m.n, func(Tuple) error { return nil }); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if got, want := testing.AllocsPerRun(10, scan(m)), testing.AllocsPerRun(10, scan(c.plain)); got != want {
+				t.Fatalf("gathered scan allocates %v, unpermuted %v", got, want)
+			}
+		})
+	}
+
+	// Concurrent segment scans of one shuffled view, as shard and NoLock
+	// workers run them, share nothing mutable (run under -race).
+	var wg sync.WaitGroup
+	for _, seg := range rowSegments(pv.n, 2) {
+		wg.Add(1)
+		go func(from, to int) {
+			defer wg.Done()
+			if err := pv.ScanSegment(from, to, func(Tuple) error { return nil }); err != nil {
+				t.Error(err)
+			}
+		}(seg[0], seg[1])
+	}
+	wg.Wait()
 }
 
 // TestSlabIndexGuard: slabs are indexed by int32, so a cache fails loudly —

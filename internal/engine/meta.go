@@ -58,14 +58,13 @@ func (c *Catalog) Save() error {
 	return c.writeMeta(meta)
 }
 
-// SaveMeta writes dir/catalog.json without flushing any table. The
-// long-running daemon calls it after each committed statement so a crash
-// loses no acknowledged model: the statement paths flush the tables they
-// fill themselves, and flushing *other* tables here would race their
-// writers. Catalog metadata (names and schemas) is immutable per table,
-// so the snapshot needs only a brief hold of the catalog mutex; the disk
-// write happens outside it so concurrent sessions' Get/Create/Drop never
-// stall behind a checkpoint.
+// SaveMeta writes dir/catalog.json without flushing any table, which would
+// race the tables' writers; recovery uses it to persist a clean catalog.
+// (Committed statements need no checkpoint: Swap's commit and marker clear
+// each write the whole catalog.) Catalog metadata (names and schemas) is
+// immutable per table, so the snapshot needs only a brief hold of the
+// catalog mutex; the disk write happens outside it so concurrent sessions'
+// Get/Create/Drop never stall behind a checkpoint.
 func (c *Catalog) SaveMeta() error {
 	if c.dir == "" {
 		return fmt.Errorf("engine: SaveMeta requires a file catalog")

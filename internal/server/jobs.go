@@ -274,11 +274,6 @@ func (s *scheduler) run(job *Job) {
 	st.Async = false
 	err := sess.Run(&st)
 	if err == nil {
-		// Same checkpoint as synchronous statements: an acknowledged async
-		// model must survive an ungraceful death.
-		err = s.m.persistMeta()
-	}
-	if err == nil {
 		// Post-commit cache warming, same as a synchronous TRAIN: the first
 		// PREDICT against the new generation should not pay the decode.
 		// Best-effort — the per-request path reports real problems itself.

@@ -137,25 +137,6 @@ func (m *Manager) newSQLSession(out io.Writer) *sqlish.Session {
 // Call before saving/closing the catalog at shutdown.
 func (m *Manager) Drain() { m.sched.drain() }
 
-// persistMeta checkpoints catalog.json after a committed statement. It
-// runs strictly after the statement's swap commit: the shadow-generation
-// protocol (engine.Catalog.Swap, DESIGN.md §6) already made the model
-// itself durable at its own atomic commit point, so this checkpoint only
-// exists to pick up anything else the statement changed — ordering it
-// after the swap rename means it can never publish a pre-commit view over
-// a committed one. A kill anywhere in the save window now recovers to
-// either the intact previous generation or the complete new one, never an
-// empty resurrection. No-op on in-memory catalogs.
-func (m *Manager) persistMeta() error {
-	if !m.cat.FileBacked() {
-		return nil
-	}
-	if err := m.cat.SaveMeta(); err != nil {
-		return fmt.Errorf("server: statement committed but catalog checkpoint failed: %w", err)
-	}
-	return nil
-}
-
 // NewSession opens a client session writing its results to out.
 // Each session serves one client serially; sessions are safe against each
 // other through the shared lock registry.
@@ -265,8 +246,8 @@ func (s *Session) Run(st *spec.Statement, text string) error {
 	case st.Kind == spec.KindPointPredict:
 		// Inline scoring goes through the serving plane: hot cached
 		// snapshots under admission control, instead of sqlish's per-
-		// statement model reload. Read-only — no catalog checkpoint. A
-		// request queued for a slot gives up when the server shuts down.
+		// statement model reload. A request queued for a slot gives up when
+		// the server shuts down.
 		scores := make([]float64, len(st.Points))
 		if _, err := s.m.plane.Do(st.Model, s.Shutdown, st.Points, scores); err != nil {
 			return err
@@ -279,20 +260,16 @@ func (s *Session) Run(st *spec.Statement, text string) error {
 	if err := s.sq.Run(st); err != nil {
 		return err
 	}
-	// Catalog-mutating statements are checkpointed so their tables survive
-	// an ungraceful daemon death.
-	if st.Kind == spec.KindTrain || st.Kind == spec.KindPredict && st.Into != "" {
-		if err := s.m.persistMeta(); err != nil {
-			return err
-		}
-		// Post-commit cache warming: decode the fresh generation into the
-		// serving cache now, so the first PREDICT after the swap never pays
-		// the decode. Best-effort — a refill failure (e.g. PREDICT INTO a
-		// plain table that is not a model) leaves the cache consistent and
-		// the per-request path reports any real problem itself.
-		if st.Kind == spec.KindTrain {
-			s.m.plane.Refill(st.Into)
-		}
+	// A committed TRAIN or PREDICT INTO is already durable: its swap commit
+	// wrote catalog.json with every registered table (engine.Catalog.Swap),
+	// so an ungraceful daemon death loses no acknowledged model.
+	//
+	// Post-commit cache warming: decode the fresh generation into the
+	// serving cache now, so the first PREDICT after the swap never pays the
+	// decode. Best-effort — the per-request path reports any real problem
+	// itself.
+	if st.Kind == spec.KindTrain {
+		s.m.plane.Refill(st.Into)
 	}
 	return nil
 }
