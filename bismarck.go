@@ -28,6 +28,12 @@
 // baseline solvers — is an EpochRunner handed to the one epoch loop, Drive;
 // Trainer and ParallelTrainer are struct-literal front doors onto it.
 //
+// The declarative statements run through the same front end the bismarck
+// REPL and the bismarckd daemon use:
+//
+//	sess := bismarck.NewServerManager(cat, bismarck.ServerOptions{}).NewSession(os.Stdout)
+//	err := sess.Exec(`SELECT vec, label FROM train TO TRAIN lr INTO m;`)
+//
 // See examples/ for complete programs, cmd/bench for the paper's tables
 // and figures, and benchmark/ for the performance harness.
 package bismarck
@@ -41,7 +47,6 @@ import (
 	"bismarck/internal/sampling"
 	"bismarck/internal/server"
 	"bismarck/internal/spec"
-	"bismarck/internal/sqlish"
 	"bismarck/internal/tasks"
 	"bismarck/internal/vector"
 
@@ -286,8 +291,9 @@ type (
 	ParamSpec = spec.ParamSpec
 	// Params holds bound, type-checked WITH parameters.
 	Params = spec.Params
-	// Session executes declarative statements against a catalog.
-	Session = sqlish.Session
+	// Session runs declarative statements, ASYNC TRAIN and the job
+	// statements included, through the one statement front end.
+	Session = server.Session
 )
 
 // ParseStatement parses one statement of the declarative grammar.

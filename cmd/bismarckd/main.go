@@ -31,6 +31,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -140,32 +141,14 @@ func run(dataDir, listen string, workers, epochs int, alpha float64, serveIn, se
 
 	serveErr := srv.Serve(lis)
 	// Serve returns as soon as the listener dies — on shutdown or on a
-	// fatal accept error. Either way the teardown is the same: Close
-	// (idempotent) waits for in-flight connection handlers, Drain waits
-	// for async jobs, and only then is the catalog saved and closed, so
-	// nothing is still mutating heap files and every model a client was
-	// told about reaches catalog.json.
+	// fatal accept error. Either way the teardown is the same: srv.Close
+	// (idempotent) waits for in-flight connection handlers, then mgr.Close
+	// drains the jobs and saves and closes the catalog, so nothing is
+	// still mutating heap files and every model a client was told about
+	// reaches catalog.json.
 	srv.Close()
-	mgr.Drain()
-	// Discard any in-flight shadow generations an aborted save left behind
-	// (a failed job's cleanup can itself fail): they must not reach the
-	// final catalog save or linger as orphan heaps for the next open.
-	if err := cat.DiscardShadows(); err != nil {
-		fmt.Fprintf(os.Stderr, "bismarckd: discarding in-flight shadows: %v\n", err)
-	}
-	var saveErr error
-	if cat.FileBacked() {
-		saveErr = cat.Save()
-	}
-	closeErr := cat.Close()
-	if serveErr != nil {
-		return serveErr
-	}
-	if saveErr != nil {
-		return fmt.Errorf("saving catalog: %w", saveErr)
-	}
-	if closeErr != nil {
-		return fmt.Errorf("closing catalog: %w", closeErr)
+	if err := errors.Join(serveErr, mgr.Close()); err != nil {
+		return err
 	}
 	fmt.Println("bismarckd: bye")
 	return nil

@@ -50,7 +50,7 @@ func main() {
 	// 2. Open a session and train declaratively: logistic regression via
 	// IGD, with the step rule, ordering, and convergence tolerance all
 	// selected in the WITH clause.
-	sess := &bismarck.Session{Cat: cat, Out: os.Stdout}
+	sess := bismarck.NewServerManager(cat, bismarck.ServerOptions{}).NewSession(os.Stdout)
 	run := func(stmt string) {
 		fmt.Printf("sql> %s\n", stmt)
 		if err := sess.Exec(stmt); err != nil {

@@ -42,7 +42,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	sess := &bismarck.Session{Cat: cat, Out: os.Stdout}
+	sess := bismarck.NewServerManager(cat, bismarck.ServerOptions{}).NewSession(os.Stdout)
 	run := func(stmt string) {
 		fmt.Printf("sql> %s\n", stmt)
 		if err := sess.Exec(stmt); err != nil {

@@ -253,8 +253,7 @@ func (s *scheduler) submit(st *spec.Statement, text string) (*Job, error) {
 }
 
 // run executes one job on a private session that shares the manager's
-// catalog and locks. The ASYNC flag is cleared so the statement trains
-// synchronously inside the worker.
+// catalog and locks; the statement trains synchronously inside the worker.
 func (s *scheduler) run(job *Job) {
 	if !job.begin() {
 		return
@@ -270,15 +269,7 @@ func (s *scheduler) run(job *Job) {
 		}
 		return nil
 	}
-	st := *job.st
-	st.Async = false
-	err := sess.Run(&st)
-	if err == nil {
-		// Post-commit cache warming, same as a synchronous TRAIN: the first
-		// PREDICT against the new generation should not pay the decode.
-		// Best-effort — the per-request path reports real problems itself.
-		s.m.plane.Refill(job.Model)
-	}
+	err := s.m.runSQL(sess, job.st)
 	job.settle(err, out.String())
 }
 

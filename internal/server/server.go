@@ -1,9 +1,11 @@
-// Package server turns the single-session declarative layer into a
-// concurrent multi-session service: one Manager shares one engine catalog
-// across N client sessions behind per-model reader/writer locks, schedules
-// `TO TRAIN ... ASYNC` statements as background jobs (SHOW JOBS / WAIT JOB
-// / CANCEL JOB), and serves a line-oriented TCP protocol for the bismarckd
-// daemon.
+// Package server is the one statement front end: its Session decides what
+// every statement does — catalog statements go to a sqlish session, while
+// inline point-PREDICT, SHOW SERVING, `TO TRAIN ... ASYNC` and the job
+// statements (SHOW JOBS / WAIT JOB / CANCEL JOB) are answered here. One
+// Manager shares one engine catalog across N client sessions behind
+// per-model reader/writer locks; the bismarckd daemon serves it over a
+// line-oriented TCP protocol, and the local bismarck REPL and the library
+// facade run it in process with no listener.
 //
 // Locking protocol (documented in DESIGN.md): lock order is manager →
 // model → catalog. The manager level is nameLocks' registry mutex (held
@@ -18,6 +20,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -123,7 +126,7 @@ func NewManager(cat *engine.Catalog, opts Options) *Manager {
 // through it directly).
 func (m *Manager) Plane() *serve.Plane { return m.plane }
 
-// Catalog exposes the shared catalog (the daemon saves it at shutdown).
+// Catalog exposes the shared catalog.
 func (m *Manager) Catalog() *engine.Catalog { return m.cat }
 
 // newSQLSession builds a sqlish session wired into the shared catalog and
@@ -134,8 +137,44 @@ func (m *Manager) newSQLSession(out io.Writer) *sqlish.Session {
 }
 
 // Drain stops job intake and blocks until every accepted job is terminal.
-// Call before saving/closing the catalog at shutdown.
 func (m *Manager) Drain() { m.sched.drain() }
+
+// Close is the one shutdown sequence. It drains the jobs (running ones
+// finish and commit, queued ones cancel), discards any in-flight shadow
+// generation an aborted save left registered, saves the catalog if it is
+// file-backed — even after a failed statement, since earlier ones may have
+// created tables that must reach catalog.json — and closes it. Stop the
+// wire first (TCPServer.Close): nothing may still be mutating heap files.
+func (m *Manager) Close() error {
+	m.Drain()
+	var errs []error
+	step := func(what string, err error) {
+		if err != nil {
+			errs = append(errs, fmt.Errorf("%s: %w", what, err))
+		}
+	}
+	step("discarding in-flight shadows", m.cat.DiscardShadows())
+	if m.cat.FileBacked() {
+		step("saving catalog", m.cat.Save())
+	}
+	step("closing catalog", m.cat.Close())
+	return errors.Join(errs...)
+}
+
+// runSQL runs a catalog statement on a sqlish session (a client's or a job
+// worker's) and is the one post-commit path: a committed TRAIN is already
+// durable (its swap wrote catalog.json), so what remains is decoding the
+// fresh generation into the serving cache, so the first PREDICT after the
+// swap never pays the decode. Best-effort: the request path reports errors.
+func (m *Manager) runSQL(sq *sqlish.Session, st *spec.Statement) error {
+	if err := sq.Run(st); err != nil {
+		return err
+	}
+	if st.Kind == spec.KindTrain {
+		m.plane.Refill(st.Into)
+	}
+	return nil
+}
 
 // NewSession opens a client session writing its results to out.
 // Each session serves one client serially; sessions are safe against each
@@ -145,16 +184,16 @@ func (m *Manager) NewSession(out io.Writer) *Session {
 }
 
 // Session is one client's view of the manager: a sqlish session for the
-// data statements plus the job statements only a server can run.
+// catalog statements plus the serving and job statements answered here.
 type Session struct {
 	m   *Manager
 	out io.Writer
 	sq  *sqlish.Session
 
-	// Shutdown, when non-nil, aborts blocking statements (WAIT JOB, a
-	// point PREDICT queued for a scoring slot) once closed — the TCP
-	// server installs its closing channel so a draining daemon is never
-	// deadlocked behind a handler parked on a queue.
+	// Shutdown, once closed, aborts blocking statements (WAIT JOB, a point
+	// PREDICT queued for a scoring slot) — the TCP server installs its
+	// closing channel so a draining daemon is never deadlocked behind a
+	// handler parked on a queue. Nil (an in-process session) never fires.
 	Shutdown <-chan struct{}
 }
 
@@ -194,14 +233,10 @@ func (s *Session) Run(st *spec.Statement, text string) error {
 		if err != nil {
 			return err
 		}
-		if s.Shutdown != nil {
-			select {
-			case <-job.Done():
-			case <-s.Shutdown:
-				return fmt.Errorf("server: shutting down; job %d keeps its state (reconnect to inspect)", st.JobID)
-			}
-		} else {
-			<-job.Done()
+		select {
+		case <-job.Done():
+		case <-s.Shutdown:
+			return fmt.Errorf("server: shutting down; job %d keeps its state (reconnect to inspect)", st.JobID)
 		}
 		v := job.View()
 		if out := strings.TrimSpace(v.Output); out != "" {
@@ -245,9 +280,8 @@ func (s *Session) Run(st *spec.Statement, text string) error {
 		return nil
 	case st.Kind == spec.KindPointPredict:
 		// Inline scoring goes through the serving plane: hot cached
-		// snapshots under admission control, instead of sqlish's per-
-		// statement model reload. A request queued for a slot gives up when
-		// the server shuts down.
+		// snapshots under admission control. A request queued for a slot
+		// gives up when the server shuts down.
 		scores := make([]float64, len(st.Points))
 		if _, err := s.m.plane.Do(st.Model, s.Shutdown, st.Points, scores); err != nil {
 			return err
@@ -257,21 +291,7 @@ func (s *Session) Run(st *spec.Statement, text string) error {
 		}
 		return nil
 	}
-	if err := s.sq.Run(st); err != nil {
-		return err
-	}
-	// A committed TRAIN or PREDICT INTO is already durable: its swap commit
-	// wrote catalog.json with every registered table (engine.Catalog.Swap),
-	// so an ungraceful daemon death loses no acknowledged model.
-	//
-	// Post-commit cache warming: decode the fresh generation into the
-	// serving cache now, so the first PREDICT after the swap never pays the
-	// decode. Best-effort — the per-request path reports any real problem
-	// itself.
-	if st.Kind == spec.KindTrain {
-		s.m.plane.Refill(st.Into)
-	}
-	return nil
+	return s.m.runSQL(s.sq, st)
 }
 
 // oneLine collapses a statement's whitespace for log-style listings.

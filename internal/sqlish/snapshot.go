@@ -196,26 +196,3 @@ func (sc *PointScratch) Score(snap *ModelSnapshot, vals []float64) (float64, err
 	}
 	return snap.Spec.Predict(snap.Task, snap.W, tp), nil
 }
-
-// pointPredict runs the inline PREDICT forms locally (no cache — the
-// serving plane in internal/serve is the cached path; this one reloads the
-// model per statement, which is still correct and still lock-disciplined).
-// Output: one raw score per value tuple, in statement order.
-func (s *Session) pointPredict(st *spec.Statement) error {
-	if err := spec.ValidatePoints(st.Points); err != nil {
-		return err
-	}
-	snap, _, err := s.LoadSnapshot(st.Model)
-	if err != nil {
-		return err
-	}
-	var sc PointScratch
-	for _, vals := range st.Points {
-		score, err := sc.Score(snap, vals)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(s.Out, "%.6g\n", score)
-	}
-	return nil
-}

@@ -15,7 +15,9 @@
 // solver), and persists the model as a user table plus a metadata side
 // table, exactly as the paper describes. This is deliberately NOT a SQL
 // engine — the point is that the interface layer is thin and orthogonal to
-// the unified architecture underneath.
+// the unified architecture underneath. It runs catalog statements only,
+// behind server.Session — the one statement front end, which answers
+// point-PREDICT, SHOW SERVING, ASYNC and the job statements itself.
 package sqlish
 
 import (
@@ -116,18 +118,12 @@ func (s *Session) Run(st *spec.Statement) error {
 		return s.showScrub()
 	case spec.KindCheckTable:
 		return s.checkTable(st)
-	case spec.KindShowJobs, spec.KindWaitJob, spec.KindCancelJob:
-		return fmt.Errorf("sqlish: %v needs the job scheduler — connect to a bismarckd server", st.Kind)
-	case spec.KindShowServing:
-		return fmt.Errorf("sqlish: %v needs the serving plane — connect to a bismarckd server (or run the bismarck REPL)", st.Kind)
 	case spec.KindTrain:
 		return s.train(st)
 	case spec.KindPredict:
 		return s.predict(st)
 	case spec.KindEvaluate:
 		return s.evaluate(st)
-	case spec.KindPointPredict:
-		return s.pointPredict(st)
 	}
 	return fmt.Errorf("sqlish: unsupported statement %v", st.Kind)
 }
@@ -393,9 +389,6 @@ func (s *Session) reportDegraded(view *spec.View) {
 
 // train runs a TO TRAIN statement end-to-end.
 func (s *Session) train(st *spec.Statement) error {
-	if st.Async {
-		return fmt.Errorf("sqlish: ASYNC training needs the job scheduler — connect to a bismarckd server")
-	}
 	ts, knobs, params, view, err := s.prepare(st)
 	if err != nil {
 		return err
