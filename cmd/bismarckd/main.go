@@ -47,7 +47,7 @@ func main() {
 	var (
 		dataDir  = flag.String("data", "./bismarck-data", "catalog directory")
 		listen   = flag.String("listen", "127.0.0.1:7077", "TCP listen address")
-		workers  = flag.Int("workers", 0, "async TRAIN worker pool size (0 = NumCPU, max 8)")
+		workers  = flag.Int("workers", 0, "async TRAIN worker pool size (0 = GOMAXPROCS, max 8)")
 		epochs   = flag.Int("epochs", 0, "default training epochs when a statement sets none (0 = 20)")
 		alpha    = flag.Float64("alpha", 0, "default initial step size when a statement sets none (0 = task preference)")
 		serveIn  = flag.Int("serve-inflight", 0, "concurrent point-PREDICT scoring slots (0 = GOMAXPROCS)")

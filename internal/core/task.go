@@ -48,18 +48,29 @@ func InitialModel(t Task, seed int64) vector.Dense {
 }
 
 // TotalLoss computes sum_i f(w, z_i) (+ P(w) if the task is Regularized)
-// with a sequential aggregation scan — the loss UDA of §3.1. The scan runs
-// over the table's decoded-row cache when one is fresh (the common case
-// inside the epoch loop, where the gradient pass just materialized it) and
-// otherwise through reusable decode scratch; it never builds a cache, so a
-// physically reshuffled table does not pay a rematerialization per loss
-// evaluation.
+// as an aggregation scan — the loss UDA of §3.1 — in a fixed association:
+// the rows split into engine.BlockRows-row blocks in storage order, each
+// block is summed left to right from zero, and the block sums are added in
+// block order. The result therefore depends on the rows and w alone, not on
+// how many workers computed it, and a table of at most one block gets the
+// plain left-to-right sum. Over the table's decoded-row cache, when one is
+// fresh (the common case inside the epoch loop, where the gradient pass just
+// materialized it), the blocks run on engine.Workers goroutines; otherwise
+// they run one after another through reusable decode scratch. It never
+// builds a cache, so a physically reshuffled table does not pay a
+// rematerialization per loss evaluation. Task.Loss may run concurrently, and
+// on every path a panic in it fails the pass with an error.
 func TotalLoss(t Task, w vector.Dense, tbl *engine.Table) (float64, error) {
 	var sum float64
-	err := tbl.Rows().Scan(func(tp engine.Tuple) error {
-		sum += t.Loss(w, tp)
-		return nil
-	})
+	var err error
+	if mat := tbl.CachedRows(); mat != nil && mat.Blocks() > 1 {
+		sum, err = blockedLoss(t, w, mat)
+	} else {
+		// One scan on this goroutine; a panic in Loss fails the pass here too.
+		acc := lossAcc{t: t, w: w}
+		err = engine.Contain(func() error { return tbl.Rows().Scan(acc.add) })
+		sum = acc.sum + acc.block
+	}
 	if err != nil {
 		return 0, err
 	}
@@ -67,4 +78,40 @@ func TotalLoss(t Task, w vector.Dense, tbl *engine.Table) (float64, error) {
 		sum += r.RegPenalty(w)
 	}
 	return sum, nil
+}
+
+// lossAcc sums the blocks of a pass in order on one goroutine.
+type lossAcc struct {
+	t          Task
+	w          vector.Dense
+	sum, block float64
+	rows       int
+}
+
+func (a *lossAcc) add(tp engine.Tuple) error {
+	a.block += a.t.Loss(a.w, tp)
+	if a.rows++; a.rows%engine.BlockRows == 0 {
+		a.sum, a.block = a.sum+a.block, 0
+	}
+	return nil
+}
+
+// blockedLoss sums the cache's blocks on the workers, then adds the block
+// sums in order.
+func blockedLoss(t Task, w vector.Dense, mat *engine.Materialized) (float64, error) {
+	sums := make([]float64, mat.Blocks())
+	err := engine.RunBlocks(engine.Workers(), len(sums), func(_, b int) error {
+		var block float64
+		err := mat.ScanBlock(b, func(tp engine.Tuple) error {
+			block += t.Loss(w, tp)
+			return nil
+		})
+		sums[b] = block
+		return err
+	})
+	var sum float64
+	for _, s := range sums {
+		sum += s
+	}
+	return sum, err
 }

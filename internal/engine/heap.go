@@ -296,7 +296,10 @@ func openFileHeap(path string, poolPages int, io *IOHooks, repairTail bool) (*He
 		return nil, 0, err
 	}
 	h := &Heap{st: fs, quar: map[int]string{}}
-	h.buildIndex()
+	if err := h.buildIndex(); err != nil {
+		fs.close()
+		return nil, 0, err
+	}
 	return h, repaired, nil
 }
 
@@ -304,58 +307,60 @@ func openFileHeap(path string, poolPages int, io *IOHooks, repairTail bool) (*He
 // verifies each page (reads go through the pool's fill-time checksum),
 // quarantines the ones that fail, records per-page record counts for
 // degraded-read accounting, and counts the readable records so NumRecords
-// reflects what a scan can actually yield.
-func (h *Heap) buildIndex() {
+// reflects what a scan can actually yield. The reads run as blocks of
+// buildChunkPages pages on Workers goroutines, each holding one pin at a
+// time and recording the page's header facts; the walk over those facts
+// is sequential and reads nothing.
+func (h *Heap) buildIndex() error {
 	np := h.st.numPages()
+	facts := make([]pageFacts, np)
+	err := RunBlocks(Workers(), (np+buildChunkPages-1)/buildChunkPages, func(_, b int) error {
+		for i := b * buildChunkPages; i < min((b+1)*buildChunkPages, np); i++ {
+			facts[i] = h.readFacts(i)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
 	h.pageRecs = make([]int, np)
 	n := 0
 	for i := 0; i < np; i++ {
-		p, err := h.st.readPage(i)
-		if err != nil {
-			h.quarantine(i, openReason(err))
+		f := facts[i]
+		if f.err != nil {
+			h.quarantine(i, openReason(f.err))
 			h.pageRecs[i] = -1
 			continue
 		}
-		// Only header facts are needed; the page is unpinned before any
-		// continuation page is read, so the walk holds one frame at a time.
-		kind, slots, total, got := p.data.kind(), p.data.slotCount(), 0, 0
-		if kind == pageOverflowStart {
-			total = int(binary.LittleEndian.Uint32(p.data[pageHeaderSize:]))
-			got = min(total, payloadEnd-pageHeaderSize-overflowHeaderSize)
-		}
-		p.unpin()
-		switch kind {
+		switch f.kind {
 		case pageData:
-			h.pageRecs[i] = slots
-			n += slots
+			h.pageRecs[i] = f.slots
+			n += f.slots
 		case pageOverflowStart:
 			// A chain holds exactly one record; if any of its pages is bad
 			// the start page is quarantined so scans skip (or fail on) the
 			// whole record in one place.
 			h.pageRecs[i] = 1
 			bad := ""
+			got := min(f.total, payloadEnd-pageHeaderSize-overflowHeaderSize)
 			j := i + 1
-			for got < total {
+			for got < f.total {
 				if j >= np {
 					bad = "truncated overflow chain"
 					break
 				}
-				cp, err := h.st.readPage(j)
-				if err != nil {
-					h.quarantine(j, openReason(err))
+				if cf := facts[j]; cf.err != nil {
+					h.quarantine(j, openReason(cf.err))
 					h.pageRecs[j] = 0
 					bad = fmt.Sprintf("overflow continuation page %d unreadable", j)
 					j++
 					break
-				}
-				ckind, room := cp.data.kind(), payloadEnd-pageHeaderSize
-				cp.unpin()
-				if ckind != pageOverflowCont {
+				} else if cf.kind != pageOverflowCont {
 					bad = fmt.Sprintf("broken overflow chain (page %d is not a continuation)", j)
 					break
 				}
 				h.pageRecs[j] = 0
-				got += min(total-got, room)
+				got += min(f.total-got, payloadEnd-pageHeaderSize)
 				j++
 			}
 			if bad != "" {
@@ -369,11 +374,36 @@ func (h *Heap) buildIndex() {
 			// quarantined, or truncation ate the start). Scans skip it.
 			h.pageRecs[i] = 0
 		default:
-			h.quarantine(i, fmt.Sprintf("unknown page kind %d", kind))
+			h.quarantine(i, fmt.Sprintf("unknown page kind %d", f.kind))
 			h.pageRecs[i] = -1
 		}
 	}
 	h.nrec = n
+	return nil
+}
+
+// pageFacts is what the open walk needs of one page: its header facts, or
+// the error reading it.
+type pageFacts struct {
+	err   error
+	kind  uint8
+	slots int // data pages: records on the page
+	total int // overflow starts: the record's length
+}
+
+// readFacts reads page i and keeps only its header facts; the frame is
+// unpinned before it returns.
+func (h *Heap) readFacts(i int) pageFacts {
+	p, err := h.st.readPage(i)
+	if err != nil {
+		return pageFacts{err: err}
+	}
+	defer p.unpin()
+	f := pageFacts{kind: p.data.kind(), slots: p.data.slotCount()}
+	if f.kind == pageOverflowStart {
+		f.total = int(binary.LittleEndian.Uint32(p.data[pageHeaderSize:]))
+	}
+	return f
 }
 
 // openReason extracts the human reason from an open-time page failure.
@@ -591,7 +621,7 @@ func chainPages(total int) int {
 // is only valid during the call. Scans fail with a *CorruptPageError on a
 // quarantined or freshly corrupt page; ScanDegraded skips instead.
 func (h *Heap) Scan(fn func(rec []byte) error) error {
-	_, err := h.scanPages(0, h.st.numPages(), false, fn)
+	_, err := h.scanRange(0, h.st.numPages(), false, fn)
 	return err
 }
 
@@ -600,7 +630,8 @@ func (h *Heap) Scan(fn func(rec []byte) error) error {
 // lower bound: a page unreadable since open never said how many records it
 // held.
 func (h *Heap) ScanDegraded(fn func(rec []byte) error) (DegradedStats, error) {
-	return h.scanPages(0, h.st.numPages(), true, fn)
+	s, err := h.scanRange(0, h.st.numPages(), true, fn)
+	return s.DegradedStats, err
 }
 
 // ScanPages visits the records whose storage begins in pages [from, to).
@@ -609,15 +640,25 @@ func (h *Heap) ScanDegraded(fn func(rec []byte) error) (DegradedStats, error) {
 // a chain owned by an earlier range). If to == NumPages, the in-memory tail
 // page is scanned as well.
 func (h *Heap) ScanPages(from, to int, fn func(rec []byte) error) error {
-	_, err := h.scanPages(from, to, false, fn)
+	_, err := h.scanRange(from, to, false, fn)
 	return err
 }
 
-func (h *Heap) scanPages(from, to int, degraded bool, fn func(rec []byte) error) (DegradedStats, error) {
-	var stats DegradedStats
+// scanned is what a page-range scan did: what it skipped, the first page it
+// did not consume (an overflow chain can carry it past the range's end), and
+// the first page it did more with than skip as a continuation of a chain
+// started before the range.
+type scanned struct {
+	DegradedStats
+	next, lead int
+}
+
+func (h *Heap) scanRange(from, to int, degraded bool, fn func(rec []byte) error) (scanned, error) {
+	s := scanned{lead: to}
+	stats := &s.DegradedStats
 	np := h.st.numPages()
 	if from < 0 || to > np || from > to {
-		return stats, fmt.Errorf("engine: ScanPages range [%d,%d) out of [0,%d]", from, to, np)
+		return s, fmt.Errorf("engine: ScanPages range [%d,%d) out of [0,%d]", from, to, np)
 	}
 	// skipPage accounts one unreadable page in degraded mode.
 	skipPage := func(i int) {
@@ -626,18 +667,21 @@ func (h *Heap) scanPages(from, to int, degraded bool, fn func(rec []byte) error)
 			stats.SkippedRows += n
 		}
 	}
-	for i := from; i < to; i++ {
+	i := from
+	for ; i < to; i++ {
 		if reason, bad := h.badPage(i); bad {
+			s.lead = min(s.lead, i)
 			if !degraded {
-				return stats, h.pageErr(i, reason)
+				return s, h.pageErr(i, reason)
 			}
 			skipPage(i)
 			continue
 		}
 		p, err := h.st.readPage(i)
 		if err != nil {
+			s.lead = min(s.lead, i)
 			if err = h.readFailed(i, err); !degraded {
-				return stats, err
+				return s, err
 			}
 			skipPage(i)
 			continue
@@ -646,9 +690,12 @@ func (h *Heap) scanPages(from, to int, degraded bool, fn func(rec []byte) error)
 		// is copied out and unpinned before its continuations are read, so
 		// a scan never holds more than the one frame it is reading.
 		kind := p.data.kind()
+		if kind != pageOverflowCont {
+			s.lead = min(s.lead, i)
+		}
 		if kind == pageData {
-			if err := scanData(p, degraded, &stats, fn); err != nil {
-				return stats, err
+			if err := scanData(p, degraded, stats, fn); err != nil {
+				return s, err
 			}
 			continue
 		}
@@ -691,7 +738,7 @@ func (h *Heap) scanPages(from, to int, degraded bool, fn func(rec []byte) error)
 			}
 			if chainErr != nil {
 				if !degraded {
-					return stats, chainErr
+					return s, chainErr
 				}
 				// Skip the whole chain — it holds exactly one record — and
 				// step arithmetically over its remaining pages.
@@ -702,7 +749,7 @@ func (h *Heap) scanPages(from, to int, degraded bool, fn func(rec []byte) error)
 				continue
 			}
 			if err := fn(rec); err != nil {
-				return stats, err
+				return s, err
 			}
 			// Pages i+1..j-1 were consumed as part of this chain; skip them
 			// (the loop exits naturally if the chain extended past `to`).
@@ -711,15 +758,16 @@ func (h *Heap) scanPages(from, to int, degraded bool, fn func(rec []byte) error)
 			// Owned by a chain that started before `from`; skip.
 		default:
 			if !degraded {
-				return stats, fmt.Errorf("engine: unknown page kind %d at page %d", kind, i)
+				return s, fmt.Errorf("engine: unknown page kind %d at page %d", kind, i)
 			}
 			skipPage(i)
 		}
 	}
+	s.next = i
 	if to == np && h.cur != nil {
-		return stats, scanData(&frame{data: h.cur}, false, &stats, fn)
+		return s, scanData(&frame{data: h.cur}, false, stats, fn)
 	}
-	return stats, nil
+	return s, nil
 }
 
 // readFailed classifies a failed page read. Fresh corruption (rot since

@@ -5,8 +5,10 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // testRoot is the package-wide scratch directory TestMain owns. Tests that
@@ -19,7 +21,8 @@ var testRoot string
 // *__shadow*.heap file: the swap protocol's contract is that shadows are
 // either committed (renamed away) or cleaned up (dropped on failure, swept
 // on recovery) — a leaked one means a code path forgot its half of that
-// contract.
+// contract. It also fails the package if goroutines outlive the run: every
+// pass that starts workers (RunBlocks) must have waited for them.
 func TestMain(m *testing.M) {
 	var err error
 	testRoot, err = os.MkdirTemp("", "bismarck-engine-test-*")
@@ -27,7 +30,14 @@ func TestMain(m *testing.M) {
 		fmt.Fprintf(os.Stderr, "engine tests: %v\n", err)
 		os.Exit(1)
 	}
+	base := runtime.NumGoroutine()
 	code := m.Run()
+	if stacks := goroutineLeak(base, time.Second); stacks != "" {
+		fmt.Fprintf(os.Stderr, "engine tests leaked goroutines:\n%s\n", stacks)
+		if code == 0 {
+			code = 1
+		}
+	}
 	if leaks := findShadowLeaks(testRoot); len(leaks) > 0 {
 		fmt.Fprintf(os.Stderr, "engine tests leaked in-flight shadow heaps:\n")
 		for _, l := range leaks {
@@ -39,6 +49,18 @@ func TestMain(m *testing.M) {
 	}
 	os.RemoveAll(testRoot)
 	os.Exit(code)
+}
+
+// goroutineLeak waits up to wait for the goroutine count to return to base
+// and returns every goroutine's stack if it does not.
+func goroutineLeak(base int, wait time.Duration) string {
+	for deadline := time.Now().Add(wait); runtime.NumGoroutine() > base; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			return string(buf[:runtime.Stack(buf, true)])
+		}
+	}
+	return ""
 }
 
 // findShadowLeaks walks root for files whose name marks an in-flight

@@ -97,6 +97,19 @@ func (m *Materialized) load(row Tuple, i int) {
 // Scan visits every cached row in order.
 func (m *Materialized) Scan(fn func(Tuple) error) error { return m.ScanSegment(0, m.n, fn) }
 
+// BlockRows is the block of the read-only passes over a cache: each block's
+// rows are visited in order on one worker, and a pass combines its blocks'
+// results in block order, so the result does not depend on the worker count.
+const BlockRows = 4096
+
+// Blocks is how many BlockRows-row blocks the cached rows split into.
+func (m *Materialized) Blocks() int { return (m.n + BlockRows - 1) / BlockRows }
+
+// ScanBlock visits the rows of block b in order.
+func (m *Materialized) ScanBlock(b int, fn func(Tuple) error) error {
+	return m.ScanSegment(b*BlockRows, min((b+1)*BlockRows, m.n), fn)
+}
+
 // gatherRows is the block a shuffled scan reads ahead of its callbacks.
 const gatherRows = 64
 
@@ -251,9 +264,8 @@ func rowSegments(rows, n int) [][2]int {
 }
 
 // MatBuilder accumulates decoded rows into the columnar slabs of a
-// Materialized. Table.Materialize drives it from a reusable-scratch scan;
-// the spec layer's view projection drives it directly, so a projected view
-// is nothing but the slabs (MatBuilder.Table).
+// Materialized. The ordered build (Table.Materialize, Table.Project) sizes
+// its slabs with one and stages its workers' chunks in others.
 type MatBuilder struct {
 	schema Schema
 	cols   []matCol
@@ -264,6 +276,7 @@ type MatBuilder struct {
 	// slabs between them: a decoded vector is no larger than its record, so
 	// one wide first row cannot reserve more than the data could fill.
 	rows, srcBytes int
+	reserved       bool
 }
 
 // NewMatBuilder returns a builder for the given schema expecting about
@@ -282,6 +295,7 @@ func (b *MatBuilder) entries(width, size int) int {
 
 // reserve sizes the slabs from the first row.
 func (b *MatBuilder) reserve(first Tuple) {
+	b.reserved = true
 	for c := range first {
 		v, col := &first[c], &b.cols[c]
 		switch v.Type {
@@ -333,7 +347,7 @@ func (b *MatBuilder) Add(tp Tuple) error {
 	if len(tp) != len(b.schema) {
 		return corrupt("", "row has %d columns, schema wants %d", len(tp), len(b.schema))
 	}
-	if b.n == 0 {
+	if !b.reserved {
 		b.reserve(tp)
 	}
 	if b.n == math.MaxInt32 {
@@ -379,14 +393,22 @@ func (b *MatBuilder) Add(tp Tuple) error {
 	return nil
 }
 
+// truncate empties the builder for reuse, keeping its slabs.
+func (b *MatBuilder) truncate() {
+	for c := range b.cols {
+		col := &b.cols[c]
+		clear(col.strs)
+		col.ints, col.flts, col.strs = col.ints[:0], col.flts[:0], col.strs[:0]
+		col.f64s, col.i32s, col.offs = col.f64s[:0], col.i32s[:0], trim(col.offs, 1)
+	}
+	b.n = 0
+}
+
 // Build hands the slabs over as a finished cache stamped with the given
 // table version. The builder must not be reused afterwards.
 func (b *MatBuilder) Build(version uint64) *Materialized {
 	return &Materialized{version: version, schema: b.schema, cols: b.cols, n: b.n}
 }
-
-// Table finishes the builder as a slab-only table.
-func (b *MatBuilder) Table(name string) *Table { return slabTable(name, b.Build(0)) }
 
 // slabTable wraps a cache nothing else refers to yet as a new table whose
 // rows live in the cache alone; a page heap is encoded from them only if a

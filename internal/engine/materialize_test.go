@@ -252,7 +252,7 @@ func TestPermutedScanGather(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	src := b.Table("g")
+	src := slabTable("g", b.Build(0))
 	shards, err := ShardTable(src, 2, ShardRoundRobin)
 	if err != nil {
 		t.Fatal(err)

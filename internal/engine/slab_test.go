@@ -48,7 +48,7 @@ func slabView(t testing.TB, n int) *Table {
 			t.Fatal(err)
 		}
 	}
-	return b.Table("v")
+	return slabTable("v", b.Build(0))
 }
 
 // encodedRows collects every row of a scan as its encoded record.

@@ -198,26 +198,6 @@ func (r reuseRelation) Segments(n int) ([][2]int, error) { return r.t.Segments(n
 // not retain tuples past the callback (every IGD transition function).
 func (t *Table) Reuse() Relation { return reuseRelation{t} }
 
-// ScanReuseDegraded is ScanReuse under the degraded-read contract: pages
-// that are quarantined (or found corrupt during the scan) are skipped and
-// counted instead of failing the scan, and records that no longer decode
-// under the schema are skipped and counted as rows. IGD tolerates missing
-// rows; the stats keep the loss honest in the statement result.
-func (t *Table) ScanReuseDegraded(fn func(Tuple) error) (DegradedStats, error) {
-	sc := NewTupleScratch(t.Schema)
-	badRecs := 0
-	stats, err := t.pages().ScanDegraded(func(rec []byte) error {
-		tp, derr := DecodeTupleInto(rec, sc)
-		if derr != nil {
-			badRecs++
-			return nil
-		}
-		return fn(tp)
-	})
-	stats.SkippedRows += badRecs
-	return stats, err
-}
-
 // Scrub re-verifies every flushed page against the backing store and
 // quarantines failures — the engine behind CHECK TABLE.
 func (t *Table) Scrub() ScrubReport {
@@ -236,8 +216,8 @@ func (t *Table) Degraded() bool { return len(t.heap.QuarantinedPages()) > 0 }
 // Materialize returns the table's decoded-row cache, building (or
 // rebuilding) it when the table version has moved since the last build.
 // The returned cache is immutable and shared: callers that reorder rows
-// take a View. Only this call touches page bytes; steady-state epochs scan
-// the slabs.
+// take a View. Only this call touches page bytes, on every worker (see
+// build); steady-state epochs scan the slabs.
 func (t *Table) Materialize() (*Materialized, error) {
 	t.matMu.Lock()
 	defer t.matMu.Unlock()
@@ -245,12 +225,13 @@ func (t *Table) Materialize() (*Materialized, error) {
 	if t.mat != nil && t.mat.version == v {
 		return t.mat, nil
 	}
-	b := NewMatBuilder(t.Schema, t.NumRows(), (t.heap.NumPages()+1)*PageSize)
-	if err := t.ScanReuse(func(tp Tuple) error { return b.Add(tp) }); err != nil {
+	m, _, err := t.build(Projection{Schema: t.Schema, Rows: t.NumRows()})
+	if err != nil {
 		return nil, err
 	}
-	t.mat = b.Build(v)
-	return t.mat, nil
+	m.version = v
+	t.mat = m
+	return m, nil
 }
 
 // CachedRows returns the existing cache when it is still fresh, or nil —

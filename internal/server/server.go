@@ -36,7 +36,7 @@ import (
 
 // Options tunes a Manager.
 type Options struct {
-	// Workers is the async-TRAIN worker pool size (0 = NumCPU, capped at 8).
+	// Workers is the async-TRAIN worker pool size (0 = GOMAXPROCS, capped at 8).
 	Workers int
 	// QueueDepth bounds pending jobs (0 = 256).
 	QueueDepth int
@@ -99,7 +99,7 @@ type Manager struct {
 // NewManager wraps a catalog for multi-session use.
 func NewManager(cat *engine.Catalog, opts Options) *Manager {
 	if opts.Workers <= 0 {
-		opts.Workers = runtime.NumCPU()
+		opts.Workers = runtime.GOMAXPROCS(0)
 		if opts.Workers > 8 {
 			opts.Workers = 8
 		}

@@ -405,7 +405,7 @@ func planRunner(ts *TaskSpec, task core.Task, k Knobs, view *engine.Table) (
 	case k.Parallel != "none":
 		workers := k.Workers
 		if workers <= 0 {
-			workers = runtime.NumCPU()
+			workers = runtime.GOMAXPROCS(0)
 		}
 		mode := k.ParallelMode()
 		r, err = parallel.NewRunner(task, view, mode, workers, k.OrderStrategy(), engine.Profile{}, k.Seed)

@@ -143,46 +143,38 @@ func ProjectView(src *engine.Table, st *Statement, schema engine.Schema, opt Vie
 		}
 	}
 
-	// The projection runs through the zero-allocation scratch machinery:
-	// the source is decoded through reusable buffers and one row tuple is
-	// reused for every output row. Each projected row is copied once, into
-	// columnar slabs sized up front from the source's row count, and that
-	// is the whole view (engine.MatBuilder.Table).
-	hint := src.NumRows()
-	if len(st.Where) > 0 {
-		hint = 0 // selectivity unknown: let the slabs grow
-	}
-	builder := engine.NewMatBuilder(out, hint, (src.NumPages()+1)*engine.PageSize)
-	row := make(engine.Tuple, n)
-	rowNum := int64(0)
-	scanRow := func(tp engine.Tuple) error {
-		ok, err := filter(tp)
-		if err != nil || !ok {
-			return err
-		}
-		for i := range row {
-			switch {
-			case srcIdx[i] >= 0:
-				row[i] = castValue(tp[srcIdx[i]], out[i].Type)
-			case i == 0:
-				row[i] = engine.I64(rowNum)
-			default:
-				row[i] = engine.F64(0)
+	// The projection decodes the source through reusable scratch on every
+	// worker and copies each kept row once, into columnar slabs sized up
+	// front from the source's row count; those slabs are the whole view
+	// (engine.Table.Project). A synthesized row number is the row's place
+	// in the output, which the build knows only once the rows before it
+	// are counted, so it writes that column itself.
+	proj := engine.Projection{Schema: out, Rows: src.NumRows(), Degraded: opt.Degraded,
+		RowNumber: synthesizable && srcIdx[0] == -1,
+		Map: func(tp, row engine.Tuple) (bool, error) {
+			if ok, err := filter(tp); err != nil || !ok {
+				return false, err
 			}
-		}
-		rowNum++
-		return builder.Add(row)
+			for i := range row {
+				switch {
+				case srcIdx[i] >= 0:
+					row[i] = castValue(tp[srcIdx[i]], out[i].Type)
+				case i == 0:
+					row[i] = engine.I64(0) // the build numbers the row
+				default:
+					row[i] = engine.F64(0)
+				}
+			}
+			return true, nil
+		}}
+	if len(st.Where) > 0 {
+		proj.Rows = 0 // selectivity unknown: let the slabs grow
 	}
-	var skipped engine.DegradedStats
-	if opt.Degraded {
-		skipped, err = src.ScanReuseDegraded(scanRow)
-	} else {
-		err = src.ScanReuse(scanRow)
-	}
+	view, skipped, err := src.Project(src.Name+"_view", proj)
 	if err != nil {
 		return nil, err
 	}
-	return &View{Table: builder.Table(src.Name + "_view"), HasLabel: srcIdx[labelIdx] >= 0, Skipped: skipped}, nil
+	return &View{Table: view, HasLabel: srcIdx[labelIdx] >= 0, Skipped: skipped}, nil
 }
 
 func clauseFor(label bool) string {

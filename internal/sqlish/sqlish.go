@@ -248,7 +248,7 @@ func (s *Session) showShards(st *spec.Statement) error {
 	}
 	k := int(st.ShardCount)
 	if k <= 0 {
-		k = runtime.NumCPU()
+		k = runtime.GOMAXPROCS(0)
 	}
 	fmt.Fprintf(s.Out, "table %q: %d rows over %d shards\n", st.From, n, k)
 	for _, strat := range []engine.ShardStrategy{engine.ShardRoundRobin, engine.ShardHash} {

@@ -27,25 +27,36 @@ type BinaryMetrics struct {
 // EvaluateBinary scores every (vec, label) row of a DenseExampleSchema or
 // SparseExampleSchema table. `threshold` separates the two classes in the
 // classifier's score space: 0.5 for LR probabilities, 0 for SVM margins.
+// Over a fresh decoded-row cache the rows are counted in engine.BlockRows
+// blocks on engine.Workers goroutines and the block counts added in block
+// order; otherwise in one scan. Either way a panic in Predict fails the
+// pass with an error.
 func EvaluateBinary(c BinaryClassifier, w vector.Dense, tbl *engine.Table, threshold float64) (BinaryMetrics, error) {
 	var m BinaryMetrics
-	err := tbl.Rows().Scan(func(tp engine.Tuple) error {
-		score := c.Predict(w, tp[ColVec])
-		pred := score > threshold
-		actual := tp[ColLabel].Float > 0
-		m.N++
-		switch {
-		case pred && actual:
-			m.TP++
-		case !pred && !actual:
-			m.TN++
-		case pred && !actual:
-			m.FP++
-		default:
-			m.FN++
+	var err error
+	if mat := tbl.CachedRows(); mat != nil {
+		blocks := make([]BinaryMetrics, mat.Blocks())
+		err = engine.RunBlocks(engine.Workers(), len(blocks), func(_, b int) error {
+			var bm BinaryMetrics
+			err := mat.ScanBlock(b, func(tp engine.Tuple) error {
+				bm.count(c.Predict(w, tp[ColVec]) > threshold, tp[ColLabel].Float > 0)
+				return nil
+			})
+			blocks[b] = bm
+			return err
+		})
+		for _, bm := range blocks {
+			m.N, m.TP, m.TN, m.FP, m.FN = m.N+bm.N, m.TP+bm.TP, m.TN+bm.TN, m.FP+bm.FP, m.FN+bm.FN
 		}
-		return nil
-	})
+	} else {
+		// A panic fails the pass here too, as it does over the cache.
+		err = engine.Contain(func() error {
+			return tbl.Rows().Scan(func(tp engine.Tuple) error {
+				m.count(c.Predict(w, tp[ColVec]) > threshold, tp[ColLabel].Float > 0)
+				return nil
+			})
+		})
+	}
 	if err != nil {
 		return m, err
 	}
@@ -63,6 +74,21 @@ func EvaluateBinary(c BinaryClassifier, w vector.Dense, tbl *engine.Table, thres
 		m.F1 = 2 * m.Precision * m.Recall / (m.Precision + m.Recall)
 	}
 	return m, nil
+}
+
+// count files one prediction against its label.
+func (m *BinaryMetrics) count(pred, actual bool) {
+	m.N++
+	switch {
+	case pred && actual:
+		m.TP++
+	case !pred && !actual:
+		m.TN++
+	case pred && !actual:
+		m.FP++
+	default:
+		m.FN++
+	}
 }
 
 // RMSE evaluates the root-mean-squared reconstruction error of an LMF model

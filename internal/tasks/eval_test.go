@@ -3,6 +3,7 @@ package tasks
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"bismarck/internal/core"
@@ -32,6 +33,73 @@ func TestEvaluateBinaryPerfectClassifier(t *testing.T) {
 	}
 	if m.TP != 20 || m.TN != 20 || m.FP != 0 || m.FN != 0 {
 		t.Fatalf("confusion = %+v", m)
+	}
+}
+
+// TestBlockedEvaluateBinary: over a cached table of several blocks, the
+// counts summed block by block on 1, 2, 3 or 8 workers are the counts of
+// one uncached scan.
+func TestBlockedEvaluateBinary(t *testing.T) {
+	const n = 3*engine.BlockRows + 77
+	rng := rand.New(rand.NewSource(4))
+	tbl := engine.NewMemTable("d", DenseExampleSchema)
+	for i := 0; i < n; i++ {
+		tbl.MustInsert(engine.Tuple{engine.I64(int64(i)), engine.DenseV(vector.Dense{rng.NormFloat64(), 1}),
+			engine.F64(float64(1 - 2*(i%2)))})
+	}
+	task, w := NewLR(2), vector.Dense{0.7, -0.1}
+	want, err := EvaluateBinary(task, w, tbl, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.N != n || want.TP == 0 || want.FN == 0 {
+		t.Fatalf("uncached metrics %+v", want)
+	}
+	if _, err := tbl.Materialize(); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{1, 2, 3, 8} {
+		prev := runtime.GOMAXPROCS(k)
+		got, err := EvaluateBinary(task, w, tbl, 0.5)
+		runtime.GOMAXPROCS(prev)
+		if err != nil || got != want {
+			t.Fatalf("workers=%d: %+v, %v; one scan gives %+v", k, got, err, want)
+		}
+	}
+}
+
+// panicClassifier is SVM whose prediction panics on one feature value.
+type panicClassifier struct{ *SVM }
+
+func (p panicClassifier) Predict(w vector.Dense, x engine.Value) float64 {
+	if x.Dense[0] == 2 {
+		panic("injected predict panic")
+	}
+	return p.SVM.Predict(w, x)
+}
+
+// TestBlockedEvaluateBinaryPanic: a classifier that panics on one row
+// fails EvaluateBinary with an error, cached or not, on one block or many.
+func TestBlockedEvaluateBinaryPanic(t *testing.T) {
+	for _, n := range []int{40, 2*engine.BlockRows + 5} {
+		tbl := engine.NewMemTable("d", DenseExampleSchema)
+		for i := 0; i < n; i++ {
+			x := float64(i % 2)
+			if i == n-3 {
+				x = 2
+			}
+			tbl.MustInsert(engine.Tuple{engine.I64(int64(i)), engine.DenseV(vector.Dense{x}), engine.F64(1)})
+		}
+		for _, cached := range []bool{false, true} {
+			if cached {
+				if _, err := tbl.Materialize(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := EvaluateBinary(panicClassifier{NewSVM(1)}, vector.Dense{1}, tbl, 0); err == nil {
+				t.Fatalf("n=%d cached=%v: a panicking Predict must fail the pass", n, cached)
+			}
+		}
 	}
 }
 
