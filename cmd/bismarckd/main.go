@@ -128,7 +128,8 @@ func run(dataDir, listen string, workers, epochs int, alpha float64, serveIn, se
 		fmt.Printf("bismarckd: serving catalog %q on %s\n", dataDir, lis.Addr())
 	}
 
-	// Shutdown order matters: stop the wire first (no new statements), let
+	// Shutdown order matters: stop the wire first (no new statements, and
+	// a connection's running statement stops before its commit), let
 	// accepted jobs finish (their saves still take the model locks), then
 	// persist and close the catalog.
 	sig := make(chan os.Signal, 1)

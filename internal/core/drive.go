@@ -1,7 +1,7 @@
 package core
 
 import (
-	"errors"
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -12,7 +12,7 @@ import (
 // EpochRunner is one execution plan's share of the Figure 2 loop: Run
 // performs epoch e's gradient steps starting from w with step size alpha
 // and leaves the post-epoch model in w; Loss evaluates the objective at w.
-// Everything else — step schedule, convergence, deadline, bookkeeping —
+// Everything else — step schedule, convergence, cancellation, bookkeeping —
 // belongs to Drive, so a plan is only "how one pass over the data runs".
 type EpochRunner interface {
 	Run(epoch int, w vector.Dense, alpha float64) error
@@ -40,15 +40,12 @@ type LoopConfig struct {
 	// SkipLoss disables per-epoch loss evaluation (then RelTol/TargetLoss
 	// cannot fire and the loop always runs MaxEpochs).
 	SkipLoss bool
-	// Deadline, when nonzero, aborts the run with ErrDeadline before any
-	// epoch that would start after it. The partial Result is still returned.
-	Deadline time.Time
+	// Ctx, once done, stops the run before its next epoch or loss pass
+	// (nil: context.Background()) with the partial Result and ctx.Err():
+	// Model and Epochs count every gradient pass applied, and Losses and
+	// EpochTimes stay paired over the epochs whose loss is known.
+	Ctx context.Context
 }
-
-// ErrDeadline reports that a run hit its Deadline; the partial result
-// accompanies it. Used by the Table 4 scalability harness to record "did
-// not finish within budget" outcomes.
-var ErrDeadline = errors.New("bismarck: training deadline exceeded")
 
 // Result reports a finished training run.
 type Result struct {
@@ -84,13 +81,17 @@ func Drive(r EpochRunner, cfg LoopConfig) (*Result, error) {
 		w = w.Clone()
 	}
 
+	ctx := cfg.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	res := &Result{Model: w}
 	start := time.Now()
 	prevLoss := math.NaN()
 	for e := 0; e < cfg.MaxEpochs; e++ {
-		if !cfg.Deadline.IsZero() && time.Now().After(cfg.Deadline) {
+		if err := ctx.Err(); err != nil {
 			res.Total = time.Since(start)
-			return res, ErrDeadline
+			return res, err
 		}
 		epochStart := time.Now()
 		if err := r.Run(e, w, cfg.Step.Alpha(e)); err != nil {
@@ -100,6 +101,10 @@ func Drive(r EpochRunner, cfg LoopConfig) (*Result, error) {
 		if cfg.SkipLoss {
 			res.EpochTimes = append(res.EpochTimes, time.Since(epochStart))
 			continue
+		}
+		if err := ctx.Err(); err != nil {
+			res.Total = time.Since(start)
+			return res, err
 		}
 		loss, err := r.Loss(w)
 		if err != nil {

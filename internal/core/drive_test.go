@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -109,21 +110,44 @@ func TestDriveLoop(t *testing.T) {
 		}
 	})
 
-	t.Run("Deadline returns the partial result with ErrDeadline", func(t *testing.T) {
+	t.Run("Ctx cancel returns the paired partial result", func(t *testing.T) {
 		cfg := base
-		cfg.Deadline = time.Now().Add(20 * time.Millisecond)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		cfg.Ctx = ctx
 		r := &scriptRunner{losses: []float64{1}, onRun: func(epoch int) error {
-			if epoch == 1 {
-				time.Sleep(time.Until(cfg.Deadline) + time.Millisecond)
+			if epoch == 2 {
+				cancel()
 			}
 			return nil
 		}}
 		res, err := Drive(r, cfg)
-		if !errors.Is(err, ErrDeadline) {
-			t.Fatalf("want ErrDeadline, got %v", err)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("want context.Canceled, got %v", err)
 		}
-		if res == nil || res.Epochs != 2 || res.Model[0] != 1.5 || res.Total <= 0 {
-			t.Fatalf("partial result %+v", res)
+		// Epoch 2's gradient pass is in the model; its loss was never
+		// computed, so Losses and EpochTimes both stop at epoch 1.
+		if res == nil || r.runs != 3 || r.lossCalls != 2 || res.Epochs != 3 || res.Model[0] != 1.75 ||
+			len(res.Losses) != 2 || len(res.EpochTimes) != 2 || res.Total <= 0 {
+			t.Fatalf("runs=%d loss calls=%d partial result %+v", r.runs, r.lossCalls, res)
+		}
+	})
+
+	t.Run("Ctx cancel under SkipLoss stops before the next epoch", func(t *testing.T) {
+		cfg := base
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		cfg.Ctx, cfg.SkipLoss = ctx, true
+		r := &scriptRunner{losses: []float64{1}, onRun: func(epoch int) error {
+			if epoch == 2 {
+				cancel()
+			}
+			return nil
+		}}
+		res, err := Drive(r, cfg)
+		if !errors.Is(err, context.Canceled) || res == nil || r.runs != 3 || res.Epochs != 3 ||
+			len(res.Losses) != 0 || len(res.EpochTimes) != 3 {
+			t.Fatalf("err=%v runs=%d partial result %+v", err, r.runs, res)
 		}
 	})
 

@@ -1,8 +1,8 @@
 package core
 
 import (
+	"context"
 	"math/rand"
-	"time"
 
 	"bismarck/internal/engine"
 	"bismarck/internal/vector"
@@ -217,7 +217,7 @@ type Trainer struct {
 	// approximation of the objective, and the convergence tests run
 	// against it.
 	PiggybackLoss bool
-	Deadline      time.Time
+	Ctx           context.Context
 }
 
 // Run trains the task over the table and returns the result.
@@ -228,5 +228,5 @@ func (tr *Trainer) Run(tbl *engine.Table) (*Result, error) {
 	}
 	return Drive(r, LoopConfig{Task: tr.Task, Step: tr.Step, MaxEpochs: tr.MaxEpochs,
 		RelTol: tr.RelTol, TargetLoss: tr.TargetLoss, Seed: tr.Seed,
-		InitModel: tr.InitModel, SkipLoss: tr.SkipLoss, Deadline: tr.Deadline})
+		InitModel: tr.InitModel, SkipLoss: tr.SkipLoss, Ctx: tr.Ctx})
 }

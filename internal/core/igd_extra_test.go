@@ -1,25 +1,27 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
-	"time"
 
 	"bismarck/internal/engine"
 	"bismarck/internal/vector"
 )
 
-func TestTrainerDeadlineInPastRunsZeroEpochs(t *testing.T) {
+func TestTrainerCanceledCtxRunsZeroEpochs(t *testing.T) {
 	tbl := meanTable([]float64{1})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
 	tr := &Trainer{Task: meanTask{}, Step: ConstantStep{A: 0.01}, MaxEpochs: 5,
-		SkipLoss: true, Deadline: time.Now().Add(-time.Second)}
+		SkipLoss: true, Ctx: ctx}
 	res, err := tr.Run(tbl)
-	if !errors.Is(err, ErrDeadline) {
-		t.Fatalf("expected ErrDeadline, got %v", err)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("expected context.Canceled, got %v", err)
 	}
-	if res.Epochs != 0 {
-		t.Fatalf("epochs = %d, want 0", res.Epochs)
+	if res.Epochs != 0 || len(res.EpochTimes) != 0 {
+		t.Fatalf("epochs = %d (times %v), want 0", res.Epochs, res.EpochTimes)
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 
 	"io"
@@ -69,12 +70,12 @@ func RunFig7B(w io.Writer, cfg Config) error {
 
 	crfpp, err := baseline{task: task, alpha: 8, iters: 60, seed: cfg.Seed, budget: cfg.budget()}.
 		drive(baselines.NewBatchRunner(task, tbl, true))
-	if err != nil && !errors.Is(err, core.ErrDeadline) {
+	if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		return err
 	}
 	mallet, err := baseline{task: task, alpha: 1.5, iters: 120, seed: cfg.Seed, budget: cfg.budget()}.
 		drive(baselines.NewBatchRunner(task, tbl, false))
-	if err != nil && !errors.Is(err, core.ErrDeadline) {
+	if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		return err
 	}
 

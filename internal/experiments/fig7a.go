@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -81,7 +82,7 @@ func RunFig7A(w io.Writer, cfg Config) error {
 			start := time.Now()
 			res, err := baseline{task: task, alpha: alpha, iters: 500, relTol: relTol, seed: cfg.Seed,
 				budget: budget}.drive(baselines.NewBatchRunner(task, tbl, true))
-			if err != nil && !errors.Is(err, core.ErrDeadline) {
+			if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 				return 0, 0, err
 			}
 			if res == nil || len(res.Losses) == 0 {
@@ -105,7 +106,7 @@ func RunFig7A(w io.Writer, cfg Config) error {
 					lr := &tasks.LR{D: 54, Mu: 1e-4}
 					res, err := baseline{task: lr, iters: 30, relTol: relTol, budget: budget}.
 						drive(baselines.NewIRLSRunner(lr, forest), nil)
-					if err != nil && !errors.Is(err, core.ErrDeadline) {
+					if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 						return 0, 0, err
 					}
 					if len(res.Losses) == 0 {
@@ -146,7 +147,7 @@ func RunFig7A(w io.Writer, cfg Config) error {
 					lmf.Mu = 0.05
 					res, err := baseline{task: lmf, iters: 60, relTol: relTol, seed: cfg.Seed, budget: budget}.
 						drive(baselines.NewALSRunner(lmf, ml))
-					if err != nil && !errors.Is(err, core.ErrDeadline) {
+					if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 						return 0, 0, err
 					}
 					if len(res.Losses) == 0 {

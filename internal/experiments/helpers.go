@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"time"
 
 	"bismarck/internal/core"
@@ -40,11 +41,13 @@ type baseline struct {
 }
 
 // drive runs the solver's plan as its constructor returns it. A run the
-// budget cuts short returns its partial result with core.ErrDeadline.
+// budget cuts short returns its partial result and DeadlineExceeded.
 func (b baseline) drive(r core.EpochRunner, err error) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), b.budget)
+	defer cancel()
 	return core.Drive(r, core.LoopConfig{Task: b.task, Step: core.ConstantStep{A: b.alpha},
-		MaxEpochs: b.iters, RelTol: b.relTol, Seed: b.seed, Deadline: time.Now().Add(b.budget)})
+		MaxEpochs: b.iters, RelTol: b.relTol, Seed: b.seed, Ctx: ctx})
 }

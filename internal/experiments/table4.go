@@ -1,9 +1,9 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"io"
-	"time"
 
 	"bismarck/internal/baselines"
 	"bismarck/internal/core"
@@ -37,21 +37,26 @@ func RunTable4(w io.Writer, cfg Config) error {
 		switch {
 		case err == nil && converged:
 			return "OK"
-		case errors.Is(err, core.ErrDeadline) || (err == nil && !converged):
+		case errors.Is(err, context.DeadlineExceeded) || (err == nil && !converged):
 			return "X"
 		default:
 			return "X (" + err.Error() + ")"
 		}
 	}
 
-	deadline := func() time.Time { return time.Now().Add(budget) }
+	// run trains one Bismarck plan under its own wall-clock budget.
+	run := func(tr *core.Trainer, tbl *engineTable) (*core.Result, error) {
+		ctx, cancel := context.WithTimeout(context.Background(), budget)
+		defer cancel()
+		tr.Ctx = ctx
+		return tr.Run(tbl)
+	}
 
 	// --- LR on Classify300M-style ---
 	{
 		lr := tasks.NewLR(50)
-		bres, berr := (&core.Trainer{Task: lr, Step: core.GeometricStep{A0: 0.05, Rho: 0.8},
-			MaxEpochs: 30, RelTol: 1e-3, Seed: cfg.Seed, PiggybackLoss: true,
-			Deadline: deadline()}).Run(classify)
+		bres, berr := run(&core.Trainer{Task: lr, Step: core.GeometricStep{A0: 0.05, Rho: 0.8},
+			MaxEpochs: 30, RelTol: 1e-3, Seed: cfg.Seed, PiggybackLoss: true}, classify)
 		newton := &tasks.LR{D: 50, Mu: 1e-4}
 		nres, nerr := baseline{task: newton, iters: 30, relTol: 1e-6, budget: budget}.
 			drive(baselines.NewIRLSRunner(newton, classify), nil)
@@ -66,9 +71,8 @@ func RunTable4(w io.Writer, cfg Config) error {
 	// --- SVM on Classify300M-style ---
 	{
 		svm := tasks.NewSVM(50)
-		bres, berr := (&core.Trainer{Task: svm, Step: core.GeometricStep{A0: 0.05, Rho: 0.8},
-			MaxEpochs: 30, RelTol: 1e-3, Seed: cfg.Seed, PiggybackLoss: true,
-			Deadline: deadline()}).Run(classify)
+		bres, berr := run(&core.Trainer{Task: svm, Step: core.GeometricStep{A0: 0.05, Rho: 0.8},
+			MaxEpochs: 30, RelTol: 1e-3, Seed: cfg.Seed, PiggybackLoss: true}, classify)
 		gres, gerr := baseline{task: svm, alpha: 0.5, iters: 500, relTol: 1e-5, seed: cfg.Seed, budget: budget}.
 			drive(baselines.NewBatchRunner(svm, classify, false))
 		t.Add("SVM", mark(bres != nil && bres.Converged, berr), "N/A",
@@ -79,9 +83,8 @@ func RunTable4(w io.Writer, cfg Config) error {
 	// --- LMF on Matrix5B-style ---
 	{
 		lmf := tasks.NewLMF(mRows, mCols, 10)
-		bres, berr := (&core.Trainer{Task: lmf, Step: core.GeometricStep{A0: 0.02, Rho: 0.85},
-			MaxEpochs: 25, RelTol: 5e-3, Seed: cfg.Seed, PiggybackLoss: true,
-			Deadline: deadline()}).Run(matrix)
+		bres, berr := run(&core.Trainer{Task: lmf, Step: core.GeometricStep{A0: 0.02, Rho: 0.85},
+			MaxEpochs: 25, RelTol: 5e-3, Seed: cfg.Seed, PiggybackLoss: true}, matrix)
 		als := tasks.NewLMF(mRows, mCols, 10)
 		als.Mu = 0.05
 		ares, aerr := baseline{task: als, iters: 60, relTol: 5e-3, seed: cfg.Seed, budget: budget}.
@@ -94,9 +97,8 @@ func RunTable4(w io.Writer, cfg Config) error {
 	// --- CRF on DBLP-style ---
 	{
 		crf := tasks.NewCRF(20000, 9)
-		bres, berr := (&core.Trainer{Task: crf, Step: core.GeometricStep{A0: 0.1, Rho: 0.8},
-			MaxEpochs: 45, RelTol: 1e-3, Seed: cfg.Seed, PiggybackLoss: true,
-			Deadline: deadline()}).Run(dblp)
+		bres, berr := run(&core.Trainer{Task: crf, Step: core.GeometricStep{A0: 0.1, Rho: 0.8},
+			MaxEpochs: 45, RelTol: 1e-3, Seed: cfg.Seed, PiggybackLoss: true}, dblp)
 		gres, gerr := baseline{task: crf, alpha: 1, iters: 200, relTol: 1e-5, seed: cfg.Seed, budget: budget}.
 			drive(baselines.NewBatchRunner(crf, dblp, false))
 		t.Add("CRF", mark(bres != nil && bres.Converged, berr), "N/A",

@@ -1,10 +1,10 @@
 package parallel
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 
 	"bismarck/internal/core"
 	"bismarck/internal/engine"
@@ -144,7 +144,7 @@ type Trainer struct {
 	Seed       int64
 	InitModel  vector.Dense
 	SkipLoss   bool
-	Deadline   time.Time
+	Ctx        context.Context
 }
 
 // Run trains the task and reports the result.
@@ -155,5 +155,5 @@ func (tr *Trainer) Run(tbl *engine.Table) (*core.Result, error) {
 	}
 	return core.Drive(r, core.LoopConfig{Task: tr.Task, Step: tr.Step, MaxEpochs: tr.MaxEpochs,
 		RelTol: tr.RelTol, TargetLoss: tr.TargetLoss, Seed: tr.Seed,
-		InitModel: tr.InitModel, SkipLoss: tr.SkipLoss, Deadline: tr.Deadline})
+		InitModel: tr.InitModel, SkipLoss: tr.SkipLoss, Ctx: tr.Ctx})
 }

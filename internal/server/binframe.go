@@ -292,8 +292,8 @@ func (b *binSession) handle(payload []byte, cancel <-chan struct{}) bool {
 // mode exists for throughput, where per-request goroutines buy reordering
 // nobody asked for at the cost of the zero-allocation path; a client
 // wanting server-side overlap opens connections. Requests parked on a
-// full admission queue abandon their booking when the server closes
-// (s.closing), and write failures close the connection so the read side
+// full admission queue abandon their booking when done (the connection
+// ctx's) closes, and write failures close the connection so the read side
 // unblocks — the same teardown discipline as the text loop.
 //
 // Executor opcodes (distributed training, internal/dist) share the
@@ -301,7 +301,7 @@ func (b *binSession) handle(payload []byte, cancel <-chan struct{}) bool {
 // zero-allocation decode; their shard state is per-connection and is
 // released when the loop exits, so a lost coordinator can never leak
 // shard heaps past its TCP session.
-func (s *TCPServer) serveBinary(conn net.Conn, w *bufio.Writer, wmu *sync.Mutex) {
+func (s *TCPServer) serveBinary(conn net.Conn, w *bufio.Writer, wmu *sync.Mutex, done <-chan struct{}) {
 	br := bufio.NewReaderSize(conn, 1<<16)
 	b := binSession{plane: s.m.plane}
 	var ex *dist.Executor // lazily built on the first executor frame
@@ -321,7 +321,7 @@ func (s *TCPServer) serveBinary(conn net.Conn, w *bufio.Writer, wmu *sync.Mutex)
 		if isExecOp(p[0]) {
 			if ex == nil {
 				ex = dist.NewExecutor(buildRegistryTask,
-					execGate{g: s.m.execGate, closing: s.closing})
+					execGate{g: s.m.execGate, done: done})
 				ex.Hooks = s.execHooks
 				s.m.execConns.Add(1)
 			}
@@ -331,7 +331,7 @@ func (s *TCPServer) serveBinary(conn net.Conn, w *bufio.Writer, wmu *sync.Mutex)
 			}
 			out = resp
 		} else {
-			if !b.handle(p, s.closing) {
+			if !b.handle(p, done) {
 				return
 			}
 			out = b.out

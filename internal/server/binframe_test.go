@@ -101,6 +101,7 @@ func TestBinFrameDecodeRejectsMalformed(t *testing.T) {
 // valid frames afterwards.
 func TestBinSessionErrorFrames(t *testing.T) {
 	m := NewManager(engine.NewCatalog(), Options{Workers: 1})
+	defer m.Drain()
 	seedSignSets(t, m)
 	sess := m.NewSession(discard{})
 	if err := sess.Exec(fmt.Sprintf(trainSignFmt, "pos", "")); err != nil {

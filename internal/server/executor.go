@@ -32,19 +32,19 @@ func buildRegistryTask(name string, params map[string]string) (core.Task, error)
 	return ts.Build(spec.BuildInput{Params: p})
 }
 
-// execGate adapts a serve.Gate (plus the server's closing channel) to
-// dist.Gate: synchronous shed with the retry-after hint the coordinator
+// execGate adapts a serve.Gate (plus the connection ctx's Done channel)
+// to dist.Gate: synchronous shed with the retry-after hint the coordinator
 // parses, a cancellable wait for a slot, and ok=false at shutdown so the
 // binary loop tears the connection down instead of answering. The slot is
 // released inside serve.Gate.Do; nothing to release crosses into dist.
 type execGate struct {
-	g       *serve.Gate
-	closing <-chan struct{}
+	g    *serve.Gate
+	done <-chan struct{}
 }
 
 // Do implements dist.Gate.
 func (e execGate) Do(fn func()) (bool, error) {
-	if err := e.g.Do(e.closing, fn); err != nil {
+	if err := e.g.Do(e.done, fn); err != nil {
 		return err != serve.ErrCanceled, err
 	}
 	return true, nil

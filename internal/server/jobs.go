@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -9,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"bismarck/internal/engine"
 	"bismarck/internal/spec"
 )
 
@@ -26,7 +28,7 @@ const (
 	JobDone
 	// JobFailed: the statement errored; Job.Err carries the message.
 	JobFailed
-	// JobCanceled: canceled before it started, or at the save boundary.
+	// JobCanceled: canceled while queued, or stopped while running.
 	JobCanceled
 )
 
@@ -52,10 +54,6 @@ func (s JobState) Terminal() bool {
 	return s == JobDone || s == JobFailed || s == JobCanceled
 }
 
-// errCanceled aborts a canceled job at the save boundary (via the session
-// PreSave hook), leaving the previous model generation untouched.
-var errCanceled = errors.New("server: job canceled")
-
 // Job is one asynchronous TRAIN statement.
 type Job struct {
 	// ID is the daemon-wide job number (WAIT JOB <id>).
@@ -69,12 +67,14 @@ type Job struct {
 	state     JobState
 	err       string
 	output    string // captured session output (the training summary line)
-	cancel    bool
 	submitted time.Time
 	finished  time.Time
 
-	// done closes when the job reaches a terminal state.
+	// done closes when the job reaches a terminal state; stop cancels the
+	// statement's ctx (CANCEL JOB).
 	done chan struct{}
+	ctx  context.Context
+	stop context.CancelFunc
 
 	st *spec.Statement
 }
@@ -104,9 +104,6 @@ func (j *Job) View() JobView {
 	return v
 }
 
-// Done returns the channel closed at the job's terminal transition.
-func (j *Job) Done() <-chan struct{} { return j.done }
-
 // begin moves queued → running; it fails when the job was canceled while
 // still queued (requestCancel already settled it terminal).
 func (j *Job) begin() bool {
@@ -126,7 +123,7 @@ func (j *Job) settle(err error, output string) {
 	j.output = output
 	j.finished = time.Now()
 	switch {
-	case errors.Is(err, errCanceled):
+	case errors.Is(err, context.Canceled):
 		j.state = JobCanceled
 	case err != nil:
 		j.state = JobFailed
@@ -137,44 +134,25 @@ func (j *Job) settle(err error, output string) {
 	close(j.done)
 }
 
-// requestCancel cancels the job: a queued job settles terminal on the
-// spot (workers skip settled jobs at pickup), a running job is flagged
-// and stopped at its save boundary. Returns the state the request landed
-// in.
+// requestCancel cancels the job's ctx, so a running job stops before its
+// next epoch or its commit, and returns cancelIfQueued's state.
 func (j *Job) requestCancel() JobState {
+	j.stop()
+	return j.cancelIfQueued()
+}
+
+// cancelIfQueued settles a queued job canceled (workers skip it at pickup)
+// and returns the state it found; the shutdown path lets running ones commit.
+func (j *Job) cancelIfQueued() JobState {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	was := j.state
-	if was.Terminal() {
-		return was
-	}
-	j.cancel = true
 	if was == JobQueued {
 		j.state = JobCanceled
 		j.finished = time.Now()
 		close(j.done)
 	}
 	return was
-}
-
-// canceled reads the cancel flag (the PreSave hook's check).
-func (j *Job) canceled() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.cancel
-}
-
-// cancelIfQueued settles a still-queued job as canceled; running jobs are
-// left alone (the shutdown path lets them finish and commit).
-func (j *Job) cancelIfQueued() {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state == JobQueued {
-		j.cancel = true
-		j.state = JobCanceled
-		j.finished = time.Now()
-		close(j.done)
-	}
 }
 
 // scheduler runs submitted TRAIN jobs on a fixed worker pool.
@@ -216,9 +194,11 @@ func (s *scheduler) submit(st *spec.Statement, text string) (*Job, error) {
 	}
 	job := &Job{ID: s.next + 1, Model: st.Into, Statement: ledgerText(text),
 		submitted: time.Now(), done: make(chan struct{}), st: st}
+	job.ctx, job.stop = context.WithCancel(context.Background())
 	select {
 	case s.queue <- job:
 	default:
+		job.stop()
 		return nil, fmt.Errorf("server: job queue full (%d pending)", cap(s.queue))
 	}
 	s.next++
@@ -255,22 +235,33 @@ func (s *scheduler) submit(st *spec.Statement, text string) (*Job, error) {
 // run executes one job on a private session that shares the manager's
 // catalog and locks; the statement trains synchronously inside the worker.
 func (s *scheduler) run(job *Job) {
+	defer job.stop()
 	if !job.begin() {
 		return
 	}
 	var out bytes.Buffer
 	sess := s.m.newSQLSession(&out)
-	sess.PreSave = func(model string) error {
-		if hook := s.m.Hooks.BeforeSave; hook != nil {
-			hook(job.ID, model)
-		}
-		if job.canceled() {
-			return errCanceled
-		}
-		return nil
+	if hook := s.m.Hooks.BeforeSave; hook != nil {
+		sess.Guard = saveHook{s.m.locks, job, hook}
 	}
-	err := s.m.runSQL(sess, job.st)
+	err := s.m.runSQL(job.ctx, sess, job.st)
 	job.settle(err, out.String())
+}
+
+// saveHook fires Hooks.BeforeSave when the job asks for the shadow lock of
+// its INTO name: training is over and the save is about to begin.
+type saveHook struct {
+	*nameLocks
+	job  *Job
+	fire func(jobID int64, model string)
+}
+
+// Lock implements sqlish.Guard.
+func (g saveHook) Lock(name string) func() {
+	if name == g.job.Model+engine.ShadowSuffix {
+		g.fire(g.job.ID, g.job.Model)
+	}
+	return g.nameLocks.Lock(name)
 }
 
 // ledgerText bounds the statement rendering kept for SHOW JOBS: the

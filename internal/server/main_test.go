@@ -5,8 +5,10 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"bismarck/internal/engine"
 )
@@ -16,7 +18,10 @@ import (
 var testRoot string
 
 // TestMain fails the package if any test leaked an in-flight
-// *__shadow*.heap file — same contract as the engine and sqlish sweeps.
+// *__shadow*.heap file — same contract as the engine and sqlish sweeps —
+// or left goroutines running: job workers, connection handlers and frame
+// workers must all be gone once their test's manager is drained and its
+// server closed.
 func TestMain(m *testing.M) {
 	var err error
 	testRoot, err = os.MkdirTemp("", "bismarck-server-test-*")
@@ -24,7 +29,14 @@ func TestMain(m *testing.M) {
 		fmt.Fprintf(os.Stderr, "server tests: %v\n", err)
 		os.Exit(1)
 	}
+	base := runtime.NumGoroutine()
 	code := m.Run()
+	if stacks := goroutineLeak(base, 5*time.Second); stacks != "" {
+		fmt.Fprintf(os.Stderr, "server tests leaked goroutines:\n%s\n", stacks)
+		if code == 0 {
+			code = 1
+		}
+	}
 	if leaks := findShadowLeaks(testRoot); len(leaks) > 0 {
 		fmt.Fprintf(os.Stderr, "server tests leaked in-flight shadow heaps:\n")
 		for _, l := range leaks {
@@ -36,6 +48,18 @@ func TestMain(m *testing.M) {
 	}
 	os.RemoveAll(testRoot)
 	os.Exit(code)
+}
+
+// goroutineLeak waits up to wait for the goroutine count to return to base
+// and returns every goroutine's stack if it does not.
+func goroutineLeak(base int, wait time.Duration) string {
+	for deadline := time.Now().Add(wait); runtime.NumGoroutine() > base; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			return string(buf[:runtime.Stack(buf, true)])
+		}
+	}
+	return ""
 }
 
 func findShadowLeaks(root string) []string {

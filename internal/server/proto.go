@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"fmt"
 	"net"
 	"strconv"
@@ -84,25 +85,27 @@ type TCPServer struct {
 	// (deterministic crash tests); set before Serve.
 	execHooks dist.ExecutorHooks
 
-	mu      sync.Mutex
-	lis     net.Listener
-	conns   map[net.Conn]struct{}
-	closed  bool
-	closing chan struct{} // closed in Close; unblocks WAIT JOB handlers
-	wg      sync.WaitGroup
+	// ctx is every connection's parent; Close cancels it under mu.
+	ctx   context.Context
+	stop  context.CancelFunc
+	mu    sync.Mutex
+	lis   net.Listener
+	conns map[net.Conn]struct{}
+	wg    sync.WaitGroup
 }
 
 // NewTCPServer wraps the manager for serving.
 func NewTCPServer(m *Manager) *TCPServer {
-	return &TCPServer{m: m, conns: make(map[net.Conn]struct{}),
-		closing: make(chan struct{})}
+	s := &TCPServer{m: m, conns: make(map[net.Conn]struct{})}
+	s.ctx, s.stop = context.WithCancel(context.Background())
+	return s
 }
 
 // Serve accepts connections until Close (returning nil then) or a fatal
 // listener error.
 func (s *TCPServer) Serve(lis net.Listener) error {
 	s.mu.Lock()
-	if s.closed {
+	if s.ctx.Err() != nil {
 		s.mu.Unlock()
 		lis.Close()
 		return fmt.Errorf("server: already closed")
@@ -113,16 +116,13 @@ func (s *TCPServer) Serve(lis net.Listener) error {
 	for {
 		conn, err := lis.Accept()
 		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
+			if s.ctx.Err() != nil {
 				return nil
 			}
 			return err
 		}
 		s.mu.Lock()
-		if s.closed {
+		if s.ctx.Err() != nil {
 			s.mu.Unlock()
 			conn.Close()
 			return nil
@@ -137,18 +137,18 @@ func (s *TCPServer) Serve(lis net.Listener) error {
 	}
 }
 
-// Close stops accepting, closes every live connection, and waits for the
-// handlers to drain. It does not drain the job scheduler — that is the
-// manager's (i.e. the daemon shutdown path's) decision.
+// Close stops accepting, cancels every connection's ctx (its statement
+// stops), closes every live connection, and waits for the handlers to
+// drain. It does not drain the job scheduler — that is the manager's
+// (i.e. the daemon shutdown path's) decision.
 func (s *TCPServer) Close() error {
 	s.mu.Lock()
-	if s.closed {
+	if s.ctx.Err() != nil {
 		s.mu.Unlock()
 		s.wg.Wait()
 		return nil
 	}
-	s.closed = true
-	close(s.closing) // wake handlers parked in WAIT JOB before waiting on them
+	s.stop()
 	lis := s.lis
 	conns := make([]net.Conn, 0, len(s.conns))
 	for c := range s.conns {
@@ -179,7 +179,6 @@ func (s *TCPServer) handle(conn net.Conn) {
 	w := bufio.NewWriter(conn)
 	var body bytes.Buffer
 	sess := s.m.NewSession(&body)
-	sess.Shutdown = s.closing
 
 	// wmu serializes whole responses onto the connection: a statement
 	// response (body + terminator + flush) is written in one critical
@@ -189,14 +188,14 @@ func (s *TCPServer) handle(conn net.Conn) {
 	var wmu sync.Mutex
 	// cwg tracks this connection's in-flight frame workers; the handler
 	// waits them out before the deferred close so no worker writes to a
-	// freed connection. done closes first (defers run LIFO): a frame
-	// worker still parked on the admission queue gives its booking back
-	// instead of burning a scoring slot on an answer nobody will read —
-	// the dead-client slot-leak fix.
+	// freed connection. ctx — the statements' and the frames' — is
+	// canceled first (defers run LIFO): a frame worker still parked on the
+	// admission queue gives its booking back instead of burning a scoring
+	// slot on an answer nobody will read — the dead-client slot-leak fix.
 	var cwg sync.WaitGroup
-	done := make(chan struct{})
+	ctx, cancel := context.WithCancel(s.ctx)
 	defer cwg.Wait()
-	defer close(done)
+	defer cancel()
 
 	respond := func(err error) bool {
 		wmu.Lock()
@@ -264,10 +263,10 @@ func (s *TCPServer) handle(conn net.Conn) {
 				if werr != nil {
 					return
 				}
-				s.serveBinary(conn, w, &wmu)
+				s.serveBinary(conn, w, &wmu, ctx.Done())
 				return
 			}
-			s.serveFrame(line, writeFrame, &cwg, done)
+			s.serveFrame(line, writeFrame, &cwg, ctx.Done())
 			continue
 		}
 		buf.WriteString(line)
@@ -292,7 +291,7 @@ func (s *TCPServer) handle(conn net.Conn) {
 		buf.Reset()
 		term.Reset()
 		for _, stmt := range spec.SplitStatements(text) {
-			if !respond(sess.Exec(stmt)) {
+			if !respond(sess.exec(ctx, stmt)) {
 				return
 			}
 		}
@@ -319,7 +318,7 @@ func (s *TCPServer) handle(conn net.Conn) {
 				respond(fmt.Errorf("server: dropping unterminated statement at connection end (missing ';')"))
 				return
 			}
-			if !respond(sess.Exec(stmt)) {
+			if !respond(sess.exec(ctx, stmt)) {
 				return
 			}
 		}

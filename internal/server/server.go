@@ -20,6 +20,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -70,9 +71,9 @@ type Options struct {
 
 // Hooks instruments the manager for deterministic concurrency tests.
 type Hooks struct {
-	// BeforeSave runs in the job worker after training succeeds, right
-	// before the model's write lock is taken for persisting. Tests use it
-	// to hold a job at the save boundary while probing reads.
+	// BeforeSave runs in the job worker after training succeeds, when the
+	// save asks for the shadow lock of the model's name. Tests use it to
+	// hold a job at the save boundary while probing reads.
 	BeforeSave func(jobID int64, model string)
 }
 
@@ -166,8 +167,8 @@ func (m *Manager) Close() error {
 // durable (its swap wrote catalog.json), so what remains is decoding the
 // fresh generation into the serving cache, so the first PREDICT after the
 // swap never pays the decode. Best-effort: the request path reports errors.
-func (m *Manager) runSQL(sq *sqlish.Session, st *spec.Statement) error {
-	if err := sq.Run(st); err != nil {
+func (m *Manager) runSQL(ctx context.Context, sq *sqlish.Session, st *spec.Statement) error {
+	if err := sq.Run(ctx, st); err != nil {
 		return err
 	}
 	if st.Kind == spec.KindTrain {
@@ -189,26 +190,25 @@ type Session struct {
 	m   *Manager
 	out io.Writer
 	sq  *sqlish.Session
-
-	// Shutdown, once closed, aborts blocking statements (WAIT JOB, a point
-	// PREDICT queued for a scoring slot) — the TCP server installs its
-	// closing channel so a draining daemon is never deadlocked behind a
-	// handler parked on a queue. Nil (an in-process session) never fires.
-	Shutdown <-chan struct{}
 }
 
-// Exec parses and runs one statement.
-func (s *Session) Exec(text string) error {
+// Exec parses and runs one statement with no cancellation.
+func (s *Session) Exec(text string) error { return s.exec(context.Background(), text) }
+
+// exec parses and runs one statement under ctx.
+func (s *Session) exec(ctx context.Context, text string) error {
 	st, err := spec.Parse(text)
 	if err != nil {
 		return err
 	}
-	return s.Run(st, text)
+	return s.Run(ctx, st, text)
 }
 
 // Run executes a parsed statement; text is the source rendering kept for
-// job listings (pass "" to rebuild nothing fancier than the kind).
-func (s *Session) Run(st *spec.Statement, text string) error {
+// job listings (pass "" to rebuild nothing fancier than the kind). A done
+// ctx stops a sync TRAIN and gives up a WAIT JOB or a queued point
+// PREDICT; an ASYNC job runs under its own ctx (CANCEL JOB).
+func (s *Session) Run(ctx context.Context, st *spec.Statement, text string) error {
 	switch {
 	case st.Kind == spec.KindTrain && st.Async:
 		job, err := s.m.sched.submit(st, oneLine(text))
@@ -234,8 +234,8 @@ func (s *Session) Run(st *spec.Statement, text string) error {
 			return err
 		}
 		select {
-		case <-job.Done():
-		case <-s.Shutdown:
+		case <-job.done:
+		case <-ctx.Done():
 			return fmt.Errorf("server: shutting down; job %d keeps its state (reconnect to inspect)", st.JobID)
 		}
 		v := job.View()
@@ -259,7 +259,7 @@ func (s *Session) Run(st *spec.Statement, text string) error {
 		case state.Terminal():
 			fmt.Fprintf(s.out, "job %d already %s\n", job.ID, state)
 		case state == JobRunning:
-			fmt.Fprintf(s.out, "job %d cancel requested; a running job stops at its save boundary (WAIT JOB %d to confirm)\n",
+			fmt.Fprintf(s.out, "job %d cancel requested; a running job stops before its next epoch or its commit (WAIT JOB %d to confirm)\n",
 				job.ID, job.ID)
 		default:
 			fmt.Fprintf(s.out, "job %d canceled\n", job.ID)
@@ -281,9 +281,9 @@ func (s *Session) Run(st *spec.Statement, text string) error {
 	case st.Kind == spec.KindPointPredict:
 		// Inline scoring goes through the serving plane: hot cached
 		// snapshots under admission control. A request queued for a slot
-		// gives up when the server shuts down.
+		// gives up when ctx is done.
 		scores := make([]float64, len(st.Points))
-		if _, err := s.m.plane.Do(st.Model, s.Shutdown, st.Points, scores); err != nil {
+		if _, err := s.m.plane.Do(st.Model, ctx.Done(), st.Points, scores); err != nil {
 			return err
 		}
 		for _, v := range scores {
@@ -291,7 +291,7 @@ func (s *Session) Run(st *spec.Statement, text string) error {
 		}
 		return nil
 	}
-	return s.m.runSQL(s.sq, st)
+	return s.m.runSQL(ctx, s.sq, st)
 }
 
 // oneLine collapses a statement's whitespace for log-style listings.

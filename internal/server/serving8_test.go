@@ -420,6 +420,7 @@ func TestShowServingE2E(t *testing.T) {
 // — performs zero heap allocations.
 func TestBinFrameZeroAlloc(t *testing.T) {
 	m := NewManager(engine.NewCatalog(), Options{Workers: 1})
+	defer m.Drain()
 	seedSignSets(t, m)
 	sess := m.NewSession(discard{})
 	if err := sess.Exec(fmt.Sprintf(trainSignFmt, "pos", "")); err != nil {

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"net"
@@ -345,8 +346,8 @@ type Outcome struct {
 // sequential, a §3.3 parallel scheme, in-process or remote shards,
 // reservoir, MRS, or a baseline solver — and core.Drive runs the one loop
 // over it. This is the single dispatch path of the unified architecture:
-// no task-specific branching happens here.
-func Train(ts *TaskSpec, task core.Task, k Knobs, view *engine.Table) (*Outcome, error) {
+// no task-specific branching happens here. A done ctx stops the loop.
+func Train(ctx context.Context, ts *TaskSpec, task core.Task, k Knobs, view *engine.Table) (*Outcome, error) {
 	r, method, done, err := planRunner(ts, task, k, view)
 	if err != nil {
 		return nil, err
@@ -357,7 +358,7 @@ func Train(ts *TaskSpec, task core.Task, k Knobs, view *engine.Table) (*Outcome,
 		epochs = 20
 	}
 	res, err := core.Drive(r, core.LoopConfig{Task: task, Step: k.StepRule(0.1),
-		MaxEpochs: epochs, RelTol: k.Tol, Seed: k.Seed})
+		MaxEpochs: epochs, RelTol: k.Tol, Seed: k.Seed, Ctx: ctx})
 	if err != nil {
 		return nil, err
 	}

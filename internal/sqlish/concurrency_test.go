@@ -2,6 +2,7 @@ package sqlish
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -92,27 +93,46 @@ func TestShowModels(t *testing.T) {
 	}
 }
 
-// TestPreSaveAbortsPersist proves the PreSave hook (the job layer's cancel
-// boundary) discards a trained result without touching the persisted
-// model: the old generation keeps serving.
-func TestPreSaveAbortsPersist(t *testing.T) {
+// cancelGuard is a testGuard that cancels a statement's ctx the moment
+// the exclusive lock of one name is requested.
+type cancelGuard struct {
+	*testGuard
+	name   string
+	cancel context.CancelFunc
+}
+
+func (g cancelGuard) Lock(name string) func() {
+	if name == g.name {
+		g.cancel()
+	}
+	return g.testGuard.Lock(name)
+}
+
+// TestCancelAtSwapKeepsPreviousGeneration: a cancel that lands when a
+// TRAIN asks for its model's name lock — after training and the shadow
+// fill, right before the commit — discards the trained result. The old
+// generation keeps scoring and no __shadow table is left behind.
+func TestCancelAtSwapKeepsPreviousGeneration(t *testing.T) {
 	s, out := declSession(t)
 	copyInto(t, s, "papers", data.Forest(120, 5))
 	mustExec(t, s, `SELECT vec, label FROM papers TO TRAIN lr WITH epochs=3, seed=1 INTO m;`)
 	before := out.String()
 
-	sentinel := errors.New("canceled")
-	s.PreSave = func(model string) error {
-		if model != "m" {
-			t.Fatalf("PreSave got model %q", model)
-		}
-		return sentinel
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s.Guard = cancelGuard{newTestGuard(), "m", cancel}
+	st, err := spec.Parse(`SELECT vec, label FROM papers TO TRAIN lr WITH epochs=9, seed=2 INTO m;`)
+	if err != nil {
+		t.Fatal(err)
 	}
-	err := s.Exec(`SELECT vec, label FROM papers TO TRAIN lr WITH epochs=9, seed=2 INTO m;`)
-	if !errors.Is(err, sentinel) {
+	if err := s.Run(ctx, st); !errors.Is(err, context.Canceled) {
 		t.Fatalf("train: %v", err)
 	}
-	s.PreSave = nil
+	for _, name := range s.Cat.Names() {
+		if strings.Contains(name, engine.ShadowSuffix) {
+			t.Fatalf("canceled save left %q in the catalog", name)
+		}
+	}
 
 	// The first generation must still load and score.
 	out.Reset()
@@ -213,13 +233,13 @@ func TestValidateNamesEnforcedAtRun(t *testing.T) {
 	copyInto(t, s, "papers", data.Forest(60, 5))
 
 	// __meta aliasing via a hand-built statement.
-	err := s.Run(&spec.Statement{Kind: spec.KindTrain, From: "papers",
+	err := s.Run(context.Background(), &spec.Statement{Kind: spec.KindTrain, From: "papers",
 		Task: "lr", Into: "x__meta"})
 	if err == nil || !strings.Contains(err.Error(), "reserved") {
 		t.Fatalf("programmatic __meta INTO: %v", err)
 	}
 	// Path tricks likewise.
-	err = s.Run(&spec.Statement{Kind: spec.KindTrain, From: "papers",
+	err = s.Run(context.Background(), &spec.Statement{Kind: spec.KindTrain, From: "papers",
 		Task: "lr", Into: "../evil"})
 	if err == nil || !strings.Contains(err.Error(), "invalid table name") {
 		t.Fatalf("programmatic traversal INTO: %v", err)
@@ -227,7 +247,7 @@ func TestValidateNamesEnforcedAtRun(t *testing.T) {
 
 	// PREDICT INTO its own model would drop the model for the score table.
 	mustExec(t, s, `SELECT vec, label FROM papers TO TRAIN lr WITH epochs=2 INTO m;`)
-	err = s.Run(&spec.Statement{Kind: spec.KindPredict, From: "papers",
+	err = s.Run(context.Background(), &spec.Statement{Kind: spec.KindPredict, From: "papers",
 		Model: "m", Into: "m"})
 	if err == nil || !strings.Contains(err.Error(), "overwrite the model") {
 		t.Fatalf("self-destructive predict: %v", err)
@@ -236,7 +256,7 @@ func TestValidateNamesEnforcedAtRun(t *testing.T) {
 		t.Fatal("parsed self-destructive predict accepted")
 	}
 	// INTO the FROM source would drop the dataset.
-	err = s.Run(&spec.Statement{Kind: spec.KindTrain, From: "papers",
+	err = s.Run(context.Background(), &spec.Statement{Kind: spec.KindTrain, From: "papers",
 		Task: "lr", Into: "papers"})
 	if err == nil || !strings.Contains(err.Error(), "overwrite the FROM") {
 		t.Fatalf("self-destructive train INTO source: %v", err)

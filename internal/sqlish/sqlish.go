@@ -21,6 +21,7 @@
 package sqlish
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -53,27 +54,23 @@ type Session struct {
 	// against other sessions on the same catalog (the server's session
 	// manager installs one; nil means the session owns the catalog).
 	Guard Guard
-	// PreSave, when non-nil, runs after training succeeds and immediately
-	// before the model is persisted; an error discards the trained result
-	// and leaves any existing model tables untouched. The server's job
-	// layer uses it to honor CANCEL JOB at the save boundary.
-	PreSave func(model string) error
 }
 
-// Exec parses and runs one statement.
+// Exec parses and runs one statement with no cancellation.
 func (s *Session) Exec(stmt string) error {
 	st, err := spec.Parse(stmt)
 	if err != nil {
 		return err
 	}
-	return s.Run(st)
+	return s.Run(context.Background(), st)
 }
 
 // Run executes a parsed statement. Name rules are re-checked here (not
 // just in the parser) because spec.Statement is exported: a
 // programmatically built statement must face the same rules where the
-// tables are actually touched.
-func (s *Session) Run(st *spec.Statement) error {
+// tables are actually touched. A done ctx stops a TRAIN before its next
+// epoch, and any write before its commit (fillAndSwap) — never after.
+func (s *Session) Run(ctx context.Context, st *spec.Statement) error {
 	if err := spec.ValidateNames(st); err != nil {
 		return err
 	}
@@ -119,9 +116,9 @@ func (s *Session) Run(st *spec.Statement) error {
 	case spec.KindCheckTable:
 		return s.checkTable(st)
 	case spec.KindTrain:
-		return s.train(st)
+		return s.train(ctx, st)
 	case spec.KindPredict:
-		return s.predict(st)
+		return s.predict(ctx, st)
 	case spec.KindEvaluate:
 		return s.evaluate(st)
 	}
@@ -388,7 +385,7 @@ func (s *Session) reportDegraded(view *spec.View) {
 }
 
 // train runs a TO TRAIN statement end-to-end.
-func (s *Session) train(st *spec.Statement) error {
+func (s *Session) train(ctx context.Context, st *spec.Statement) error {
 	ts, knobs, params, view, err := s.prepare(st)
 	if err != nil {
 		return err
@@ -398,16 +395,11 @@ func (s *Session) train(st *spec.Statement) error {
 	if err != nil {
 		return err
 	}
-	out, err := spec.Train(ts, task, knobs, view.Table)
+	out, err := spec.Train(ctx, ts, task, knobs, view.Table)
 	if err != nil {
 		return err
 	}
-	if s.PreSave != nil {
-		if err := s.PreSave(st.Into); err != nil {
-			return err
-		}
-	}
-	if err := s.saveModel(st.Into, ts, task, out.Model); err != nil {
+	if err := s.saveModel(ctx, st.Into, ts, task, out.Model); err != nil {
 		return err
 	}
 	fmt.Fprintf(s.Out, "%s trained on %s via %s: %d epochs, final loss %.6g; model saved to table %q\n",
@@ -468,7 +460,7 @@ func (s *Session) restore(st *spec.Statement, opt spec.ViewOptions) (*spec.TaskS
 
 // predict runs a TO PREDICT statement: scores the view with the persisted
 // model, writing (id, score) rows INTO a table or printing a summary.
-func (s *Session) predict(st *spec.Statement) error {
+func (s *Session) predict(ctx context.Context, st *spec.Statement) error {
 	ts, task, w, view, knobs, err := s.restore(st, spec.ViewOptions{OptionalLabel: true})
 	if err != nil {
 		return err
@@ -531,7 +523,7 @@ func (s *Session) predict(st *spec.Statement) error {
 		// mid-fill leaves the previous result table fully readable. If the
 		// destination was previously a model, its __meta side table retires
 		// at the same commit so no stale metadata outlives the coefficients.
-		err := s.fillAndSwap([]string{metaTable(st.Into)}, shadowFill{st.Into, engine.Schema{
+		err := s.fillAndSwap(ctx, []string{metaTable(st.Into)}, shadowFill{st.Into, engine.Schema{
 			{Name: "id", Type: engine.TInt64},
 			{Name: "score", Type: engine.TFloat64},
 		}, func(dst *engine.Table) error {
@@ -644,6 +636,7 @@ type shadowFill struct {
 // names that exist. The lock guards only the rename; a failure — or a
 // crash — anywhere in the fill window leaves the previous generation fully
 // readable, and the tables can only ever move between generations together.
+// A done ctx is the last abort, checked under that lock before the commit.
 //
 // Lock order: the shadow fill lock of the first name (so two concurrent
 // writers of one destination queue up instead of colliding on the shadow
@@ -652,7 +645,7 @@ type shadowFill struct {
 // order and the name lock is never held while waiting on a shadow lock,
 // which is what the no-two-model-locks cycle-freedom argument (DESIGN.md
 // §6) needs.
-func (s *Session) fillAndSwap(dropAlso []string, fills ...shadowFill) error {
+func (s *Session) fillAndSwap(ctx context.Context, dropAlso []string, fills ...shadowFill) error {
 	name := fills[0].name
 	return s.withLock(shadowName(name), func() (err error) {
 		defer func() {
@@ -677,6 +670,9 @@ func (s *Session) fillAndSwap(dropAlso []string, fills ...shadowFill) error {
 			names[i], shadows[i] = f.name, shadowName(f.name)
 		}
 		return s.withLock(name, func() error {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 			return s.Cat.Swap(names, shadows, dropAlso)
 		})
 	})
@@ -689,8 +685,8 @@ var metaFillFault func(model string) error
 
 // saveModel persists the trained model — the coefficient table and the
 // metadata side table, as one fillAndSwap pair keyed on the model's name.
-func (s *Session) saveModel(name string, ts *spec.TaskSpec, task core.Task, w vector.Dense) error {
-	return s.fillAndSwap(nil,
+func (s *Session) saveModel(ctx context.Context, name string, ts *spec.TaskSpec, task core.Task, w vector.Dense) error {
+	return s.fillAndSwap(ctx, nil,
 		shadowFill{name, ModelSchema, func(tbl *engine.Table) error {
 			for i, v := range w {
 				if v == 0 {
