@@ -313,9 +313,10 @@ func RegisteredTasks() []*TaskSpec { return spec.Tasks() }
 
 type (
 	// ServerManager shares one catalog across concurrent client sessions
-	// behind per-model RW locks, and schedules TRAIN ... ASYNC jobs.
+	// behind per-model RW locks, and runs every TRAIN, PREDICT and
+	// EVALUATE, sync or ASYNC, as an admitted, cancellable job.
 	ServerManager = server.Manager
-	// ServerOptions tunes a ServerManager (worker pool, session defaults).
+	// ServerOptions tunes a ServerManager (job slots, session defaults).
 	ServerOptions = server.Options
 	// TCPServer serves a ServerManager over the bismarckd wire protocol.
 	TCPServer = server.TCPServer

@@ -205,7 +205,7 @@ const help = `statements:
   PREDICT (v1, v2, ...) USING model;            -- inline scoring, no table
   PREDICT VALUES (...), (...) USING model;      -- batched, one model generation
   SHOW TASKS;  SHOW TABLES;  SHOW MODELS;  SHOW SHARDS t [k];
-  SHOW JOBS;  WAIT JOB n;  CANCEL JOB n;    -- background TRAIN ... ASYNC jobs
+  SHOW JOBS;  WAIT JOB n;  CANCEL JOB n;    -- TRAIN/PREDICT/EVALUATE jobs, sync or ASYNC
   SHOW SERVING;                             -- serving-plane gate + per-model hits/fills/sheds
   CHECK TABLE t;  SHOW SCRUB;               -- verify page checksums / list quarantined pages
   (WITH degraded=true skips quarantined pages in source scans, reporting rows skipped)

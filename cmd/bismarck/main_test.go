@@ -26,9 +26,9 @@ SELECT vec, label FROM forest TO TRAIN lr WITH alpha=0.2, epochs=5, seed=3 INTO 
 SELECT vec, label FROM forest TO TRAIN svm
   WITH epochs=4, seed=5
   INTO m2 ASYNC;
-WAIT JOB 1;
+WAIT JOB 2;
 SHOW JOBS;
-CANCEL JOB 1;
+CANCEL JOB 2;
 CANCEL JOB 7;
 SHOW MODELS;
 PREDICT (0.25, 0.5, 0.75) USING m;
@@ -140,7 +140,7 @@ func TestTranscriptLocalMatchesConnect(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, want := range []string{"job 1 queued", "job 1 done in", "job 1 already done",
+	for _, want := range []string{"job 2 queued", "job 2 done in", "job 2 already done",
 		"predicted 500 rows into table \"scores\"", "executor conns=", "model m2 "} {
 		if !strings.Contains(localOut, want) {
 			t.Errorf("local stdout lacks %q:\n%s", want, localOut)

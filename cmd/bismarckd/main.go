@@ -1,8 +1,10 @@
 // Command bismarckd is the multi-session Bismarck daemon: it serves the
 // declarative statement grammar over a line-oriented TCP protocol, sharing
 // one file catalog across every connection behind the server package's
-// per-model locking, and runs `TO TRAIN ... ASYNC` statements on a
-// background worker pool (SHOW JOBS / WAIT JOB <id> / CANCEL JOB <id>).
+// per-model locking. Every TRAIN, PREDICT and EVALUATE runs as a job, at
+// most -workers at once: `TO TRAIN ... ASYNC` returns its job id at once,
+// a sync statement waits for its job (SHOW JOBS / WAIT JOB <id> / CANCEL
+// JOB <id> see both).
 //
 //	bismarckd -data ./db -listen 127.0.0.1:7077 -workers 4
 //
@@ -47,7 +49,7 @@ func main() {
 	var (
 		dataDir  = flag.String("data", "./bismarck-data", "catalog directory")
 		listen   = flag.String("listen", "127.0.0.1:7077", "TCP listen address")
-		workers  = flag.Int("workers", 0, "async TRAIN worker pool size (0 = GOMAXPROCS, max 8)")
+		workers  = flag.Int("workers", 0, "TRAIN/PREDICT/EVALUATE jobs run at once, sync or ASYNC; 256 more queue before ERR busy (0 = GOMAXPROCS, max 8)")
 		epochs   = flag.Int("epochs", 0, "default training epochs when a statement sets none (0 = 20)")
 		alpha    = flag.Float64("alpha", 0, "default initial step size when a statement sets none (0 = task preference)")
 		serveIn  = flag.Int("serve-inflight", 0, "concurrent point-PREDICT scoring slots (0 = GOMAXPROCS)")

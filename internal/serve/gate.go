@@ -64,9 +64,9 @@ func NewGate(inflight, maxQueue int) *Gate {
 }
 
 // Ticket is one admitted request's claim on the gate: WaitOrCancel blocks
-// until a scoring slot is free, Release returns it. A Ticket is a value
-// (no allocation per request) and must not be copied after the wait.
-// Callers outside this package use Do, which pairs the two structurally.
+// until a slot is free, Release returns it; a value (no allocation), it
+// must not be copied after the wait. Do pairs the two; the server's job
+// scheduler calls Admit, WaitOrCancel and Release across a job's life.
 type Ticket struct {
 	g      *Gate
 	inQ    bool

@@ -130,6 +130,9 @@ func TestEightClientConcurrentSessions(t *testing.T) {
 	if len(jobs) != wantJobs {
 		t.Fatalf("collected %d job ids, want %d", len(jobs), wantJobs)
 	}
+	// The ledger also lists the boot TRAIN and every sync PREDICT and
+	// EVALUATE: heavy statements are jobs.
+	wantLedger := 1 + wantJobs + clients*rounds*2
 
 	// Final ledger: every job terminal, none stuck queued/running.
 	c, err := Dial(addr)
@@ -142,8 +145,8 @@ func TestEightClientConcurrentSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(body), "\n")
-	if len(lines) != wantJobs {
-		t.Fatalf("SHOW JOBS lists %d jobs, want %d:\n%s", len(lines), wantJobs, body)
+	if len(lines) != wantLedger {
+		t.Fatalf("SHOW JOBS lists %d jobs, want %d:\n%s", len(lines), wantLedger, body)
 	}
 	for _, line := range lines {
 		if !strings.Contains(line, "done") {

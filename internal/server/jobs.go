@@ -11,20 +11,21 @@ import (
 	"time"
 
 	"bismarck/internal/engine"
+	"bismarck/internal/serve"
 	"bismarck/internal/spec"
 )
 
-// JobState is the lifecycle of a background training job. Every submitted
-// job reaches exactly one of the terminal states (done, failed, canceled).
+// JobState is the lifecycle of a job. Every submitted job reaches exactly
+// one of the terminal states (done, failed, canceled).
 type JobState int
 
 // Job lifecycle states.
 const (
-	// JobQueued: accepted, waiting for a worker.
+	// JobQueued: accepted, waiting for a slot.
 	JobQueued JobState = iota
-	// JobRunning: a worker is training.
+	// JobRunning: the statement is running.
 	JobRunning
-	// JobDone: trained and persisted.
+	// JobDone: the statement succeeded (a TRAIN's model is persisted).
 	JobDone
 	// JobFailed: the statement errored; Job.Err carries the message.
 	JobFailed
@@ -54,26 +55,25 @@ func (s JobState) Terminal() bool {
 	return s == JobDone || s == JobFailed || s == JobCanceled
 }
 
-// Job is one asynchronous TRAIN statement.
+// Job is one heavy statement — TRAIN, PREDICT or EVALUATE, sync or ASYNC.
 type Job struct {
 	// ID is the daemon-wide job number (WAIT JOB <id>).
 	ID int64
-	// Model is the statement's INTO destination.
+	// Model is the statement's INTO destination ("" when it has none).
 	Model string
 	// Statement is the submitted statement, rendered one-line.
 	Statement string
 
 	mu        sync.Mutex
 	state     JobState
-	err       string
-	output    string // captured session output (the training summary line)
+	err       error  // the run's own error value (a sync statement's reply)
+	output    string // captured session output (the statement's reply body)
 	submitted time.Time
 	finished  time.Time
 
 	// done closes when the job reaches a terminal state; stop cancels the
 	// statement's ctx (CANCEL JOB).
 	done chan struct{}
-	ctx  context.Context
 	stop context.CancelFunc
 
 	st *spec.Statement
@@ -95,7 +95,10 @@ func (j *Job) View() JobView {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	v := JobView{ID: j.ID, Model: j.Model, Statement: j.Statement,
-		State: j.state, Err: j.err, Output: j.output}
+		State: j.state, Output: j.output}
+	if j.state == JobFailed {
+		v.Err = j.err.Error()
+	}
 	end := j.finished
 	if !j.state.Terminal() {
 		end = time.Now()
@@ -121,13 +124,13 @@ func (j *Job) settle(err error, output string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.output = output
+	j.err = err
 	j.finished = time.Now()
 	switch {
 	case errors.Is(err, context.Canceled):
 		j.state = JobCanceled
 	case err != nil:
 		j.state = JobFailed
-		j.err = err.Error()
 	default:
 		j.state = JobDone
 	}
@@ -141,25 +144,30 @@ func (j *Job) requestCancel() JobState {
 	return j.cancelIfQueued()
 }
 
-// cancelIfQueued settles a queued job canceled (workers skip it at pickup)
-// and returns the state it found; the shutdown path lets running ones commit.
+// cancelIfQueued settles a queued job canceled and stops its ctx (it never
+// runs) and returns the state it found; running ones are left to commit.
 func (j *Job) cancelIfQueued() JobState {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	was := j.state
 	if was == JobQueued {
+		j.stop()
 		j.state = JobCanceled
+		j.err = context.Canceled
 		j.finished = time.Now()
 		close(j.done)
 	}
 	return was
 }
 
-// scheduler runs submitted TRAIN jobs on a fixed worker pool.
+// maxPendingJobs bounds the job gate's queue: past it a submit sheds.
+const maxPendingJobs = 256
+
+// scheduler runs every heavy statement as a job on its own goroutine,
+// admitted by gate: Options.Workers slots, maxPendingJobs waiters.
 type scheduler struct {
 	m       *Manager
-	queue   chan *Job
-	history int
+	gate    *serve.Gate
 	wg      sync.WaitGroup
 	mu      sync.Mutex
 	next    int64
@@ -168,40 +176,24 @@ type scheduler struct {
 	closing bool
 }
 
-func newScheduler(m *Manager, workers, depth, history int) *scheduler {
-	s := &scheduler{m: m, queue: make(chan *Job, depth), history: history,
-		jobs: make(map[int64]*Job)}
-	for i := 0; i < workers; i++ {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			for job := range s.queue {
-				s.run(job)
-			}
-		}()
-	}
-	return s
-}
-
-// submit registers and enqueues an async TRAIN statement. The enqueue
-// happens under the scheduler mutex so drain cannot close the queue
-// between the closing check and the send.
-func (s *scheduler) submit(st *spec.Statement, text string) (*Job, error) {
+// submit admits a heavy statement and starts its job under a ctx parented
+// on ctx. Admission happens under the scheduler mutex before an id is
+// taken, so a shed (*serve.BusyError) takes no job id and drain cannot
+// miss a job that is about to start.
+func (s *scheduler) submit(ctx context.Context, st *spec.Statement, text string) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closing {
 		return nil, fmt.Errorf("server: shutting down, not accepting jobs")
 	}
-	job := &Job{ID: s.next + 1, Model: st.Into, Statement: ledgerText(text),
-		submitted: time.Now(), done: make(chan struct{}), st: st}
-	job.ctx, job.stop = context.WithCancel(context.Background())
-	select {
-	case s.queue <- job:
-	default:
-		job.stop()
-		return nil, fmt.Errorf("server: job queue full (%d pending)", cap(s.queue))
+	t, err := s.gate.Admit()
+	if err != nil {
+		return nil, err
 	}
 	s.next++
+	job := &Job{ID: s.next, Model: st.Into, Statement: ledgerText(text),
+		submitted: time.Now(), done: make(chan struct{}), st: st}
+	ctx, job.stop = context.WithCancel(ctx)
 	s.jobs[job.ID] = job
 	s.order = append(s.order, job.ID)
 	// Bounded retention: a daemon runs for weeks, and terminal jobs carry
@@ -210,8 +202,8 @@ func (s *scheduler) submit(st *spec.Statement, text string) (*Job, error) {
 	// single long-running job must not shield the terminal jobs completing
 	// behind it from eviction, or the ledger would grow past the limit for
 	// the job's whole duration. Live jobs themselves are bounded by the
-	// queue depth.
-	if excess := len(s.order) - s.history; excess > 0 {
+	// gate's slots and queue.
+	if excess := len(s.order) - s.m.opts.JobHistory; excess > 0 {
 		kept := s.order[:0]
 		for _, id := range s.order {
 			j, ok := s.jobs[id]
@@ -229,13 +221,24 @@ func (s *scheduler) submit(st *spec.Statement, text string) (*Job, error) {
 		}
 		s.order = kept
 	}
+	s.wg.Add(1)
+	go s.run(ctx, job, t)
 	return job, nil
 }
 
-// run executes one job on a private session that shares the manager's
-// catalog and locks; the statement trains synchronously inside the worker.
-func (s *scheduler) run(job *Job) {
+// run waits for a slot — a job whose ctx ends first never runs — then
+// executes the job on a private session that shares the manager's catalog
+// and locks. A committed TRAIN is already durable, so its one post-commit
+// step is a best-effort Refill: the first PREDICT after the swap never
+// pays the decode.
+func (s *scheduler) run(ctx context.Context, job *Job, t serve.Ticket) {
+	defer s.wg.Done()
 	defer job.stop()
+	if !t.WaitOrCancel(ctx.Done()) {
+		job.cancelIfQueued()
+		return
+	}
+	defer t.Release()
 	if !job.begin() {
 		return
 	}
@@ -244,7 +247,10 @@ func (s *scheduler) run(job *Job) {
 	if hook := s.m.Hooks.BeforeSave; hook != nil {
 		sess.Guard = saveHook{s.m.locks, job, hook}
 	}
-	err := s.m.runSQL(job.ctx, sess, job.st)
+	err := sess.Run(ctx, job.st)
+	if err == nil && job.st.Kind == spec.KindTrain {
+		s.m.plane.Refill(job.st.Into)
+	}
 	job.settle(err, out.String())
 }
 
@@ -322,6 +328,5 @@ func (s *scheduler) drain() {
 	for _, j := range pending {
 		j.cancelIfQueued()
 	}
-	close(s.queue)
 	s.wg.Wait()
 }

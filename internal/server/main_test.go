@@ -76,6 +76,14 @@ func findShadowLeaks(root string) []string {
 	return leaks
 }
 
+// inSessionRun reports whether some goroutine is inside
+// server.(*Session).Run: a statement sent over the wire has reached its
+// handler.
+func inSessionRun() bool {
+	buf := make([]byte, 1<<20)
+	return strings.Contains(string(buf[:runtime.Stack(buf, true)]), "server.(*Session).Run(")
+}
+
 // testCatalogDir returns a fresh catalog directory under the swept root.
 func testCatalogDir(t *testing.T) string {
 	t.Helper()
@@ -96,8 +104,8 @@ func testCatalogDir(t *testing.T) string {
 // it closes the manager's TCP server (which waits out every connection
 // handler and frame worker) and drains its jobs, then requires the
 // name-lock registry to be empty — entries are refcounted, so any entry
-// is a held or leaked lock — and every gate (global, per-model, executor)
-// to show no slot held and no waiter queued.
+// is a held or leaked lock — and every gate (global, per-model, executor,
+// job) to show no slot held and no waiter queued.
 func quiescent(t *testing.T, m *Manager) {
 	t.Helper()
 	if srv, ok := servers.Load(m); ok {
@@ -124,5 +132,8 @@ func quiescent(t *testing.T, m *Manager) {
 	}
 	if in, q := m.execGate.Inflight(), m.execGate.Queued(); in != 0 || q != 0 {
 		t.Errorf("executor gate after close: inflight=%d queued=%d", in, q)
+	}
+	if in, q := m.sched.gate.Inflight(), m.sched.gate.Queued(); in != 0 || q != 0 {
+		t.Errorf("job gate after close: inflight=%d queued=%d", in, q)
 	}
 }

@@ -80,14 +80,14 @@ func TestProtocolRoundTrip(t *testing.T) {
 	if _, err := c.ReadResponse(&submit); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(submit.String(), "job 1 queued") {
+	if !strings.Contains(submit.String(), "job 2 queued") {
 		t.Fatalf("submit: %q", submit.String())
 	}
-	body, err = c.Exec("WAIT JOB 1")
+	body, err = c.Exec("WAIT JOB 2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(body, "LR trained") || !strings.Contains(body, "job 1 done") {
+	if !strings.Contains(body, "LR trained") || !strings.Contains(body, "job 2 done") {
 		t.Fatalf("wait: %q", body)
 	}
 	if _, err := c.Exec("SELECT * FROM nowhere TO PREDICT USING m"); err == nil ||

@@ -1,11 +1,11 @@
 // Package server is the one statement front end: its Session decides what
-// every statement does — catalog statements go to a sqlish session, while
-// inline point-PREDICT, SHOW SERVING, `TO TRAIN ... ASYNC` and the job
-// statements (SHOW JOBS / WAIT JOB / CANCEL JOB) are answered here. One
-// Manager shares one engine catalog across N client sessions behind
-// per-model reader/writer locks; the bismarckd daemon serves it over a
-// line-oriented TCP protocol, and the local bismarck REPL and the library
-// facade run it in process with no listener.
+// every statement does — TRAIN, PREDICT and EVALUATE, sync or ASYNC, run
+// as admitted, cancellable jobs; point-PREDICT, SHOW SERVING and the job
+// statements (SHOW JOBS / WAIT JOB / CANCEL JOB) are answered here; other
+// catalog statements go to a sqlish session. One Manager shares one engine
+// catalog across N client sessions behind per-model reader/writer locks;
+// the bismarckd daemon serves it over a line-oriented TCP protocol, and
+// the local bismarck REPL and the library facade run it in process.
 //
 // Locking protocol (documented in DESIGN.md): lock order is manager →
 // model → catalog. The manager level is nameLocks' registry mutex (held
@@ -37,10 +37,9 @@ import (
 
 // Options tunes a Manager.
 type Options struct {
-	// Workers is the async-TRAIN worker pool size (0 = GOMAXPROCS, capped at 8).
+	// Workers is how many TRAIN/PREDICT/EVALUATE jobs, sync or ASYNC, run at
+	// once; 256 more may queue (0 = GOMAXPROCS, capped at 8).
 	Workers int
-	// QueueDepth bounds pending jobs (0 = 256).
-	QueueDepth int
 	// JobHistory bounds retained terminal jobs: the oldest finished jobs
 	// are evicted past it, so a long-running daemon's job ledger (and its
 	// captured training output) stays bounded (0 = 1024). An evicted job
@@ -71,15 +70,15 @@ type Options struct {
 
 // Hooks instruments the manager for deterministic concurrency tests.
 type Hooks struct {
-	// BeforeSave runs in the job worker after training succeeds, when the
-	// save asks for the shadow lock of the model's name. Tests use it to
-	// hold a job at the save boundary while probing reads.
+	// BeforeSave runs in every job, sync or ASYNC, when its save asks for
+	// the shadow lock of the INTO name. Tests use it to hold a job at the
+	// save boundary while probing reads.
 	BeforeSave func(jobID int64, model string)
 }
 
 // Manager shares one catalog across many client sessions: it owns the
 // per-name lock registry every session locks through and the background
-// job scheduler behind the ASYNC grammar.
+// job scheduler every heavy statement runs on.
 type Manager struct {
 	cat   *engine.Catalog
 	locks *nameLocks
@@ -105,14 +104,12 @@ func NewManager(cat *engine.Catalog, opts Options) *Manager {
 			opts.Workers = 8
 		}
 	}
-	if opts.QueueDepth <= 0 {
-		opts.QueueDepth = 256
-	}
 	if opts.JobHistory <= 0 {
 		opts.JobHistory = 1024
 	}
 	m := &Manager{cat: cat, locks: newNameLocks(), opts: opts}
-	m.sched = newScheduler(m, opts.Workers, opts.QueueDepth, opts.JobHistory)
+	m.sched = &scheduler{m: m, gate: serve.NewGate(opts.Workers, maxPendingJobs),
+		jobs: make(map[int64]*Job)}
 	// The plane shares the manager's lock registry: its cache fills take a
 	// model's read lock exactly like a PREDICT statement, so a TRAIN
 	// holding the write lock across its save window is still decisive.
@@ -131,7 +128,7 @@ func (m *Manager) Plane() *serve.Plane { return m.plane }
 func (m *Manager) Catalog() *engine.Catalog { return m.cat }
 
 // newSQLSession builds a sqlish session wired into the shared catalog and
-// lock registry; every client session and every job worker gets its own.
+// lock registry; every client session and every job gets its own.
 func (m *Manager) newSQLSession(out io.Writer) *sqlish.Session {
 	return &sqlish.Session{Cat: m.cat, Out: out, Guard: m.locks,
 		Epochs: m.opts.Epochs, Alpha: m.opts.Alpha}
@@ -160,21 +157,6 @@ func (m *Manager) Close() error {
 	}
 	step("closing catalog", m.cat.Close())
 	return errors.Join(errs...)
-}
-
-// runSQL runs a catalog statement on a sqlish session (a client's or a job
-// worker's) and is the one post-commit path: a committed TRAIN is already
-// durable (its swap wrote catalog.json), so what remains is decoding the
-// fresh generation into the serving cache, so the first PREDICT after the
-// swap never pays the decode. Best-effort: the request path reports errors.
-func (m *Manager) runSQL(ctx context.Context, sq *sqlish.Session, st *spec.Statement) error {
-	if err := sq.Run(ctx, st); err != nil {
-		return err
-	}
-	if st.Kind == spec.KindTrain {
-		m.plane.Refill(st.Into)
-	}
-	return nil
 }
 
 // NewSession opens a client session writing its results to out.
@@ -206,19 +188,29 @@ func (s *Session) exec(ctx context.Context, text string) error {
 
 // Run executes a parsed statement; text is the source rendering kept for
 // job listings (pass "" to rebuild nothing fancier than the kind). A done
-// ctx stops a sync TRAIN and gives up a WAIT JOB or a queued point
-// PREDICT; an ASYNC job runs under its own ctx (CANCEL JOB).
+// ctx stops a sync job (its ctx is a child of ctx) and gives up a WAIT JOB
+// or a queued point PREDICT; an ASYNC job runs under its own ctx.
 func (s *Session) Run(ctx context.Context, st *spec.Statement, text string) error {
-	switch {
-	case st.Kind == spec.KindTrain && st.Async:
-		job, err := s.m.sched.submit(st, oneLine(text))
+	switch st.Kind {
+	case spec.KindTrain, spec.KindPredict, spec.KindEvaluate:
+		if st.Async {
+			ctx = context.Background()
+		}
+		job, err := s.m.sched.submit(ctx, st, oneLine(text))
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(s.out, "job %d queued: TRAIN %s INTO %q (SHOW JOBS / WAIT JOB %d)\n",
-			job.ID, st.Task, st.Into, job.ID)
-		return nil
-	case st.Kind == spec.KindShowJobs:
+		if st.Async {
+			fmt.Fprintf(s.out, "job %d queued: TRAIN %s INTO %q (SHOW JOBS / WAIT JOB %d)\n",
+				job.ID, st.Task, st.Into, job.ID)
+			return nil
+		}
+		// No select on ctx: the job's ctx is its child, so done closes once
+		// the job has stopped. The reply is its own output and error value.
+		<-job.done
+		io.WriteString(s.out, job.output)
+		return job.err
+	case spec.KindShowJobs:
 		for _, v := range s.m.sched.list() {
 			line := fmt.Sprintf("job %-3d %-9s model=%-12s %7s  %s",
 				v.ID, v.State, v.Model, roundMS(v.Elapsed), v.Statement)
@@ -228,7 +220,7 @@ func (s *Session) Run(ctx context.Context, st *spec.Statement, text string) erro
 			fmt.Fprintln(s.out, strings.TrimRight(line, " "))
 		}
 		return nil
-	case st.Kind == spec.KindWaitJob:
+	case spec.KindWaitJob:
 		job, err := s.m.sched.get(st.JobID)
 		if err != nil {
 			return err
@@ -239,9 +231,7 @@ func (s *Session) Run(ctx context.Context, st *spec.Statement, text string) erro
 			return fmt.Errorf("server: shutting down; job %d keeps its state (reconnect to inspect)", st.JobID)
 		}
 		v := job.View()
-		if out := strings.TrimSpace(v.Output); out != "" {
-			fmt.Fprintln(s.out, out)
-		}
+		io.WriteString(s.out, v.Output)
 		if v.State != JobDone {
 			if v.Err != "" {
 				return fmt.Errorf("server: job %d %s: %s", v.ID, v.State, v.Err)
@@ -250,7 +240,7 @@ func (s *Session) Run(ctx context.Context, st *spec.Statement, text string) erro
 		}
 		fmt.Fprintf(s.out, "job %d done in %s\n", v.ID, roundMS(v.Elapsed))
 		return nil
-	case st.Kind == spec.KindCancelJob:
+	case spec.KindCancelJob:
 		job, err := s.m.sched.get(st.JobID)
 		if err != nil {
 			return err
@@ -265,7 +255,7 @@ func (s *Session) Run(ctx context.Context, st *spec.Statement, text string) erro
 			fmt.Fprintf(s.out, "job %d canceled\n", job.ID)
 		}
 		return nil
-	case st.Kind == spec.KindShowServing:
+	case spec.KindShowServing:
 		gs, models := s.m.plane.Stats()
 		fmt.Fprintf(s.out, "gate inflight=%d/%d queued=%d/%d models=%d\n",
 			gs.Inflight, gs.InflightCap, gs.Queued, gs.QueueCap, gs.Models)
@@ -278,7 +268,7 @@ func (s *Session) Run(ctx context.Context, st *spec.Statement, text string) erro
 				ms.Model, ms.Hits, ms.Fills, ms.Sheds, ms.Queued, ms.RetryAfterMS)
 		}
 		return nil
-	case st.Kind == spec.KindPointPredict:
+	case spec.KindPointPredict:
 		// Inline scoring goes through the serving plane: hot cached
 		// snapshots under admission control. A request queued for a slot
 		// gives up when ctx is done.
@@ -291,7 +281,7 @@ func (s *Session) Run(ctx context.Context, st *spec.Statement, text string) erro
 		}
 		return nil
 	}
-	return s.m.runSQL(ctx, s.sq, st)
+	return s.sq.Run(ctx, st)
 }
 
 // oneLine collapses a statement's whitespace for log-style listings.

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -11,6 +12,8 @@ import (
 
 	"bismarck/internal/data"
 	"bismarck/internal/engine"
+	"bismarck/internal/serve"
+	"bismarck/internal/sqlish"
 )
 
 // seedPapers copies a Forest classification table into the manager's
@@ -149,6 +152,9 @@ func TestPredictMidTrainServesPreviousSnapshot(t *testing.T) {
 	entered := make(chan int64, 1)
 	release := make(chan struct{})
 	m.Hooks.BeforeSave = func(jobID int64, model string) {
+		if jobID != 2 {
+			return
+		}
 		entered <- jobID
 		<-release
 	}
@@ -179,8 +185,8 @@ func TestPredictMidTrainServesPreviousSnapshot(t *testing.T) {
 
 	close(release)
 	out.Reset()
-	mustExec(t, s, `WAIT JOB 1;`)
-	if jobID != 1 || !strings.Contains(out.String(), "job 1 done") {
+	mustExec(t, s, `WAIT JOB 2;`)
+	if jobID != 2 || !strings.Contains(out.String(), "job 2 done") {
 		t.Fatalf("wait: job=%d out=%s", jobID, out.String())
 	}
 	if sameModel(gen1, readModel(t, m.Catalog(), "m")) {
@@ -199,6 +205,9 @@ func TestCancelRunningJobStopsAtSaveBoundary(t *testing.T) {
 	entered := make(chan int64, 1)
 	release := make(chan struct{})
 	m.Hooks.BeforeSave = func(jobID int64, model string) {
+		if jobID != 2 {
+			return
+		}
 		entered <- jobID
 		<-release
 	}
@@ -212,13 +221,13 @@ func TestCancelRunningJobStopsAtSaveBoundary(t *testing.T) {
 	<-entered
 
 	out.Reset()
-	mustExec(t, s, `CANCEL JOB 1;`)
+	mustExec(t, s, `CANCEL JOB 2;`)
 	if !strings.Contains(out.String(), "cancel requested") {
 		t.Fatalf("cancel output: %s", out.String())
 	}
 	close(release)
 
-	if err := s.Exec(`WAIT JOB 1;`); err == nil || !strings.Contains(err.Error(), "canceled") {
+	if err := s.Exec(`WAIT JOB 2;`); err == nil || !strings.Contains(err.Error(), "canceled") {
 		t.Fatalf("wait canceled job: %v", err)
 	}
 	if !sameModel(gen1, readModel(t, m.Catalog(), "m")) {
@@ -476,7 +485,7 @@ func TestCheckpointSurvivesUngracefulDeath(t *testing.T) {
 	s := m.NewSession(&out)
 	mustExec(t, s, `SELECT vec, label FROM papers TO TRAIN lr WITH epochs=2 INTO syncm;`)
 	mustExec(t, s, `SELECT vec, label FROM papers TO TRAIN svm WITH epochs=2 INTO asyncm ASYNC;`)
-	mustExec(t, s, `WAIT JOB 1;`)
+	mustExec(t, s, `WAIT JOB 2;`)
 	m.Drain()
 	// No cat.Save(), no Close — simulate the process dying here.
 
@@ -534,8 +543,9 @@ func TestWaitJobUnblocksOnServerClose(t *testing.T) {
 		_, err := c.Exec("WAIT JOB 1")
 		waitErr <- err
 	}()
-	// Give the WAIT a moment to reach the server, then close: Close must
-	// return even though the job is not terminal.
+	// Close once the WAIT is parked in its handler: Close must return even
+	// though the job is not terminal.
+	waitUntil(t, "WAIT JOB to reach the server", inSessionRun)
 	closed := make(chan error, 1)
 	go func() { closed <- srv.Close() }()
 	select {
@@ -554,4 +564,68 @@ func TestWaitJobUnblocksOnServerClose(t *testing.T) {
 	}
 	close(release)
 	m.Drain()
+}
+
+// TestJobGateBusyShedsSyncAndAsync: every heavy statement passes one job
+// gate. With its one slot parked at a save boundary and its queue full,
+// the next sync and the next ASYNC statement each shed with
+// *serve.BusyError — in process, and as "ERR busy: ... retry_after_ms="
+// over the wire — and take no job id. A sync statement's reply is still
+// its own error value.
+func TestJobGateBusyShedsSyncAndAsync(t *testing.T) {
+	m := NewManager(engine.NewCatalog(), Options{Workers: 1})
+	seedPapers(t, m, 100)
+	addr := startTCP(t, m)
+
+	entered := make(chan int64, 1)
+	release := make(chan struct{})
+	m.Hooks.BeforeSave = func(jobID int64, model string) {
+		if jobID == 1 {
+			entered <- jobID
+			<-release
+		}
+	}
+	var out bytes.Buffer
+	s := m.NewSession(&out)
+	mustExec(t, s, `SELECT vec, label FROM papers TO TRAIN lr WITH epochs=1 INTO parked ASYNC;`)
+	<-entered
+	// The queued jobs fail as soon as they run: alpha is not a number.
+	for i := 0; i < maxPendingJobs; i++ {
+		mustExec(t, s, `SELECT vec, label FROM papers TO TRAIN lr WITH alpha=bogus INTO q ASYNC;`)
+	}
+
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const async = `SELECT vec, label FROM papers TO TRAIN lr WITH epochs=1 INTO x ASYNC;`
+	for _, stmt := range []string{`SELECT * FROM papers TO EVALUATE USING parked;`, async} {
+		var busy *serve.BusyError
+		if err := s.Exec(stmt); !errors.As(err, &busy) {
+			t.Fatalf("%s\n=> %v, want *serve.BusyError", stmt, err)
+		}
+		if _, err := c.Exec(stmt); err == nil || !strings.HasPrefix(err.Error(), "busy: ") ||
+			!strings.Contains(err.Error(), "retry_after_ms=") {
+			t.Fatalf("%s over the wire\n=> %v, want ERR busy: ... retry_after_ms=", stmt, err)
+		}
+	}
+
+	close(release)
+	next := 2 + maxPendingJobs
+	if err := s.Exec(fmt.Sprintf("WAIT JOB %d;", next-1)); err == nil || !strings.Contains(err.Error(), "failed") {
+		t.Fatalf("last queued job: %v", err)
+	}
+	out.Reset()
+	mustExec(t, s, async)
+	if !strings.Contains(out.String(), fmt.Sprintf("job %d queued", next)) {
+		t.Fatalf("shed statements took job ids: %s", out.String())
+	}
+	mustExec(t, s, fmt.Sprintf("WAIT JOB %d;", next))
+
+	var unknown *sqlish.UnknownModelError
+	if err := s.Exec(`SELECT * FROM papers TO PREDICT USING nosuch;`); !errors.As(err, &unknown) {
+		t.Fatalf("sync PREDICT on an unknown model: %v, want *sqlish.UnknownModelError", err)
+	}
+	quiescent(t, m)
 }

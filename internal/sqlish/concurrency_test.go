@@ -142,6 +142,39 @@ func TestCancelAtSwapKeepsPreviousGeneration(t *testing.T) {
 	}
 }
 
+// TestCanceledCtxStopsPredictAndEvaluate: PREDICT and EVALUATE check their
+// ctx once the model is restored, before the scoring pass, so a done ctx
+// returns context.Canceled with nothing printed and no table written.
+func TestCanceledCtxStopsPredictAndEvaluate(t *testing.T) {
+	s, out := declSession(t)
+	copyInto(t, s, "papers", data.Forest(120, 5))
+	mustExec(t, s, `SELECT vec, label FROM papers TO TRAIN lr WITH epochs=3, seed=1 INTO m;`)
+	tables := len(s.Cat.Names())
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, text := range []string{
+		`SELECT * FROM papers TO PREDICT USING m;`,
+		`SELECT * FROM papers TO PREDICT INTO scores USING m;`,
+		`SELECT * FROM papers TO EVALUATE USING m;`,
+	} {
+		st, err := spec.Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Reset()
+		if err := s.Run(ctx, st); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s\n=> %v, want context.Canceled", text, err)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("%s printed %q under a canceled ctx", text, out.String())
+		}
+	}
+	if names := s.Cat.Names(); len(names) != tables {
+		t.Fatalf("canceled statements changed the catalog: %v", names)
+	}
+}
+
 // TestReplaceTableTornReadRegression is the satellite regression test: one
 // session keeps replacing a result table via PREDICT ... INTO out while
 // others project views FROM it. Under the shared Guard every reader must

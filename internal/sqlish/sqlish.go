@@ -69,7 +69,8 @@ func (s *Session) Exec(stmt string) error {
 // just in the parser) because spec.Statement is exported: a
 // programmatically built statement must face the same rules where the
 // tables are actually touched. A done ctx stops a TRAIN before its next
-// epoch, and any write before its commit (fillAndSwap) — never after.
+// epoch, a PREDICT or EVALUATE before its scoring pass, and any write
+// before its commit (fillAndSwap) — never after.
 func (s *Session) Run(ctx context.Context, st *spec.Statement) error {
 	if err := spec.ValidateNames(st); err != nil {
 		return err
@@ -120,7 +121,7 @@ func (s *Session) Run(ctx context.Context, st *spec.Statement) error {
 	case spec.KindPredict:
 		return s.predict(ctx, st)
 	case spec.KindEvaluate:
-		return s.evaluate(st)
+		return s.evaluate(ctx, st)
 	}
 	return fmt.Errorf("sqlish: unsupported statement %v", st.Kind)
 }
@@ -408,8 +409,9 @@ func (s *Session) train(ctx context.Context, st *spec.Statement) error {
 }
 
 // restore loads a persisted model and rebuilds its task from the metadata
-// side table — the shared front half of PREDICT / EVALUATE.
-func (s *Session) restore(st *spec.Statement, opt spec.ViewOptions) (*spec.TaskSpec, core.Task, vector.Dense, *spec.View, spec.Knobs, error) {
+// side table — the shared front half of PREDICT / EVALUATE — and returns
+// ctx.Err() when ctx is done by then, so neither starts its scoring pass.
+func (s *Session) restore(ctx context.Context, st *spec.Statement, opt spec.ViewOptions) (*spec.TaskSpec, core.Task, vector.Dense, *spec.View, spec.Knobs, error) {
 	fail := func(err error) (*spec.TaskSpec, core.Task, vector.Dense, *spec.View, spec.Knobs, error) {
 		return nil, nil, nil, nil, spec.Knobs{}, err
 	}
@@ -455,13 +457,16 @@ func (s *Session) restore(st *spec.Statement, opt spec.ViewOptions) (*spec.TaskS
 		copy(padded, w)
 		w = padded
 	}
+	if err := ctx.Err(); err != nil {
+		return fail(err)
+	}
 	return ts, task, w, view, knobs, nil
 }
 
 // predict runs a TO PREDICT statement: scores the view with the persisted
 // model, writing (id, score) rows INTO a table or printing a summary.
 func (s *Session) predict(ctx context.Context, st *spec.Statement) error {
-	ts, task, w, view, knobs, err := s.restore(st, spec.ViewOptions{OptionalLabel: true})
+	ts, task, w, view, knobs, err := s.restore(ctx, st, spec.ViewOptions{OptionalLabel: true})
 	if err != nil {
 		return err
 	}
@@ -552,8 +557,8 @@ func (s *Session) predict(ctx context.Context, st *spec.Statement) error {
 // evaluate runs a TO EVALUATE statement: task-appropriate quality metrics
 // of the persisted model over the view (falling back to the total
 // objective loss).
-func (s *Session) evaluate(st *spec.Statement) error {
-	ts, task, w, view, knobs, err := s.restore(st, spec.ViewOptions{})
+func (s *Session) evaluate(ctx context.Context, st *spec.Statement) error {
+	ts, task, w, view, knobs, err := s.restore(ctx, st, spec.ViewOptions{})
 	if err != nil {
 		return err
 	}
