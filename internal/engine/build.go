@@ -7,7 +7,9 @@ import (
 )
 
 // buildChunkPages is the block of the ordered passes over a heap: the pages
-// a worker decodes — or, at open, verifies — before it claims the next.
+// a worker decodes — or, at open, verifies — before it claims the next. It
+// is also the extent: the most pages a whole-heap pass reads, or CopyTo
+// writes, with one syscall.
 const buildChunkPages = 64
 
 // Projection is what an ordered build writes: the output layout, and which
@@ -46,7 +48,10 @@ func (t *Table) Project(name string, p Projection) (*Table, DegradedStats, error
 // through MatBuilder.Add. Several workers claim buildChunkPages-page chunks
 // in order and decode each with ScanPages semantics: a chain that starts in
 // the chunk is followed past its end, leading continuation pages are
-// skipped, and the in-memory tail belongs to the last chunk.
+// skipped, and the in-memory tail belongs to the last chunk. Either way
+// each worker reads its pages in extents, into a buffer of its own and past
+// the buffer pool; a chain that runs past a chunk's end continues into the
+// next extent.
 //
 // Each chunk decodes into its worker's chunk buffer, then, one turn each in
 // chunk order, publishes the buffer's row and entry counts, hands the turn
@@ -118,6 +123,7 @@ type chunkState struct {
 	sc     *TupleScratch
 	dst    Tuple       // Map's output row
 	buf    *MatBuilder // the chunk buffer a chunk is staged in
+	read   pageReader  // the worker's extents, for the whole pass
 	visit  func(Tuple) error
 	decode func(rec []byte) error
 	bad    int // records a degraded pass could not decode
@@ -199,17 +205,18 @@ func (ob *orderedBuild) worker(w int) *chunkState {
 	}
 	n := len(ob.p.Schema)
 	cs := &chunkState{ob: ob, sc: NewTupleScratch(ob.t.Schema), dst: make(Tuple, n),
-		buf: NewMatBuilder(ob.p.Schema, ob.chunkRows, (buildChunkPages+1)*PageSize),
-		at:  make([]int, n), limEnts: make([]int, n)}
+		buf:  NewMatBuilder(ob.p.Schema, ob.chunkRows, (buildChunkPages+1)*PageSize),
+		read: ob.h.st.bulk(ob.np), at: make([]int, n), limEnts: make([]int, n)}
 	cs.decode = cs.decodeRec
 	ob.chunks[w] = cs
 	return cs
 }
 
-// scan decodes pages [from, to) and hands each kept output row to visit.
+// scan decodes pages [from, to), read in extents, and hands each kept
+// output row to visit.
 func (cs *chunkState) scan(from, to int, visit func(Tuple) error) (scanned, error) {
 	cs.visit, cs.bad = visit, 0
-	s, err := cs.ob.h.scanRange(from, to, cs.ob.p.Degraded, cs.decode)
+	s, err := cs.ob.h.scanRange(from, to, cs.ob.p.Degraded, cs.read, cs.decode)
 	s.SkippedRows += cs.bad
 	return s, err
 }

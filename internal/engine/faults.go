@@ -72,11 +72,14 @@ func (f IOFault) String() string {
 // id — deterministic by construction, so a test can tear exactly the third
 // page of exactly one heap. Production code leaves them nil.
 type IOHooks struct {
-	// Write picks the fault for appending page pageID to path.
+	// Write picks the fault for appending page pageID to path, once per
+	// page, whether the page goes out alone or in a CopyTo run; a run's
+	// write stops at its first faulted page, as a failed device write would.
 	Write func(path string, pageID int) IOFault
 	// Read picks the fault for reading page pageID from path. It applies to
-	// buffer-pool fills and scrub reads; pool hits never reach the disk and
-	// therefore never reach this hook.
+	// buffer-pool fills and, page by page, to the extents the whole-heap
+	// passes read (the open walk, the ordered build, scrub); pool hits
+	// never reach the disk and therefore never reach this hook.
 	Read func(path string, pageID int) IOFault
 	// Sync picks the fault for fsyncing path.
 	Sync func(path string) IOFault
@@ -87,7 +90,11 @@ func (io *IOHooks) writeFault(path string, pageID int) IOFault {
 	if io == nil || io.Write == nil {
 		return IONone
 	}
-	return io.Write(path, pageID)
+	switch f := io.Write(path, pageID); f {
+	case IOWriteError, IOShortWrite, IOTornWrite:
+		return f
+	}
+	return IONone // not a write fault: the write runs
 }
 
 // readFault consults the Read hook (nil-safe).

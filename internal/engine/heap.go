@@ -18,20 +18,24 @@ type pageStore interface {
 	// stays valid until the caller unpins the frame, which it must do
 	// exactly once.
 	readPage(i int) (*frame, error)
+	// bulk returns the page reader of a pass that reads each of a heap's
+	// pages once, in order, with buffers sized for at most pages of them:
+	// file stores read extents past the pool, memory stores their frames.
+	bulk(pages int) pageReader
 	// appendPage stores a copy of p (file stores seal it first); the
 	// caller may reuse the buffer as soon as the call returns.
 	appendPage(p page) error
-	// checkPage re-reads page i from the backing medium (bypassing any
-	// cache) and verifies its integrity — the scrub primitive. File stores
-	// evict the page from the pool when the fresh copy is bad, so a stale
-	// cached copy cannot outlive the eviction and resurrect it.
-	checkPage(i int) error
 	// reset discards all pages.
 	reset() error
 	// sync forces written pages to stable storage (fsync for file stores).
 	sync() error
 	close() error
 }
+
+// pageReader returns page i in a pinned frame, as pageStore.readPage does;
+// want is how many consecutive pages from i the caller means to read, a
+// read-ahead hint that readers without a buffer of their own ignore.
+type pageReader func(i, want int) (*frame, error)
 
 // memStore keeps pages in memory, in frames no pool recycles.
 type memStore struct {
@@ -54,11 +58,10 @@ func (m *memStore) appendPage(p page) error {
 	return nil
 }
 
-func (m *memStore) checkPage(i int) error {
-	if i < 0 || i >= len(m.pages) {
-		return fmt.Errorf("engine: page %d out of range (%d pages)", i, len(m.pages))
-	}
-	return nil // memory does not rot within a process lifetime
+// bulk reads the frames themselves: memory has nothing to read ahead and
+// does not rot within a process lifetime.
+func (m *memStore) bulk(int) pageReader {
+	return func(i, _ int) (*frame, error) { return m.readPage(i) }
 }
 
 func (m *memStore) reset() error {
@@ -125,23 +128,100 @@ func openFileStore(path string, poolPages int, io *IOHooks, repairTail bool) (*f
 // the page an injected fault lands on.
 func (fs *fileStore) ReadAt(b []byte, off int64) (int, error) {
 	pageID := int(off / PageSize)
-	switch fs.io.readFault(fs.path, pageID) {
-	case IOReadError:
-		return 0, fmt.Errorf("engine: %s: injected read error at page %d", fs.path, pageID)
-	case IOBitRot:
-		n, err := fs.f.ReadAt(b, off)
-		if err == nil && n > 0 {
-			// Deterministic single-bit flip; position and bit derive from
-			// the page id so a test can predict exactly what rots.
-			pos := (pageID * 2654435761) % n
-			if pos < 0 {
-				pos = -pos
-			}
-			b[pos] ^= 1 << (pageID & 7)
-		}
-		return n, err
+	fault := fs.io.readFault(fs.path, pageID)
+	if fault == IOReadError {
+		return 0, fs.injectedReadError(pageID)
 	}
-	return fs.f.ReadAt(b, off)
+	n, err := fs.f.ReadAt(b, off)
+	if fault == IOBitRot && err == nil && n > 0 {
+		rot(b[:n], pageID)
+	}
+	return n, err
+}
+
+func (fs *fileStore) injectedReadError(pageID int) error {
+	return fmt.Errorf("engine: %s: injected read error at page %d", fs.path, pageID)
+}
+
+// rot flips the one bit IOBitRot flips in the bytes b read of page pageID.
+// Position and bit derive from the page id, so a test can predict exactly
+// what rots.
+func rot(b []byte, pageID int) {
+	pos := (pageID * 2654435761) % len(b)
+	if pos < 0 {
+		pos = -pos
+	}
+	b[pos] ^= 1 << (pageID & 7)
+}
+
+// readExtent reads pages [from, from+n) into buf with one ReadAt, past the
+// buffer pool, then checks each page in order as a pool fill checks one:
+// the Read hook's fault first, then the checksum. errs[k] is page from+k's
+// error; a page that fails is also dropped from the pool, so a cached copy
+// cannot outlive what the disk now holds. It returns how many pages it
+// covers: a ReadAt that fails keeps the whole pages it read before the
+// failure, and when there are none, fails page from alone and quarantines
+// nothing, as a failed pool fill does.
+func (fs *fileStore) readExtent(from, n int, buf []byte, errs []error) int {
+	got, err := fs.f.ReadAt(buf[:n*PageSize], int64(from)*PageSize)
+	if err != nil {
+		if n = got / PageSize; n == 0 {
+			errs[0] = fmt.Errorf("engine: read page %d of %s: %w", from, fs.path, err)
+			return 1
+		}
+	}
+	for k := range n {
+		id, p := from+k, page(buf[k*PageSize:(k+1)*PageSize])
+		switch fs.io.readFault(fs.path, id) {
+		case IOReadError:
+			errs[k] = fs.injectedReadError(id)
+		case IOBitRot:
+			rot(p, id)
+			fallthrough
+		default:
+			errs[k] = fs.verifyPage(id, p)
+		}
+		if errs[k] != nil {
+			fs.pool.Invalidate(id)
+		}
+	}
+	return n
+}
+
+// extent is a pass's own read buffer over a file store: up to
+// buildChunkPages pages read by one readExtent. Its frames belong to no
+// pool, so unpinning one is a no-op; each holds its page until the next
+// extent is read.
+type extent struct {
+	fs      *fileStore
+	buf     []byte
+	errs    []error
+	frames  []frame
+	from, n int // the pages held: [from, from+n)
+}
+
+// bulk gives the pass a buffer of min(pages, buildChunkPages) pages.
+func (fs *fileStore) bulk(pages int) pageReader {
+	n := max(1, min(pages, buildChunkPages))
+	e := &extent{fs: fs, buf: make([]byte, n*PageSize), errs: make([]error, n), frames: make([]frame, n)}
+	for k := range e.frames {
+		e.frames[k].data = page(e.buf[k*PageSize : (k+1)*PageSize])
+	}
+	return e.read
+}
+
+// read returns page i, first reading the extent of up to want pages from i
+// when the one held does not cover it.
+func (e *extent) read(i, want int) (*frame, error) {
+	if i < e.from || i >= e.from+e.n {
+		e.from = i
+		e.n = e.fs.readExtent(i, max(1, min(want, len(e.frames), e.fs.n-i)), e.buf, e.errs)
+	}
+	k := i - e.from
+	if err := e.errs[k]; err != nil {
+		return nil, err
+	}
+	return &e.frames[k], nil
 }
 
 // verifyPage is the pool's fill-time verifier: a page is checksummed once
@@ -164,60 +244,67 @@ func (fs *fileStore) readPage(i int) (*frame, error) {
 
 func (fs *fileStore) appendPage(p page) error {
 	p.seal()
-	off := int64(fs.n) * PageSize
-	var (
-		n   int
-		err error
-	)
-	switch fs.io.writeFault(fs.path, fs.n) {
-	case IOWriteError:
-		err = fmt.Errorf("engine: %s: injected write error at page %d", fs.path, fs.n)
-	case IOShortWrite:
-		// The device accepted only half the page but the syscall reported
-		// the short count; the n < PageSize check below must catch it.
-		n, err = fs.f.WriteAt(p[:PageSize/2], off)
-	case IOTornWrite:
-		// Power loss mid-write: half the sealed page reaches the platter
-		// and the "process" dies. No rollback runs — a dying process runs
-		// none — so the torn tail is the next open's problem.
-		_, _ = fs.f.WriteAt(p[:PageSize/2], off)
-		return fmt.Errorf("engine: %s: torn write at page %d: %w", fs.path, fs.n, ErrInjectedCrash)
-	default:
-		n, err = fs.f.WriteAt(p, off)
-	}
-	if err == nil && n < PageSize {
-		err = fmt.Errorf("engine: %s: short write at page %d (%d of %d bytes)", fs.path, fs.n, n, PageSize)
-	}
-	if err != nil {
-		// Roll the file back to the last full page: fs.n stays truthful,
-		// the next append lands on a clean page boundary, and no torn tail
-		// is left for recovery to condemn.
-		if terr := fs.f.Truncate(off); terr != nil {
-			return fmt.Errorf("%w (rollback truncate failed: %v)", err, terr)
-		}
-		return err
-	}
-	fs.pool.Invalidate(fs.n)
-	fs.n++
-	return nil
+	_, err := fs.appendRun(p)
+	return err
 }
 
-func (fs *fileStore) checkPage(i int) error {
-	if i < 0 || i >= fs.n {
-		return fmt.Errorf("engine: page %d out of range (%d pages)", i, fs.n)
+// appendRun appends sealed pages, a whole number of them, with one write,
+// and returns how many landed. The Write hook is consulted page by page;
+// the first page it faults ends the write: the pages before it land whole,
+// and it lands as the fault has it.
+func (fs *fileStore) appendRun(pages []byte) (int, error) {
+	k, fault := 0, IONone
+	for ; k < len(pages)/PageSize; k++ {
+		if fault = fs.io.writeFault(fs.path, fs.n+k); fault != IONone {
+			break
+		}
 	}
-	buf := make(page, PageSize)
-	if _, err := fs.ReadAt(buf, int64(i)*PageSize); err != nil {
-		fs.pool.Invalidate(i)
-		return fmt.Errorf("engine: scrub read page %d of %s: %w", i, fs.path, err)
+	off := int64(fs.n) * PageSize
+	n, err := fs.f.WriteAt(pages[:k*PageSize], off)
+	if err != nil || fault == IONone {
+		return fs.landed(n, len(pages), err)
 	}
-	if err := fs.verifyPage(i, buf); err != nil {
-		// The disk copy is bad; a stale good copy must not linger in the
-		// pool only to vanish at the next eviction.
-		fs.pool.Invalidate(i)
-		return err
+	p, poff := pages[k*PageSize:(k+1)*PageSize], off+int64(k)*PageSize
+	switch fault {
+	case IOWriteError:
+		err = fmt.Errorf("engine: %s: injected write error at page %d", fs.path, fs.n+k)
+	case IOShortWrite:
+		// The device accepted only half the page but the syscall reported
+		// the short count; landed must catch it.
+		var m int
+		m, err = fs.f.WriteAt(p[:PageSize/2], poff)
+		n += m
+	case IOTornWrite:
+		// Power loss mid-write: the pages before it land, half of it
+		// reaches the platter and the "process" dies. No rollback runs — a
+		// dying process runs none — so the torn tail is the next open's.
+		_, _ = fs.f.WriteAt(p[:PageSize/2], poff)
+		k, _ = fs.landed(n, n, nil)
+		return k, fmt.Errorf("engine: %s: torn write at page %d: %w", fs.path, fs.n, ErrInjectedCrash)
 	}
-	return nil
+	return fs.landed(n, len(pages), err)
+}
+
+// landed completes an append at the end of the file that wrote n of want
+// bytes, and returns how many whole pages it counted. A failed or short
+// write rolls the file back to the last whole page: fs.n stays truthful,
+// the next append lands on a clean page boundary, and no torn tail is left
+// for recovery to condemn.
+func (fs *fileStore) landed(n, want int, err error) (int, error) {
+	if err == nil && n < want {
+		err = fmt.Errorf("engine: %s: short write at page %d (%d of %d bytes)", fs.path, fs.n+n/PageSize, n%PageSize, PageSize)
+	}
+	m := min(n, want) / PageSize
+	if err != nil {
+		if terr := fs.f.Truncate(int64(fs.n+m) * PageSize); terr != nil {
+			return 0, fmt.Errorf("%w (rollback truncate failed: %v)", err, terr)
+		}
+	}
+	for range m {
+		fs.pool.Invalidate(fs.n)
+		fs.n++
+	}
+	return m, err
 }
 
 func (fs *fileStore) reset() error {
@@ -304,19 +391,32 @@ func openFileHeap(path string, poolPages int, io *IOHooks, repairTail bool) (*He
 }
 
 // buildIndex walks every flushed page once at open: the walk itself
-// verifies each page (reads go through the pool's fill-time checksum),
+// verifies each page (extents are checked page by page as they arrive),
 // quarantines the ones that fail, records per-page record counts for
 // degraded-read accounting, and counts the readable records so NumRecords
 // reflects what a scan can actually yield. The reads run as blocks of
-// buildChunkPages pages on Workers goroutines, each holding one pin at a
-// time and recording the page's header facts; the walk over those facts
-// is sequential and reads nothing.
+// buildChunkPages pages on Workers goroutines, one extent a block into a
+// buffer each worker keeps for the walk, recording each page's header
+// facts; the walk over those facts is sequential and reads nothing.
 func (h *Heap) buildIndex() error {
 	np := h.st.numPages()
 	facts := make([]pageFacts, np)
-	err := RunBlocks(Workers(), (np+buildChunkPages-1)/buildChunkPages, func(_, b int) error {
-		for i := b * buildChunkPages; i < min((b+1)*buildChunkPages, np); i++ {
-			facts[i] = h.readFacts(i)
+	readers := make([]pageReader, Workers())
+	err := RunBlocks(len(readers), (np+buildChunkPages-1)/buildChunkPages, func(w, b int) error {
+		if readers[w] == nil {
+			readers[w] = h.st.bulk(np)
+		}
+		end := min((b+1)*buildChunkPages, np)
+		for i := b * buildChunkPages; i < end; i++ {
+			p, err := readers[w](i, end-i)
+			if err != nil {
+				facts[i] = pageFacts{err: err}
+				continue
+			}
+			facts[i] = pageFacts{kind: p.data.kind(), slots: p.data.slotCount()}
+			if facts[i].kind == pageOverflowStart {
+				facts[i].total = int(binary.LittleEndian.Uint32(p.data[pageHeaderSize:]))
+			}
 		}
 		return nil
 	})
@@ -389,21 +489,6 @@ type pageFacts struct {
 	kind  uint8
 	slots int // data pages: records on the page
 	total int // overflow starts: the record's length
-}
-
-// readFacts reads page i and keeps only its header facts; the frame is
-// unpinned before it returns.
-func (h *Heap) readFacts(i int) pageFacts {
-	p, err := h.st.readPage(i)
-	if err != nil {
-		return pageFacts{err: err}
-	}
-	defer p.unpin()
-	f := pageFacts{kind: p.data.kind(), slots: p.data.slotCount()}
-	if f.kind == pageOverflowStart {
-		f.total = int(binary.LittleEndian.Uint32(p.data[pageHeaderSize:]))
-	}
-	return f
 }
 
 // openReason extracts the human reason from an open-time page failure.
@@ -485,20 +570,19 @@ type ScrubReport struct {
 // Clean reports a fully healthy heap.
 func (r ScrubReport) Clean() bool { return len(r.Bad) == 0 }
 
-// Scrub re-reads every flushed page fresh from the backing store (cached
-// copies are deliberately bypassed — the question is what the DISK holds)
-// and quarantines pages whose checksum fails or that no longer read back.
-// Quarantine is sticky: a page stays quarantined until the heap is
-// rewritten, so scans degrade deterministically instead of flickering with
-// the pool's eviction pattern.
+// Scrub re-reads every flushed page fresh from the backing store, in
+// extents past the pool (the question is what the DISK holds), and
+// quarantines pages whose checksum fails or that no longer read back; a
+// bad page is also dropped from the pool. Quarantine is sticky: a page
+// stays quarantined until the heap is rewritten, so scans degrade
+// deterministically instead of flickering with the pool's eviction pattern.
 func (h *Heap) Scrub() ScrubReport {
 	np := h.st.numPages()
 	rep := ScrubReport{Pages: np}
+	read := h.st.bulk(np)
 	for i := 0; i < np; i++ {
-		if err := h.st.checkPage(i); err != nil {
-			if h.quarantine(i, openReason(err)) {
-				rep.NewBad = append(rep.NewBad, i)
-			}
+		if _, err := read(i, np-i); err != nil && h.quarantine(i, openReason(err)) {
+			rep.NewBad = append(rep.NewBad, i)
 		}
 	}
 	rep.Bad = h.QuarantinedPages()
@@ -621,7 +705,7 @@ func chainPages(total int) int {
 // is only valid during the call. Scans fail with a *CorruptPageError on a
 // quarantined or freshly corrupt page; ScanDegraded skips instead.
 func (h *Heap) Scan(fn func(rec []byte) error) error {
-	_, err := h.scanRange(0, h.st.numPages(), false, fn)
+	_, err := h.scanRange(0, h.st.numPages(), false, h.readPage, fn)
 	return err
 }
 
@@ -630,7 +714,7 @@ func (h *Heap) Scan(fn func(rec []byte) error) error {
 // lower bound: a page unreadable since open never said how many records it
 // held.
 func (h *Heap) ScanDegraded(fn func(rec []byte) error) (DegradedStats, error) {
-	s, err := h.scanRange(0, h.st.numPages(), true, fn)
+	s, err := h.scanRange(0, h.st.numPages(), true, h.readPage, fn)
 	return s.DegradedStats, err
 }
 
@@ -640,9 +724,13 @@ func (h *Heap) ScanDegraded(fn func(rec []byte) error) (DegradedStats, error) {
 // a chain owned by an earlier range). If to == NumPages, the in-memory tail
 // page is scanned as well.
 func (h *Heap) ScanPages(from, to int, fn func(rec []byte) error) error {
-	_, err := h.scanRange(from, to, false, fn)
+	_, err := h.scanRange(from, to, false, h.readPage, fn)
 	return err
 }
+
+// readPage is the page reader of tuple scans: through the store, and so
+// through a file store's buffer pool.
+func (h *Heap) readPage(i, _ int) (*frame, error) { return h.st.readPage(i) }
 
 // scanned is what a page-range scan did: what it skipped, the first page it
 // did not consume (an overflow chain can carry it past the range's end), and
@@ -653,7 +741,10 @@ type scanned struct {
 	next, lead int
 }
 
-func (h *Heap) scanRange(from, to int, degraded bool, fn func(rec []byte) error) (scanned, error) {
+// scanRange visits the records of pages [from, to) as ScanPages does,
+// reading each page through read: a chain that runs past `to` is read on
+// through it as well.
+func (h *Heap) scanRange(from, to int, degraded bool, read pageReader, fn func(rec []byte) error) (scanned, error) {
 	s := scanned{lead: to}
 	stats := &s.DegradedStats
 	np := h.st.numPages()
@@ -677,7 +768,7 @@ func (h *Heap) scanRange(from, to int, degraded bool, fn func(rec []byte) error)
 			skipPage(i)
 			continue
 		}
-		p, err := h.st.readPage(i)
+		p, err := read(i, to-i)
 		if err != nil {
 			s.lead = min(s.lead, i)
 			if err = h.readFailed(i, err); !degraded {
@@ -700,12 +791,13 @@ func (h *Heap) scanRange(from, to int, degraded bool, fn func(rec []byte) error)
 			continue
 		}
 		var rec []byte
-		total := 0
+		total, end := 0, i+1
 		if kind == pageOverflowStart {
 			total = int(binary.LittleEndian.Uint32(p.data[pageHeaderSize:]))
 			take := min(total, payloadEnd-pageHeaderSize-overflowHeaderSize)
 			rec = make([]byte, 0, total)
 			rec = append(rec, p.data[pageHeaderSize+overflowHeaderSize:pageHeaderSize+overflowHeaderSize+take]...)
+			end = min(i+chainPages(total), np)
 		}
 		p.unpin()
 		switch kind {
@@ -721,7 +813,7 @@ func (h *Heap) scanRange(from, to int, degraded bool, fn func(rec []byte) error)
 					chainErr = h.pageErr(j, reason)
 					break
 				}
-				cp, err := h.st.readPage(j)
+				cp, err := read(j, end-j)
 				if err != nil {
 					chainErr = h.readFailed(j, err)
 					break
@@ -742,7 +834,6 @@ func (h *Heap) scanRange(from, to int, degraded bool, fn func(rec []byte) error)
 				}
 				// Skip the whole chain — it holds exactly one record — and
 				// step arithmetically over its remaining pages.
-				end := min(i+chainPages(total), np)
 				stats.SkippedPages += end - i
 				stats.SkippedRows++
 				i = end - 1
@@ -804,6 +895,107 @@ func scanData(p *frame, degraded bool, stats *DegradedStats, fn func(rec []byte)
 		}
 	}
 	return nil
+}
+
+// emptyFile reports whether h is a file heap that holds no record yet.
+func (h *Heap) emptyFile() bool {
+	_, ok := h.st.(*fileStore)
+	return ok && h.st.numPages() == 0 && (h.cur == nil || h.cur.slotCount() == 0)
+}
+
+// copyPages appends every record of src to h, an empty file heap, by
+// writing src's flushed pages as they are: h keeps src's page layout, and
+// its per-page counts are src's. When src has no tail page, its last data
+// page becomes h's, so later appends fill it, as after a record-by-record
+// copy. The pages go out sealed, in runs of up to buildChunkPages pages,
+// one write a run; of a run that fails, the pages that landed count, and a
+// failed data page becomes the tail page, as its records would have stayed
+// in Append's tail. src's tail records are appended one by one. src must
+// have no quarantined page.
+func (h *Heap) copyPages(src *Heap) error {
+	fs := h.st.(*fileStore)
+	np := src.NumPages()
+	tail := -1 // src's page that becomes h's tail page
+	if src.cur == nil || src.cur.slotCount() == 0 {
+		tail = np - 1
+	}
+	src.mu.RLock()
+	srcRecs := src.pageRecs
+	src.mu.RUnlock()
+	read := src.st.bulk(np)
+	run := make([]byte, min(np, buildChunkPages)*PageSize)
+	recs := make([]int, 0, buildChunkPages)   // records that begin on each page of the run
+	done := make([]int, 1, buildChunkPages+1) // done[k]: records the run's first k pages complete
+	chainEnd := 0                             // the page after the last overflow chain read
+	flush := func() error {
+		m, err := fs.appendRun(run[:len(recs)*PageSize])
+		h.tracked(recs[:m], done[m])
+		if q := page(run[m*PageSize:]); err != nil && m < len(recs) && q.kind() == pageData {
+			h.keepTail(q[:PageSize])
+		}
+		recs, done = recs[:0], done[:1]
+		return err
+	}
+	var last page // src's last data page, when it becomes h's tail page
+	for i := 0; i < np; i++ {
+		p, err := read(i, np-i)
+		if err != nil {
+			return src.readFailed(i, err)
+		}
+		k := len(recs)
+		q := page(run[k*PageSize : (k+1)*PageSize])
+		copy(q, p.data)
+		p.unpin()
+		if i == tail && q.kind() == pageData {
+			last = q
+			break
+		}
+		q.seal()
+		fin := 0 // records q completes
+		switch q.kind() {
+		case pageData:
+			fin = srcRecs[i]
+		case pageOverflowStart:
+			chainEnd = i + chainPages(int(binary.LittleEndian.Uint32(q[pageHeaderSize:])))
+		}
+		if q.kind() != pageData && i == chainEnd-1 {
+			fin = 1
+		}
+		recs, done = append(recs, srcRecs[i]), append(done, done[k]+fin)
+		if len(recs)*PageSize == len(run) {
+			if err := flush(); err != nil {
+				return err
+			}
+		}
+	}
+	if err := flush(); err != nil {
+		return err
+	}
+	if last != nil {
+		h.keepTail(last)
+	}
+	if src.cur == nil {
+		return nil
+	}
+	return scanData(&frame{data: src.cur}, false, nil, h.Append)
+}
+
+// tracked accounts flushed pages appended behind appendTracked's back: the
+// records that begin on each, and the records they complete.
+func (h *Heap) tracked(recs []int, done int) {
+	h.mu.Lock()
+	h.pageRecs = append(h.pageRecs, recs...)
+	h.mu.Unlock()
+	h.nrec += done
+}
+
+// keepTail makes a copy of data page p the tail page.
+func (h *Heap) keepTail(p page) {
+	if h.cur == nil {
+		h.cur = make(page, PageSize)
+	}
+	copy(h.cur, p)
+	h.nrec += p.slotCount()
 }
 
 // Rewrite replaces the heap contents with the given records, in order. A

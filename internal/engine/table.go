@@ -46,6 +46,10 @@ type Table struct {
 	version atomic.Uint64
 	matMu   sync.Mutex
 	mat     *Materialized
+
+	// enc is Insert's record buffer, reused row after row; a record too
+	// large for one page gets a buffer of its own instead.
+	enc []byte
 }
 
 // NewMemTable creates an in-memory table.
@@ -60,7 +64,11 @@ func (t *Table) pages() *Heap {
 		t.matMu.Lock()
 		defer t.matMu.Unlock()
 		if t.slabOnly.Load() {
-			if err := t.mat.Scan(func(tp Tuple) error { return t.heap.Append(tp.Encode()) }); err != nil {
+			var enc []byte
+			if err := t.mat.Scan(func(tp Tuple) error {
+				enc = tp.AppendEncode(enc[:0])
+				return t.heap.Append(enc)
+			}); err != nil {
 				panic(fmt.Sprintf("engine: building the page heap of %s: %v", t.Name, err))
 			}
 			t.slabOnly.Store(false)
@@ -80,12 +88,20 @@ func newFileTable(dir, name string, schema Schema, poolPages int, io *IOHooks, r
 	return &Table{Name: name, Schema: schema, heap: h}, repaired, nil
 }
 
-// Insert appends one tuple, validating it against the schema.
+// Insert appends one tuple, validating it against the schema. Like
+// Heap.Append, it must not run concurrently with another Insert into t.
 func (t *Table) Insert(tp Tuple) error {
 	if !tp.Matches(t.Schema) {
 		return fmt.Errorf("engine: tuple does not match schema of %s", t.Name)
 	}
-	if err := t.pages().Append(tp.Encode()); err != nil {
+	var rec []byte
+	if tp.encodedSize() <= maxInlineRecord {
+		t.enc = tp.AppendEncode(t.enc[:0])
+		rec = t.enc
+	} else {
+		rec = tp.Encode()
+	}
+	if err := t.pages().Append(rec); err != nil {
 		return err
 	}
 	t.version.Add(1)
@@ -373,7 +389,9 @@ func (e *SchemaMismatchError) Error() string {
 // the schemas must match in arity AND column type — same-arity tables with
 // different types would otherwise accept mis-typed records that only
 // surface later as a *CorruptRecordError on decode. Column names may
-// differ; only the physical layout matters.
+// differ; only the physical layout matters. Into an empty file table, from
+// a source with no quarantined page, it writes the source's pages whole in
+// extents (Heap.copyPages); otherwise it appends record by record.
 func (t *Table) CopyTo(dst *Table) error {
 	if len(t.Schema) != len(dst.Schema) {
 		return &SchemaMismatchError{Src: t.Name, Dst: dst.Name, Col: -1,
@@ -386,9 +404,13 @@ func (t *Table) CopyTo(dst *Table) error {
 				SrcType: t.Schema[i].Type, DstType: dst.Schema[i].Type}
 		}
 	}
-	err := t.pages().Scan(func(rec []byte) error {
-		return dst.pages().Append(rec) // Append copies the record into its page
-	})
+	src, to := t.pages(), dst.pages()
+	var err error
+	if to.emptyFile() && src.QuarantinedPages() == nil {
+		err = to.copyPages(src)
+	} else {
+		err = src.Scan(to.Append) // Append copies the record into its page
+	}
 	dst.version.Add(1)
 	return err
 }

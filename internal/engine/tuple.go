@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"bismarck/internal/vector"
 )
@@ -129,8 +130,12 @@ func (t Tuple) encodedSize() int {
 }
 
 // Encode serialises the tuple into a compact binary record.
-func (t Tuple) Encode() []byte {
-	buf := make([]byte, 0, t.encodedSize())
+func (t Tuple) Encode() []byte { return t.AppendEncode(nil) }
+
+// AppendEncode appends the tuple's record, as Encode makes it, to dst and
+// returns the extended buffer; dst grows at most once.
+func (t Tuple) AppendEncode(dst []byte) []byte {
+	buf := slices.Grow(dst, t.encodedSize())
 	for _, v := range t {
 		buf = append(buf, byte(v.Type))
 		switch v.Type {

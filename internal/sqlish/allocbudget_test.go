@@ -80,3 +80,54 @@ func TestAllocBudgetTrainStatement(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocBudgetLoadModel: loading a stored model — what every cache fill,
+// PREDICT and EVALUATE does — reads its coefficient table in one
+// reusable-scratch scan, so it allocates nothing per coefficient.
+func TestAllocBudgetLoadModel(t *testing.T) {
+	const coefs = 20000
+	dir := t.TempDir()
+	cat, err := engine.OpenFileCatalog(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := cat.Create("m", ModelSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := cat.Create(metaTable("m"), MetaSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < coefs; i++ {
+		w.MustInsert(engine.Tuple{engine.I64(int64(i)), engine.F64(float64(i) + 0.5)})
+	}
+	for _, kv := range [][2]string{{"task", "lr"}, {"dim", "20000"}, {"p:dim", "20000"}, {"p:mu", "0"}} {
+		meta.MustInsert(engine.Tuple{engine.Str(kv[0]), engine.Str(kv[1])})
+	}
+	if err := cat.Save(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if cat, err = engine.OpenFileCatalog(dir, 0); err != nil {
+		t.Fatal(err)
+	}
+	defer cat.Close()
+	s := &Session{Cat: cat, Out: &bytes.Buffer{}}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	snap, _, err := s.LoadSnapshot("m")
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.W) != coefs || snap.W[coefs-1] != coefs-0.5 {
+		t.Fatalf("loaded %d coefficients, last %v", len(snap.W), snap.W[len(snap.W)-1])
+	}
+	if objects := after.Mallocs - before.Mallocs; objects >= coefs/4 {
+		t.Fatalf("LoadSnapshot of %d coefficients made %d allocations, budget %d", coefs, objects, coefs/4)
+	}
+}

@@ -749,27 +749,23 @@ func (s *Session) readModel(model string) (taskName string, kv map[string]string
 }
 
 // loadModel reads the persisted coefficient table into a dense vector of
-// at least the given dimension (from the metadata side table).
+// at least the given dimension (from the metadata side table), in one
+// reusable-scratch scan that grows the vector to the largest stored index.
 func (s *Session) loadModel(name string, dim int64) (vector.Dense, error) {
 	tbl, err := s.Cat.Get(name)
 	if err != nil {
 		return nil, err
 	}
-	maxIdx := int64(-1)
-	if err := tbl.Scan(func(tp engine.Tuple) error {
-		if tp[0].Int > maxIdx {
-			maxIdx = tp[0].Int
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if maxIdx+1 > dim {
-		dim = maxIdx + 1
-	}
 	w := vector.NewDense(int(dim))
-	if err := tbl.Scan(func(tp engine.Tuple) error {
-		w[tp[0].Int] = tp[1].Float
+	if err := tbl.ScanReuse(func(tp engine.Tuple) error {
+		i := tp[0].Int
+		if i < 0 {
+			return fmt.Errorf("sqlish: model %q stores coefficient index %d", name, i)
+		}
+		if i >= int64(len(w)) {
+			w = append(w, make(vector.Dense, int(i)+1-len(w))...)
+		}
+		w[i] = tp[1].Float
 		return nil
 	}); err != nil {
 		return nil, err
@@ -791,7 +787,7 @@ func (s *Session) loadMeta(name string) (string, map[string]string, error) {
 	}
 	task := ""
 	kv := map[string]string{}
-	err = tbl.Scan(func(tp engine.Tuple) error {
+	err = tbl.ScanReuse(func(tp engine.Tuple) error {
 		k, v := tp[0].Str, tp[1].Str
 		switch {
 		case k == "task":
