@@ -2,11 +2,9 @@ package dist
 
 import (
 	"bufio"
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"io"
 	"net"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -14,48 +12,28 @@ import (
 	"bismarck/internal/engine"
 	"bismarck/internal/parallel"
 	"bismarck/internal/vector"
+	"bismarck/internal/wire"
 )
 
-// Text-protocol tokens of the pre-binary handshake. They mirror the
-// server package's constants (which dist cannot import — the server
-// imports dist to route executor frames); a server-side test pins the
-// two sets equal so they cannot drift.
+// Busy backoff: consecutive busy rejections one logical call absorbs
+// before the executor is treated as lost, and the cap on one backoff
+// sleep regardless of the executor's hint.
 const (
-	helloLine  = "@bin"
-	helloOK    = "@bin OK"
-	textOK     = "OK"
-	textErr    = "ERR "
-	bodyPrefix = "| "
+	maxBusyRetries = 8
+	maxBusyWait    = 2 * time.Second
 )
 
-// busyMarker identifies a shed-load rejection in an executor's error
-// message; the retry-after hint follows retryHintKey. Both mirror
-// serve.BusyError's rendering (pinned by a server-side test, like the
-// handshake tokens above).
-const (
-	busyMarker   = "busy:"
-	retryHintKey = "retry_after_ms="
-)
-
-// busyHintMS extracts the retry_after_ms hint from a busy rejection
-// (0, false when the message is not a busy rejection at all).
-func busyHintMS(msg string) (int64, bool) {
-	if !strings.HasPrefix(msg, busyMarker) {
-		return 0, false
+// backoff absorbs one busy rejection: it counts it in *sheds and sleeps
+// the executor's retry hint (at least 1 ms, at most maxBusyWait). Past
+// maxBusyRetries consecutive sheds it resets the count and reports false
+// without sleeping — the caller stops waiting on that executor.
+func backoff(busy *wire.BusyError, sheds *int) bool {
+	if *sheds++; *sheds > maxBusyRetries {
+		*sheds = 0
+		return false
 	}
-	i := strings.LastIndex(msg, retryHintKey)
-	if i < 0 {
-		return 1, true
-	}
-	digits := msg[i+len(retryHintKey):]
-	if j := strings.IndexFunc(digits, func(r rune) bool { return r < '0' || r > '9' }); j >= 0 {
-		digits = digits[:j]
-	}
-	ms, err := strconv.ParseInt(digits, 10, 64)
-	if err != nil || ms < 1 {
-		ms = 1
-	}
-	return ms, true
+	time.Sleep(min(time.Duration(max(busy.RetryAfterMS, 1))*time.Millisecond, maxBusyWait))
+	return true
 }
 
 // execConn is one executor connection: the dialed socket, the binary-mode
@@ -101,25 +79,25 @@ func (c *execConn) handshake() error {
 			return err
 		}
 		line = strings.TrimRight(line, "\r\n")
-		if line == textOK {
+		if line == wire.TermOK {
 			break
 		}
-		if strings.HasPrefix(line, textErr) {
-			return fmt.Errorf("banner error: %s", strings.TrimPrefix(line, textErr))
+		if msg, ok := strings.CutPrefix(line, wire.TermErr+" "); ok {
+			return fmt.Errorf("banner error: %s", msg)
 		}
-		if !strings.HasPrefix(line, bodyPrefix) {
+		if !strings.HasPrefix(line, wire.BodyPrefix) {
 			return fmt.Errorf("unexpected banner line %q", line)
 		}
 	}
-	if _, err := fmt.Fprintf(c.conn, "%s\n", helloLine); err != nil {
+	if _, err := fmt.Fprintf(c.conn, "%s\n", wire.Hello); err != nil {
 		return err
 	}
 	line, err := c.br.ReadString('\n')
 	if err != nil {
 		return err
 	}
-	if line = strings.TrimRight(line, "\r\n"); line != helloOK {
-		return fmt.Errorf("binary negotiation failed: got %q, want %q", line, helloOK)
+	if line = strings.TrimRight(line, "\r\n"); line != wire.HelloOK {
+		return fmt.Errorf("binary negotiation failed: got %q, want %q", line, wire.HelloOK)
 	}
 	return nil
 }
@@ -131,7 +109,7 @@ func (c *execConn) close() { c.conn.Close() }
 // scratch, writes it, reads the response frame, and decodes it into dst
 // (the caller's scratch, so decoded values survive the lock dropping).
 // Transport faults come back as ordinary errors; executor verdicts as
-// *RemoteError.
+// *wire.RemoteError, and shed load as *wire.BusyError.
 func (c *execConn) call(build func(buf []byte, id uint64) ([]byte, error), dst []float64) ([]float64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -147,11 +125,11 @@ func (c *execConn) call(build func(buf []byte, id uint64) ([]byte, error), dst [
 	if _, err := c.conn.Write(req); err != nil {
 		return nil, err
 	}
-	payload, err := c.readFrame()
+	payload, err := wire.ReadFrame(c.br, &c.recvBuf)
 	if err != nil {
 		return nil, err
 	}
-	gotID, vals, err := decodeResponse(payload, dst)
+	gotID, vals, err := wire.DecodeResponse(payload, dst)
 	if err != nil {
 		return nil, err
 	}
@@ -159,27 +137,6 @@ func (c *execConn) call(build func(buf []byte, id uint64) ([]byte, error), dst [
 		return nil, fmt.Errorf("dist: executor %s answered id %d, expected %d", c.addr, gotID, id)
 	}
 	return vals, nil
-}
-
-// readFrame reads one length-prefixed frame into the reusable receive
-// buffer. Caller holds c.mu.
-func (c *execConn) readFrame() ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
-	if n == 0 || n > MaxFrameBytes {
-		return nil, fmt.Errorf("dist: executor frame length %d (want 1..%d)", n, MaxFrameBytes)
-	}
-	if cap(c.recvBuf) < n {
-		c.recvBuf = make([]byte, n)
-	}
-	c.recvBuf = c.recvBuf[:n]
-	if _, err := io.ReadFull(c.br, c.recvBuf); err != nil {
-		return nil, err
-	}
-	return c.recvBuf, nil
 }
 
 // ShardTask is everything an executor needs to rebuild one statement's
@@ -221,7 +178,7 @@ type executorSlot struct {
 // re-shipping rows and replaying orderings so the run's result is
 // unchanged; a busy rejection backs off by the executor's own
 // retry_after_ms hint and retries in place, counting against
-// MaxBusyRetries before it, too, escalates to requeue. Only an
+// maxBusyRetries before it, too, escalates to requeue. Only an
 // application error (unknown task, schema mismatch) or the death of the
 // last executor fails the statement.
 type Coordinator struct {
@@ -229,13 +186,7 @@ type Coordinator struct {
 	table   *engine.ShardedTable
 	rows    []int
 	timeout time.Duration
-
-	// MaxBusyRetries bounds consecutive busy backoffs per logical call
-	// before the executor is treated as lost.
-	MaxBusyRetries int
-	// MaxBusyWait caps one backoff sleep regardless of the hint.
-	MaxBusyWait time.Duration
-	Hooks       Hooks
+	Hooks   Hooks
 
 	mu    sync.Mutex
 	slots []*executorSlot
@@ -259,7 +210,6 @@ func NewCoordinator(addrs []string, table *engine.ShardedTable, task ShardTask,
 	}
 	co := &Coordinator{
 		task: task, table: table, rows: table.RowCounts(), timeout: timeout,
-		MaxBusyRetries: 8, MaxBusyWait: 2 * time.Second,
 		owner: make([]int, table.NumShards()),
 	}
 	var dialErrs []string
@@ -311,13 +261,6 @@ func (co *Coordinator) Runners() []parallel.ShardRunner {
 		out[i] = &remoteShard{co: co, idx: i, rows: co.rows[i], stepped: -1}
 	}
 	return out
-}
-
-// AliveExecutors reports how many executors are still marked live.
-func (co *Coordinator) AliveExecutors() int {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	return co.aliveLocked()
 }
 
 func (co *Coordinator) aliveLocked() int {
@@ -383,11 +326,11 @@ func (co *Coordinator) ownerConn(shard int) (int, *execConn, error) {
 // rows (LOAD, ROWS chunks, SEAL). A transport fault during shipping
 // marks that executor dead and tries the next survivor; a busy rejection
 // frees the partial shard state, backs off by the executor's hint, and
-// retries — counted against MaxBusyRetries before the executor is
+// retries — counted against maxBusyRetries before the executor is
 // treated as lost. Shipping fails only when no executor remains or one
 // rejects the shard outright (unknown task, schema mismatch).
 func (co *Coordinator) ship(shard int) error {
-	busy := 0
+	sheds := 0
 	for {
 		co.mu.Lock()
 		slot := co.pickSlotLocked()
@@ -413,32 +356,21 @@ func (co *Coordinator) ship(shard int) error {
 			co.mu.Unlock()
 			continue
 		}
-		var rerr *RemoteError
-		if asRemote(err, &rerr) {
-			hint, isBusy := busyHintMS(rerr.Msg)
-			if !isBusy {
-				// The executor is alive and said no: deterministic, fatal.
-				return fmt.Errorf("dist: executor %s rejected shard %d: %w", conn.addr, shard, rerr)
-			}
+		var busy *wire.BusyError
+		if errors.As(err, &busy) {
 			// Shed load mid-ship: the sequence may have stopped after LOAD
 			// already registered the shard, so drop the partial state before
 			// the retry re-LOADs (a transport fault here retires the slot —
 			// the state dies with the connection anyway).
-			if ferr := co.freeShard(conn, shard); ferr != nil {
+			if ferr := co.freeShard(conn, shard); ferr != nil || !backoff(busy, &sheds) {
 				co.markDead(slot)
-				continue
 			}
-			if busy++; busy > co.MaxBusyRetries {
-				co.markDead(slot)
-				busy = 0
-				continue
-			}
-			wait := time.Duration(hint) * time.Millisecond
-			if wait > co.MaxBusyWait {
-				wait = co.MaxBusyWait
-			}
-			time.Sleep(wait)
 			continue
+		}
+		var rerr *wire.RemoteError
+		if asRemote(err, &rerr) {
+			// The executor is alive and said no: deterministic, fatal.
+			return fmt.Errorf("dist: executor %s rejected shard %d: %w", conn.addr, shard, rerr)
 		}
 		co.markDead(slot)
 	}
@@ -450,24 +382,24 @@ func (co *Coordinator) ship(shard int) error {
 // free; only a transport fault is reported.
 func (co *Coordinator) freeShard(c *execConn, shard int) error {
 	var scratch [1]float64
-	for attempt := 0; ; attempt++ {
+	sheds := 0
+	for {
 		_, err := c.call(func(buf []byte, id uint64) ([]byte, error) {
 			return AppendShardOnly(buf, OpShardFree, id, uint32(shard))
 		}, scratch[:0])
 		if err == nil {
 			return nil
 		}
-		var rerr *RemoteError
+		var busy *wire.BusyError
+		if errors.As(err, &busy) {
+			if backoff(busy, &sheds) {
+				continue
+			}
+			return nil
+		}
+		var rerr *wire.RemoteError
 		if !asRemote(err, &rerr) {
 			return err
-		}
-		if hint, isBusy := busyHintMS(rerr.Msg); isBusy && attempt < co.MaxBusyRetries {
-			wait := time.Duration(hint) * time.Millisecond
-			if wait > co.MaxBusyWait {
-				wait = co.MaxBusyWait
-			}
-			time.Sleep(wait)
-			continue
 		}
 		return nil
 	}
@@ -506,10 +438,10 @@ func (co *Coordinator) shipTo(c *execConn, shard int) error {
 	return nil
 }
 
-// asRemote reports whether err (or anything it wraps) is a *RemoteError.
-func asRemote(err error, target **RemoteError) bool {
+// asRemote reports whether err (or anything it wraps) is a *wire.RemoteError.
+func asRemote(err error, target **wire.RemoteError) bool {
 	for err != nil {
-		if re, ok := err.(*RemoteError); ok {
+		if re, ok := err.(*wire.RemoteError); ok {
 			*target = re
 			return true
 		}
@@ -576,7 +508,7 @@ func (r *remoteShard) LossAt(w vector.Dense) (float64, error) {
 // lives, looping over busy backoffs and executor loss. epoch >= 0 marks
 // a STEP (for the hooks); -1 a LOSS pass.
 func (r *remoteShard) call(epoch int, build func(buf []byte, id uint64) ([]byte, error)) ([]float64, error) {
-	busy := 0
+	sheds := 0
 	for {
 		slot, conn, err := r.co.ownerConn(r.idx)
 		if err != nil {
@@ -593,25 +525,18 @@ func (r *remoteShard) call(epoch int, build func(buf []byte, id uint64) ([]byte,
 			r.vals = vals
 			return vals, nil
 		}
-		var rerr *RemoteError
-		if asRemote(err, &rerr) {
-			hint, isBusy := busyHintMS(rerr.Msg)
-			if !isBusy {
-				return nil, fmt.Errorf("dist: shard %d on executor %s: %w", r.idx, conn.addr, rerr)
-			}
-			if busy++; busy > r.co.MaxBusyRetries {
+		var busy *wire.BusyError
+		if errors.As(err, &busy) {
+			if !backoff(busy, &sheds) {
 				// Persistently saturated: treat like a lost node so the
 				// shard can drain somewhere with headroom.
 				r.co.markDead(slot)
-				busy = 0
-				continue
 			}
-			wait := time.Duration(hint) * time.Millisecond
-			if wait > r.co.MaxBusyWait {
-				wait = r.co.MaxBusyWait
-			}
-			time.Sleep(wait)
 			continue
+		}
+		var rerr *wire.RemoteError
+		if asRemote(err, &rerr) {
+			return nil, fmt.Errorf("dist: shard %d on executor %s: %w", r.idx, conn.addr, rerr)
 		}
 		// Transport fault: the executor is lost; requeue via ownerConn.
 		r.co.markDead(slot)

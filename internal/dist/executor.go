@@ -10,6 +10,7 @@ import (
 	"bismarck/internal/engine"
 	"bismarck/internal/ordering"
 	"bismarck/internal/vector"
+	"bismarck/internal/wire"
 )
 
 // BuildTask reconstructs a training task from its registry name and
@@ -22,8 +23,8 @@ type BuildTask func(name string, params map[string]string) (core.Task, error)
 // serving gate. Do may block while queued for a slot, then runs fn
 // holding it and releases it before returning. It reports ok=false when
 // the server is shutting down (fn did not run: tear the connection down,
-// answer nothing), and an error — typically a busy rejection carrying
-// retry_after_ms — when the request is shed.
+// answer nothing), and an error — typically a *wire.BusyError, which
+// Handle answers with a BUSY frame — when the request is shed.
 type Gate interface {
 	Do(fn func()) (ok bool, err error)
 }
@@ -41,11 +42,10 @@ type ExecutorHooks struct {
 	MidStep func(shard uint32, epoch int)
 }
 
-// MaxExecutorBytes caps the total encoded row bytes one connection may
+// maxExecutorBytes caps the total encoded row bytes one connection may
 // ship: the executor is a network service and a hostile coordinator must
-// not OOM it with an unbounded table. Var, not const, so tests (and a
-// future flag) can tighten it.
-var MaxExecutorBytes = int64(256 << 20)
+// not OOM it with an unbounded table.
+const maxExecutorBytes = 256 << 20
 
 // execShard is one loaded shard's training state: the shard heap, its
 // epoch pipeline, the ordering replay cursor, and the task replica.
@@ -95,7 +95,7 @@ type Executor struct {
 	Hooks ExecutorHooks
 
 	shards map[uint32]*execShard
-	bytes  int64 // encoded row bytes accepted so far (MaxExecutorBytes cap)
+	bytes  int64 // encoded row bytes accepted so far (maxExecutorBytes cap)
 	out    []byte
 	vals   []float64
 	w      vector.Dense
@@ -129,25 +129,26 @@ func (ex *Executor) Shards() int { return len(ex.shards) }
 // server is shutting down and the connection should be torn down without
 // a response.
 func (ex *Executor) Handle(payload []byte) (resp []byte, ok bool) {
-	if len(payload) < reqHeader {
+	op, id, body, err := wire.ParseHeader(payload)
+	if err != nil {
 		// Id 0 is the unattributable-error id, as in the predict frames.
-		return AppendErr(ex.out[:0], 0, "dist: executor frame truncated before header"), true
+		return wire.AppendErr(ex.out[:0], 0, "dist: executor frame truncated before header"), true
 	}
-	op := payload[0]
-	id := binary.LittleEndian.Uint64(payload[1:9])
 	var vals []float64
 	var herr error
-	ok, err := ex.gate.Do(func() { vals, herr = ex.dispatch(op, payload[reqHeader:]) })
+	ok, err = ex.gate.Do(func() { vals, herr = ex.dispatch(op, body) })
 	if !ok {
 		return nil, false
 	}
+	if err == nil {
+		err = herr
+	}
 	if err != nil {
-		return AppendErr(ex.out[:0], id, err.Error()), true
+		// A shed admission answers BUSY with the gate's retry hint.
+		ex.out = wire.AppendError(ex.out[:0], id, err)
+	} else {
+		ex.out = wire.AppendOK(ex.out[:0], id, vals)
 	}
-	if herr != nil {
-		return AppendErr(ex.out[:0], id, herr.Error()), true
-	}
-	ex.out = AppendOK(ex.out[:0], id, vals)
 	return ex.out, true
 }
 
@@ -195,7 +196,7 @@ func (ex *Executor) load(shard uint32, body []byte) error {
 	orderByte := body[0]
 	seed := int64(binary.LittleEndian.Uint64(body[1:9]))
 	body = body[9:]
-	taskName, body, err := u16str(body, "task name", maxTaskNameLen)
+	taskName, body, err := wire.U16Str(body, "task name", maxTaskNameLen)
 	if err != nil {
 		return err
 	}
@@ -210,10 +211,10 @@ func (ex *Executor) load(shard uint32, body []byte) error {
 	params := make(map[string]string, npairs)
 	for i := 0; i < npairs; i++ {
 		var k, v []byte
-		if k, body, err = u16str(body, "param key", maxParamLen); err != nil {
+		if k, body, err = wire.U16Str(body, "param key", maxParamLen); err != nil {
 			return err
 		}
-		if v, body, err = u16str(body, "param value", maxParamLen); err != nil {
+		if v, body, err = wire.U16Str(body, "param value", maxParamLen); err != nil {
 			return err
 		}
 		params[string(k)] = string(v)
@@ -237,7 +238,7 @@ func (ex *Executor) load(shard uint32, body []byte) error {
 			return fmt.Errorf("dist: schema column %d has unknown type tag %d", i, typ)
 		}
 		var name []byte
-		if name, body, err = u16str(body, "column name", maxColNameLen); err != nil {
+		if name, body, err = wire.U16Str(body, "column name", maxColNameLen); err != nil {
 			return err
 		}
 		if len(name) == 0 {
@@ -310,8 +311,8 @@ func (ex *Executor) rows(shard uint32, body []byte) error {
 		if n == 0 || n > len(body) {
 			return fmt.Errorf("dist: SHARD_ROWS record %d length %d out of range", i, n)
 		}
-		if ex.bytes += int64(n); ex.bytes > MaxExecutorBytes {
-			return fmt.Errorf("dist: connection exceeded the %d-byte shard budget", MaxExecutorBytes)
+		if ex.bytes += int64(n); ex.bytes > maxExecutorBytes {
+			return fmt.Errorf("dist: connection exceeded the %d-byte shard budget", maxExecutorBytes)
 		}
 		tp, err := engine.DecodeTupleInto(body[:n], sh.scratch)
 		if err != nil {

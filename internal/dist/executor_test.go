@@ -10,6 +10,7 @@ import (
 	"bismarck/internal/data"
 	"bismarck/internal/engine"
 	"bismarck/internal/tasks"
+	"bismarck/internal/wire"
 )
 
 // buildLR resolves the only task these tests ship. Using the registry
@@ -28,7 +29,7 @@ func roundTrip(t *testing.T, ex *Executor, frame []byte) ([]float64, error) {
 	if !ok {
 		t.Fatal("executor refused a frame outside shutdown")
 	}
-	_, vals, err := decodeResponse(resp[4:], nil)
+	_, vals, err := wire.DecodeResponse(resp[4:], nil)
 	// vals aliases executor scratch reused by the next Handle; copy.
 	return append([]float64(nil), vals...), err
 }
@@ -162,7 +163,7 @@ func TestExecutorProtocolGuards(t *testing.T) {
 	expectErr := func(name string, frame []byte, wantSub string) {
 		t.Helper()
 		_, err := roundTrip(t, ex, frame)
-		var rerr *RemoteError
+		var rerr *wire.RemoteError
 		if !asRemote(err, &rerr) {
 			t.Fatalf("%s: got %v, want a RemoteError", name, err)
 		}

@@ -5,12 +5,14 @@
 // averaging the in-process sharded mode uses (DESIGN.md §7 — the algebra
 // is identical; only the worker moved out of process).
 //
-// The wire protocol extends the "@bin" binary framing (see
-// internal/server/binframe.go): after the text-mode handshake, every
-// frame is `u32 LE payload length | payload`, requests carry
-// `u8 opcode | u64 LE id | ...`, responses carry `u8 status | u64 LE id`
-// followed by `u16 LE n | f64 LE × n` on success or `u16 LE len | msg`
-// on error. Executor opcodes continue the numbering after predict (1):
+// The executors speak the "@bin" binary framing whose codec is
+// internal/wire: after the text-mode handshake every frame is
+// `u32 LE payload length | payload`, requests carry
+// `u8 opcode | u64 LE id | ...`, and responses are wire's OK, ERR or BUSY
+// frames — an executor that sheds load answers BUSY with its
+// retry_after_ms hint, and the coordinator backs off by it. This file
+// owns only the opcode bodies. Executor opcodes continue the numbering
+// after predict (1):
 //
 //	2 SHARD_LOAD  u32 shard | u8 order | u64 seed | u16 tlen | task
 //	              | u16 npairs | (u16 klen | key | u16 vlen | val)×npairs
@@ -44,6 +46,7 @@ import (
 	"sort"
 
 	"bismarck/internal/engine"
+	"bismarck/internal/wire"
 )
 
 // Executor opcodes (predict owns 1; see the package comment).
@@ -56,27 +59,14 @@ const (
 	OpShardFree = 7
 )
 
-// Response statuses, shared with the predict frames.
 const (
-	statusOK  = 0
-	statusErr = 1
-)
-
-const (
-	reqHeader  = 1 + 8 // opcode, id
-	respHeader = 1 + 8 // status, id
-
-	// MaxFrameBytes mirrors the server's binary frame cap: one frame's
-	// payload never exceeds 1 MiB in either direction.
-	MaxFrameBytes = 1 << 20
-
 	// MaxWireDim caps the model dimension of distributed training: the
 	// STEP response packs rows plus dim coefficients behind a u16 count,
 	// so dim+1 must fit in 65535.
 	MaxWireDim = 65534
 
 	// MaxRowChunkBytes bounds one SHARD_ROWS frame's record payload —
-	// comfortably under MaxFrameBytes so framing overhead never tips a
+	// comfortably under wire.MaxFrameBytes so framing overhead never tips a
 	// chunk over the cap.
 	MaxRowChunkBytes = 1 << 18
 
@@ -114,27 +104,6 @@ func OrderByte(name string) byte {
 	return OrderShuffleOnce
 }
 
-// appendHeader starts a request payload (no length prefix yet — the
-// caller prepends it once the payload is complete via finishFrame).
-func appendHeader(buf []byte, op byte, id uint64) []byte {
-	buf = append(buf, op)
-	return binary.LittleEndian.AppendUint64(buf, id)
-}
-
-// finishFrame prepends the u32 length prefix to the payload built after
-// buf[:start] and validates the frame cap.
-func finishFrame(buf []byte, start int) ([]byte, error) {
-	n := len(buf) - start - 4
-	if n <= 0 {
-		return buf, fmt.Errorf("dist: empty frame payload")
-	}
-	if n > MaxFrameBytes {
-		return buf, fmt.Errorf("dist: frame payload %d exceeds %d bytes", n, MaxFrameBytes)
-	}
-	binary.LittleEndian.PutUint32(buf[start:], uint32(n))
-	return buf, nil
-}
-
 // AppendLoad encodes a SHARD_LOAD request (length prefix included): the
 // shard's identity, ordering, rng seed, task name, resolved task
 // parameters, and the canonical schema the shipped rows decode against.
@@ -149,9 +118,7 @@ func AppendLoad(buf []byte, id uint64, shard uint32, order byte, seed int64,
 	if len(schema) == 0 || len(schema) > maxSchemaCols {
 		return buf, fmt.Errorf("dist: schema of %d columns out of range", len(schema))
 	}
-	start := len(buf)
-	buf = append(buf, 0, 0, 0, 0)
-	buf = appendHeader(buf, OpShardLoad, id)
+	buf, start := wire.StartFrame(buf, OpShardLoad, id)
 	buf = binary.LittleEndian.AppendUint32(buf, shard)
 	buf = append(buf, order)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(seed))
@@ -182,7 +149,7 @@ func AppendLoad(buf []byte, id uint64, shard uint32, order byte, seed int64,
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(col.Name)))
 		buf = append(buf, col.Name...)
 	}
-	return finishFrame(buf, start)
+	return wire.FinishFrame(buf, start)
 }
 
 // AppendRows encodes a SHARD_ROWS request carrying a chunk of encoded
@@ -193,25 +160,21 @@ func AppendRows(buf []byte, id uint64, shard uint32, records [][]byte) ([]byte, 
 	if len(records) == 0 {
 		return buf, fmt.Errorf("dist: SHARD_ROWS wants at least one record")
 	}
-	start := len(buf)
-	buf = append(buf, 0, 0, 0, 0)
-	buf = appendHeader(buf, OpShardRows, id)
+	buf, start := wire.StartFrame(buf, OpShardRows, id)
 	buf = binary.LittleEndian.AppendUint32(buf, shard)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(records)))
 	for _, rec := range records {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rec)))
 		buf = append(buf, rec...)
 	}
-	return finishFrame(buf, start)
+	return wire.FinishFrame(buf, start)
 }
 
 // AppendShardOnly encodes the bodyless shard ops: SEAL and FREE.
 func AppendShardOnly(buf []byte, op byte, id uint64, shard uint32) ([]byte, error) {
-	start := len(buf)
-	buf = append(buf, 0, 0, 0, 0)
-	buf = appendHeader(buf, op, id)
+	buf, start := wire.StartFrame(buf, op, id)
 	buf = binary.LittleEndian.AppendUint32(buf, shard)
-	return finishFrame(buf, start)
+	return wire.FinishFrame(buf, start)
 }
 
 // AppendStep encodes a SHARD_STEP request: run the shard's epoch from
@@ -224,9 +187,7 @@ func AppendStep(buf []byte, id uint64, shard uint32, epoch int, alpha float64, w
 	if epoch < 0 || epoch > maxEpoch {
 		return buf, fmt.Errorf("dist: epoch %d out of range", epoch)
 	}
-	start := len(buf)
-	buf = append(buf, 0, 0, 0, 0)
-	buf = appendHeader(buf, OpShardStep, id)
+	buf, start := wire.StartFrame(buf, OpShardStep, id)
 	buf = binary.LittleEndian.AppendUint32(buf, shard)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(epoch))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(alpha))
@@ -234,7 +195,7 @@ func AppendStep(buf []byte, id uint64, shard uint32, epoch int, alpha float64, w
 	for _, v := range w {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 	}
-	return finishFrame(buf, start)
+	return wire.FinishFrame(buf, start)
 }
 
 // AppendLoss encodes a SHARD_LOSS request: sum the shard's example losses
@@ -250,107 +211,18 @@ func AppendLoss(buf []byte, id uint64, shard uint32, epoch int, w []float64) ([]
 	if epoch < -1 || epoch > maxEpoch {
 		return buf, fmt.Errorf("dist: epoch %d out of range", epoch)
 	}
-	start := len(buf)
-	buf = append(buf, 0, 0, 0, 0)
-	buf = appendHeader(buf, OpShardLoss, id)
+	buf, start := wire.StartFrame(buf, OpShardLoss, id)
 	buf = binary.LittleEndian.AppendUint32(buf, shard)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(epoch)))
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(w)))
 	for _, v := range w {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 	}
-	return finishFrame(buf, start)
+	return wire.FinishFrame(buf, start)
 }
 
 // AppendOK encodes a success response frame (length prefix included) —
-// the executor side of the protocol. The layout matches the predict
-// frames byte for byte.
+// the executor side of the protocol; see wire.AppendOK.
 func AppendOK(buf []byte, id uint64, vals []float64) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(respHeader+2+8*len(vals)))
-	buf = append(buf, statusOK)
-	buf = binary.LittleEndian.AppendUint64(buf, id)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(vals)))
-	for _, v := range vals {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	return buf
-}
-
-// AppendErr encodes an error response frame (length prefix included);
-// long messages truncate to the u16 length field.
-func AppendErr(buf []byte, id uint64, msg string) []byte {
-	if len(msg) > math.MaxUint16 {
-		msg = msg[:math.MaxUint16]
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(respHeader+2+len(msg)))
-	buf = append(buf, statusErr)
-	buf = binary.LittleEndian.AppendUint64(buf, id)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(msg)))
-	buf = append(buf, msg...)
-	return buf
-}
-
-// RemoteError is an error the executor reported in a well-formed ERR
-// frame: the executor is alive and the request was delivered — the
-// failure is an application verdict, not a transport fault, so the
-// coordinator must not treat it as a lost node.
-type RemoteError struct {
-	Msg string
-}
-
-// Error implements error.
-func (e *RemoteError) Error() string { return e.Msg }
-
-// decodeResponse parses a response payload into dst (reused when large
-// enough). A statusErr payload returns (*RemoteError); malformed payloads
-// return ordinary errors, which callers treat as transport faults.
-func decodeResponse(payload []byte, dst []float64) (id uint64, vals []float64, err error) {
-	if len(payload) < respHeader+2 {
-		return 0, nil, fmt.Errorf("dist: response payload %d bytes, header alone is %d", len(payload), respHeader+2)
-	}
-	status := payload[0]
-	id = binary.LittleEndian.Uint64(payload[1:9])
-	n := int(binary.LittleEndian.Uint16(payload[9:11]))
-	rest := payload[11:]
-	switch status {
-	case statusOK:
-		if len(rest) != 8*n {
-			return id, nil, fmt.Errorf("dist: response carries %d value bytes, header says %d values", len(rest), n)
-		}
-		if cap(dst) < n {
-			dst = make([]float64, n)
-		}
-		vals = dst[:n]
-		for i := range vals {
-			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[8*i:]))
-		}
-		return id, vals, nil
-	case statusErr:
-		if len(rest) != n {
-			return id, nil, fmt.Errorf("dist: response carries %d message bytes, header says %d", len(rest), n)
-		}
-		msg := string(rest)
-		if msg == "" {
-			msg = "unspecified executor error"
-		}
-		return id, nil, &RemoteError{Msg: msg}
-	}
-	return id, nil, fmt.Errorf("dist: unknown response status %d", status)
-}
-
-// u16str reads a u16-length-prefixed byte string, returning it with the
-// remaining buffer.
-func u16str(buf []byte, what string, maxLen int) ([]byte, []byte, error) {
-	if len(buf) < 2 {
-		return nil, nil, fmt.Errorf("dist: frame truncated before %s length", what)
-	}
-	n := int(binary.LittleEndian.Uint16(buf))
-	if n > maxLen {
-		return nil, nil, fmt.Errorf("dist: %s length %d exceeds %d", what, n, maxLen)
-	}
-	buf = buf[2:]
-	if len(buf) < n {
-		return nil, nil, fmt.Errorf("dist: frame truncated inside %s", what)
-	}
-	return buf[:n], buf[n:], nil
+	return wire.AppendOK(buf, id, vals)
 }

@@ -28,11 +28,6 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig is the standard full-run configuration.
-func DefaultConfig() Config {
-	return Config{Scale: 1.0, Workers: 8, Budget: 15 * time.Second, Seed: 42}
-}
-
 func (c Config) scale(n int) int {
 	s := c.Scale
 	if s <= 0 {

@@ -2,24 +2,12 @@ package serve
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"sync/atomic"
 	"time"
+
+	"bismarck/internal/wire"
 )
-
-// BusyError is the typed load-shedding rejection: the serving queue is
-// full. RetryAfterMS is the plane's estimate (from the service-time EWMA
-// and current backlog) of when capacity frees up; clients should back off
-// at least that long. The server renders it as "ERR busy ..." so clients
-// can distinguish shed load from real failures.
-type BusyError struct {
-	RetryAfterMS int64
-}
-
-func (e *BusyError) Error() string {
-	return fmt.Sprintf("busy: serving queue full, retry_after_ms=%d", e.RetryAfterMS)
-}
 
 // ErrCanceled reports a request whose cancel channel closed while it was
 // queued for a slot (or before it started): it held no slot when it
@@ -77,7 +65,7 @@ type Ticket struct {
 // Do admits one request, waits for a slot (or returns ErrCanceled when
 // cancel closes first; a nil cancel never fires), runs fn holding the
 // slot, and releases it in a defer — a panicking fn frees its slot too. A
-// full queue sheds with *BusyError before anything waits.
+// full queue sheds with *wire.BusyError before anything waits.
 func (g *Gate) Do(cancel <-chan struct{}, fn func()) error {
 	t, err := g.Admit()
 	if err != nil {
@@ -93,7 +81,7 @@ func (g *Gate) Do(cancel <-chan struct{}, fn func()) error {
 
 // Admit decides synchronously whether this request may proceed. A free
 // slot admits immediately; otherwise the request joins the wait queue if
-// it has room, and is rejected with *BusyError when it does not.
+// it has room, and is rejected with *wire.BusyError when it does not.
 func (g *Gate) Admit() (Ticket, error) {
 	select {
 	case g.slots <- struct{}{}:
@@ -102,7 +90,7 @@ func (g *Gate) Admit() (Ticket, error) {
 	}
 	if q := g.queued.Add(1); q > g.maxQueue {
 		g.queued.Add(-1)
-		return Ticket{}, &BusyError{RetryAfterMS: g.retryAfterMS()}
+		return Ticket{}, &wire.BusyError{RetryAfterMS: g.retryAfterMS()}
 	}
 	return Ticket{g: g, inQ: true}, nil
 }
@@ -116,7 +104,7 @@ func (g *Gate) Admit() (Ticket, error) {
 func (g *Gate) admitQueued() (Ticket, error) {
 	if q := g.queued.Add(1); q > g.maxQueue {
 		g.queued.Add(-1)
-		return Ticket{}, &BusyError{RetryAfterMS: g.retryAfterMS()}
+		return Ticket{}, &wire.BusyError{RetryAfterMS: g.retryAfterMS()}
 	}
 	return Ticket{g: g, inQ: true}, nil
 }

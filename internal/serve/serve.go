@@ -13,7 +13,7 @@
 //     bumping a counter, never by broadcasting to readers.
 //   - Gate is admission control: a fixed number of scoring slots plus a
 //     bounded wait queue. Beyond the queue the plane sheds load with a
-//     typed BusyError carrying a retry-after hint, so an overloaded
+//     typed wire.BusyError carrying a retry-after hint, so an overloaded
 //     server degrades into fast rejections instead of goroutine pileups.
 //     Admission is two-level: the global gate bounds the whole plane, and
 //     a per-model gate bounds each model's share of it, so one hot model
@@ -149,7 +149,7 @@ type admission struct {
 }
 
 // admit decides synchronously whether a request against the model may
-// proceed. Shedding at either level returns *BusyError — with the retry
+// proceed. Shedding at either level returns *wire.BusyError — with the retry
 // hint of the gate that shed — and counts against the model's shed
 // counter; nothing is spawned or queued for a shed request.
 //
@@ -212,7 +212,7 @@ func (a *admission) release() {
 // (or returns ErrCanceled when cancel closes first; nil never fires),
 // scores, and releases in a defer.
 //
-// An overloaded plane returns *BusyError (with a retry-after hint)
+// An overloaded plane returns *wire.BusyError (with a retry-after hint)
 // without touching the cache. A model that does not exist returns
 // *sqlish.UnknownModelError. On the steady-state path — cache hit, warm
 // scratch — Do takes no per-name locks and performs zero heap
@@ -232,7 +232,7 @@ func (p *Plane) Predict(model string, points [][]float64, scores []float64) (uin
 
 // Go is Do handed off to one worker goroutine, for callers that must not
 // block their reader (pipelined text frames). Admission is decided here,
-// in the caller: a shed returns *BusyError and spawns nothing. Otherwise
+// in the caller: a shed returns *wire.BusyError and spawns nothing. Otherwise
 // Go adds one worker to wg and returns nil. The worker waits for its
 // slots, scores into a fresh buffer, releases, and only then calls reply.
 // When cancel closes before scoring starts, the worker returns every

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"bismarck/internal/wire"
 )
 
 // TestTicketCancelReleasesQueueAccounting is the slot-leak regression at
@@ -273,9 +275,9 @@ func TestPerModelAdmission(t *testing.T) {
 		t.Fatalf("hot's queue slot should admit: %v", err)
 	}
 	_, err = r.plane.admit("hot")
-	var busy *BusyError
+	var busy *wire.BusyError
 	if !errors.As(err, &busy) {
-		t.Fatalf("want *BusyError for saturated model, got %T: %v", err, err)
+		t.Fatalf("want *wire.BusyError for saturated model, got %T: %v", err, err)
 	}
 
 	// The global gate is far from full: a different model still admits and
@@ -335,7 +337,7 @@ func TestAdmissionCancelDuringModelWait(t *testing.T) {
 	scores := make([]float64, 1)
 	if _, err := r.plane.Predict("hot", [][]float64{{1, 1}}, scores); err == nil {
 		t.Fatal("predict on an untrained model should fail at scoring")
-	} else if errors.As(err, new(*BusyError)) {
+	} else if errors.As(err, new(*wire.BusyError)) {
 		t.Fatalf("gates did not recover after cancel: %v", err)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"bismarck/internal/sqlish"
 	"bismarck/internal/tasks"
 	"bismarck/internal/vector"
+	"bismarck/internal/wire"
 )
 
 // mapGuard is a minimal sqlish.Guard for tests (the real server installs
@@ -188,9 +189,9 @@ func TestGateShedding(t *testing.T) {
 
 	// The next request is shed with a typed, hinted rejection.
 	_, err = g.Admit()
-	var busy *BusyError
+	var busy *wire.BusyError
 	if !errors.As(err, &busy) {
-		t.Fatalf("want *BusyError, got %T: %v", err, err)
+		t.Fatalf("want *wire.BusyError, got %T: %v", err, err)
 	}
 	if busy.RetryAfterMS < 1 {
 		t.Fatalf("retry hint %dms, want >= 1", busy.RetryAfterMS)
@@ -269,7 +270,7 @@ func TestPredictDuringRetrainRace(t *testing.T) {
 				}
 				gen, err := r.plane.Predict("m", points, scores)
 				if err != nil {
-					var busy *BusyError
+					var busy *wire.BusyError
 					if errors.As(err, &busy) {
 						continue // shed load is a valid answer under hammering
 					}

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"sync"
@@ -12,16 +11,13 @@ import (
 	"bismarck/internal/dist"
 	"bismarck/internal/serve"
 	"bismarck/internal/spec"
+	"bismarck/internal/wire"
 )
 
 // Binary frames are the negotiated high-rate encoding for pipelined
-// point-PREDICT (see proto.go for the "@bin" handshake). After the
-// handshake the connection carries length-prefixed frames exclusively,
-// both directions:
-//
-//	u32 LE payload length | payload
-//
-// Request payload (client → server):
+// point-PREDICT (see proto.go for the "@bin" handshake). internal/wire
+// owns the framing, the request header and the response codec, shared
+// with the distributed executors; this file owns only the predict body:
 //
 //	u8  opcode        — 1 = predict
 //	u64 LE id         — client-chosen, >= 1 (0 reserved, as in text frames)
@@ -29,12 +25,7 @@ import (
 //	u16 LE npoints    | u16 LE arity
 //	f64 LE × npoints×arity — point values, row-major
 //
-// Response payload (server → client):
-//
-//	u8  status        — 0 = OK, 1 = ERR
-//	u64 LE id
-//	OK:  u16 LE n | f64 LE × n scores
-//	ERR: u16 LE len | message bytes
+// and answers with wire's OK (the scores), ERR or BUSY frames.
 //
 // Batches are rectangular by construction (one arity for the whole
 // frame), which is also what the text grammar accepts for a single
@@ -43,16 +34,8 @@ import (
 // binary path — decode, admit, score, encode — performs zero heap
 // allocations per request, reusing one set of buffers per connection.
 const (
-	binOpPredict  = 1
-	binStatusOK   = 0
-	binStatusErr  = 1
-	binReqHeader  = 1 + 8 + 2 // opcode, id, model length
-	binRespHeader = 1 + 8     // status, id
-
-	// maxBinFrameBytes caps one frame's payload, mirroring the text
-	// protocol's line cap: a peer announcing a huge length must not make
-	// us allocate it.
-	maxBinFrameBytes = 1 << 20
+	binOpPredict = 1
+	binReqHeader = wire.HeaderBytes + 2 // opcode, id, model length
 )
 
 // appendBinRequest encodes one predict request frame (length prefix
@@ -77,13 +60,10 @@ func appendBinRequest(buf []byte, id uint64, model string, points [][]float64) (
 			return buf, fmt.Errorf("server: binary frames are rectangular: point %d has %d values, point 0 has %d", i, len(row), arity)
 		}
 	}
-	payload := binReqHeader + len(model) + 4 + 8*len(points)*arity
-	if payload > maxBinFrameBytes {
-		return buf, fmt.Errorf("server: binary frame payload %d exceeds %d bytes", payload, maxBinFrameBytes)
+	if payload := binReqHeader + len(model) + 4 + 8*len(points)*arity; payload > wire.MaxFrameBytes {
+		return buf, fmt.Errorf("server: binary frame payload %d exceeds %d bytes", payload, wire.MaxFrameBytes)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(payload))
-	buf = append(buf, binOpPredict)
-	buf = binary.LittleEndian.AppendUint64(buf, id)
+	buf, start := wire.StartFrame(buf, binOpPredict, id)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(model)))
 	buf = append(buf, model...)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(points)))
@@ -93,7 +73,7 @@ func appendBinRequest(buf []byte, id uint64, model string, points [][]float64) (
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 		}
 	}
-	return buf, nil
+	return wire.FinishFrame(buf, start)
 }
 
 // binRequest is one decoded predict request. Its slices view or reuse
@@ -111,33 +91,32 @@ type binRequest struct {
 // as soon as the header parses so the caller can attribute errors from
 // the rest of the payload to the client's id.
 func (r *binRequest) decode(payload []byte) error {
-	r.id = 0
-	if len(payload) < binReqHeader {
-		return fmt.Errorf("server: binary frame payload %d bytes, header alone is %d", len(payload), binReqHeader)
+	op, id, rest, err := wire.ParseHeader(payload)
+	r.id = id
+	if err != nil {
+		return err
 	}
-	op := payload[0]
-	r.id = binary.LittleEndian.Uint64(payload[1:9])
-	mlen := int(binary.LittleEndian.Uint16(payload[9:11]))
 	if op != binOpPredict {
 		return fmt.Errorf("server: unknown binary frame opcode %d", op)
 	}
 	if r.id == 0 {
 		return fmt.Errorf("server: frame id 0 is reserved for unattributable errors; use ids >= 1")
 	}
-	rest := payload[binReqHeader:]
-	if len(rest) < mlen+4 {
-		return fmt.Errorf("server: binary frame truncated inside model name")
+	if r.model, rest, err = wire.U16Str(rest, "model name", math.MaxUint16); err != nil {
+		return err
 	}
-	r.model = rest[:mlen]
-	npoints := int(binary.LittleEndian.Uint16(rest[mlen:]))
-	arity := int(binary.LittleEndian.Uint16(rest[mlen+2:]))
+	if len(rest) < 4 {
+		return fmt.Errorf("server: binary frame truncated before its batch shape")
+	}
+	npoints := int(binary.LittleEndian.Uint16(rest))
+	arity := int(binary.LittleEndian.Uint16(rest[2:]))
 	if npoints == 0 || npoints > spec.MaxPointBatch {
 		return fmt.Errorf("server: binary frame batch of %d points (want 1..%d)", npoints, spec.MaxPointBatch)
 	}
 	if arity == 0 || arity > spec.MaxPointValues {
 		return fmt.Errorf("server: binary frame arity %d (want 1..%d)", arity, spec.MaxPointValues)
 	}
-	vals := rest[mlen+4:]
+	vals := rest[4:]
 	if len(vals) != 8*npoints*arity {
 		return fmt.Errorf("server: binary frame carries %d value bytes, %d×%d points need %d", len(vals), npoints, arity, 8*npoints*arity)
 	}
@@ -159,92 +138,6 @@ func (r *binRequest) decode(payload []byte) error {
 	return nil
 }
 
-// appendBinOK encodes a success response frame (length prefix included).
-func appendBinOK(buf []byte, id uint64, scores []float64) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(binRespHeader+2+8*len(scores)))
-	buf = append(buf, binStatusOK)
-	buf = binary.LittleEndian.AppendUint64(buf, id)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(scores)))
-	for _, v := range scores {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	return buf
-}
-
-// appendBinErr encodes an error response frame (length prefix included).
-// Long messages are truncated to the u16 length field.
-func appendBinErr(buf []byte, id uint64, msg string) []byte {
-	if len(msg) > math.MaxUint16 {
-		msg = msg[:math.MaxUint16]
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(binRespHeader+2+len(msg)))
-	buf = append(buf, binStatusErr)
-	buf = binary.LittleEndian.AppendUint64(buf, id)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(msg)))
-	buf = append(buf, msg...)
-	return buf
-}
-
-// readBinFrame reads one length-prefixed frame, reusing *buf as the
-// payload buffer (grown as needed). The returned slice aliases *buf and
-// is valid until the next call.
-func readBinFrame(r io.Reader, buf *[]byte) ([]byte, error) {
-	// The length prefix is read into *buf too: a local array would escape
-	// through the io.Reader call and cost an allocation per frame.
-	if cap(*buf) < 4 {
-		*buf = make([]byte, 4)
-	}
-	hdr := (*buf)[:4]
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr)
-	if n == 0 || n > maxBinFrameBytes {
-		return nil, fmt.Errorf("server: binary frame length %d (want 1..%d)", n, maxBinFrameBytes)
-	}
-	if cap(*buf) < int(n) {
-		*buf = make([]byte, n)
-	}
-	*buf = (*buf)[:n]
-	if _, err := io.ReadFull(r, *buf); err != nil {
-		return nil, err
-	}
-	return *buf, nil
-}
-
-// decodeBinResponse parses a response payload into the client's Frame
-// shape (scores allocated fresh — the client side is not the hot path).
-func decodeBinResponse(payload []byte) (Frame, error) {
-	if len(payload) < binRespHeader+2 {
-		return Frame{}, fmt.Errorf("server: binary response payload %d bytes, header alone is %d", len(payload), binRespHeader+2)
-	}
-	status := payload[0]
-	f := Frame{ID: binary.LittleEndian.Uint64(payload[1:9])}
-	n := int(binary.LittleEndian.Uint16(payload[9:11]))
-	rest := payload[11:]
-	switch status {
-	case binStatusOK:
-		if len(rest) != 8*n {
-			return Frame{}, fmt.Errorf("server: binary response carries %d score bytes, header says %d scores", len(rest), n)
-		}
-		f.Scores = make([]float64, n)
-		for i := range f.Scores {
-			f.Scores[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[8*i:]))
-		}
-	case binStatusErr:
-		if len(rest) != n {
-			return Frame{}, fmt.Errorf("server: binary response carries %d message bytes, header says %d", len(rest), n)
-		}
-		f.Err = string(rest)
-		if f.Err == "" {
-			f.Err = "unspecified server error"
-		}
-	default:
-		return Frame{}, fmt.Errorf("server: unknown binary response status %d", status)
-	}
-	return f, nil
-}
-
 // binSession is one binary-mode connection's serving state: the decoded
 // request, the scores and output buffers, and the memoized model name.
 // All of it is reused frame to frame — after warm-up, handling a request
@@ -263,7 +156,7 @@ type binSession struct {
 // error frame for the client.
 func (b *binSession) handle(payload []byte, cancel <-chan struct{}) bool {
 	if err := b.req.decode(payload); err != nil {
-		b.out = appendBinErr(b.out[:0], b.req.id, oneLine(err.Error()))
+		b.out = wire.AppendError(b.out[:0], b.req.id, err)
 		return true
 	}
 	// Scoring wants a string key; pipelining clients hammer one model, so
@@ -280,10 +173,10 @@ func (b *binSession) handle(payload []byte, cancel <-chan struct{}) bool {
 		if err == serve.ErrCanceled {
 			return false
 		}
-		b.out = appendBinErr(b.out[:0], b.req.id, oneLine(err.Error()))
+		b.out = wire.AppendError(b.out[:0], b.req.id, err)
 		return true
 	}
-	b.out = appendBinOK(b.out[:0], b.req.id, b.scores)
+	b.out = wire.AppendOK(b.out[:0], b.req.id, b.scores)
 	return true
 }
 
@@ -313,7 +206,7 @@ func (s *TCPServer) serveBinary(conn net.Conn, w *bufio.Writer, wmu *sync.Mutex,
 	}()
 	var payload []byte
 	for {
-		p, err := readBinFrame(br, &payload)
+		p, err := wire.ReadFrame(br, &payload)
 		if err != nil {
 			return
 		}

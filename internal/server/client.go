@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"bismarck/internal/spec"
+	"bismarck/internal/wire"
 )
 
 // Client speaks the bismarckd wire protocol: one statement out, one
@@ -251,11 +252,26 @@ func (c *Client) ReadBinFrame() (Frame, error) {
 	if c.br == nil {
 		return Frame{}, fmt.Errorf("server: ReadBinFrame before Binary() negotiated binary mode")
 	}
-	payload, err := readBinFrame(c.br, &c.recvBuf)
+	payload, err := wire.ReadFrame(c.br, &c.recvBuf)
 	if err != nil {
 		return Frame{}, err
 	}
-	return decodeBinResponse(payload)
+	return binFrame(payload)
+}
+
+// binFrame turns a binary response payload into the client's Frame: an
+// ERR or BUSY verdict lands in Frame.Err, rendered as the line protocol
+// renders it, and scores are allocated fresh (the client side is not the
+// hot path).
+func binFrame(payload []byte) (Frame, error) {
+	id, scores, err := wire.DecodeResponse(payload, nil)
+	switch err.(type) {
+	case nil:
+		return Frame{ID: id, Scores: scores}, nil
+	case *wire.RemoteError, *wire.BusyError:
+		return Frame{ID: id, Err: err.Error()}, nil
+	}
+	return Frame{}, err
 }
 
 // Close closes the connection.

@@ -17,10 +17,10 @@ import (
 	"bismarck/internal/engine"
 	"bismarck/internal/ordering"
 	"bismarck/internal/parallel"
-	"bismarck/internal/serve"
 	"bismarck/internal/spec"
 	"bismarck/internal/tasks"
 	"bismarck/internal/vector"
+	"bismarck/internal/wire"
 )
 
 // These tests drive the distributed training plane end to end against
@@ -386,7 +386,7 @@ func TestDistributedExecutorLossCrashMatrix(t *testing.T) {
 
 // TestDistributedBusyExecutorBacksOff pins the shed-load contract end to
 // end: an executor whose gate sheds two admissions with a real
-// *serve.BusyError (the exact rendering the daemon sends) must slow the
+// *wire.BusyError (the exact rendering the daemon sends) must slow the
 // coordinator down, never fail it — and the result must still be
 // bit-identical to the in-process run. Admission #3 is shard 0's SEAL
 // (shipping is sequential, so that index is deterministic), exercising
@@ -419,8 +419,8 @@ func TestDistributedBusyExecutorBacksOff(t *testing.T) {
 }
 
 // busyAtGate sheds the admissions whose 1-based index is in shedAt with a
-// genuine *serve.BusyError — so the coordinator parses the same message
-// the production gate emits. shedAt is read-only after construction.
+// genuine *wire.BusyError — so the coordinator gets the same BUSY frame
+// the production gate's rejection produces. shedAt is read-only after construction.
 type busyAtGate struct {
 	shedAt     map[int64]bool
 	n          atomic.Int64
@@ -430,7 +430,7 @@ type busyAtGate struct {
 func (g *busyAtGate) Do(fn func()) (bool, error) {
 	if g.shedAt[g.n.Add(1)] {
 		g.rejections.Add(1)
-		return true, &serve.BusyError{RetryAfterMS: 1}
+		return true, &wire.BusyError{RetryAfterMS: 1}
 	}
 	fn()
 	return true, nil
@@ -470,7 +470,7 @@ func startFakeExecutor(t *testing.T, gate dist.Gate) string {
 				defer ex.Close()
 				var payload []byte
 				for {
-					p, err := readBinFrame(br, &payload)
+					p, err := wire.ReadFrame(br, &payload)
 					if err != nil {
 						return
 					}

@@ -12,7 +12,7 @@ import (
 // per-connection dist.Executor whose tasks rebuild from the spec registry
 // — the exact metadata-only path model snapshots use — and whose requests
 // pass through a dedicated admission gate, so a storm of STEP frames
-// sheds with the same "busy: ... retry_after_ms" contract as point
+// sheds with the same BUSY frame and retry_after_ms hint as point
 // predicts instead of oversubscribing the daemon.
 
 // buildRegistryTask rebuilds a training task from its registry name and
@@ -33,10 +33,11 @@ func buildRegistryTask(name string, params map[string]string) (core.Task, error)
 }
 
 // execGate adapts a serve.Gate (plus the connection ctx's Done channel)
-// to dist.Gate: synchronous shed with the retry-after hint the coordinator
-// parses, a cancellable wait for a slot, and ok=false at shutdown so the
-// binary loop tears the connection down instead of answering. The slot is
-// released inside serve.Gate.Do; nothing to release crosses into dist.
+// to dist.Gate: a synchronous shed passes the gate's *wire.BusyError up
+// as is (the executor answers it with a BUSY frame), the wait for a slot
+// is cancellable, and ok=false at shutdown makes the binary loop tear the
+// connection down instead of answering. The slot is released inside
+// serve.Gate.Do; nothing to release crosses into dist.
 type execGate struct {
 	g    *serve.Gate
 	done <-chan struct{}

@@ -138,10 +138,13 @@ func (j *Job) settle(err error, output string) {
 }
 
 // requestCancel cancels the job's ctx, so a running job stops before its
-// next epoch or its commit, and returns cancelIfQueued's state.
+// next epoch or its commit, and returns cancelIfQueued's state — taken
+// before the ctx is canceled, or a queued job's own goroutine could settle
+// it in between and the caller would report "already canceled".
 func (j *Job) requestCancel() JobState {
+	was := j.cancelIfQueued()
 	j.stop()
-	return j.cancelIfQueued()
+	return was
 }
 
 // cancelIfQueued settles a queued job canceled and stops its ctx (it never
@@ -178,7 +181,7 @@ type scheduler struct {
 
 // submit admits a heavy statement and starts its job under a ctx parented
 // on ctx. Admission happens under the scheduler mutex before an id is
-// taken, so a shed (*serve.BusyError) takes no job id and drain cannot
+// taken, so a shed (*wire.BusyError) takes no job id and drain cannot
 // miss a job that is about to start.
 func (s *scheduler) submit(ctx context.Context, st *spec.Statement, text string) (*Job, error) {
 	s.mu.Lock()

@@ -9,6 +9,7 @@ import (
 	"bismarck/internal/engine"
 	"bismarck/internal/tasks"
 	"bismarck/internal/vector"
+	"bismarck/internal/wire"
 )
 
 // seedSignSets creates two constant-label training sets over the same
@@ -152,6 +153,29 @@ func TestFrameBusyShedding(t *testing.T) {
 	}
 	if !strings.Contains(f.Err, "busy") || !strings.Contains(f.Err, "retry_after_ms=") {
 		t.Fatalf("want typed busy + retry hint, got %q", f.Err)
+	}
+
+	// The @bin leg: the shed travels as a BUSY frame, and the client
+	// renders it into exactly the text the line protocol carries.
+	bc, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bc.Close()
+	if err := bc.Binary(); err != nil {
+		t.Fatal(err)
+	}
+	if err := bc.SendBinPredict(3, "m", [][]float64{{1, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	bf, err := bc.ReadBinFrame()
+	if err != nil || bf.ID != 3 || bf.Scores != nil {
+		t.Fatalf("busy binary frame: %+v, %v", bf, err)
+	}
+	var hint int64
+	if _, err := fmt.Sscanf(bf.Err, "busy: serving queue full, retry_after_ms=%d", &hint); err != nil || hint < 1 ||
+		bf.Err != (&wire.BusyError{RetryAfterMS: hint}).Error() {
+		t.Fatalf("binary shed renders %q, want the *wire.BusyError text with a hint >= 1", bf.Err)
 	}
 
 	// Release capacity: the plane serves again.

@@ -12,6 +12,7 @@ import (
 
 	"bismarck/internal/dist"
 	"bismarck/internal/spec"
+	"bismarck/internal/wire"
 )
 
 // The wire protocol is line-oriented and human-usable over nc:
@@ -52,9 +53,10 @@ import (
 // Binary frames are the negotiated high-rate encoding: a client sends the
 // line "@bin" (where a statement could start) and, after the server
 // answers "@bin OK", the connection speaks length-prefixed binary frames
-// exclusively — see binframe.go for the layout. The handshake is
-// request/response: the client must not send binary bytes until the ack
-// arrives, and any text frames still in flight are answered before it.
+// exclusively — see internal/wire for the framing and binframe.go for the
+// predict body. The handshake is request/response: the client must not
+// send binary bytes until the ack arrives, and any text frames still in
+// flight are answered before it.
 
 // maxStatementBytes caps one connection's accumulated statement buffer.
 const maxStatementBytes = 1 << 20
@@ -62,19 +64,19 @@ const maxStatementBytes = 1 << 20
 // Protocol framing tokens.
 const (
 	// BodyPrefix starts every response body line.
-	BodyPrefix = "| "
+	BodyPrefix = wire.BodyPrefix
 	// TermOK terminates a successful statement response.
-	TermOK = "OK"
+	TermOK = wire.TermOK
 	// TermErr (plus a space and the message) terminates a failed one.
-	TermErr = "ERR"
+	TermErr = wire.TermErr
 	// FramePrefix starts a pipelined request or response frame.
 	FramePrefix = "@"
 	// BinHello is the binary-encoding negotiation line; the server
 	// acknowledges with BinHelloOK and switches the connection to
 	// length-prefixed binary frames.
-	BinHello = "@bin"
+	BinHello = wire.Hello
 	// BinHelloOK acknowledges BinHello.
-	BinHelloOK = "@bin OK"
+	BinHelloOK = wire.HelloOK
 )
 
 // TCPServer serves a Manager over a listener, one session per connection.

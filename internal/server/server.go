@@ -62,7 +62,7 @@ type Options struct {
 	ServeModelQueue    int
 	// ExecInflight / ExecQueue size the distributed-executor admission
 	// gate: concurrent shard-op slots and the bounded wait queue beyond
-	// which executor frames shed with "ERR busy" (0 = the gate's
+	// which executor frames shed with a busy frame (0 = the gate's
 	// defaults, GOMAXPROCS and 4× that).
 	ExecInflight int
 	ExecQueue    int

@@ -12,8 +12,8 @@ import (
 
 	"bismarck/internal/data"
 	"bismarck/internal/engine"
-	"bismarck/internal/serve"
 	"bismarck/internal/sqlish"
+	"bismarck/internal/wire"
 )
 
 // seedPapers copies a Forest classification table into the manager's
@@ -569,7 +569,7 @@ func TestWaitJobUnblocksOnServerClose(t *testing.T) {
 // TestJobGateBusyShedsSyncAndAsync: every heavy statement passes one job
 // gate. With its one slot parked at a save boundary and its queue full,
 // the next sync and the next ASYNC statement each shed with
-// *serve.BusyError — in process, and as "ERR busy: ... retry_after_ms="
+// *wire.BusyError — in process, and as "ERR busy: ... retry_after_ms="
 // over the wire — and take no job id. A sync statement's reply is still
 // its own error value.
 func TestJobGateBusyShedsSyncAndAsync(t *testing.T) {
@@ -601,9 +601,9 @@ func TestJobGateBusyShedsSyncAndAsync(t *testing.T) {
 	defer c.Close()
 	const async = `SELECT vec, label FROM papers TO TRAIN lr WITH epochs=1 INTO x ASYNC;`
 	for _, stmt := range []string{`SELECT * FROM papers TO EVALUATE USING parked;`, async} {
-		var busy *serve.BusyError
+		var busy *wire.BusyError
 		if err := s.Exec(stmt); !errors.As(err, &busy) {
-			t.Fatalf("%s\n=> %v, want *serve.BusyError", stmt, err)
+			t.Fatalf("%s\n=> %v, want *wire.BusyError", stmt, err)
 		}
 		if _, err := c.Exec(stmt); err == nil || !strings.HasPrefix(err.Error(), "busy: ") ||
 			!strings.Contains(err.Error(), "retry_after_ms=") {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"bismarck/internal/engine"
+	"bismarck/internal/wire"
 )
 
 // waitUntil polls cond until it holds or the deadline passes.
@@ -436,7 +437,7 @@ func TestBinFrameZeroAlloc(t *testing.T) {
 	if !b.handle(payload, nil) { // warm: fill, scratch, buffers, model memo
 		t.Fatal("handle reported teardown")
 	}
-	if f, err := decodeBinResponse(b.out[4:]); err != nil || f.Err != "" || len(f.Scores) != 3 {
+	if f, err := binFrame(b.out[4:]); err != nil || f.Err != "" || len(f.Scores) != 3 {
 		t.Fatalf("warm-up response: %+v, %v", f, err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
@@ -452,13 +453,13 @@ func TestBinFrameZeroAlloc(t *testing.T) {
 	// loop's frame reader and the error encoder, both over reused buffers.
 	rd := bytes.NewReader(req)
 	var frame []byte
-	out := appendBinErr(nil, 1, "warm")
+	out := wire.AppendErr(nil, 1, "warm")
 	allocs = testing.AllocsPerRun(200, func() {
 		rd.Reset(req)
-		if _, err := readBinFrame(rd, &frame); err != nil {
+		if _, err := wire.ReadFrame(rd, &frame); err != nil {
 			t.Fatal(err)
 		}
-		out = appendBinErr(out[:0], 7, "busy: retry_after_ms=3")
+		out = wire.AppendErr(out[:0], 7, "busy: retry_after_ms=3")
 	})
 	if allocs != 0 {
 		t.Fatalf("frame read + error encode allocate %v/op, want 0", allocs)
