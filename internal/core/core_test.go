@@ -126,14 +126,6 @@ func TestProjectSimplexIsNearestPoint2D(t *testing.T) {
 	}
 }
 
-func TestProjectBox(t *testing.T) {
-	w := vector.Dense{-2, 0.5, 7}
-	ProjectBox(w, 0, 1)
-	if w[0] != 0 || w[1] != 0.5 || w[2] != 1 {
-		t.Fatalf("ProjectBox = %v", w)
-	}
-}
-
 // --- step rules ---
 
 func TestStepRules(t *testing.T) {

@@ -83,14 +83,3 @@ func ProjectSimplex(w vector.Dense) {
 		w[i] = math.Max(w[i]-theta, 0)
 	}
 }
-
-// ProjectBox clamps every component of w into [lo, hi] in place.
-func ProjectBox(w vector.Dense, lo, hi float64) {
-	for i, x := range w {
-		if x < lo {
-			w[i] = lo
-		} else if x > hi {
-			w[i] = hi
-		}
-	}
-}

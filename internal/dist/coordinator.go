@@ -368,7 +368,7 @@ func (co *Coordinator) ship(shard int) error {
 			continue
 		}
 		var rerr *wire.RemoteError
-		if asRemote(err, &rerr) {
+		if errors.As(err, &rerr) {
 			// The executor is alive and said no: deterministic, fatal.
 			return fmt.Errorf("dist: executor %s rejected shard %d: %w", conn.addr, shard, rerr)
 		}
@@ -398,7 +398,7 @@ func (co *Coordinator) freeShard(c *execConn, shard int) error {
 			return nil
 		}
 		var rerr *wire.RemoteError
-		if !asRemote(err, &rerr) {
+		if !errors.As(err, &rerr) {
 			return err
 		}
 		return nil
@@ -438,22 +438,6 @@ func (co *Coordinator) shipTo(c *execConn, shard int) error {
 	return nil
 }
 
-// asRemote reports whether err (or anything it wraps) is a *wire.RemoteError.
-func asRemote(err error, target **wire.RemoteError) bool {
-	for err != nil {
-		if re, ok := err.(*wire.RemoteError); ok {
-			*target = re
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
-}
-
 // remoteShard is the parallel.ShardRunner over one remote shard. Its
 // value scratch is private to the shard's epoch worker goroutine.
 type remoteShard struct {
@@ -463,7 +447,7 @@ type remoteShard struct {
 	vals []float64
 	// stepped is the newest epoch this shard has completed (-1 before the
 	// first). LOSS frames carry it so a mid-loss-pass requeue replays the
-	// ordering stream before summing — see Executor.lossAt.
+	// ordering stream before summing — see parallel.Shard.CatchUp.
 	stepped int
 }
 
@@ -535,7 +519,7 @@ func (r *remoteShard) call(epoch int, build func(buf []byte, id uint64) ([]byte,
 			continue
 		}
 		var rerr *wire.RemoteError
-		if asRemote(err, &rerr) {
+		if errors.As(err, &rerr) {
 			return nil, fmt.Errorf("dist: shard %d on executor %s: %w", r.idx, conn.addr, rerr)
 		}
 		// Transport fault: the executor is lost; requeue via ownerConn.

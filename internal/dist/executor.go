@@ -4,11 +4,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"bismarck/internal/core"
 	"bismarck/internal/engine"
 	"bismarck/internal/ordering"
+	"bismarck/internal/parallel"
 	"bismarck/internal/vector"
 	"bismarck/internal/wire"
 )
@@ -47,42 +47,18 @@ type ExecutorHooks struct {
 // not OOM it with an unbounded table.
 const maxExecutorBytes = 256 << 20
 
-// execShard is one loaded shard's training state: the shard heap, its
-// epoch pipeline, the ordering replay cursor, and the task replica.
+// execShard is what the wire needs of one loaded shard: the shard heap
+// and the scratch that decodes every shipped record under the declared
+// schema, the LOAD parameters, the accepted row count, and — once SEAL has
+// flushed the heap — the shard runner every STEP and LOSS calls.
 type execShard struct {
 	tbl     *engine.Table
-	scratch *engine.TupleScratch // decodes every shipped record under the declared schema
+	scratch *engine.TupleScratch
 	task    core.Task
 	order   core.OrderStrategy
-	rng     *rand.Rand
-	src     engine.Relation
-	prepare func(epoch int, rng *rand.Rand) error
+	seed    int64
 	rows    int
-	sealed  bool
-
-	// lastEpoch is the newest epoch whose ordering preparation has run;
-	// STEP(e) replays lastEpoch+1..e in sequence so the rng stream — and
-	// with it the scan order — is identical whether the shard lived here
-	// from epoch 0 or was requeued from a lost executor mid-run.
-	lastEpoch int
-
-	model core.DenseModel
-	// step/loss state pre-bound exactly like the in-process runner.
-	alpha   float64
-	cur     vector.Dense
-	partial float64
-	stepFn  func(engine.Tuple) error
-	lossFn  func(engine.Tuple) error
-}
-
-func (sh *execShard) step(tp engine.Tuple) error {
-	sh.task.Step(&sh.model, tp, sh.alpha)
-	return nil
-}
-
-func (sh *execShard) loss(tp engine.Tuple) error {
-	sh.partial += sh.task.Loss(sh.cur, tp)
-	return nil
+	runner  *parallel.Shard // nil until SEAL
 }
 
 // Executor is one connection's shard-hosting state machine. It is
@@ -99,6 +75,15 @@ type Executor struct {
 	out    []byte
 	vals   []float64
 	w      vector.Dense
+
+	// The request Handle admits and its result, passed through fields so
+	// the gate runs a dispatch bound once in NewExecutor: a steady-state
+	// frame builds no closure.
+	op         byte
+	body       []byte
+	res        []float64
+	resErr     error
+	dispatchFn func()
 }
 
 // NewExecutor builds a connection's executor. gate may be nil (admit
@@ -108,7 +93,9 @@ func NewExecutor(build BuildTask, gate Gate) *Executor {
 	if gate == nil {
 		gate = nopGate{}
 	}
-	return &Executor{build: build, gate: gate, shards: make(map[uint32]*execShard)}
+	ex := &Executor{build: build, gate: gate, shards: make(map[uint32]*execShard)}
+	ex.dispatchFn = ex.dispatch
+	return ex
 }
 
 // Close releases every shard heap. The server calls it when the
@@ -119,9 +106,6 @@ func (ex *Executor) Close() {
 		delete(ex.shards, k)
 	}
 }
-
-// Shards reports the currently loaded shard count (tests, SHOW SERVING).
-func (ex *Executor) Shards() int { return len(ex.shards) }
 
 // Handle serves one executor request payload (opcode already verified to
 // be an executor op by the caller), leaving the response frame in the
@@ -134,25 +118,30 @@ func (ex *Executor) Handle(payload []byte) (resp []byte, ok bool) {
 		// Id 0 is the unattributable-error id, as in the predict frames.
 		return wire.AppendErr(ex.out[:0], 0, "dist: executor frame truncated before header"), true
 	}
-	var vals []float64
-	var herr error
-	ok, err = ex.gate.Do(func() { vals, herr = ex.dispatch(op, body) })
+	ex.op, ex.body = op, body
+	ok, err = ex.gate.Do(ex.dispatchFn)
 	if !ok {
 		return nil, false
 	}
 	if err == nil {
-		err = herr
+		err = ex.resErr
 	}
 	if err != nil {
 		// A shed admission answers BUSY with the gate's retry hint.
 		ex.out = wire.AppendError(ex.out[:0], id, err)
 	} else {
-		ex.out = wire.AppendOK(ex.out[:0], id, vals)
+		ex.out = wire.AppendOK(ex.out[:0], id, ex.res)
 	}
 	return ex.out, true
 }
 
-func (ex *Executor) dispatch(op byte, body []byte) ([]float64, error) {
+// dispatch runs the admitted request in ex.op / ex.body, leaving its reply
+// values and error in ex.res / ex.resErr.
+func (ex *Executor) dispatch() {
+	ex.res, ex.resErr = ex.route(ex.op, ex.body)
+}
+
+func (ex *Executor) route(op byte, body []byte) ([]float64, error) {
 	if len(body) < 4 {
 		return nil, fmt.Errorf("dist: executor frame truncated before shard id")
 	}
@@ -269,18 +258,13 @@ func (ex *Executor) load(shard uint32, body []byte) error {
 	default:
 		return fmt.Errorf("dist: unknown order byte %d", orderByte)
 	}
-	sh := &execShard{
-		tbl:       engine.NewMemTable(fmt.Sprintf("__exec_shard%d", shard), schema),
-		scratch:   engine.NewTupleScratch(schema),
-		task:      task,
-		order:     order,
-		rng:       rand.New(rand.NewSource(seed)),
-		lastEpoch: -1,
-		model:     core.DenseModel{W: vector.NewDense(task.Dim())},
+	ex.shards[shard] = &execShard{
+		tbl:     engine.NewMemTable(fmt.Sprintf("__exec_shard%d", shard), schema),
+		scratch: engine.NewTupleScratch(schema),
+		task:    task,
+		order:   order,
+		seed:    seed,
 	}
-	sh.stepFn = sh.step
-	sh.lossFn = sh.loss
-	ex.shards[shard] = sh
 	return nil
 }
 
@@ -291,7 +275,7 @@ func (ex *Executor) rows(shard uint32, body []byte) error {
 	if !ok {
 		return fmt.Errorf("dist: executor has no shard %d", shard)
 	}
-	if sh.sealed {
+	if sh.runner != nil {
 		return fmt.Errorf("dist: shard %d is sealed — no more rows", shard)
 	}
 	if len(body) < 4 {
@@ -330,51 +314,48 @@ func (ex *Executor) rows(shard uint32, body []byte) error {
 	return nil
 }
 
-// seal handles SHARD_SEAL: flush the shard heap and stand up the epoch
-// pipeline. Replies the accepted row count so the coordinator can verify
-// nothing was lost in transit.
+// seal handles SHARD_SEAL: flush the shard heap and build its runner.
+// Replies the accepted row count so the coordinator can verify nothing was
+// lost in transit.
 func (ex *Executor) seal(shard uint32) ([]float64, error) {
 	sh, ok := ex.shards[shard]
 	if !ok {
 		return nil, fmt.Errorf("dist: executor has no shard %d", shard)
 	}
-	if sh.sealed {
+	if sh.runner != nil {
 		return nil, fmt.Errorf("dist: shard %d already sealed", shard)
 	}
 	if err := sh.tbl.Flush(); err != nil {
 		return nil, err
 	}
-	src, prepare, err := core.EpochSource(sh.tbl, sh.order, engine.Profile{})
+	runner, err := parallel.NewShard(sh.task, sh.tbl, sh.order, sh.seed)
 	if err != nil {
 		return nil, err
 	}
-	sh.src, sh.prepare, sh.sealed = src, prepare, true
+	sh.runner = runner
 	ex.vals = append(ex.vals[:0], float64(sh.rows))
 	return ex.vals, nil
 }
 
-// catchUp replays the ordering preparation for every epoch in
-// (lastEpoch, e] — the requeue-determinism mechanism (see the package
-// comment).
-func (sh *execShard) catchUp(e int) error {
-	for epoch := sh.lastEpoch + 1; epoch <= e; epoch++ {
-		if err := sh.prepare(epoch, sh.rng); err != nil {
-			return err
-		}
-	}
-	sh.lastEpoch = e
-	return nil
-}
-
-// step handles SHARD_STEP: catch up the ordering stream, run one epoch
-// of gradient steps from the shipped model, and reply [rows, w...].
-func (ex *Executor) step(shard uint32, body []byte) ([]float64, error) {
+// sealed looks up a shard that STEP or LOSS may run on.
+func (ex *Executor) sealed(shard uint32, op string) (*execShard, error) {
 	sh, ok := ex.shards[shard]
 	if !ok {
 		return nil, fmt.Errorf("dist: executor has no shard %d", shard)
 	}
-	if !sh.sealed {
-		return nil, fmt.Errorf("dist: shard %d not sealed — STEP before SEAL", shard)
+	if sh.runner == nil {
+		return nil, fmt.Errorf("dist: shard %d not sealed — %s before SEAL", shard, op)
+	}
+	return sh, nil
+}
+
+// step handles SHARD_STEP: one epoch of gradient steps from the shipped
+// model — the runner first replays any orderings this shard missed — and
+// the reply [rows, w...], whose model tail is the runner's replica.
+func (ex *Executor) step(shard uint32, body []byte) ([]float64, error) {
+	sh, err := ex.sealed(shard, "STEP")
+	if err != nil {
+		return nil, err
 	}
 	if len(body) < 4+8+2 {
 		return nil, fmt.Errorf("dist: SHARD_STEP frame truncated")
@@ -388,39 +369,25 @@ func (ex *Executor) step(shard uint32, body []byte) ([]float64, error) {
 	if epoch > maxEpoch {
 		return nil, fmt.Errorf("dist: epoch %d out of range", epoch)
 	}
-	if epoch <= sh.lastEpoch {
-		return nil, fmt.Errorf("dist: shard %d already past epoch %d (at %d) — out-of-order STEP", shard, epoch, sh.lastEpoch)
-	}
 	if ex.Hooks.MidStep != nil {
 		ex.Hooks.MidStep(shard, epoch)
 	}
-	if err := sh.catchUp(epoch); err != nil {
-		return nil, err
-	}
-	copy(sh.model.W, w)
-	sh.alpha = alpha
-	if err := sh.src.Scan(sh.stepFn); err != nil {
-		return nil, err
-	}
 	ex.vals = append(ex.vals[:0], float64(sh.rows))
-	ex.vals = append(ex.vals, sh.model.W...)
+	ex.vals = append(ex.vals, w...)
+	if err := sh.runner.RunEpoch(epoch, w, alpha, ex.vals[1:]); err != nil {
+		return nil, err
+	}
 	return ex.vals, nil
 }
 
 // lossAt handles SHARD_LOSS: the shard's summed example loss at the
-// shipped model. The frame carries the newest completed epoch so a shard
-// requeued here mid-loss-pass first replays the ordering stream up to it:
-// the scan — and the float summation order — is then identical to a shard
-// that ran every STEP in place. On a shard already at (or past) that
-// epoch the catch-up is a no-op, matching the in-process runner's
-// "loss passes do not advance the cursor" behaviour.
+// shipped model. The frame carries the newest completed epoch, and the
+// runner catches its ordering up to it first, so a shard requeued here
+// mid-loss-pass sums in the same order as one that ran every STEP in place.
 func (ex *Executor) lossAt(shard uint32, body []byte) ([]float64, error) {
-	sh, ok := ex.shards[shard]
-	if !ok {
-		return nil, fmt.Errorf("dist: executor has no shard %d", shard)
-	}
-	if !sh.sealed {
-		return nil, fmt.Errorf("dist: shard %d not sealed — LOSS before SEAL", shard)
+	sh, err := ex.sealed(shard, "LOSS")
+	if err != nil {
+		return nil, err
 	}
 	if len(body) < 4 {
 		return nil, fmt.Errorf("dist: SHARD_LOSS frame truncated before epoch")
@@ -434,16 +401,14 @@ func (ex *Executor) lossAt(shard uint32, body []byte) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	if epoch > sh.lastEpoch {
-		if err := sh.catchUp(epoch); err != nil {
-			return nil, err
-		}
-	}
-	sh.cur, sh.partial = w, 0
-	if err := sh.src.Scan(sh.lossFn); err != nil {
+	if err := sh.runner.CatchUp(epoch); err != nil {
 		return nil, err
 	}
-	ex.vals = append(ex.vals[:0], sh.partial)
+	loss, err := sh.runner.LossAt(w)
+	if err != nil {
+		return nil, err
+	}
+	ex.vals = append(ex.vals[:0], loss)
 	return ex.vals, nil
 }
 

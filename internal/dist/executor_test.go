@@ -164,7 +164,7 @@ func TestExecutorProtocolGuards(t *testing.T) {
 		t.Helper()
 		_, err := roundTrip(t, ex, frame)
 		var rerr *wire.RemoteError
-		if !asRemote(err, &rerr) {
+		if !errors.As(err, &rerr) {
 			t.Fatalf("%s: got %v, want a RemoteError", name, err)
 		}
 		if !strings.Contains(rerr.Msg, wantSub) {
@@ -208,8 +208,63 @@ func TestExecutorProtocolGuards(t *testing.T) {
 
 	// The executor still works after every rejection.
 	stepAt(t, ex, 2, w)
-	if got := ex.Shards(); got != 2 {
+	if got := len(ex.shards); got != 2 {
 		t.Fatalf("executor holds %d shards, want 2", got)
+	}
+}
+
+// TestExecutorStepLossAllocs pins the executor's steady-state request
+// path: past the epoch that draws the shuffle, a STEP or a LOSS through
+// Handle allocates at most the one scratch tuple each slab scan takes,
+// whatever the shard's size — the admitted dispatch is bound once.
+func TestExecutorStepLossAllocs(t *testing.T) {
+	const runs = 20
+	for _, rows := range []int{60, 2000} {
+		tbl := data.Forest(rows, 3)
+		ex := NewExecutor(buildLR, nil)
+		shipShard(t, ex, tbl, 42)
+		w := make([]float64, 54)
+		// AllocsPerRun makes one warm-up call before its runs; frame 0 is
+		// the shuffling epoch, stepped before measuring.
+		steps := make([][]byte, runs+2)
+		for e := range steps {
+			f, err := AppendStep(nil, uint64(e), 0, e, 0.1, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			steps[e] = f[4:]
+		}
+		loss, err := AppendLoss(nil, 99, 0, runs+1, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var vals []float64
+		var failed error
+		handle := func(payload []byte) {
+			resp, ok := ex.Handle(payload)
+			if !ok {
+				failed = errors.New("executor refused a frame outside shutdown")
+				return
+			}
+			if _, vals, err = wire.DecodeResponse(resp[4:], vals[:0]); err != nil {
+				failed = err
+			}
+		}
+		handle(steps[0])
+		next := 1
+		step := testing.AllocsPerRun(runs, func() {
+			handle(steps[next])
+			next++
+		})
+		lossAllocs := testing.AllocsPerRun(runs, func() { handle(loss[4:]) })
+		if failed != nil {
+			t.Fatalf("%d rows: %v", rows, failed)
+		}
+		if step > 1 || lossAllocs > 1 {
+			t.Errorf("%d rows: %.1f allocations per STEP, %.1f per LOSS; want at most 1 each", rows, step, lossAllocs)
+		}
+		ex.Close()
+		tbl.Close()
 	}
 }
 

@@ -32,8 +32,8 @@
 // One statement's shard lives on one connection: executor state is
 // per-connection and dies with it, so a lost coordinator can never leak
 // shard heaps past its TCP session. The flow is LOAD → ROWS* → SEAL →
-// (STEP | LOSS)* → FREE; STEP carries the epoch number and the executor
-// replays the ordering preparation for every epoch it has not seen yet,
+// (STEP | LOSS)* → FREE; STEP carries the epoch number and the shard's
+// parallel.Shard replays the ordering for every epoch it has not seen yet,
 // which is what makes a shard requeued onto a fresh executor reproduce
 // the exact rng stream — and therefore the exact model — the original
 // would have produced.

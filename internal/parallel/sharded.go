@@ -20,7 +20,8 @@ import (
 // dense replica, which is what lets the mode scale past one shared model
 // and is the seam distributed backends hang off — a ShardRunner does not
 // have to scan anything locally; internal/dist implements it with one
-// remote round trip per epoch to an executor process.
+// remote round trip per epoch to an executor process, which runs the same
+// Shard on its side of the wire.
 
 // ShardRunner is one shard's training endpoint: the per-shard seam of the
 // sharded epoch. RunEpoch must leave the shard's post-epoch model replica
@@ -60,15 +61,24 @@ type ShardedEpoch struct {
 	wg   sync.WaitGroup
 }
 
-// localShard is the in-process ShardRunner: one shard heap's scan source,
-// rng stream, and the pre-bound callbacks the scans run — bound once so a
-// steady-state epoch creates no closures.
-type localShard struct {
+// Shard is the one ShardRunner that scans a local table: one shard's
+// epoch source and ordering, its rng stream, the step and loss callbacks
+// the scans run (bound once, so a steady-state epoch creates no closures),
+// and the ordering replay cursor. The in-process sharded plan runs one per
+// shard heap and every dist executor runs one per shipped shard, so a
+// remote shard replays, steps and sums exactly as an in-process one does.
+type Shard struct {
 	task    core.Task
 	src     engine.Relation
 	prepare func(epoch int, rng *rand.Rand) error
 	rng     *rand.Rand
 	rows    int
+
+	// last is the newest epoch whose ordering has been prepared (-1 at
+	// build). CatchUp prepares every epoch in (last, e] in turn, so the rng
+	// stream — and with it the scan order — is the same whether the shard
+	// lived from epoch 0 or was built mid-run on a requeue.
+	last int
 
 	// Per-call state, set at the top of RunEpoch / LossAt.
 	model   core.DenseModel // replica the epoch steps (aliases the caller's)
@@ -79,58 +89,85 @@ type localShard struct {
 	lossFn  func(engine.Tuple) error
 }
 
-func (ls *localShard) step(tp engine.Tuple) error {
-	ls.task.Step(&ls.model, tp, ls.alpha)
-	return nil
-}
-
-func (ls *localShard) loss(tp engine.Tuple) error {
-	ls.partial += ls.task.Loss(ls.cur, tp)
-	return nil
-}
-
-// RunEpoch applies the shard's ordering, copies w into replica, and scans
-// the shard performing gradient steps with step size alpha.
-func (ls *localShard) RunEpoch(epoch int, w vector.Dense, alpha float64, replica vector.Dense) error {
-	if err := ls.prepare(epoch, ls.rng); err != nil {
-		return err
-	}
-	copy(replica, w)
-	ls.model.W, ls.alpha = replica, alpha
-	return ls.src.Scan(ls.stepFn)
-}
-
-// LossAt sums the shard's example losses at w.
-func (ls *localShard) LossAt(w vector.Dense) (float64, error) {
-	ls.cur, ls.partial = w, 0
-	if err := ls.src.Scan(ls.lossFn); err != nil {
-		return 0, err
-	}
-	return ls.partial, nil
-}
-
-// Rows is the shard's row count (its merge weight).
-func (ls *localShard) Rows() int { return ls.rows }
-
-// NewShardedEpoch builds in-process per-shard runners over a partitioned
-// table. Shard i's ordering runs off its own rng stream seeded seed+i, so
-// shard 0 of a 1-shard partition replays exactly the sequential trainer's
-// stream (the determinism the K=1 parity test pins down).
-func NewShardedEpoch(task core.Task, st *engine.ShardedTable, order core.OrderStrategy, seed int64) (*ShardedEpoch, error) {
+// NewShard builds the runner over one shard table. Its ordering draws from
+// rand.NewSource(seed); a nil order means NoOrder.
+func NewShard(task core.Task, tbl *engine.Table, order core.OrderStrategy, seed int64) (*Shard, error) {
 	if order == nil {
 		order = core.NoOrder{}
 	}
+	src, prepare, err := core.EpochSource(tbl, order, engine.Profile{})
+	if err != nil {
+		return nil, err
+	}
+	s := &Shard{task: task, src: src, prepare: prepare,
+		rng: rand.New(rand.NewSource(seed)), rows: tbl.NumRows(), last: -1}
+	s.stepFn = s.step
+	s.lossFn = s.loss
+	return s, nil
+}
+
+func (s *Shard) step(tp engine.Tuple) error {
+	s.task.Step(&s.model, tp, s.alpha)
+	return nil
+}
+
+func (s *Shard) loss(tp engine.Tuple) error {
+	s.partial += s.task.Loss(s.cur, tp)
+	return nil
+}
+
+// CatchUp prepares the ordering of every epoch in (last, e], in order. At
+// or behind the cursor it does nothing, so a loss pass never advances it.
+func (s *Shard) CatchUp(e int) error {
+	for s.last < e {
+		if err := s.prepare(s.last+1, s.rng); err != nil {
+			return err
+		}
+		s.last++
+	}
+	return nil
+}
+
+// RunEpoch catches the ordering up to epoch, copies w into replica, and
+// scans the shard performing gradient steps with step size alpha. An epoch
+// at or behind the cursor is refused: its ordering has already been drawn.
+func (s *Shard) RunEpoch(epoch int, w vector.Dense, alpha float64, replica vector.Dense) error {
+	if epoch <= s.last {
+		return fmt.Errorf("parallel: shard already past epoch %d (at %d) — out-of-order epoch", epoch, s.last)
+	}
+	if err := s.CatchUp(epoch); err != nil {
+		return err
+	}
+	copy(replica, w)
+	s.model.W, s.alpha = replica, alpha
+	return s.src.Scan(s.stepFn)
+}
+
+// LossAt sums the shard's example losses at w, in the current epoch's
+// scan order.
+func (s *Shard) LossAt(w vector.Dense) (float64, error) {
+	s.cur, s.partial = w, 0
+	if err := s.src.Scan(s.lossFn); err != nil {
+		return 0, err
+	}
+	return s.partial, nil
+}
+
+// Rows is the shard's row count (its merge weight).
+func (s *Shard) Rows() int { return s.rows }
+
+// NewShardedEpoch builds one Shard per partition of a sharded table. Shard
+// i's ordering runs off its own rng stream seeded seed+i, so shard 0 of a
+// 1-shard partition replays exactly the sequential trainer's stream (the
+// determinism the K=1 parity test pins down).
+func NewShardedEpoch(task core.Task, st *engine.ShardedTable, order core.OrderStrategy, seed int64) (*ShardedEpoch, error) {
 	runners := make([]ShardRunner, st.NumShards())
-	for i, rows := range st.RowCounts() {
-		src, prepare, err := core.EpochSource(st.Shard(i), order, engine.Profile{})
+	for i := range runners {
+		sh, err := NewShard(task, st.Shard(i), order, seed+int64(i))
 		if err != nil {
 			return nil, err
 		}
-		ls := &localShard{task: task, src: src, prepare: prepare,
-			rng: rand.New(rand.NewSource(seed + int64(i))), rows: rows}
-		ls.stepFn = ls.step
-		ls.lossFn = ls.loss
-		runners[i] = ls
+		runners[i] = sh
 	}
 	return NewShardedEpochRunners(task, runners)
 }

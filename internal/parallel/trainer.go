@@ -45,9 +45,6 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
-// Modes lists all four schemes in Figure 9's order.
-func Modes() []Mode { return []Mode{PureUDA, NoLock, Lock, AIG} }
-
 // sharedRunner is the shared-memory plan (Lock / AIG / NoLock): every
 // epoch, workers scan disjoint segments of the table and update ONE model
 // concurrently. Under Lock that model is w itself behind a mutex; under

@@ -197,10 +197,10 @@ func TestCancelSyncStatementFromAnotherConnection(t *testing.T) {
 // canceled without running, so its handler and Close both return while
 // the job holding the slot is parked.
 func TestQueuedSyncStatementCanceledOnServerClose(t *testing.T) {
-	m := NewManager(engine.NewCatalog(), Options{Workers: 1})
+	m := newManager(t, Options{Workers: 1})
 	seedPapers(t, m, 100)
 	entered := make(chan int64, 1)
-	release := make(chan struct{})
+	release := park(t)
 	m.Hooks.BeforeSave = func(jobID int64, model string) {
 		if jobID == 1 {
 			entered <- jobID

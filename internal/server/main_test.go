@@ -137,3 +137,29 @@ func quiescent(t *testing.T, m *Manager) {
 		t.Errorf("job gate after close: inflight=%d queued=%d", in, q)
 	}
 }
+
+// newManager builds a manager over an in-memory catalog whose Drain runs
+// at the test's cleanup — after a failed assertion as well, where a
+// deferred Drain would run before any cleanup could free a parked job.
+func newManager(t *testing.T, opts Options) *Manager {
+	m := NewManager(engine.NewCatalog(), opts)
+	t.Cleanup(m.Drain)
+	return m
+}
+
+// park returns the channel a BeforeSave hook parks its job on. The test
+// closes it where its scenario frees the job; if the test fails first,
+// cleanup closes it, and since park is called after newManager that close
+// runs before Drain: a failed assertion fails the test instead of leaving
+// Drain waiting on the parked job until the package times out.
+func park(t *testing.T) chan struct{} {
+	release := make(chan struct{})
+	t.Cleanup(func() {
+		select {
+		case <-release:
+		default:
+			close(release)
+		}
+	})
+	return release
+}

@@ -145,12 +145,11 @@ func TestAsyncTrainJobLifecycle(t *testing.T) {
 // PREDICT must succeed against the previous persisted generation, and the
 // new generation only becomes visible after the job commits.
 func TestPredictMidTrainServesPreviousSnapshot(t *testing.T) {
-	m := NewManager(engine.NewCatalog(), Options{Workers: 2})
-	defer m.Drain()
+	m := newManager(t, Options{Workers: 2})
 	seedPapers(t, m, 200)
 
 	entered := make(chan int64, 1)
-	release := make(chan struct{})
+	release := park(t)
 	m.Hooks.BeforeSave = func(jobID int64, model string) {
 		if jobID != 2 {
 			return
@@ -198,12 +197,11 @@ func TestPredictMidTrainServesPreviousSnapshot(t *testing.T) {
 // trains discards the result — the job terminates canceled and the
 // previous model generation stays untouched.
 func TestCancelRunningJobStopsAtSaveBoundary(t *testing.T) {
-	m := NewManager(engine.NewCatalog(), Options{Workers: 2})
-	defer m.Drain()
+	m := newManager(t, Options{Workers: 2})
 	seedPapers(t, m, 150)
 
 	entered := make(chan int64, 1)
-	release := make(chan struct{})
+	release := park(t)
 	m.Hooks.BeforeSave = func(jobID int64, model string) {
 		if jobID != 2 {
 			return
@@ -238,13 +236,12 @@ func TestCancelRunningJobStopsAtSaveBoundary(t *testing.T) {
 // TestCancelQueuedJobNeverRuns: with one worker busy, a queued job
 // canceled before pickup settles canceled without training at all.
 func TestCancelQueuedJobNeverRuns(t *testing.T) {
-	m := NewManager(engine.NewCatalog(), Options{Workers: 1})
-	defer m.Drain()
+	m := newManager(t, Options{Workers: 1})
 	seedPapers(t, m, 150)
 
 	var mu sync.Mutex
 	saves := map[int64]int{}
-	release := make(chan struct{})
+	release := park(t)
 	entered := make(chan int64, 2)
 	m.Hooks.BeforeSave = func(jobID int64, model string) {
 		mu.Lock()
@@ -372,12 +369,11 @@ func TestNameLocksEvictIdleEntries(t *testing.T) {
 // the terminal jobs completing behind it — eviction skips live entries
 // instead of stopping at them.
 func TestJobHistoryEvictionSkipsLiveJobs(t *testing.T) {
-	m := NewManager(engine.NewCatalog(), Options{Workers: 2, JobHistory: 2})
-	defer m.Drain()
+	m := newManager(t, Options{Workers: 2, JobHistory: 2})
 	seedPapers(t, m, 100)
 
 	entered := make(chan int64, 1)
-	release := make(chan struct{})
+	release := park(t)
 	var gateOnce sync.Once
 	m.Hooks.BeforeSave = func(jobID int64, model string) {
 		if jobID == 1 {
@@ -419,11 +415,11 @@ func TestJobHistoryEvictionSkipsLiveJobs(t *testing.T) {
 // settles the queued backlog as canceled — a Ctrl-C must not first train
 // a deep queue.
 func TestDrainCancelsQueuedJobs(t *testing.T) {
-	m := NewManager(engine.NewCatalog(), Options{Workers: 1})
+	m := newManager(t, Options{Workers: 1})
 	seedPapers(t, m, 100)
 
 	entered := make(chan int64, 1)
-	release := make(chan struct{})
+	release := park(t)
 	var once sync.Once
 	m.Hooks.BeforeSave = func(jobID int64, model string) {
 		once.Do(func() { entered <- jobID })
@@ -509,11 +505,11 @@ func TestCheckpointSurvivesUngracefulDeath(t *testing.T) {
 // deadlock TCPServer.Close — shutdown wakes it with an error and the
 // close completes while the job is still running.
 func TestWaitJobUnblocksOnServerClose(t *testing.T) {
-	m := NewManager(engine.NewCatalog(), Options{Workers: 1})
+	m := newManager(t, Options{Workers: 1})
 	seedPapers(t, m, 100)
 
 	entered := make(chan int64, 1)
-	release := make(chan struct{})
+	release := park(t)
 	var once sync.Once
 	m.Hooks.BeforeSave = func(jobID int64, model string) {
 		once.Do(func() { entered <- jobID })
@@ -573,12 +569,12 @@ func TestWaitJobUnblocksOnServerClose(t *testing.T) {
 // over the wire — and take no job id. A sync statement's reply is still
 // its own error value.
 func TestJobGateBusyShedsSyncAndAsync(t *testing.T) {
-	m := NewManager(engine.NewCatalog(), Options{Workers: 1})
+	m := newManager(t, Options{Workers: 1})
 	seedPapers(t, m, 100)
 	addr := startTCP(t, m)
 
 	entered := make(chan int64, 1)
-	release := make(chan struct{})
+	release := park(t)
 	m.Hooks.BeforeSave = func(jobID int64, model string) {
 		if jobID == 1 {
 			entered <- jobID
