@@ -1,6 +1,5 @@
 // Command bismarckvet checks the bismarck tree against its own
-// invariants: ticket/admission/unlock pairing, lock ordering, and crash
-// fidelity of deferred cleanups.
+// invariant: crash fidelity of deferred cleanups.
 //
 // Standalone:
 //

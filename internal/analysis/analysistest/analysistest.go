@@ -2,7 +2,7 @@
 // under testdata/src/<pkg>/ and checks its diagnostics against
 // "// want" expectations, mirroring x/tools' analysistest contract:
 //
-//	defer g.Lock("digits__meta")() // want `raw lock on a __meta key`
+//	if err != nil { // want `deferred cleanup runs even when the error is an injected crash`
 //
 // Each backquoted or double-quoted string after "want" is a regular
 // expression; every expectation must be matched by a diagnostic on that

@@ -14,7 +14,7 @@ import (
 func TestMatrixSolveIdentity(t *testing.T) {
 	m := NewMatrix(3)
 	for i := 0; i < 3; i++ {
-		m.Set(i, i, 1)
+		m.A[i*m.N+i] = 1
 	}
 	x, err := m.Solve([]float64{1, 2, 3})
 	if err != nil {
@@ -38,14 +38,14 @@ func TestMatrixSolveRandomSystem(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				m.Set(i, j, rng.NormFloat64())
+				m.A[i*m.N+j] = rng.NormFloat64()
 			}
 			m.Add(i, i, 3) // keep well-conditioned
 		}
 		b := make([]float64, n)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				b[i] += m.At(i, j) * truth[j]
+				b[i] += m.A[i*m.N+j] * truth[j]
 			}
 		}
 		x, err := m.Solve(b)

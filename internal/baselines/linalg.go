@@ -30,12 +30,6 @@ type Matrix struct {
 // NewMatrix returns a zero n×n matrix.
 func NewMatrix(n int) *Matrix { return &Matrix{N: n, A: make([]float64, n*n)} }
 
-// At returns element (i, j).
-func (m *Matrix) At(i, j int) float64 { return m.A[i*m.N+j] }
-
-// Set sets element (i, j).
-func (m *Matrix) Set(i, j int, v float64) { m.A[i*m.N+j] = v }
-
 // Add adds v to element (i, j).
 func (m *Matrix) Add(i, j int, v float64) { m.A[i*m.N+j] += v }
 

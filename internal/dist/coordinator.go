@@ -222,10 +222,7 @@ func NewCoordinator(addrs []string, table *engine.ShardedTable, task ShardTask,
 		}
 		co.slots = append(co.slots, &executorSlot{conn: conn, alive: true})
 	}
-	co.mu.Lock()
-	alive := co.aliveLocked()
-	co.mu.Unlock()
-	if alive == 0 {
+	if len(dialErrs) == len(addrs) {
 		return nil, fmt.Errorf("dist: no executor reachable: %s", strings.Join(dialErrs, "; "))
 	}
 	for i := range co.owner {
@@ -261,27 +258,6 @@ func (co *Coordinator) Runners() []parallel.ShardRunner {
 		out[i] = &remoteShard{co: co, idx: i, rows: co.rows[i], stepped: -1}
 	}
 	return out
-}
-
-func (co *Coordinator) aliveLocked() int {
-	n := 0
-	for _, s := range co.slots {
-		if s.alive {
-			n++
-		}
-	}
-	return n
-}
-
-// pickSlotLocked returns the least-loaded live slot index, or -1.
-func (co *Coordinator) pickSlotLocked() int {
-	best, bestLoad := -1, int(^uint(0)>>1)
-	for i, s := range co.slots {
-		if s.alive && s.shards < bestLoad {
-			best, bestLoad = i, s.shards
-		}
-	}
-	return best
 }
 
 // markDead retires a slot: its connection closes and every shard it
@@ -332,8 +308,14 @@ func (co *Coordinator) ownerConn(shard int) (int, *execConn, error) {
 func (co *Coordinator) ship(shard int) error {
 	sheds := 0
 	for {
+		// The least-loaded live slot.
 		co.mu.Lock()
-		slot := co.pickSlotLocked()
+		slot, load := -1, int(^uint(0)>>1)
+		for i, s := range co.slots {
+			if s.alive && s.shards < load {
+				slot, load = i, s.shards
+			}
+		}
 		if slot < 0 {
 			co.mu.Unlock()
 			return fmt.Errorf("dist: no live executor left for shard %d", shard)

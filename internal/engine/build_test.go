@@ -55,7 +55,7 @@ func referenceBuild(t *testing.T, tbl *Table, p Projection) (*Materialized, Degr
 	var stats DegradedStats
 	var err error
 	if p.Degraded {
-		stats, err = tbl.pages().ScanDegraded(visit)
+		stats, err = scanDegraded(tbl.pages(), visit)
 	} else {
 		err = tbl.pages().Scan(visit)
 	}

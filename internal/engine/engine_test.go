@@ -114,6 +114,30 @@ func TestSegmentsPartitionPages(t *testing.T) {
 	}
 }
 
+// countUDA counts tuples; it merges, so every plan can run it.
+type countUDA struct{}
+
+func (countUDA) Initialize() State                 { return int64(0) }
+func (countUDA) Transition(s State, _ Tuple) State { return s.(int64) + 1 }
+func (countUDA) Terminate(s State) State           { return s }
+func (countUDA) Merge(a, b State) State            { return a.(int64) + b.(int64) }
+
+// sumUDA sums a float64 column.
+type sumUDA struct{ col int }
+
+func (u sumUDA) Initialize() State                 { return float64(0) }
+func (u sumUDA) Transition(s State, t Tuple) State { return s.(float64) + t[u.col].Float }
+func (u sumUDA) Terminate(s State) State           { return s }
+func (u sumUDA) Merge(a, b State) State            { return a.(float64) + b.(float64) }
+
+// noMergeUDA counts tuples but cannot merge, so only the one-segment plan
+// can run it.
+type noMergeUDA struct{}
+
+func (noMergeUDA) Initialize() State                 { return 0 }
+func (noMergeUDA) Transition(s State, _ Tuple) State { return s.(int) + 1 }
+func (noMergeUDA) Terminate(s State) State           { return s }
+
 func TestRunUDACountSequentialAndParallel(t *testing.T) {
 	tbl := NewMemTable("t", exampleSchema())
 	fillExampleTable(t, tbl, 777, 5)
@@ -122,7 +146,7 @@ func TestRunUDACountSequentialAndParallel(t *testing.T) {
 		{Name: "par4", Segments: 4},
 		{Name: "par16", Segments: 16},
 	} {
-		got, err := RunUDA(tbl, CountUDA{}, p)
+		got, err := RunUDA(tbl, countUDA{}, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,11 +159,11 @@ func TestRunUDACountSequentialAndParallel(t *testing.T) {
 func TestRunUDASumMatchesAcrossPlans(t *testing.T) {
 	tbl := NewMemTable("t", exampleSchema())
 	fillExampleTable(t, tbl, 500, 6)
-	seqv, err := RunUDA(tbl, SumUDA{Col: 2}, Profile{Segments: 1})
+	seqv, err := RunUDA(tbl, sumUDA{col: 2}, Profile{Segments: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parv, err := RunUDA(tbl, SumUDA{Col: 2}, Profile{Segments: 8})
+	parv, err := RunUDA(tbl, sumUDA{col: 2}, Profile{Segments: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,31 +175,8 @@ func TestRunUDASumMatchesAcrossPlans(t *testing.T) {
 func TestRunUDAParallelRequiresMerge(t *testing.T) {
 	tbl := NewMemTable("t", exampleSchema())
 	fillExampleTable(t, tbl, 10, 7)
-	u := &FuncUDA{
-		Name:    "nomerge",
-		InitFn:  func() State { return 0 },
-		TransFn: func(s State, _ Tuple) State { return s.(int) + 1 },
-	}
-	if _, err := RunUDA(tbl, u, Profile{Segments: 2}); err == nil {
+	if _, err := RunUDA(tbl, noMergeUDA{}, Profile{Segments: 2}); err == nil {
 		t.Fatal("expected error: parallel plan without merge")
-	}
-}
-
-func TestFuncUDAAdapters(t *testing.T) {
-	u := &FuncUDA{
-		Name:    "cnt",
-		InitFn:  func() State { return 0 },
-		TransFn: func(s State, _ Tuple) State { return s.(int) + 1 },
-		MergeFn: func(a, b State) State { return a.(int) + b.(int) },
-	}
-	if !u.CanMerge() {
-		t.Fatal("CanMerge should be true")
-	}
-	s := u.Initialize()
-	s = u.Transition(s, nil)
-	s = u.Merge(s, u.Transition(u.Initialize(), nil))
-	if u.Terminate(s).(int) != 2 {
-		t.Fatalf("Terminate = %v", u.Terminate(s))
 	}
 }
 
@@ -252,7 +253,7 @@ func TestFileCatalogCreatesFiles(t *testing.T) {
 func TestBufferPoolHitsAndEviction(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "bp.heap")
-	h, err := OpenFileHeap(path, 2) // tiny pool: 2 pages
+	h, err := openTestHeap(path, 2) // tiny pool: 2 pages
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +300,7 @@ func TestBufferPoolHitsAndEviction(t *testing.T) {
 
 func TestBufferPoolConcurrentGets(t *testing.T) {
 	dir := t.TempDir()
-	h, err := OpenFileHeap(filepath.Join(dir, "c.heap"), 3)
+	h, err := openTestHeap(filepath.Join(dir, "c.heap"), 3)
 	if err != nil {
 		t.Fatal(err)
 	}

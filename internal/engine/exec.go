@@ -55,9 +55,6 @@ func RunUDA(r Relation, u UDA, p Profile) (State, error) {
 	if !ok {
 		return nil, fmt.Errorf("engine: %d-segment plan requires a merge function", p.Segments)
 	}
-	if mc, ok := u.(interface{ CanMerge() bool }); ok && !mc.CanMerge() {
-		return nil, fmt.Errorf("engine: %d-segment plan requires a merge function", p.Segments)
-	}
 	segs, err := r.Segments(p.Segments)
 	if err != nil {
 		return nil, err

@@ -25,7 +25,7 @@ func faultRecs(n int) [][]byte {
 // buildHeapFile writes recs into a fresh heap at path and closes it.
 func buildHeapFile(t *testing.T, path string, recs [][]byte) {
 	t.Helper()
-	h, err := OpenFileHeap(path, 16)
+	h, err := openTestHeap(path, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestTornWriteCrashAndRepair(t *testing.T) {
 	if st.Size() != fullSize+PageSize/2 {
 		t.Fatalf("torn tail: size %d, want %d", st.Size(), fullSize+PageSize/2)
 	}
-	if _, err := OpenFileHeap(path, 16); err == nil || !strings.Contains(err.Error(), "not page aligned") {
+	if _, err := openTestHeap(path, 16); err == nil || !strings.Contains(err.Error(), "not page aligned") {
 		t.Fatalf("plain open of torn file = %v, want alignment refusal", err)
 	}
 	h2, repaired, err := openFileHeap(path, 16, nil, true)
@@ -226,7 +226,7 @@ func TestSyncFaultMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The next open must refuse the damage, not serve a shortened heap.
-		if _, err := OpenFileHeap(path, 16); err == nil || !strings.Contains(err.Error(), "not page aligned") {
+		if _, err := openTestHeap(path, 16); err == nil || !strings.Contains(err.Error(), "not page aligned") {
 			t.Fatalf("open after lying fsync + power cut = %v, want refusal", err)
 		}
 	})
@@ -272,7 +272,7 @@ func TestReadErrorRetryableButScrubQuarantines(t *testing.T) {
 	}
 
 	n := 0
-	stats, err := h.ScanDegraded(func([]byte) error { n++; return nil })
+	stats, err := scanDegraded(h, func([]byte) error { n++; return nil })
 	if err != nil {
 		t.Fatalf("degraded scan: %v", err)
 	}
@@ -411,7 +411,7 @@ func TestBitRotOffsetClassMatrix(t *testing.T) {
 					}
 					// Degraded completes and accounts the loss.
 					n := 0
-					stats, err := h.ScanDegraded(func([]byte) error { n++; return nil })
+					stats, err := scanDegraded(h, func([]byte) error { n++; return nil })
 					if err != nil {
 						t.Fatalf("degraded: %v", err)
 					}
@@ -436,7 +436,7 @@ func TestBitRotOffsetClassMatrix(t *testing.T) {
 					}
 				case "open":
 					flipBit(t, path, globalOff)
-					h, err := OpenFileHeap(path, 64)
+					h, err := openTestHeap(path, 64)
 					if err != nil {
 						t.Fatalf("open must quarantine, not fail: %v", err)
 					}
@@ -476,7 +476,7 @@ func TestUnsealedPagesAreQuarantined(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	h, err := OpenFileHeap(path, 16)
+	h, err := openTestHeap(path, 16)
 	if err != nil {
 		t.Fatalf("open must quarantine, not fail: %v", err)
 	}
@@ -723,7 +723,7 @@ func TestOrphanNumberingAndRetention(t *testing.T) {
 func TestCRCVerifyCountWarmScan(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "w.heap")
 	buildHeapFile(t, path, faultRecs(500))
-	h, err := OpenFileHeap(path, DefaultPoolPages)
+	h, err := openTestHeap(path, DefaultPoolPages)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -760,7 +760,7 @@ func BenchmarkFileHeapScan(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			path := filepath.Join(b.TempDir(), "bench.heap")
 			recs := faultRecs(4000) // ~50 pages
-			h, err := OpenFileHeap(path, 16)
+			h, err := openTestHeap(path, 16)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -772,7 +772,7 @@ func BenchmarkFileHeapScan(b *testing.B) {
 			if err := h.Close(); err != nil {
 				b.Fatal(err)
 			}
-			h, err = OpenFileHeap(path, bc.pool)
+			h, err = openTestHeap(path, bc.pool)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -363,17 +363,11 @@ func NewMemHeap() *Heap { return &Heap{st: &memStore{}} }
 // heaps: 1024 pages = 8 MB.
 const DefaultPoolPages = 1024
 
-// OpenFileHeap opens (or creates) a file-backed heap at path. Every page is
-// verified at open; pages that fail — a file of unsealed pages included —
-// are quarantined rather than failing the open, and NumRecords counts what
-// is actually readable.
-func OpenFileHeap(path string, poolPages int) (*Heap, error) {
-	h, _, err := openFileHeap(path, poolPages, nil, false)
-	return h, err
-}
-
-// openFileHeap also reports how many bytes of torn tail it truncated
-// (repairTail only).
+// openFileHeap opens (or creates) a file-backed heap at path. Every page
+// is verified at open; pages that fail — a file of unsealed pages included
+// — are quarantined rather than failing the open, and NumRecords counts
+// what is actually readable. It also reports how many bytes of torn tail
+// it truncated (repairTail only).
 func openFileHeap(path string, poolPages int, io *IOHooks, repairTail bool) (*Heap, int64, error) {
 	if poolPages <= 0 {
 		poolPages = DefaultPoolPages
@@ -703,19 +697,10 @@ func chainPages(total int) int {
 
 // Scan visits every record in storage order. The record slice passed to fn
 // is only valid during the call. Scans fail with a *CorruptPageError on a
-// quarantined or freshly corrupt page; ScanDegraded skips instead.
+// quarantined or freshly corrupt page.
 func (h *Heap) Scan(fn func(rec []byte) error) error {
 	_, err := h.scanRange(0, h.st.numPages(), false, h.readPage, fn)
 	return err
-}
-
-// ScanDegraded visits every readable record, skipping quarantined and
-// freshly corrupt pages, and reports what was skipped. Row counts are a
-// lower bound: a page unreadable since open never said how many records it
-// held.
-func (h *Heap) ScanDegraded(fn func(rec []byte) error) (DegradedStats, error) {
-	s, err := h.scanRange(0, h.st.numPages(), true, h.readPage, fn)
-	return s.DegradedStats, err
 }
 
 // ScanPages visits the records whose storage begins in pages [from, to).

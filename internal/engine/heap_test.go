@@ -8,6 +8,26 @@ import (
 	"testing"
 )
 
+// openTestHeap opens a file heap with no I/O hooks and no tail repair.
+func openTestHeap(path string, poolPages int) (*Heap, error) {
+	h, _, err := openFileHeap(path, poolPages, nil, false)
+	return h, err
+}
+
+// scanDegraded visits every readable record of h, skipping quarantined and
+// freshly corrupt pages, and reports what was skipped.
+func scanDegraded(h *Heap, fn func(rec []byte) error) (DegradedStats, error) {
+	s, err := h.scanRange(0, h.st.numPages(), true, h.readPage, fn)
+	return s.DegradedStats, err
+}
+
+// matRow returns the cache's row i under a header of its own.
+func matRow(m *Materialized, i int) Tuple {
+	row := make(Tuple, len(m.schema))
+	m.load(row, i)
+	return row
+}
+
 func heapBackends(t *testing.T) map[string]func() *Heap {
 	t.Helper()
 	dir := t.TempDir()
@@ -16,7 +36,7 @@ func heapBackends(t *testing.T) map[string]func() *Heap {
 		"mem": NewMemHeap,
 		"file": func() *Heap {
 			n++
-			h, err := OpenFileHeap(filepath.Join(dir, fmt.Sprintf("h%d.heap", n)), 8)
+			h, err := openTestHeap(filepath.Join(dir, fmt.Sprintf("h%d.heap", n)), 8)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -171,7 +191,7 @@ func TestHeapRewriteReplaces(t *testing.T) {
 func TestFileHeapReopenCountsRecords(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "t.heap")
-	h, err := OpenFileHeap(path, 4)
+	h, err := openTestHeap(path, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +203,7 @@ func TestFileHeapReopenCountsRecords(t *testing.T) {
 	if err := h.Close(); err != nil {
 		t.Fatal(err)
 	}
-	h2, err := OpenFileHeap(path, 4)
+	h2, err := openTestHeap(path, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

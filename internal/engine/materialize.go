@@ -57,13 +57,6 @@ func (m *Materialized) NumRows() int { return m.n }
 // Version returns the table version the cache was built against.
 func (m *Materialized) Version() uint64 { return m.version }
 
-// Row returns row i under a header of its own, retainable like the cells.
-func (m *Materialized) Row(i int) Tuple {
-	row := make(Tuple, len(m.schema))
-	m.load(row, i)
-	return row
-}
-
 // load points row at the cache's row i.
 func (m *Materialized) load(row Tuple, i int) {
 	r := i

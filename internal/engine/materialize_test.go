@@ -87,7 +87,7 @@ func TestMaterializeCacheAndInvalidation(t *testing.T) {
 	// The cache must agree with the heap, row for row.
 	i := 0
 	err = tbl.Scan(func(tp Tuple) error {
-		row := m1.Row(i)
+		row := matRow(m1, i)
 		if row[0].Int != tp[0].Int || row[2].Float != tp[2].Float ||
 			len(row[1].Dense) != len(tp[1].Dense) || row[1].Dense[0] != tp[1].Dense[0] {
 			return fmt.Errorf("row %d: cache %v != heap %v", i, row, tp)
@@ -127,7 +127,7 @@ func TestMaterializeCacheAndInvalidation(t *testing.T) {
 	}
 	i = 0
 	err = tbl.Scan(func(tp Tuple) error {
-		if m4.Row(i)[0].Int != tp[0].Int {
+		if matRow(m4, i)[0].Int != tp[0].Int {
 			return fmt.Errorf("row %d: cache order diverged from heap after shuffle", i)
 		}
 		i++
@@ -307,7 +307,7 @@ func TestPermutedScanGather(t *testing.T) {
 					}
 					i := from
 					if err := m.ScanSegment(from, to, func(tp Tuple) error {
-						if !bytes.Equal(tp.Encode(), m.Row(i).Encode()) {
+						if !bytes.Equal(tp.Encode(), matRow(m, i).Encode()) {
 							return fmt.Errorf("position %d differs from Row", i)
 						}
 						i++
@@ -501,7 +501,7 @@ func TestScanReuseMatchesScan(t *testing.T) {
 // of one file-backed table concurrently, as the parallel trainers do.
 func TestConcurrentSegmentScans(t *testing.T) {
 	dir := t.TempDir()
-	h, err := OpenFileHeap(filepath.Join(dir, "seg.heap"), 4) // tiny pool: force eviction races
+	h, err := openTestHeap(filepath.Join(dir, "seg.heap"), 4) // tiny pool: force eviction races
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,9 +53,8 @@ func (c *Catalog) Save() error {
 			return err
 		}
 	}
-	meta := c.snapshotMetaLocked()
 	c.mu.Unlock()
-	return c.writeMeta(meta)
+	return c.writeMeta(c.snapshotMeta(nil, nil, nil))
 }
 
 // SaveMeta writes dir/catalog.json without flushing any table, which would
@@ -71,32 +70,47 @@ func (c *Catalog) SaveMeta() error {
 	}
 	c.saveMu.Lock()
 	defer c.saveMu.Unlock()
-	c.mu.Lock()
-	meta := c.snapshotMetaLocked()
-	c.mu.Unlock()
-	return c.writeMeta(meta)
+	return c.writeMeta(c.snapshotMeta(nil, nil, nil))
 }
 
-func (c *Catalog) snapshotMetaLocked() catalogMeta {
+// snapshotMeta builds a catalog.json snapshot under the catalog mutex:
+// every table except in-flight shadows and dropNames, plus — for a swap's
+// commit — one entry per final name carrying its shadow's schema and a
+// PendingFrom marker naming that shadow. Plain checkpoints pass three nil
+// lists.
+//
+// In-flight shadow generations are not tables yet: checkpointing one
+// would resurrect a half-filled heap after a crash. A table whose
+// committed swap still owes its heap rename (a live process survived a
+// post-commit failure) keeps its marker from c.pending in every snapshot
+// until the rename lands — otherwise a later checkpoint would erase the
+// reopened catalog's only clue that the data lives under the shadow heap
+// name.
+func (c *Catalog) snapshotMeta(finalNames, shadowNames, dropNames []string) catalogMeta {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	skip := map[string]bool{}
+	for _, n := range finalNames {
+		skip[n] = true
+	}
+	for _, n := range dropNames {
+		skip[n] = true
+	}
 	var meta catalogMeta
-	for name, t := range c.tables {
-		// In-flight shadow generations are not tables yet: checkpointing
-		// one would resurrect a half-filled heap after a crash. Their swap
-		// commit writes its own snapshot (with generation markers) when the
-		// generation is complete and synced.
-		if IsShadowName(name) {
-			continue
-		}
-		// A table whose committed swap still owes its heap rename (a live
-		// process survived a post-commit failure) keeps its generation
-		// marker in every checkpoint until the rename lands — otherwise a
-		// later checkpoint would erase the reopened catalog's only clue
-		// that the data lives under the shadow heap name.
-		tm := tableMeta{Name: t.Name, PendingFrom: c.pending[name]}
-		for _, col := range t.Schema {
+	add := func(name, pendingFrom string, schema Schema) {
+		tm := tableMeta{Name: name, PendingFrom: pendingFrom}
+		for _, col := range schema {
 			tm.Columns = append(tm.Columns, columnMeta{Name: col.Name, Type: uint8(col.Type)})
 		}
 		meta.Tables = append(meta.Tables, tm)
+	}
+	for name, t := range c.tables {
+		if !IsShadowName(name) && !skip[name] {
+			add(name, c.pending[name], t.Schema)
+		}
+	}
+	for i, final := range finalNames {
+		add(final, shadowNames[i], c.tables[shadowNames[i]].Schema)
 	}
 	return meta
 }
@@ -332,7 +346,7 @@ func OpenFileCatalogIO(dir string, poolPages int, io IOHooks) (*Catalog, error) 
 		for _, cm := range tm.Columns {
 			schema = append(schema, Column{Name: cm.Name, Type: Type(cm.Type)})
 		}
-		t, repaired, err := c.createTrusted(tm.Name, schema, repairTail[tm.Name])
+		t, repaired, err := c.create(tm.Name, schema, true, repairTail[tm.Name])
 		if err != nil {
 			// The heap cannot be opened at all (unreadable file). Same
 			// treatment as a missing heap — clean absence, partner

@@ -76,7 +76,7 @@ func TestOpenFileCatalogTrustsLegacyNames(t *testing.T) {
 	dir := t.TempDir()
 	cat := NewFileCatalog(dir, 0)
 	// Simulate a legacy name that today's Create would reject.
-	if _, _, err := cat.createTrusted("we\tird", Schema{{Name: "x", Type: TInt64}}, false); err != nil {
+	if _, _, err := cat.create("we\tird", Schema{{Name: "x", Type: TInt64}}, true, false); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cat.Create("fine", Schema{{Name: "x", Type: TInt64}}); err != nil {

@@ -303,7 +303,7 @@ func TestAllocBudgetSkewedFirstRow(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got > 3*heapBytes {
 		t.Fatalf("materializing %d heap bytes allocated %d (> 3x): reservation extrapolated from the wide first row", heapBytes, got)
 	}
-	if last := mat.Row(rows - 1); len(last[0].Sparse.Idx) != 1 || last[1].Dense[0] != rows-1 || last[2].Ints[0] != rows-1 {
+	if last := matRow(mat, rows-1); len(last[0].Sparse.Idx) != 1 || last[1].Dense[0] != rows-1 || last[2].Ints[0] != rows-1 {
 		t.Fatalf("last row decoded as %v", last)
 	}
 }
@@ -439,7 +439,7 @@ func TestPoolPinRecyclesFrames(t *testing.T) {
 // pass must decode to its own values (run under -race).
 func TestPoolPinConcurrentScansAndScrub(t *testing.T) {
 	const rows, dim, passes = 600, 64, 40
-	h, err := OpenFileHeap(filepath.Join(t.TempDir(), "pin.heap"), 4)
+	h, err := openTestHeap(filepath.Join(t.TempDir(), "pin.heap"), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -133,9 +133,8 @@ func (c *Catalog) Swap(finalNames, shadowNames, dropNames []string) error {
 		for i := range finalNames {
 			c.pending[finalNames[i]] = shadowNames[i]
 		}
-		meta := c.swapMetaLocked(finalNames, shadowNames, dropNames)
 		c.mu.Unlock()
-		if err := c.writeMeta(meta); err != nil {
+		if err := c.writeMeta(c.snapshotMeta(finalNames, shadowNames, dropNames)); err != nil {
 			// Commit never landed: nothing is owed.
 			c.mu.Lock()
 			for _, f := range finalNames {
@@ -209,50 +208,10 @@ func (c *Catalog) Swap(finalNames, shadowNames, dropNames []string) error {
 	if err := runHook(c.Hooks.BeforeMarkerClear, finalNames); err != nil {
 		return err
 	}
-	c.mu.Lock()
-	meta := c.snapshotMetaLocked()
-	c.mu.Unlock()
-	if err := c.writeMeta(meta); err != nil {
+	if err := c.writeMeta(c.snapshotMeta(nil, nil, nil)); err != nil {
 		return errors.Join(closeErr, err)
 	}
 	return closeErr
-}
-
-// swapMetaLocked builds the commit snapshot: every current table except
-// the shadows being published, in-flight shadows of other sessions, and
-// the dropped names — plus one entry per final name carrying the new
-// generation's schema and its PendingFrom marker. Uninvolved tables keep
-// whatever marker c.pending still owes them from an earlier interrupted
-// swap.
-func (c *Catalog) swapMetaLocked(finalNames, shadowNames, dropNames []string) catalogMeta {
-	finalSet := map[string]bool{}
-	for _, n := range finalNames {
-		finalSet[n] = true
-	}
-	dropSet := map[string]bool{}
-	for _, n := range dropNames {
-		dropSet[n] = true
-	}
-	var meta catalogMeta
-	for name, t := range c.tables {
-		if IsShadowName(name) || dropSet[name] || finalSet[name] {
-			continue
-		}
-		tm := tableMeta{Name: name, PendingFrom: c.pending[name]}
-		for _, col := range t.Schema {
-			tm.Columns = append(tm.Columns, columnMeta{Name: col.Name, Type: uint8(col.Type)})
-		}
-		meta.Tables = append(meta.Tables, tm)
-	}
-	for i, final := range finalNames {
-		sh := c.tables[shadowNames[i]]
-		tm := tableMeta{Name: final, PendingFrom: shadowNames[i]}
-		for _, col := range sh.Schema {
-			tm.Columns = append(tm.Columns, columnMeta{Name: col.Name, Type: uint8(col.Type)})
-		}
-		meta.Tables = append(meta.Tables, tm)
-	}
-	return meta
 }
 
 // DiscardShadows drops every reserved shadow table still registered — the

@@ -507,17 +507,14 @@ func (c *Catalog) Create(name string, schema Schema) (*Table, error) {
 	return t, err
 }
 
-// createTrusted is Create without the name checks. OpenFileCatalog uses
-// it for names already recorded in the local catalog.json — possibly
-// written by an older release with laxer rules — because refusing one
-// legacy name would strand every other table in the catalog. repairTail
-// additionally truncates a torn (non-page-aligned) heap tail back to the
-// last full page, returning the bytes cut; recovery grants it only to
-// tables outside model pairs.
-func (c *Catalog) createTrusted(name string, schema Schema, repairTail bool) (*Table, int64, error) {
-	return c.create(name, schema, true, repairTail)
-}
-
+// create registers a new table. trusted skips the case-collision check:
+// OpenFileCatalog passes it for names already recorded in the local
+// catalog.json — possibly written by an older release with laxer rules —
+// because refusing one legacy name would strand every other table in the
+// catalog (Create alone also runs ValidTableName). repairTail additionally
+// truncates a torn (non-page-aligned) heap tail back to the last full
+// page, returning the bytes cut; recovery grants it only to tables outside
+// model pairs.
 func (c *Catalog) create(name string, schema Schema, trusted, repairTail bool) (*Table, int64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

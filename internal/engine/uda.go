@@ -1,7 +1,5 @@
 package engine
 
-import "fmt"
-
 // State is a UDA aggregation context. For Bismarck it is essentially the
 // model plus meta data (number of gradient steps taken, running loss, ...).
 type State interface{}
@@ -26,40 +24,6 @@ type Merger interface {
 	Merge(a, b State) State
 }
 
-// FuncUDA adapts plain functions to the UDA interface; MergeFn may be nil.
-type FuncUDA struct {
-	Name    string
-	InitFn  func() State
-	TransFn func(State, Tuple) State
-	TermFn  func(State) State
-	MergeFn func(State, State) State
-}
-
-// Initialize implements UDA.
-func (u *FuncUDA) Initialize() State { return u.InitFn() }
-
-// Transition implements UDA.
-func (u *FuncUDA) Transition(s State, t Tuple) State { return u.TransFn(s, t) }
-
-// Terminate implements UDA.
-func (u *FuncUDA) Terminate(s State) State {
-	if u.TermFn == nil {
-		return s
-	}
-	return u.TermFn(s)
-}
-
-// Merge implements Merger when MergeFn is set.
-func (u *FuncUDA) Merge(a, b State) State {
-	if u.MergeFn == nil {
-		panic(fmt.Sprintf("engine: UDA %s has no merge function", u.Name))
-	}
-	return u.MergeFn(a, b)
-}
-
-// CanMerge reports whether u supports merging.
-func (u *FuncUDA) CanMerge() bool { return u.MergeFn != nil }
-
 // NullUDA is the paper's strawman aggregate: it sees every tuple but
 // computes nothing. Tables 2 and 3 measure task overhead against it.
 type NullUDA struct{}
@@ -75,33 +39,3 @@ func (NullUDA) Terminate(s State) State { return s }
 
 // Merge implements Merger.
 func (NullUDA) Merge(a, b State) State { return nil }
-
-// CountUDA counts tuples; the simplest useful aggregate, used in tests.
-type CountUDA struct{}
-
-// Initialize implements UDA.
-func (CountUDA) Initialize() State { return int64(0) }
-
-// Transition implements UDA.
-func (CountUDA) Transition(s State, t Tuple) State { return s.(int64) + 1 }
-
-// Terminate implements UDA.
-func (CountUDA) Terminate(s State) State { return s }
-
-// Merge implements Merger.
-func (CountUDA) Merge(a, b State) State { return a.(int64) + b.(int64) }
-
-// SumUDA sums a float64 column, used in tests and loss computations.
-type SumUDA struct{ Col int }
-
-// Initialize implements UDA.
-func (u SumUDA) Initialize() State { return float64(0) }
-
-// Transition implements UDA.
-func (u SumUDA) Transition(s State, t Tuple) State { return s.(float64) + t[u.Col].Float }
-
-// Terminate implements UDA.
-func (u SumUDA) Terminate(s State) State { return s }
-
-// Merge implements Merger.
-func (u SumUDA) Merge(a, b State) State { return a.(float64) + b.(float64) }

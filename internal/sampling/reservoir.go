@@ -55,9 +55,6 @@ func (r *Reservoir) Items() []engine.Tuple { return r.buf }
 // Len returns the current number of buffered tuples.
 func (r *Reservoir) Len() int { return len(r.buf) }
 
-// Seen returns how many tuples have been offered.
-func (r *Reservoir) Seen() int { return r.seen }
-
 // SampleTable scans tbl once and returns a uniform sample of up to
 // capTuples rows. The reservoir retains tuples past the scan callback, so
 // the scan goes through ScanStable — cells in an already-fresh cache or in

@@ -19,8 +19,8 @@ func TestReservoirFillsToCap(t *testing.T) {
 			t.Fatal("dropped while filling")
 		}
 	}
-	if r.Len() != 3 || r.Seen() != 3 {
-		t.Fatalf("Len=%d Seen=%d", r.Len(), r.Seen())
+	if r.Len() != 3 || r.seen != 3 {
+		t.Fatalf("Len=%d seen=%d", r.Len(), r.seen)
 	}
 }
 

@@ -31,6 +31,31 @@ func (e *entry) valid() bool { return e.gen == e.handle.Load() }
 // a new map and swap the pointer; readers only ever load it.
 type epoch map[string]*entry
 
+// with returns a copy of ep with the model's entry set.
+func (ep *epoch) with(model string, e *entry) *epoch {
+	next := make(epoch, len(*ep)+1)
+	for k, v := range *ep {
+		next[k] = v
+	}
+	next[model] = e
+	return &next
+}
+
+// without returns a copy of ep lacking the model, or ep itself when the
+// model is absent.
+func (ep *epoch) without(model string) *epoch {
+	if _, ok := (*ep)[model]; !ok {
+		return ep
+	}
+	next := make(epoch, len(*ep))
+	for k, v := range *ep {
+		if k != model {
+			next[k] = v
+		}
+	}
+	return &next
+}
+
 // fillAttempts bounds how many times one Get re-decodes a model whose
 // generation moved between the decode and the publish check. One retry is
 // the sweet spot: under a hot retrain loop the second decode almost always
@@ -110,7 +135,7 @@ func (c *Cache) get(model string) (snap *sqlish.ModelSnapshot, gen uint64, fille
 	for attempt := 1; ; attempt++ {
 		snap, gen, err := c.fill.LoadSnapshot(model)
 		if err != nil {
-			c.evictLocked(model)
+			c.cur.Store(c.cur.Load().without(model))
 			return nil, 0, attempt, err
 		}
 		c.fills.Add(1)
@@ -119,7 +144,7 @@ func (c *Cache) get(model string) (snap *sqlish.ModelSnapshot, gen uint64, fille
 		}
 		handle := c.cat.GenHandle(model)
 		if handle != nil && handle.Load() == gen {
-			c.publishLocked(model, &entry{snap: snap, gen: gen, handle: handle})
+			c.cur.Store(c.cur.Load().with(model, &entry{snap: snap, gen: gen, handle: handle}))
 			return snap, gen, attempt, nil
 		}
 		// The name mutated (or vanished) between decode and here. The
@@ -167,33 +192,6 @@ func (c *Cache) Warm() []string {
 		}
 	}
 	return warmed
-}
-
-// publishLocked swaps in a new epoch with the entry added (copy-on-write;
-// caller holds mu).
-func (c *Cache) publishLocked(model string, e *entry) {
-	old := *c.cur.Load()
-	next := make(epoch, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[model] = e
-	c.cur.Store(&next)
-}
-
-// evictLocked swaps in a new epoch without the name (caller holds mu).
-func (c *Cache) evictLocked(model string) {
-	old := *c.cur.Load()
-	if _, ok := old[model]; !ok {
-		return
-	}
-	next := make(epoch, len(old))
-	for k, v := range old {
-		if k != model {
-			next[k] = v
-		}
-	}
-	c.cur.Store(&next)
 }
 
 // Stats reports cumulative hit and fill counts (monitoring/bench only).

@@ -34,8 +34,12 @@ func (g *mapGuard) get(name string) *sync.RWMutex {
 	return l
 }
 
-func (g *mapGuard) Lock(name string) func()  { l := g.get(name); l.Lock(); return l.Unlock }
-func (g *mapGuard) RLock(name string) func() { l := g.get(name); l.RLock(); return l.RUnlock }
+func (g *mapGuard) Lock(k sqlish.LockKey) func() { l := g.get(k.String()); l.Lock(); return l.Unlock }
+func (g *mapGuard) RLock(k sqlish.LockKey) func() {
+	l := g.get(k.String())
+	l.RLock()
+	return l.RUnlock
+}
 
 // servingRig is a catalog with two constant-label training sets (+10 and
 // -10 over the same features), a statement session, and a plane sharing

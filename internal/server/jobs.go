@@ -13,6 +13,7 @@ import (
 	"bismarck/internal/engine"
 	"bismarck/internal/serve"
 	"bismarck/internal/spec"
+	"bismarck/internal/sqlish"
 )
 
 // JobState is the lifecycle of a job. Every submitted job reaches exactly
@@ -266,11 +267,11 @@ type saveHook struct {
 }
 
 // Lock implements sqlish.Guard.
-func (g saveHook) Lock(name string) func() {
-	if name == g.job.Model+engine.ShadowSuffix {
+func (g saveHook) Lock(key sqlish.LockKey) func() {
+	if key.String() == g.job.Model+engine.ShadowSuffix {
 		g.fire(g.job.ID, g.job.Model)
 	}
-	return g.nameLocks.Lock(name)
+	return g.nameLocks.Lock(key)
 }
 
 // ledgerText bounds the statement rendering kept for SHOW JOBS: the

@@ -1,6 +1,10 @@
 package server
 
-import "sync"
+import (
+	"sync"
+
+	"bismarck/internal/sqlish"
+)
 
 // nameLocks is the per-model (more generally, per-table-name) reader/writer
 // lock registry of the session manager: TRAIN persists a model under the
@@ -57,9 +61,10 @@ func (nl *nameLocks) release(name string, l *nameLock) {
 	}
 }
 
-// Lock takes the name's exclusive lock and returns its release (call it
+// Lock takes the key's exclusive lock and returns its release (call it
 // exactly once).
-func (nl *nameLocks) Lock(name string) func() {
+func (nl *nameLocks) Lock(key sqlish.LockKey) func() {
+	name := key.String()
 	l := nl.acquire(name)
 	l.mu.Lock()
 	return func() {
@@ -68,9 +73,10 @@ func (nl *nameLocks) Lock(name string) func() {
 	}
 }
 
-// RLock takes the name's shared lock and returns its release (call it
+// RLock takes the key's shared lock and returns its release (call it
 // exactly once).
-func (nl *nameLocks) RLock(name string) func() {
+func (nl *nameLocks) RLock(key sqlish.LockKey) func() {
+	name := key.String()
 	l := nl.acquire(name)
 	l.mu.RLock()
 	return func() {

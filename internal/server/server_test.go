@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -70,13 +71,13 @@ func mustExec(t *testing.T, s *Session, stmt string) {
 // names are independent, same-name writers exclude readers.
 func TestNameLocksExcludeWriters(t *testing.T) {
 	nl := newNameLocks()
-	unlockA := nl.Lock("a")
-	unlockB := nl.Lock("b") // distinct name: must not block
+	unlockA := nl.Lock(sqlish.NewLockKey("a"))
+	unlockB := nl.Lock(sqlish.NewLockKey("b")) // distinct name: must not block
 	unlockB()
 
 	acquired := make(chan struct{})
 	go func() {
-		defer nl.RLock("a")()
+		defer nl.RLock(sqlish.NewLockKey("a"))()
 		close(acquired)
 	}()
 	select {
@@ -93,10 +94,59 @@ func TestNameLocksExcludeWriters(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer nl.RLock("a")()
+			defer nl.RLock(sqlish.NewLockKey("a"))()
 		}()
 	}
 	wg.Wait()
+}
+
+// stalledWriter is a client that stops reading: every Write parks until
+// release closes, and entered closes at the first one.
+type stalledWriter struct {
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (w *stalledWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.entered) })
+	<-w.release
+	return len(p), nil
+}
+
+// TestStalledClientHoldsNoNameLock: a session whose client stops reading
+// while it prints SHOW MODELS holds no name lock as it waits, so a second
+// session's sync TRAIN into the listed model commits before a deadline.
+func TestStalledClientHoldsNoNameLock(t *testing.T) {
+	m := newManager(t, Options{})
+	seedPapers(t, m, 200)
+	train := `SELECT vec, label FROM papers TO TRAIN lr WITH epochs=2 INTO m;`
+	mustExec(t, m.NewSession(io.Discard), train)
+
+	w := &stalledWriter{entered: make(chan struct{}), release: park(t)}
+	showed := make(chan error, 1)
+	go func() { showed <- m.NewSession(w).Exec(`SHOW MODELS;`) }()
+	select {
+	case <-w.entered:
+	case err := <-showed:
+		t.Fatalf("SHOW MODELS returned (%v) without writing", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("SHOW MODELS never wrote")
+	}
+
+	trained := make(chan error, 1)
+	go func() { trained <- m.NewSession(io.Discard).Exec(train) }()
+	select {
+	case err := <-trained:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("TRAIN INTO m did not commit while a stalled client printed SHOW MODELS")
+	}
+	close(w.release)
+	if err := <-showed; err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestAsyncTrainJobLifecycle drives the happy path end to end in process:
@@ -343,12 +393,12 @@ func TestJobHistoryEviction(t *testing.T) {
 func TestNameLocksEvictIdleEntries(t *testing.T) {
 	nl := newNameLocks()
 	for i := 0; i < 1000; i++ {
-		nl.Lock(fmt.Sprintf("w%d", i))()
-		nl.RLock(fmt.Sprintf("r%d", i))()
+		nl.Lock(sqlish.NewLockKey(fmt.Sprintf("w%d", i)))()
+		nl.RLock(sqlish.NewLockKey(fmt.Sprintf("r%d", i)))()
 	}
 	// Contended entries survive until the last holder releases.
-	unlockA := nl.RLock("a")
-	unlockB := nl.RLock("a")
+	unlockA := nl.RLock(sqlish.NewLockKey("a"))
+	unlockB := nl.RLock(sqlish.NewLockKey("a"))
 	nl.mu.Lock()
 	n := len(nl.locks)
 	nl.mu.Unlock()

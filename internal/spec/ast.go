@@ -228,13 +228,3 @@ type Statement struct {
 	// per scored tuple, all the same arity (ValidatePoints enforces it).
 	Points [][]float64
 }
-
-// WithValue returns the value of a WITH key, if present.
-func (st *Statement) WithValue(key string) (Literal, bool) {
-	for _, p := range st.With {
-		if p.Key == key {
-			return p.Val, true
-		}
-	}
-	return Literal{}, false
-}

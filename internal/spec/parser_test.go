@@ -8,6 +8,16 @@ import (
 	"testing"
 )
 
+// withValue returns the value of a WITH key, if present.
+func withValue(st *Statement, key string) (Literal, bool) {
+	for _, p := range st.With {
+		if p.Key == key {
+			return p.Val, true
+		}
+	}
+	return Literal{}, false
+}
+
 func TestParseTrainFull(t *testing.T) {
 	st, err := Parse(`SELECT vec, label FROM papers
 		WHERE split = 'train' AND weight >= 0.5
@@ -33,13 +43,13 @@ func TestParseTrainFull(t *testing.T) {
 	if len(st.With) != 10 {
 		t.Fatalf("with: %+v", st.With)
 	}
-	if v, ok := st.WithValue("alpha"); !ok || v.Num != 0.1 {
+	if v, ok := withValue(st, "alpha"); !ok || v.Num != 0.1 {
 		t.Fatalf("alpha: %+v", v)
 	}
-	if v, ok := st.WithValue("workers"); !ok || !v.IsInt || v.Int != 4 {
+	if v, ok := withValue(st, "workers"); !ok || !v.IsInt || v.Int != 4 {
 		t.Fatalf("workers: %+v", v)
 	}
-	if v, ok := st.WithValue("order"); !ok || v.Str != "shuffle_once" {
+	if v, ok := withValue(st, "order"); !ok || v.Str != "shuffle_once" {
 		t.Fatalf("order: %+v", v)
 	}
 	if len(st.Columns) != 1 || st.Columns[0] != "vec" || st.Label != "label" {
@@ -70,7 +80,7 @@ func TestParseEveryKnob(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", key, err)
 		}
-		if _, ok := st.WithValue(key); !ok {
+		if _, ok := withValue(st, key); !ok {
 			t.Fatalf("%s: knob not captured", key)
 		}
 		if _, _, err := SplitKnobs(st.With); err != nil {
@@ -199,7 +209,7 @@ func TestParseLegacyLowering(t *testing.T) {
 		t.Fatalf("task: %q", st.Task)
 	}
 	for key, want := range map[string]int64{"rows": 40, "cols": 30, "rank": 4} {
-		if v, ok := st.WithValue(key); !ok || v.Int != want {
+		if v, ok := withValue(st, key); !ok || v.Int != want {
 			t.Fatalf("%s: %+v", key, v)
 		}
 	}

@@ -34,8 +34,8 @@ func (g *testGuard) get(name string) *sync.RWMutex {
 	return l
 }
 
-func (g *testGuard) Lock(name string) func()  { l := g.get(name); l.Lock(); return l.Unlock }
-func (g *testGuard) RLock(name string) func() { l := g.get(name); l.RLock(); return l.RUnlock }
+func (g *testGuard) Lock(k LockKey) func()  { l := g.get(k.name); l.Lock(); return l.Unlock }
+func (g *testGuard) RLock(k LockKey) func() { l := g.get(k.name); l.RLock(); return l.RUnlock }
 
 // TestUnknownModelError pins the typed error of the satellite fix: a
 // PREDICT/EVALUATE against a never-trained model must surface as
@@ -101,11 +101,11 @@ type cancelGuard struct {
 	cancel context.CancelFunc
 }
 
-func (g cancelGuard) Lock(name string) func() {
-	if name == g.name {
+func (g cancelGuard) Lock(k LockKey) func() {
+	if k.name == g.name {
 		g.cancel()
 	}
-	return g.testGuard.Lock(name)
+	return g.testGuard.Lock(k)
 }
 
 // TestCancelAtSwapKeepsPreviousGeneration: a cancel that lands when a
@@ -252,8 +252,45 @@ func TestLockKeyCollapsesMetaSuffix(t *testing.T) {
 		"x__metaphor":   "x__metaphor",
 		"__meta":        "",
 	} {
-		if got := lockKey(name); got != want {
-			t.Errorf("lockKey(%q) = %q, want %q", name, got, want)
+		if got := NewLockKey(name).String(); got != want {
+			t.Errorf("NewLockKey(%q) = %q, want %q", name, got, want)
+		}
+	}
+}
+
+// TestWithLockRefusesNesting: a session holds one exclusive name lock at
+// a time. A second one requested inside it fails, naming both keys, before
+// it locks — with or without a Guard — and the one allowed pair, a name
+// inside its own shadow's lock, is fillAndSwap's commit.
+func TestWithLockRefusesNesting(t *testing.T) {
+	for _, guard := range []Guard{nil, newTestGuard()} {
+		s := &Session{Cat: engine.NewCatalog(), Out: &bytes.Buffer{}, Guard: guard}
+		for _, pair := range [][2]string{
+			{"a", "b"},
+			{"a", "a"},
+			{"m", shadowName("m")},
+			{shadowName("m"), "n"},
+		} {
+			ran := false
+			err := s.withLock(pair[0], func() error {
+				return s.withLock(pair[1], func() error { ran = true; return nil })
+			})
+			if err == nil || ran {
+				t.Fatalf("guard %T: withLock(%q) inside withLock(%q) ran (err %v), want refused", guard, pair[1], pair[0], err)
+			}
+			if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("%q", pair[0])) || !strings.Contains(msg, fmt.Sprintf("%q", pair[1])) {
+				t.Fatalf("guard %T: nesting error %q does not name both keys", guard, msg)
+			}
+		}
+		ran := false
+		err := s.withLock(shadowName("m"), func() error {
+			return s.withLock("m", func() error { ran = true; return nil })
+		})
+		if err != nil || !ran {
+			t.Fatalf("guard %T: name inside its shadow's lock: ran=%v err=%v, want allowed", guard, ran, err)
+		}
+		if s.held != (LockKey{}) {
+			t.Fatalf("guard %T: session still records %q held after every scope returned", guard, s.held)
 		}
 	}
 }

@@ -93,12 +93,6 @@ func buildPointLayout(ts *spec.TaskSpec) pointLayout {
 	return lo
 }
 
-// SupportsPoint reports whether the snapshot's task can score inline
-// tuples (and why not when it cannot).
-func (snap *ModelSnapshot) SupportsPoint() (bool, string) {
-	return snap.layout.ok, snap.layout.reason
-}
-
 // LoadSnapshot decodes the persisted model into a serving snapshot. The
 // metadata, coefficients and returned generation come from one locked
 // read (readModel, shared with restore), so snapshot and generation

@@ -23,8 +23,8 @@ func TestLoadSnapshotGeneration(t *testing.T) {
 	if gen1 == 0 {
 		t.Fatal("trained model has generation 0")
 	}
-	if ok, reason := snap1.SupportsPoint(); !ok {
-		t.Fatalf("lsq snapshot should score points: %s", reason)
+	if !snap1.layout.ok {
+		t.Fatalf("lsq snapshot should score points: %s", snap1.layout.reason)
 	}
 	if snap1.Model != "m" || snap1.Spec.Name != "lsq" || len(snap1.W) == 0 {
 		t.Fatalf("snapshot incomplete: %+v", snap1)

@@ -21,6 +21,7 @@
 package sqlish
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -45,6 +46,7 @@ import (
 // sharing a catalog are safe against each other when they share a Guard.
 type Session struct {
 	Cat *engine.Catalog
+	// Out receives each statement's output when the statement ends.
 	Out io.Writer
 	// Epochs and Alpha are session-level defaults used when a statement
 	// sets neither; zero values fall back to 20 and the task's preference.
@@ -54,6 +56,13 @@ type Session struct {
 	// against other sessions on the same catalog (the server's session
 	// manager installs one; nil means the session owns the catalog).
 	Guard Guard
+
+	// held is the exclusive lock key withLock holds, zero when none.
+	held LockKey
+	// out collects the running statement's output; Run copies it to Out
+	// once the statement has released every lock, so a slow or stalled
+	// Out can never hold a table's lock.
+	out bytes.Buffer
 }
 
 // Exec parses and runs one statement with no cancellation.
@@ -70,8 +79,23 @@ func (s *Session) Exec(stmt string) error {
 // programmatically built statement must face the same rules where the
 // tables are actually touched. A done ctx stops a TRAIN before its next
 // epoch, a PREDICT or EVALUATE before its scoring pass, and any write
-// before its commit (fillAndSwap) — never after.
+// before its commit (fillAndSwap) — never after. The statement prints
+// into a buffer that reaches Out only after it returns, when every lock
+// it took is released: Out can be a network connection, and a stalled
+// client must not stall the writers queued on a table's lock.
 func (s *Session) Run(ctx context.Context, st *spec.Statement) error {
+	s.out.Reset()
+	err := s.run(ctx, st)
+	if s.out.Len() > 0 {
+		// A failed write undoes nothing the statement did; the front end
+		// learns of a dead client from its own reads and writes.
+		_, _ = s.Out.Write(s.out.Bytes())
+	}
+	return err
+}
+
+// run is Run writing into the statement buffer.
+func (s *Session) run(ctx context.Context, st *spec.Statement) error {
 	if err := spec.ValidateNames(st); err != nil {
 		return err
 	}
@@ -93,7 +117,7 @@ func (s *Session) Run(ctx context.Context, st *spec.Statement) error {
 	switch st.Kind {
 	case spec.KindShowTables:
 		for _, n := range s.Cat.Names() {
-			fmt.Fprintln(s.Out, n)
+			fmt.Fprintln(&s.out, n)
 		}
 		return nil
 	case spec.KindShowTasks:
@@ -102,9 +126,9 @@ func (s *Session) Run(ctx context.Context, st *spec.Statement) error {
 			if ts.Predict != nil {
 				point = " [point]"
 			}
-			fmt.Fprintf(s.Out, "%-10s %s%s\n", ts.Name, ts.Summary, point)
+			fmt.Fprintf(&s.out, "%-10s %s%s\n", ts.Name, ts.Summary, point)
 			if len(ts.Params) > 0 {
-				fmt.Fprintf(s.Out, "           WITH %s\n", spec.DescribeParams(ts.Params))
+				fmt.Fprintf(&s.out, "           WITH %s\n", spec.DescribeParams(ts.Params))
 			}
 		}
 		return nil
@@ -205,10 +229,10 @@ func (s *Session) showModels() error {
 			return nil
 		})
 		if err != nil {
-			fmt.Fprintf(s.Out, "%-12s (broken: %v)\n", base, err)
+			fmt.Fprintf(&s.out, "%-12s (broken: %v)\n", base, err)
 			continue
 		}
-		fmt.Fprintf(s.Out, "%-12s task=%s\n", base, taskName)
+		fmt.Fprintf(&s.out, "%-12s task=%s\n", base, taskName)
 	}
 	return nil
 }
@@ -228,11 +252,7 @@ func (s *Session) showShards(st *spec.Statement) error {
 			return err
 		}
 	}
-	// The shared lock covers only the resolve and the row-count read; the
-	// report prints after release. s.Out can be a network connection, and
-	// a stalled client write must not stall writers queued on the table's
-	// exclusive lock (lockorder rule E; the window used to span the
-	// printing below).
+	// The shared lock covers only the resolve and the row-count read.
 	var n int
 	if err := s.withRLock(st.From, func() error {
 		tbl, err := s.Cat.Get(st.From)
@@ -248,7 +268,7 @@ func (s *Session) showShards(st *spec.Statement) error {
 	if k <= 0 {
 		k = runtime.GOMAXPROCS(0)
 	}
-	fmt.Fprintf(s.Out, "table %q: %d rows over %d shards\n", st.From, n, k)
+	fmt.Fprintf(&s.out, "table %q: %d rows over %d shards\n", st.From, n, k)
 	for _, strat := range []engine.ShardStrategy{engine.ShardRoundRobin, engine.ShardHash} {
 		counts, err := engine.ShardCounts(n, k, strat)
 		if err != nil {
@@ -263,7 +283,7 @@ func (s *Session) showShards(st *spec.Statement) error {
 				maxC = c
 			}
 		}
-		fmt.Fprintf(s.Out, "%-10s %s (min %d, max %d)\n", strat, renderCounts(counts), minC, maxC)
+		fmt.Fprintf(&s.out, "%-10s %s (min %d, max %d)\n", strat, renderCounts(counts), minC, maxC)
 	}
 	return nil
 }
@@ -289,11 +309,8 @@ func renderCounts(counts []int) string {
 // locked quarantine set, so the table's shared lock is enough — concurrent
 // readers proceed, and writers (which take the exclusive lock) queue.
 func (s *Session) checkTable(st *spec.Statement) error {
-	// The shared lock spans resolve + scrub (the scrub re-reads the heap,
-	// so the generation must not be swapped out under it), but the report
-	// prints only after release: a slow client draining the per-page
-	// lines must not hold the table's writers off (lockorder rule E; the
-	// window used to span the printing below).
+	// The shared lock spans resolve + scrub: the scrub re-reads the heap,
+	// so the generation must not be swapped out under it.
 	var rep engine.ScrubReport
 	if err := s.withRLock(st.From, func() error {
 		tbl, err := s.Cat.Get(st.From)
@@ -306,13 +323,13 @@ func (s *Session) checkTable(st *spec.Statement) error {
 		return err
 	}
 	if rep.Clean() {
-		fmt.Fprintf(s.Out, "table %q: %d pages, all checksums ok\n", st.From, rep.Pages)
+		fmt.Fprintf(&s.out, "table %q: %d pages, all checksums ok\n", st.From, rep.Pages)
 		return nil
 	}
-	fmt.Fprintf(s.Out, "table %q: %d pages, %d newly quarantined, %d quarantined total\n",
+	fmt.Fprintf(&s.out, "table %q: %d pages, %d newly quarantined, %d quarantined total\n",
 		st.From, rep.Pages, len(rep.NewBad), len(rep.Bad))
 	for _, pg := range sortedPages(rep.Bad) {
-		fmt.Fprintf(s.Out, "  page %d: %s\n", pg, rep.Bad[pg])
+		fmt.Fprintf(&s.out, "  page %d: %s\n", pg, rep.Bad[pg])
 	}
 	return nil
 }
@@ -335,10 +352,10 @@ func (s *Session) showScrub() error {
 			continue
 		}
 		if len(quar) == 0 {
-			fmt.Fprintf(s.Out, "%-12s %d pages, clean\n", name, pages)
+			fmt.Fprintf(&s.out, "%-12s %d pages, clean\n", name, pages)
 			continue
 		}
-		fmt.Fprintf(s.Out, "%-12s %d pages, %d quarantined: %s\n",
+		fmt.Fprintf(&s.out, "%-12s %d pages, %d quarantined: %s\n",
 			name, pages, len(quar), renderPageRanges(sortedPages(quar)))
 	}
 	return nil
@@ -381,7 +398,7 @@ func (s *Session) reportDegraded(view *spec.View) {
 	if view.Skipped.SkippedPages == 0 && view.Skipped.SkippedRows == 0 {
 		return
 	}
-	fmt.Fprintf(s.Out, "degraded scan: skipped %d corrupt pages (>=%d rows)\n",
+	fmt.Fprintf(&s.out, "degraded scan: skipped %d corrupt pages (>=%d rows)\n",
 		view.Skipped.SkippedPages, view.Skipped.SkippedRows)
 }
 
@@ -403,7 +420,7 @@ func (s *Session) train(ctx context.Context, st *spec.Statement) error {
 	if err := s.saveModel(ctx, st.Into, ts, task, out.Model); err != nil {
 		return err
 	}
-	fmt.Fprintf(s.Out, "%s trained on %s via %s: %d epochs, final loss %.6g; model saved to table %q\n",
+	fmt.Fprintf(&s.out, "%s trained on %s via %s: %d epochs, final loss %.6g; model saved to table %q\n",
 		task.Name(), st.From, out.Method, out.Epochs, out.Loss, st.Into)
 	return nil
 }
@@ -542,14 +559,14 @@ func (s *Session) predict(ctx context.Context, st *spec.Statement) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(s.Out, "predicted %d rows into table %q\n", n, st.Into)
+		fmt.Fprintf(&s.out, "predicted %d rows into table %q\n", n, st.Into)
 		return nil
 	}
 	if view.HasLabel && ts.Agrees != nil {
-		fmt.Fprintf(s.Out, "predicted %d rows: %d positive; accuracy %.2f%%\n",
+		fmt.Fprintf(&s.out, "predicted %d rows: %d positive; accuracy %.2f%%\n",
 			n, pos, 100*float64(correct)/float64(n))
 	} else {
-		fmt.Fprintf(s.Out, "predicted %d rows: %d positive\n", n, pos)
+		fmt.Fprintf(&s.out, "predicted %d rows: %d positive\n", n, pos)
 	}
 	return nil
 }
@@ -563,15 +580,15 @@ func (s *Session) evaluate(ctx context.Context, st *spec.Statement) error {
 		return err
 	}
 	s.reportDegraded(view)
-	fmt.Fprintf(s.Out, "%s %q on %s: ", ts.Name, st.Model, st.From)
+	fmt.Fprintf(&s.out, "%s %q on %s: ", ts.Name, st.Model, st.From)
 	if ts.Evaluate != nil {
-		return ts.Evaluate(task, w, view.Table, knobs.Threshold, s.Out)
+		return ts.Evaluate(task, w, view.Table, knobs.Threshold, &s.out)
 	}
 	loss, err := core.TotalLoss(task, w, view.Table)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(s.Out, "n=%d loss=%.6g\n", view.Table.NumRows(), loss)
+	fmt.Fprintf(&s.out, "n=%d loss=%.6g\n", view.Table.NumRows(), loss)
 	return nil
 }
 
@@ -649,7 +666,7 @@ type shadowFill struct {
 // inside it around the Swap only. The pair is always acquired in that
 // order and the name lock is never held while waiting on a shadow lock,
 // which is what the no-two-model-locks cycle-freedom argument (DESIGN.md
-// §6) needs.
+// §6) needs; withLock allows this pair and refuses any other nesting.
 func (s *Session) fillAndSwap(ctx context.Context, dropAlso []string, fills ...shadowFill) error {
 	name := fills[0].name
 	return s.withLock(shadowName(name), func() (err error) {

@@ -53,9 +53,9 @@ var (
 	}
 )
 
-// Column positions shared by DenseExampleSchema and SparseExampleSchema.
+// Column positions shared by DenseExampleSchema and SparseExampleSchema
+// (the id is column 0).
 const (
-	ColID    = 0
 	ColVec   = 1
 	ColLabel = 2
 )

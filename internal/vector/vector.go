@@ -110,14 +110,6 @@ func (v Dense) Scale(c float64) {
 	}
 }
 
-// AddScaled returns nothing; it performs v += c*u where u may be shorter than
-// v (extra components of v are untouched). Used by model averaging.
-func (v Dense) AddScaled(u Dense, c float64) {
-	for i, ui := range u {
-		v[i] += c * ui
-	}
-}
-
 // Norm2 returns the Euclidean norm of v.
 func (v Dense) Norm2() float64 {
 	var s float64
@@ -132,17 +124,6 @@ func (v Dense) Norm1() float64 {
 	var s float64
 	for _, x := range v {
 		s += math.Abs(x)
-	}
-	return s
-}
-
-// NormInf returns the max-abs norm of v.
-func (v Dense) NormInf() float64 {
-	var s float64
-	for _, x := range v {
-		if a := math.Abs(x); a > s {
-			s = a
-		}
 	}
 	return s
 }
@@ -267,29 +248,4 @@ func (s Sparse) Norm2() float64 {
 		t += v * v
 	}
 	return math.Sqrt(t)
-}
-
-// ToDense expands s into a dense vector of dimension d. Entries at or beyond
-// d are dropped.
-func (s Sparse) ToDense(d int) Dense {
-	w := NewDense(d)
-	for k, i := range s.Idx {
-		if int(i) < d {
-			w[i] = s.Val[k]
-		}
-	}
-	return w
-}
-
-// FromDense converts a dense vector into sparse form, keeping entries whose
-// absolute value exceeds eps.
-func FromDense(v Dense, eps float64) Sparse {
-	var s Sparse
-	for i, x := range v {
-		if math.Abs(x) > eps {
-			s.Idx = append(s.Idx, int32(i))
-			s.Val = append(s.Val, x)
-		}
-	}
-	return s
 }
