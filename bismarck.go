@@ -274,7 +274,8 @@ var (
 	// NewReservoirRunner is the plan that trains on one reservoir sample.
 	NewReservoirRunner = sampling.NewReservoirRunner
 	// NewMRSRunner is multiplexed reservoir sampling; call the returned
-	// stop func when training is over.
+	// stop func when training is over — it returns the Memory worker's
+	// failure, if any.
 	NewMRSRunner = sampling.NewMRSRunner
 )
 

@@ -77,13 +77,14 @@ type Executor struct {
 	w      vector.Dense
 
 	// The request Handle admits and its result, passed through fields so
-	// the gate runs a dispatch bound once in NewExecutor: a steady-state
-	// frame builds no closure.
+	// the gate runs a dispatch — and dispatch a route — bound once in
+	// NewExecutor: a steady-state frame builds no closure.
 	op         byte
 	body       []byte
 	res        []float64
 	resErr     error
 	dispatchFn func()
+	routeFn    func() error
 }
 
 // NewExecutor builds a connection's executor. gate may be nil (admit
@@ -94,7 +95,7 @@ func NewExecutor(build BuildTask, gate Gate) *Executor {
 		gate = nopGate{}
 	}
 	ex := &Executor{build: build, gate: gate, shards: make(map[uint32]*execShard)}
-	ex.dispatchFn = ex.dispatch
+	ex.dispatchFn, ex.routeFn = ex.dispatch, ex.routeReq
 	return ex
 }
 
@@ -136,9 +137,16 @@ func (ex *Executor) Handle(payload []byte) (resp []byte, ok bool) {
 }
 
 // dispatch runs the admitted request in ex.op / ex.body, leaving its reply
-// values and error in ex.res / ex.resErr.
+// values and error in ex.res / ex.resErr. It runs the request under
+// engine.Contain: a shard whose task panics answers an ERR frame, which the
+// coordinator reports as that shard's error, and the executor lives on.
 func (ex *Executor) dispatch() {
-	ex.res, ex.resErr = ex.route(ex.op, ex.body)
+	ex.resErr = engine.Contain(ex.routeFn)
+}
+
+func (ex *Executor) routeReq() (err error) {
+	ex.res, err = ex.route(ex.op, ex.body)
+	return err
 }
 
 func (ex *Executor) route(op byte, body []byte) ([]float64, error) {

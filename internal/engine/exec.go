@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Relation is the scan contract the executors run over: a physical table
 // (page-granular segments, decode per row), a table's reusable-scratch view
@@ -35,8 +32,9 @@ var (
 // decoded fresh per row (a UDA may retain them); the trainers run the same
 // plan over the decoded-row cache. With Segments == 1 the scan is
 // sequential; otherwise the engine's built-in shared-nothing parallelism is
-// used — each segment aggregates independently and the states are merged
-// left-to-right, which requires the UDA to implement Merger.
+// used — each segment aggregates independently, one RunBlocks block a
+// segment, and the states are merged left-to-right, which requires the UDA
+// to implement Merger.
 func RunUDA(r Relation, u UDA, p Profile) (State, error) {
 	if p.Segments <= 1 {
 		s := u.Initialize()
@@ -60,26 +58,18 @@ func RunUDA(r Relation, u UDA, p Profile) (State, error) {
 		return nil, err
 	}
 	states := make([]State, len(segs))
-	errs := make([]error, len(segs))
-	var wg sync.WaitGroup
-	for i, seg := range segs {
-		wg.Add(1)
-		go func(i int, from, to int) {
-			defer wg.Done()
-			s := u.Initialize()
-			errs[i] = r.ScanSegment(from, to, func(tp Tuple) error {
-				spin(p.PerCallOverhead)
-				s = u.Transition(s, tp)
-				return nil
-			})
-			states[i] = s
-		}(i, seg[0], seg[1])
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
-		}
+	err = RunBlocks(len(segs), len(segs), func(_, i int) error {
+		s := u.Initialize()
+		err := r.ScanSegment(segs[i][0], segs[i][1], func(tp Tuple) error {
+			spin(p.PerCallOverhead)
+			s = u.Transition(s, tp)
+			return nil
+		})
+		states[i] = s
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	s := states[0]
 	for _, s2 := range states[1:] {
@@ -105,13 +95,13 @@ func copyState(s State) State {
 	return s
 }
 
-// RunSharedScan drives the shared-memory UDA plan over a relation:
-// `workers` goroutines scan disjoint segments concurrently and deliver
-// tuples to fn. The aggregation state lives in shared memory owned by the
-// caller (the model), which is exactly how the paper's shared-memory
-// variant keeps the three-function abstraction while updating one model
-// concurrently; the concurrency scheme (Lock / AIG / NoLock) is the
-// caller's choice of model representation.
+// RunSharedScan drives the shared-memory UDA plan over a relation: it splits
+// it into `workers` segments, scans them concurrently as one RunBlocks block
+// each, and delivers tuples to fn with the segment's index. The aggregation
+// state lives in shared memory owned by the caller (the model), which is
+// exactly how the paper's shared-memory variant keeps the three-function
+// abstraction while updating one model concurrently; the concurrency scheme
+// (Lock / AIG / NoLock) is the caller's choice of model representation.
 func RunSharedScan(r Relation, workers int, p Profile, fn func(worker int, tp Tuple) error) error {
 	if workers <= 1 {
 		return r.Scan(func(tp Tuple) error {
@@ -123,23 +113,10 @@ func RunSharedScan(r Relation, workers int, p Profile, fn func(worker int, tp Tu
 	if err != nil {
 		return err
 	}
-	errs := make([]error, len(segs))
-	var wg sync.WaitGroup
-	for i, seg := range segs {
-		wg.Add(1)
-		go func(i, from, to int) {
-			defer wg.Done()
-			errs[i] = r.ScanSegment(from, to, func(tp Tuple) error {
-				spin(p.PerCallOverhead)
-				return fn(i, tp)
-			})
-		}(i, seg[0], seg[1])
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	return nil
+	return RunBlocks(len(segs), len(segs), func(_, i int) error {
+		return r.ScanSegment(segs[i][0], segs[i][1], func(tp Tuple) error {
+			spin(p.PerCallOverhead)
+			return fn(i, tp)
+		})
+	})
 }

@@ -862,8 +862,8 @@ func (h *Heap) readFailed(i int, err error) error {
 }
 
 // scanData visits every record of one data page and unpins it — also when
-// fn panics (shard workers recover task panics), or the pool is a frame
-// short for good. A degraded scan skips and counts an unreadable slot.
+// fn panics (RunBlocks and Contain recover task panics), or the pool is a
+// frame short for good. A degraded scan skips and counts an unreadable slot.
 func scanData(p *frame, degraded bool, stats *DegradedStats, fn func(rec []byte) error) error {
 	defer p.unpin()
 	for s := 0; s < p.data.slotCount(); s++ {

@@ -170,7 +170,7 @@ func trainSampled(task core.Task, step core.StepRule, epochs, buf int, seed int6
 	tbl *engineTable, mrs bool) (*core.Result, error) {
 	var r core.EpochRunner
 	var err error
-	stop := func() {}
+	stop := func() error { return nil }
 	if mrs {
 		r, stop, err = sampling.NewMRSRunner(task, tbl, buf, seed)
 	} else {
@@ -179,8 +179,11 @@ func trainSampled(task core.Task, step core.StepRule, epochs, buf int, seed int6
 	if err != nil {
 		return nil, err
 	}
-	defer stop()
-	return core.Drive(r, core.LoopConfig{Task: task, Step: step, MaxEpochs: epochs, Seed: seed})
+	res, err := core.Drive(r, core.LoopConfig{Task: task, Step: step, MaxEpochs: epochs, Seed: seed})
+	if serr := stop(); err == nil {
+		err = serr
+	}
+	return res, err
 }
 
 func lossSeries(name string, losses []float64) Series {

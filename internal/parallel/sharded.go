@@ -3,7 +3,6 @@ package parallel
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"bismarck/internal/core"
 	"bismarck/internal/engine"
@@ -27,8 +26,8 @@ import (
 // sharded epoch. RunEpoch must leave the shard's post-epoch model replica
 // in replica (len == dim), starting from w with step size alpha; LossAt
 // returns the shard's summed example loss at w; Rows is the shard's row
-// count, the weight of its replica in the merge. Implementations are
-// called from one goroutine per shard per pass — a runner never races with
+// count, the weight of its replica in the merge. Each pass calls each
+// runner once, as its own engine.RunBlocks block — a runner never races with
 // itself, but runners sharing a resource (a connection to one executor)
 // must serialize internally.
 type ShardRunner interface {
@@ -52,13 +51,14 @@ type ShardedEpoch struct {
 	weights  []float64
 	total    float64
 
-	// Per-call state, published to workers before the goroutines spawn.
+	// Per-call state, set before the pass's blocks run.
 	cur   vector.Dense // model the epoch starts from / loss is evaluated at
 	alpha float64
 	epoch int
 
-	errs []error
-	wg   sync.WaitGroup
+	// The pass's RunBlocks block functions, bound once so a steady-state
+	// epoch builds no closure.
+	runFn, lossFn func(_, i int) error
 }
 
 // Shard is the one ShardRunner that scans a local table: one shard's
@@ -187,8 +187,8 @@ func NewShardedEpochRunners(task core.Task, runners []ShardRunner) (*ShardedEpoc
 		replicas: make([]vector.Dense, k),
 		partials: make([]float64, k),
 		weights:  make([]float64, k),
-		errs:     make([]error, k),
 	}
+	se.runFn, se.lossFn = se.runShard, se.lossShard
 	for i, r := range runners {
 		se.replicas[i] = vector.NewDense(task.Dim())
 		se.weights[i] = float64(r.Rows())
@@ -197,36 +197,17 @@ func NewShardedEpochRunners(task core.Task, runners []ShardRunner) (*ShardedEpoc
 	return se, nil
 }
 
-// resetErrs clears the per-shard error slots before a pass. The slots are
-// reused across Run and Loss calls; without the explicit reset, a pass
-// whose worker bailed before reaching its slot assignment (a panic path, a
-// future early return) could leak a previous pass's failure into this
-// one's verdict — a failed Run must never make a later Loss report stale
-// errors, and vice versa.
-func (se *ShardedEpoch) resetErrs() {
-	for i := range se.errs {
-		se.errs[i] = nil
-	}
-}
-
 // Run executes one shared-nothing epoch: every runner starts from w,
 // applies its shard's ordering, performs its shard's gradient steps with
 // step size alpha, and the replicas are merged back into w by row-weighted
-// averaging. A worker error — or panic — fails the epoch (and with it the
-// statement), never the process; w is then left unchanged, since the merge
-// only runs when every shard finished.
+// averaging. Each shard is one engine.RunBlocks block, so a shard's error —
+// or panic, recovered into an error naming its block, which is the shard —
+// fails the epoch (and with it the statement), never the process; w is
+// then left unchanged, since the merge only runs when every shard finished.
 func (se *ShardedEpoch) Run(epoch int, w vector.Dense, alpha float64) error {
-	se.resetErrs()
 	se.cur, se.alpha, se.epoch = w, alpha, epoch
-	for i := range se.runners {
-		se.wg.Add(1)
-		go se.runWorker(i)
-	}
-	se.wg.Wait()
-	for _, err := range se.errs {
-		if err != nil {
-			return err
-		}
+	if err := engine.RunBlocks(len(se.runners), len(se.runners), se.runFn); err != nil {
+		return err
 	}
 	if se.total == 0 {
 		return nil // empty table: nothing trained, w unchanged
@@ -243,30 +224,22 @@ func (se *ShardedEpoch) Run(epoch int, w vector.Dense, alpha float64) error {
 	return nil
 }
 
-func (se *ShardedEpoch) runWorker(i int) {
-	defer se.wg.Done()
-	defer se.recoverInto(i)
-	se.errs[i] = se.runners[i].RunEpoch(se.epoch, se.cur, se.alpha, se.replicas[i])
+func (se *ShardedEpoch) runShard(_, i int) error {
+	return se.runners[i].RunEpoch(se.epoch, se.cur, se.alpha, se.replicas[i])
 }
 
 // Loss evaluates the total objective of w across all shards in parallel:
-// each worker sums its shard's example losses (reading the shared w, which
+// each block sums its shard's example losses (reading the shared w, which
 // no one mutates during the pass) and the partials are reduced in shard
 // order, so the sum is deterministic for a fixed partitioning.
 func (se *ShardedEpoch) Loss(w vector.Dense) (float64, error) {
-	se.resetErrs()
 	se.cur = w
-	for i := range se.runners {
-		se.wg.Add(1)
-		go se.lossWorker(i)
+	if err := engine.RunBlocks(len(se.runners), len(se.runners), se.lossFn); err != nil {
+		return 0, err
 	}
-	se.wg.Wait()
 	var sum float64
-	for i, err := range se.errs {
-		if err != nil {
-			return 0, err
-		}
-		sum += se.partials[i]
+	for _, p := range se.partials {
+		sum += p
 	}
 	if r, ok := se.task.(core.Regularized); ok {
 		sum += r.RegPenalty(w)
@@ -274,16 +247,7 @@ func (se *ShardedEpoch) Loss(w vector.Dense) (float64, error) {
 	return sum, nil
 }
 
-func (se *ShardedEpoch) lossWorker(i int) {
-	defer se.wg.Done()
-	defer se.recoverInto(i)
-	se.partials[i], se.errs[i] = se.runners[i].LossAt(se.cur)
-}
-
-// recoverInto converts a worker panic into that shard's error slot: one
-// crashing shard fails the training statement, not the daemon.
-func (se *ShardedEpoch) recoverInto(i int) {
-	if r := recover(); r != nil {
-		se.errs[i] = fmt.Errorf("parallel: shard %d worker panicked: %v", i, r)
-	}
+func (se *ShardedEpoch) lossShard(_, i int) (err error) {
+	se.partials[i], err = se.runners[i].LossAt(se.cur)
+	return err
 }

@@ -100,9 +100,11 @@ func (r *sharedRunner) Run(epoch int, w vector.Dense, alpha float64) error {
 		var mu sync.Mutex
 		dm := &core.DenseModel{W: w}
 		return engine.RunSharedScan(r.src, r.workers, r.profile, func(_ int, tp engine.Tuple) error {
+			// Unlocked in a defer: a panicking step must not leave the
+			// other workers blocked on mu while RunBlocks waits for them.
 			mu.Lock()
+			defer mu.Unlock()
 			r.task.Step(dm, tp, alpha)
-			mu.Unlock()
 			return nil
 		})
 	}

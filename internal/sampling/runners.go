@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"bismarck/internal/core"
@@ -80,29 +79,44 @@ type mrsRunner struct {
 	alphaBits         atomic.Uint64
 	quit              atomic.Bool
 	memSteps, ioSteps atomic.Int64
+
+	// memErr is the Memory worker's panic, recovered into an error; the
+	// worker stops there, and the next Run and the stop func return it.
+	memErr atomic.Pointer[error]
 }
 
 // NewMRSRunner starts the Memory worker and returns the MRS plan plus the
-// stop func that ends the worker and waits for it; call stop once training
-// is over (it is what keeps EpochRunner at two methods).
-func NewMRSRunner(task core.Task, tbl *engine.Table, bufCap int, seed int64) (core.EpochRunner, func(), error) {
+// stop func that ends the worker, waits for it and returns its failure;
+// call stop once training is over (it is what keeps EpochRunner at two
+// methods).
+func NewMRSRunner(task core.Task, tbl *engine.Table, bufCap int, seed int64) (core.EpochRunner, func() error, error) {
 	if bufCap <= 0 {
 		return nil, nil, fmt.Errorf("sampling: buffer capacity must be > 0, got %d", bufCap)
 	}
 	r := &mrsRunner{task: task, tbl: tbl, bufCap: bufCap, rng: rand.New(rand.NewSource(seed))}
-	var wg sync.WaitGroup
-	wg.Add(1)
+	stopped := make(chan struct{})
 	go func() {
-		defer wg.Done()
-		r.memoryWorker()
+		defer close(stopped)
+		if err := engine.Contain(r.memoryWorker); err != nil {
+			r.memErr.Store(&err)
+		}
 	}()
-	return r, func() {
+	return r, func() error {
 		r.quit.Store(true)
-		wg.Wait()
+		<-stopped
+		return r.workerErr()
 	}, nil
 }
 
-func (r *mrsRunner) memoryWorker() {
+// workerErr is the Memory worker's failure, or nil.
+func (r *mrsRunner) workerErr() error {
+	if p := r.memErr.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+func (r *mrsRunner) memoryWorker() error {
 	for !r.quit.Load() {
 		bp := r.memBuf.Load()
 		if bp == nil || len(*bp) == 0 {
@@ -112,7 +126,7 @@ func (r *mrsRunner) memoryWorker() {
 		alpha := math.Float64frombits(r.alphaBits.Load())
 		for _, tp := range *bp {
 			if r.quit.Load() {
-				return
+				return nil
 			}
 			if float64(r.memSteps.Load()) > mrsMemRatio*float64(r.ioSteps.Load()) {
 				runtime.Gosched()
@@ -122,9 +136,13 @@ func (r *mrsRunner) memoryWorker() {
 			r.memSteps.Add(1)
 		}
 	}
+	return nil
 }
 
 func (r *mrsRunner) Run(_ int, w vector.Dense, alpha float64) error {
+	if err := r.workerErr(); err != nil {
+		return err
+	}
 	if r.model == nil { // first pass: the Memory worker idles until the swap below
 		r.model = parallel.NewAtomicModel(len(w), false)
 		r.model.SetFrom(w)

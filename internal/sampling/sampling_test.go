@@ -3,7 +3,10 @@ package sampling
 import (
 	"math"
 	"math/rand"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"bismarck/internal/core"
 	"bismarck/internal/engine"
@@ -229,5 +232,55 @@ func TestMRSBeatsSubsamplingAtEqualBudget(t *testing.T) {
 	}
 	if mrs.FinalLoss() >= sub.FinalLoss() {
 		t.Fatalf("MRS (%g) should beat Subsampling (%g)", mrs.FinalLoss(), sub.FinalLoss())
+	}
+}
+
+// memPanicTask is LR whose gradient step panics. Under MRS with a buffer
+// that holds the whole table the I/O worker drops no tuple, so only the
+// Memory worker ever steps; Loss, which Drive calls on the I/O side after
+// every epoch, waits for that first step, so the failure lands mid-run.
+type memPanicTask struct {
+	*tasks.LR
+	once    sync.Once
+	stepped chan struct{}
+}
+
+func (p *memPanicTask) Step(core.Model, engine.Tuple, float64) {
+	p.once.Do(func() { close(p.stepped) })
+	panic("injected memory worker panic")
+}
+
+func (p *memPanicTask) Loss(w vector.Dense, tp engine.Tuple) float64 {
+	select {
+	case <-p.stepped:
+	case <-time.After(10 * time.Second):
+	}
+	return p.LR.Loss(w, tp)
+}
+
+// TestMRSMemoryWorkerPanicFailsRun: a panic in the Memory worker's step
+// fails the training run with the panic, and the stop func returns it
+// instead of the process dying or stop waiting on a dead worker.
+func TestMRSMemoryWorkerPanicFailsRun(t *testing.T) {
+	tbl, lr := lrTable(t, 50, 3)
+	task := &memPanicTask{LR: lr, stepped: make(chan struct{})}
+	r, stop, err := NewMRSRunner(task, tbl, 64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, runErr := core.Drive(r, core.LoopConfig{Task: task, Step: core.ConstantStep{A: 0.1}, MaxEpochs: 4, Seed: 1})
+	stopped := make(chan error, 1)
+	go func() { stopped <- stop() }()
+	var stopErr error
+	select {
+	case stopErr = <-stopped:
+	case <-time.After(10 * time.Second):
+		t.Fatal("stop did not return after the Memory worker panicked")
+	}
+	if stopErr == nil || !strings.Contains(stopErr.Error(), "panicked") {
+		t.Fatalf("stop must return the Memory worker's panic: %v", stopErr)
+	}
+	if runErr != nil && !strings.Contains(runErr.Error(), "panicked") {
+		t.Fatalf("run failed with something other than the panic: %v", runErr)
 	}
 }

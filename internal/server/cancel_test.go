@@ -215,7 +215,7 @@ func TestQueuedSyncStatementCanceledOnServerClose(t *testing.T) {
 	if _, err := c.Exec(`SELECT vec, label FROM papers TO TRAIN lr WITH epochs=1 INTO parked ASYNC;`); err != nil {
 		t.Fatal(err)
 	}
-	<-entered
+	parked(t, m, entered, 1)
 	if err := c.Send(`SELECT vec, label FROM papers TO TRAIN lr WITH epochs=1 INTO queued;`); err != nil {
 		t.Fatal(err)
 	}

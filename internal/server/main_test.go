@@ -163,3 +163,23 @@ func park(t *testing.T) chan struct{} {
 	})
 	return release
 }
+
+// parked waits for a BeforeSave hook to report its job on entered. A job
+// that fails before its save hook never does, so after 10 s parked fails
+// the test with job id's state and error rather than leaving it blocked
+// until the package times out.
+func parked(t *testing.T, m *Manager, entered <-chan int64, id int64) int64 {
+	t.Helper()
+	select {
+	case got := <-entered:
+		return got
+	case <-time.After(10 * time.Second):
+	}
+	job, err := m.sched.get(id)
+	if err != nil {
+		t.Fatalf("no job reached its save hook within 10s: %v", err)
+	}
+	v := job.View()
+	t.Fatalf("no job reached its save hook within 10s; job %d is %s: %s", id, v.State, v.Err)
+	return 0
+}

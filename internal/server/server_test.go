@@ -214,7 +214,7 @@ func TestPredictMidTrainServesPreviousSnapshot(t *testing.T) {
 	gen1 := readModel(t, m.Catalog(), "m")
 
 	mustExec(t, s, `SELECT vec, label FROM papers TO TRAIN lr WITH epochs=6, seed=9 INTO m ASYNC;`)
-	jobID := <-entered // trained, parked right before taking m's write lock
+	jobID := parked(t, m, entered, 2) // trained, parked right before taking m's write lock
 
 	out.Reset()
 	mustExec(t, s, `SHOW JOBS;`)
@@ -266,7 +266,7 @@ func TestCancelRunningJobStopsAtSaveBoundary(t *testing.T) {
 	gen1 := readModel(t, m.Catalog(), "m")
 
 	mustExec(t, s, `SELECT vec, label FROM papers TO TRAIN lr WITH epochs=5, seed=4 INTO m ASYNC;`)
-	<-entered
+	parked(t, m, entered, 2)
 
 	out.Reset()
 	mustExec(t, s, `CANCEL JOB 2;`)
@@ -305,7 +305,7 @@ func TestCancelQueuedJobNeverRuns(t *testing.T) {
 	s := m.NewSession(&out)
 	mustExec(t, s, `SELECT vec, label FROM papers TO TRAIN lr WITH epochs=2 INTO a ASYNC;`)
 	mustExec(t, s, `SELECT vec, label FROM papers TO TRAIN lr WITH epochs=2 INTO b ASYNC;`)
-	<-entered // job 1 holds the only worker
+	parked(t, m, entered, 1) // job 1 holds the only worker
 
 	out.Reset()
 	mustExec(t, s, `CANCEL JOB 2;`)
@@ -435,7 +435,7 @@ func TestJobHistoryEvictionSkipsLiveJobs(t *testing.T) {
 	var out bytes.Buffer
 	s := m.NewSession(&out)
 	mustExec(t, s, `SELECT vec, label FROM papers TO TRAIN lr WITH epochs=1 INTO long ASYNC;`)
-	<-entered // job 1 parked at its save boundary
+	parked(t, m, entered, 1) // job 1 parked at its save boundary
 	for i := 2; i <= 5; i++ {
 		mustExec(t, s, fmt.Sprintf(
 			`SELECT vec, label FROM papers TO TRAIN lr WITH epochs=1 INTO s%d ASYNC;`, i))
@@ -479,7 +479,7 @@ func TestDrainCancelsQueuedJobs(t *testing.T) {
 	var out bytes.Buffer
 	s := m.NewSession(&out)
 	mustExec(t, s, `SELECT vec, label FROM papers TO TRAIN lr WITH epochs=1 INTO running ASYNC;`)
-	<-entered // job 1 occupies the only worker
+	parked(t, m, entered, 1) // job 1 occupies the only worker
 	for i := 2; i <= 4; i++ {
 		mustExec(t, s, fmt.Sprintf(
 			`SELECT vec, label FROM papers TO TRAIN lr WITH epochs=1 INTO q%d ASYNC;`, i))
@@ -582,7 +582,7 @@ func TestWaitJobUnblocksOnServerClose(t *testing.T) {
 	if _, err := c.Exec(`SELECT vec, label FROM papers TO TRAIN lr WITH epochs=1 INTO m ASYNC`); err != nil {
 		t.Fatal(err)
 	}
-	<-entered // job running, parked at its save boundary
+	parked(t, m, entered, 1) // job running, parked at its save boundary
 
 	waitErr := make(chan error, 1)
 	go func() {
@@ -634,7 +634,7 @@ func TestJobGateBusyShedsSyncAndAsync(t *testing.T) {
 	var out bytes.Buffer
 	s := m.NewSession(&out)
 	mustExec(t, s, `SELECT vec, label FROM papers TO TRAIN lr WITH epochs=1 INTO parked ASYNC;`)
-	<-entered
+	parked(t, m, entered, 1)
 	// The queued jobs fail as soon as they run: alpha is not a number.
 	for i := 0; i < maxPendingJobs; i++ {
 		mustExec(t, s, `SELECT vec, label FROM papers TO TRAIN lr WITH alpha=bogus INTO q ASYNC;`)

@@ -347,12 +347,16 @@ type Outcome struct {
 // reservoir, MRS, or a baseline solver — and core.Drive runs the one loop
 // over it. This is the single dispatch path of the unified architecture:
 // no task-specific branching happens here. A done ctx stops the loop.
-func Train(ctx context.Context, ts *TaskSpec, task core.Task, k Knobs, view *engine.Table) (*Outcome, error) {
+func Train(ctx context.Context, ts *TaskSpec, task core.Task, k Knobs, view *engine.Table) (out *Outcome, err error) {
 	r, method, done, err := planRunner(ts, task, k, view)
 	if err != nil {
 		return nil, err
 	}
-	defer done()
+	defer func() {
+		if derr := done(); derr != nil && err == nil {
+			out, err = nil, derr
+		}
+	}()
 	epochs := k.Epochs
 	if epochs <= 0 {
 		epochs = 20
@@ -367,10 +371,12 @@ func Train(ctx context.Context, ts *TaskSpec, task core.Task, k Knobs, view *eng
 
 // planRunner builds the epoch runner the knobs select, its human-readable
 // dispatch description, and the func that releases whatever the plan holds
-// (shard heaps, executor connections, the MRS memory worker).
+// (shard heaps, executor connections, the MRS memory worker) and returns
+// what it found failed: a shard heap's close, or the MRS memory worker.
+// Train reports that error when the run itself succeeded.
 func planRunner(ts *TaskSpec, task core.Task, k Knobs, view *engine.Table) (
-	r core.EpochRunner, method string, done func(), err error) {
-	done = func() {}
+	r core.EpochRunner, method string, done func() error, err error) {
+	done = func() error { return nil }
 	switch {
 	case k.Solver != "igd":
 		// One epoch is one full-gradient step, one Newton iteration or one
@@ -428,7 +434,7 @@ func planRunner(ts *TaskSpec, task core.Task, k Knobs, view *engine.Table) (
 // registry name plus the Snapshot parameters, the same metadata-only path
 // model restores use.
 func shardedRunner(ts *TaskSpec, task core.Task, k Knobs, view *engine.Table) (
-	core.EpochRunner, string, func(), error) {
+	core.EpochRunner, string, func() error, error) {
 	shards, remote := k.Shards, len(k.Executors) > 0
 	if remote {
 		if ts.Snapshot == nil {
@@ -446,7 +452,7 @@ func shardedRunner(ts *TaskSpec, task core.Task, k Knobs, view *engine.Table) (
 	if err != nil {
 		return nil, "", nil, err
 	}
-	done := func() { sharded.Close() }
+	done := sharded.Close
 	var se *parallel.ShardedEpoch
 	method := fmt.Sprintf("IGD/Sharded×%d(%s)", shards, sharded.Strategy)
 	if remote {
@@ -456,7 +462,7 @@ func shardedRunner(ts *TaskSpec, task core.Task, k Knobs, view *engine.Table) (
 			Name: ts.Name, Params: ts.Snapshot(task), Order: dist.OrderByte(k.Order), Seed: k.Seed}, 0)
 		if err == nil {
 			// The partition outlives the coordinator: requeue re-ships from it.
-			done = func() { co.Close(); sharded.Close() }
+			done = func() error { co.Close(); return sharded.Close() }
 			se, err = parallel.NewShardedEpochRunners(task, co.Runners())
 		}
 	} else {

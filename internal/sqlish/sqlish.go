@@ -82,10 +82,13 @@ func (s *Session) Exec(stmt string) error {
 // before its commit (fillAndSwap) — never after. The statement prints
 // into a buffer that reaches Out only after it returns, when every lock
 // it took is released: Out can be a network connection, and a stalled
-// client must not stall the writers queued on a table's lock.
+// client must not stall the writers queued on a table's lock. The
+// statement runs under engine.Contain, so a panic in task code that runs on
+// this goroutine — Build, a sequential epoch, a sampling or baseline plan,
+// an EVALUATE hook, PREDICT scoring — fails the statement, not the process.
 func (s *Session) Run(ctx context.Context, st *spec.Statement) error {
 	s.out.Reset()
-	err := s.run(ctx, st)
+	err := engine.Contain(func() error { return s.run(ctx, st) })
 	if s.out.Len() > 0 {
 		// A failed write undoes nothing the statement did; the front end
 		// learns of a dead client from its own reads and writes.
@@ -670,8 +673,11 @@ type shadowFill struct {
 func (s *Session) fillAndSwap(ctx context.Context, dropAlso []string, fills ...shadowFill) error {
 	name := fills[0].name
 	return s.withLock(shadowName(name), func() (err error) {
+		// The shadows go whenever the swap did not commit — on an error,
+		// and on a panic unwinding through here, which leaves err nil.
+		committed := false
 		defer func() {
-			if err != nil && !errors.Is(err, engine.ErrInjectedCrash) {
+			if !committed && !errors.Is(err, engine.ErrInjectedCrash) {
 				for _, f := range fills {
 					s.dropShadow(f.name)
 				}
@@ -695,7 +701,9 @@ func (s *Session) fillAndSwap(ctx context.Context, dropAlso []string, fills ...s
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			return s.Cat.Swap(names, shadows, dropAlso)
+			err := s.Cat.Swap(names, shadows, dropAlso)
+			committed = err == nil
+			return err
 		})
 	})
 }
