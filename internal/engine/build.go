@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -12,25 +13,74 @@ import (
 // writes, with one syscall.
 const buildChunkPages = 64
 
-// Projection is what an ordered build writes: the output layout, and which
-// source rows it keeps in what form.
+// Projection is what an ordered build writes: the output layout, which
+// source rows it keeps, and where each output column takes its cells.
 type Projection struct {
 	// Schema is the output layout.
 	Schema Schema
 	// Rows estimates the output row count and sizes the slabs; 0 leaves
 	// them to grow, as a filter of unknown selectivity must.
 	Rows int
-	// Map writes the output row of a decoded source row into dst and
-	// reports whether to keep it; nil keeps every source row as it is.
-	// Workers call it concurrently, each with a dst of its own, and
-	// neither row outlives the call.
-	Map func(src, dst Tuple) (bool, error)
-	// RowNumber fills column 0, an int64 column, with each row's position
-	// in the output; Map leaves an I64 there.
-	RowNumber bool
+	// Cols says where each output column takes its cells from; nil takes
+	// the source's columns as they are.
+	Cols []ColFrom
+	// Keep reports whether to keep a source row; nil keeps every row. It
+	// sees the row's scalar columns decoded and its vector columns empty.
+	// Workers call it concurrently, each with a row of its own, and the
+	// row does not outlive the call.
+	Keep func(Tuple) (bool, error)
 	// Degraded skips and counts quarantined pages and records that no
 	// longer decode, instead of failing on the first.
 	Degraded bool
+}
+
+// ColFrom says where an output column of a projection takes its cells.
+type ColFrom struct {
+	Kind ColKind
+	Src  int // the source column of FromSource and IntToFloat
+}
+
+// ColKind is how a projection fills an output column.
+type ColKind uint8
+
+// Column kinds.
+const (
+	// FromSource copies source column Src, whose type is the output's.
+	FromSource ColKind = iota
+	// IntToFloat casts int64 source column Src into a float64 column.
+	IntToFloat
+	// RowNumber numbers an int64 column with each row's position in the
+	// output, from 0.
+	RowNumber
+	// ZeroFill fills the column with its type's zero: 0, "" or an empty
+	// vector.
+	ZeroFill
+)
+
+// plan returns p's column plan over source layout src, checked against
+// both layouts.
+func (p *Projection) plan(src Schema) ([]ColFrom, error) {
+	cols := p.Cols
+	if cols == nil {
+		cols = make([]ColFrom, len(src))
+		for c := range cols {
+			cols[c].Src = c
+		}
+	}
+	if len(cols) != len(p.Schema) {
+		return nil, fmt.Errorf("engine: projection plans %d columns for a %d-column layout", len(cols), len(p.Schema))
+	}
+	for c, from := range cols {
+		want, have := p.Schema[c].Type, Type(0)
+		if from.Src >= 0 && from.Src < len(src) {
+			have = src[from.Src].Type
+		}
+		if !(from.Kind == FromSource && have == want || from.Kind == IntToFloat && have == TInt64 && want == TFloat64 ||
+			from.Kind == RowNumber && want == TInt64 || from.Kind == ZeroFill && want >= TInt64 && want <= TInt32Vec) {
+			return nil, fmt.Errorf("engine: projection cannot fill %s column %d with %+v", want, c, from)
+		}
+	}
+	return cols, nil
 }
 
 // Project builds a slab-only table named name from t's rows under p, in
@@ -43,9 +93,10 @@ func (t *Table) Project(name string, p Projection) (*Table, DegradedStats, error
 	return slabTable(name, m), stats, nil
 }
 
-// build decodes t's pages into one set of slabs, in storage order. One
-// worker is the sequential scan: every row goes straight into the slabs
-// through MatBuilder.Add. Several workers claim buildChunkPages-page chunks
+// build decodes t's pages into one set of slabs, in storage order, each
+// kept record's cells written from its bytes by MatBuilder.appendRecord.
+// One worker is the sequential scan: every row goes straight into the
+// slabs. Several workers claim buildChunkPages-page chunks
 // in order and decode each with ScanPages semantics: a chain that starts in
 // the chunk is followed past its end, leading continuation pages are
 // skipped, and the in-memory tail belongs to the last chunk. Either way
@@ -68,11 +119,15 @@ func (t *Table) Project(name string, p Projection) (*Table, DegradedStats, error
 // failed chunk publishes too, at its turn, so the build returns the error
 // of the lowest failing chunk: the page a sequential scan reports.
 func (t *Table) build(p Projection) (*Materialized, DegradedStats, error) {
+	cols, err := p.plan(t.Schema)
+	if err != nil {
+		return nil, DegradedStats{}, err
+	}
 	h := t.pages()
 	np := h.NumPages()
 	nchunks := max(1, (np+buildChunkPages-1)/buildChunkPages)
 	workers := max(1, min(Workers(), nchunks/chunksPerWorker))
-	ob := &orderedBuild{t: t, h: h, p: p, np: np, chunks: make([]*chunkState, workers),
+	ob := &orderedBuild{t: t, h: h, p: p, cols: cols, np: np, chunks: make([]*chunkState, workers),
 		ents: make([]int, len(p.Schema)), out: NewMatBuilder(p.Schema, p.Rows, (np+1)*PageSize)}
 	if workers == 1 {
 		return ob.sequential()
@@ -93,6 +148,7 @@ type orderedBuild struct {
 	t         *Table
 	h         *Heap
 	p         Projection
+	cols      []ColFrom // p's checked column plan
 	np        int
 	chunkRows int           // the rows a chunk buffer is sized for
 	chunks    []*chunkState // per worker
@@ -120,11 +176,11 @@ type orderedBuild struct {
 // chunkState is one worker's decode state, reused from chunk to chunk.
 type chunkState struct {
 	ob     *orderedBuild
-	sc     *TupleScratch
-	dst    Tuple       // Map's output row
+	fields []field     // the record being decoded, parsed
+	keep   Tuple       // the row Keep sees
 	buf    *MatBuilder // the chunk buffer a chunk is staged in
+	to     *MatBuilder // where decoded rows go: buf, or the slabs of a sequential build
 	read   pageReader  // the worker's extents, for the whole pass
-	visit  func(Tuple) error
 	decode func(rec []byte) error
 	bad    int // records a degraded pass could not decode
 
@@ -135,12 +191,13 @@ type chunkState struct {
 }
 
 // sequential is the one-worker build: one scan of the whole heap, each kept
-// row added to the slabs as it is decoded. A panic fails it as it fails a
-// chunk.
+// row written into the slabs as it is decoded. A panic fails it as it fails
+// a chunk.
 func (ob *orderedBuild) sequential() (*Materialized, DegradedStats, error) {
 	cs := ob.worker(0)
+	cs.to = ob.out
 	err := Contain(func() error {
-		s, err := cs.scan(0, ob.np, ob.add)
+		s, err := cs.scan(0, ob.np)
 		ob.stats = s.DegradedStats
 		return err
 	})
@@ -148,14 +205,6 @@ func (ob *orderedBuild) sequential() (*Materialized, DegradedStats, error) {
 		return nil, DegradedStats{}, err
 	}
 	return ob.out.Build(0), ob.stats, nil
-}
-
-// add appends one row of the sequential build.
-func (ob *orderedBuild) add(tp Tuple) error {
-	if ob.p.RowNumber {
-		tp[0].Int = int64(ob.out.n)
-	}
-	return ob.out.Add(tp)
 }
 
 // chunk builds chunk k on worker w.
@@ -204,47 +253,53 @@ func (ob *orderedBuild) worker(w int) *chunkState {
 		return cs
 	}
 	n := len(ob.p.Schema)
-	cs := &chunkState{ob: ob, sc: NewTupleScratch(ob.t.Schema), dst: make(Tuple, n),
+	cs := &chunkState{ob: ob, fields: make([]field, len(ob.t.Schema)),
 		buf:  NewMatBuilder(ob.p.Schema, ob.chunkRows, (buildChunkPages+1)*PageSize),
 		read: ob.h.st.bulk(ob.np), at: make([]int, n), limEnts: make([]int, n)}
+	if ob.p.Keep != nil {
+		cs.keep = make(Tuple, len(ob.t.Schema))
+	}
 	cs.decode = cs.decodeRec
 	ob.chunks[w] = cs
 	return cs
 }
 
-// scan decodes pages [from, to), read in extents, and hands each kept
-// output row to visit.
-func (cs *chunkState) scan(from, to int, visit func(Tuple) error) (scanned, error) {
-	cs.visit, cs.bad = visit, 0
+// scan decodes pages [from, to), read in extents, into cs.to.
+func (cs *chunkState) scan(from, to int) (scanned, error) {
+	cs.bad = 0
 	s, err := cs.ob.h.scanRange(from, to, cs.ob.p.Degraded, cs.read, cs.decode)
 	s.SkippedRows += cs.bad
 	return s, err
 }
 
+// decodeRec parses one record and, if Keep keeps it, writes its row into
+// cs.to: no tuple is built unless Keep needs one, and then only of scalars.
 func (cs *chunkState) decodeRec(rec []byte) error {
-	p := &cs.ob.p
-	tp, err := cs.ob.t.decode(rec, cs.sc)
-	if err != nil {
-		if p.Degraded {
+	ob := cs.ob
+	schema := ob.t.Schema
+	if err := parseRecord(rec, schema, cs.fields); err != nil {
+		if ob.p.Degraded {
 			cs.bad++
 			return nil
 		}
-		return err
+		return ob.t.named(err)
 	}
-	if p.Map != nil {
-		keep, err := p.Map(tp, cs.dst)
-		if err != nil || !keep {
+	if ob.p.Keep != nil {
+		for c, f := range cs.fields {
+			scalarCell(&cs.keep[c], schema[c].Type, rec, f)
+		}
+		if keep, err := ob.p.Keep(cs.keep); err != nil || !keep {
 			return err
 		}
-		tp = cs.dst
 	}
-	return cs.visit(tp)
+	return cs.to.appendRecord(rec, cs.fields, ob.cols)
 }
 
 // stage decodes pages [from, to) into the chunk buffer.
 func (cs *chunkState) stage(from, to int) (scanned, error) {
 	cs.buf.truncate()
-	return cs.scan(from, to, cs.buf.Add)
+	cs.to = cs.buf
+	return cs.scan(from, to)
 }
 
 // await blocks until chunk k holds the turn; false means an earlier chunk
@@ -306,9 +361,7 @@ func (ob *orderedBuild) claim(cs *chunkState) error {
 	ob.slabMu.Lock()
 	defer ob.slabMu.Unlock()
 	if !ob.out.reserved {
-		first := make(Tuple, len(ob.p.Schema))
-		(&Materialized{schema: buf.schema, cols: buf.cols, n: buf.n}).load(first, 0)
-		ob.out.reserve(first)
+		ob.out.reserve(func(c int) int { return buf.cols[c].width(0) })
 	}
 	ob.grow(cs.lim, cs.limEnts)
 	return nil
@@ -356,10 +409,10 @@ func (ob *orderedBuild) place(cs *chunkState) {
 				dst.offs[base+1+i] = int32(e) + o
 			}
 		}
-	}
-	if ob.p.RowNumber {
-		for i := range buf.n {
-			ob.out.cols[0].ints[base+i] = int64(base + i)
+		if ob.cols[c].Kind == RowNumber {
+			for i := range buf.n {
+				dst.ints[base+i] = int64(base + i)
+			}
 		}
 	}
 }

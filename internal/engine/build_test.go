@@ -3,6 +3,8 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -25,12 +27,14 @@ func withWorkers(k int, fn func()) {
 	fn()
 }
 
-// referenceBuild is the sequential build the ordered one must reproduce:
-// one scan in storage order, every kept row appended by MatBuilder.Add.
+// referenceBuild is the build the ordered one must reproduce, written
+// independently of its slab writer: one scan in storage order, each record
+// decoded whole into a tuple, filtered by Keep, laid out by the column plan
+// and appended by MatBuilder.Add.
 func referenceBuild(t *testing.T, tbl *Table, p Projection) (*Materialized, DegradedStats, error) {
 	t.Helper()
 	b := NewMatBuilder(p.Schema, p.Rows, (tbl.pages().NumPages()+1)*PageSize)
-	sc, dst := NewTupleScratch(tbl.Schema), make(Tuple, len(p.Schema))
+	sc, row := NewTupleScratch(tbl.Schema), make(Tuple, len(p.Schema))
 	bad := 0
 	visit := func(rec []byte) error {
 		tp, err := tbl.decode(rec, sc)
@@ -41,16 +45,27 @@ func referenceBuild(t *testing.T, tbl *Table, p Projection) (*Materialized, Degr
 			}
 			return err
 		}
-		if p.Map != nil {
-			if keep, err := p.Map(tp, dst); err != nil || !keep {
+		if p.Keep != nil {
+			if keep, err := p.Keep(tp); err != nil || !keep {
 				return err
 			}
-			tp = dst
 		}
-		if p.RowNumber {
-			tp[0] = I64(int64(b.n))
+		if p.Cols == nil {
+			return b.Add(tp)
 		}
-		return b.Add(tp)
+		for c, from := range p.Cols {
+			switch from.Kind {
+			case FromSource:
+				row[c] = tp[from.Src]
+			case IntToFloat:
+				row[c] = F64(float64(tp[from.Src].Int))
+			case RowNumber:
+				row[c] = I64(int64(b.n))
+			case ZeroFill:
+				row[c] = Value{Type: p.Schema[c].Type}
+			}
+		}
+		return b.Add(row)
 	}
 	var stats DegradedStats
 	var err error
@@ -61,6 +76,69 @@ func referenceBuild(t *testing.T, tbl *Table, p Projection) (*Materialized, Degr
 	}
 	stats.SkippedRows += bad
 	return b.Build(0), stats, err
+}
+
+// Add copies one decoded row into the slabs, validating it against the
+// schema: the tuple-at-a-time writer the references build with. The tuple
+// may alias reusable scratch; nothing of it is retained.
+func (b *MatBuilder) Add(tp Tuple) error {
+	if len(tp) != len(b.schema) {
+		return corrupt("", "row has %d columns, schema wants %d", len(tp), len(b.schema))
+	}
+	if !b.reserved {
+		b.reserve(func(c int) int {
+			switch v := &tp[c]; v.Type {
+			case TDenseVec:
+				return len(v.Dense)
+			case TSparseVec:
+				return len(v.Sparse.Idx)
+			case TInt32Vec:
+				return len(v.Ints)
+			}
+			return 0
+		})
+	}
+	if b.n == math.MaxInt32 {
+		return &SlabOverflowError{Count: b.n + 1}
+	}
+	for c := range tp {
+		v, col := &tp[c], &b.cols[c]
+		if v.Type != b.schema[c].Type {
+			return corrupt("", "column %d has type %s, schema wants %s", c, v.Type, b.schema[c].Type)
+		}
+		switch v.Type {
+		case TInt64:
+			col.ints = append(col.ints, v.Int)
+		case TFloat64:
+			col.flts = append(col.flts, v.Float)
+		case TString:
+			col.strs = append(col.strs, v.Str)
+		case TDenseVec:
+			col.f64s = append(col.f64s, v.Dense...)
+			if err := col.endRow(len(col.f64s)); err != nil {
+				return err
+			}
+		case TSparseVec:
+			if len(v.Sparse.Idx) != len(v.Sparse.Val) {
+				return corrupt("", "column %d sparse vec has %d indices, %d values",
+					c, len(v.Sparse.Idx), len(v.Sparse.Val))
+			}
+			col.i32s = append(col.i32s, v.Sparse.Idx...)
+			col.f64s = append(col.f64s, v.Sparse.Val...)
+			if err := col.endRow(len(col.i32s)); err != nil {
+				return err
+			}
+		case TInt32Vec:
+			col.i32s = append(col.i32s, v.Ints...)
+			if err := col.endRow(len(col.i32s)); err != nil {
+				return err
+			}
+		default:
+			return corrupt("", "column %d has unsupported type %s", c, v.Type)
+		}
+	}
+	b.n++
+	return nil
 }
 
 // checkOrderedBuild builds tbl under p at every worker count and requires
@@ -229,14 +307,9 @@ func TestOrderedBuildMatchesSequential(t *testing.T) {
 	})
 	t.Run("where and row number", func(t *testing.T) {
 		out := Schema{{Name: "id", Type: TInt64}, {Name: "vec", Type: TDenseVec}, {Name: "y", Type: TFloat64}}
-		m := checkOrderedBuild(t, big, Projection{Schema: out, RowNumber: true,
-			Map: func(src, dst Tuple) (bool, error) {
-				if src[0].Int%3 != 0 {
-					return false, nil
-				}
-				dst[0], dst[1], dst[2] = I64(0), src[1], F64(2*src[2].Float)
-				return true, nil
-			}})
+		m := checkOrderedBuild(t, big, Projection{Schema: out,
+			Cols: []ColFrom{{Kind: RowNumber}, {Kind: FromSource, Src: 1}, {Kind: FromSource, Src: 2}},
+			Keep: func(src Tuple) (bool, error) { return src[0].Int%3 == 0, nil }})
 		if m.n != (bigRows+2)/3 || m.cols[0].ints[m.n-1] != int64(m.n-1) {
 			t.Fatalf("%d rows numbered up to %d", m.n, m.cols[0].ints[m.n-1])
 		}
@@ -252,6 +325,217 @@ func TestOrderedBuildMatchesSequential(t *testing.T) {
 			t.Fatalf("%d entries: the case must outgrow its %d-entry reservation", len(m.cols[1].f64s), tbl.NumRows())
 		}
 	})
+}
+
+// planSchema is the source layout of the column-plan matrix: every column
+// type, and two scalars that projections filter on without keeping.
+var planSchema = Schema{{Name: "id", Type: TInt64}, {Name: "name", Type: TString},
+	{Name: "vec", Type: TDenseVec}, {Name: "sv", Type: TSparseVec}, {Name: "tags", Type: TInt32Vec},
+	{Name: "k", Type: TInt64}, {Name: "y", Type: TFloat64}}
+
+// planRows is how many planRow rows span 8*chunksPerWorker chunks.
+const planRows = 12000
+
+// planRow is row i of the matrix's source: every 97th row's vector spans
+// an overflow chain of two to four pages.
+func planRow(i int) Tuple {
+	width := 160
+	if i%97 == 5 {
+		width = 2000 + i%1500
+	}
+	nnz := 1 + i%7
+	idx, val := make([]int32, nnz), make([]float64, nnz)
+	for j := range idx {
+		idx[j], val[j] = int32(j*13+i%11), float64(i)/float64(j+1)
+	}
+	tags := make([]int32, i%4)
+	for j := range tags {
+		tags[j] = int32(i + j)
+	}
+	return Tuple{I64(int64(i)), Str([]string{"a", "bb", "ccc"}[i%3]), denseBuildRow(i, width)[1],
+		SparseV(vector.NewSparse(idx, val)), IntsV(tags), I64(int64(i*7%11) << 33), F64(float64(i % 2))}
+}
+
+// TestOrderedBuildPlanMatrix: every shape of column plan, over every column
+// type and overflow-chain records, builds the slabs of a reference that
+// decodes each row whole and lays it out one at a time, at 1, 2, 3 and 8
+// workers: a synthesized row number, an int64 cast to float64, zero fills
+// of every type, filters on a numeric and a string column the view does
+// not keep, and a degraded build over a quarantined page.
+func TestOrderedBuildPlanMatrix(t *testing.T) {
+	cat, tbl := buildFileTable(t, planSchema, planRows, planRow)
+	spansWorkers(t, tbl)
+	if cut := chainCut(t, tbl.heap); cut < 0 {
+		t.Fatal("no overflow chain crosses a chunk boundary")
+	}
+	src := func(c int) ColFrom { return ColFrom{Kind: FromSource, Src: c} }
+	zero := ColFrom{Kind: ZeroFill}
+	col := func(name string, ty Type) Column { return Column{Name: name, Type: ty} }
+	cases := []struct {
+		name string
+		p    Projection
+	}{
+		{"as stored", Projection{Schema: planSchema, Rows: planRows}},
+		{"row number, cast and zero fills of every type", Projection{Rows: planRows,
+			Schema: Schema{col("id", TInt64), col("x", TFloat64), col("vec", TDenseVec), col("i", TInt64),
+				col("s", TString), col("d", TDenseVec), col("sv", TSparseVec), col("iv", TInt32Vec), col("f", TFloat64)},
+			Cols: []ColFrom{{Kind: RowNumber}, {Kind: IntToFloat, Src: 5}, src(2), zero, zero, zero, zero, zero, zero}}},
+		{"where on a numeric and a string column not kept", Projection{
+			Schema: Schema{col("name", TString), col("sv", TSparseVec), col("tags", TInt32Vec), col("vec", TDenseVec)},
+			Cols:   []ColFrom{src(1), src(3), src(4), src(2)},
+			Keep:   func(r Tuple) (bool, error) { return r[5].Int%3 == 0 && r[1].Str != "bb", nil }}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if m := checkOrderedBuild(t, tbl, tc.p); m.n == 0 {
+				t.Fatal("the projection kept no row")
+			}
+		})
+	}
+	t.Run("degraded over a quarantined page", func(t *testing.T) {
+		dir := cat.dir
+		cat.Close()
+		flipBit(t, filepath.Join(dir, "t.heap"), 5*buildChunkPages*PageSize+100)
+		_, tbl := reopenBuildTable(t, dir)
+		if q := tbl.QuarantinedPages(); len(q) != 1 {
+			t.Fatalf("quarantined %v, want one page", q)
+		}
+		checkOrderedBuild(t, tbl, Projection{Degraded: true,
+			Schema: Schema{col("id", TInt64), col("x", TFloat64), col("sv", TSparseVec)},
+			Cols:   []ColFrom{{Kind: RowNumber}, {Kind: IntToFloat, Src: 0}, src(3)},
+			Keep:   func(r Tuple) (bool, error) { return r[1].Str != "a", nil }})
+	})
+}
+
+// TestProjectionPlanChecked: a column plan that does not fit the layouts
+// fails the build before it reads a page.
+func TestProjectionPlanChecked(t *testing.T) {
+	tbl := NewMemTable("p", planSchema)
+	tbl.MustInsert(planRow(0))
+	f := Schema{{Name: "f", Type: TFloat64}}
+	for _, p := range []Projection{
+		{Schema: f},
+		{Schema: f, Cols: []ColFrom{{Kind: FromSource, Src: 0}}},
+		{Schema: f, Cols: []ColFrom{{Kind: IntToFloat, Src: 6}}},
+		{Schema: f, Cols: []ColFrom{{Kind: FromSource, Src: 7}}},
+		{Schema: f, Cols: []ColFrom{{Kind: RowNumber}}},
+		{Schema: f, Cols: []ColFrom{{Kind: ZeroFill}, {Kind: ZeroFill}}},
+	} {
+		if _, _, err := tbl.Project("v", p); err == nil {
+			t.Fatalf("plan %+v for %v built", p.Cols, p.Schema)
+		}
+	}
+}
+
+// FuzzOrderedBuild: records made from the fuzzer's schema and seed, some
+// with bytes flipped, build — strict and degraded, at 1, 2, 3 and 8
+// workers, under a plan that numbers the rows, copies every column and
+// casts every int64 one — the slabs of a reference that decodes each
+// record with DecodeTupleInto and adds it with MatBuilder.Add, or fail with
+// the reference's *CorruptRecordError; never a panic. The table repeats
+// the records over enough pages for eight workers.
+func FuzzOrderedBuild(f *testing.F) {
+	f.Add([]byte{byte(TInt64), byte(TDenseVec), byte(TFloat64)}, int64(1), []byte{})
+	f.Add([]byte{byte(TInt64), byte(TString), byte(TSparseVec), byte(TInt32Vec), byte(TFloat64)}, int64(2), []byte{3, 40, 0x80})
+	f.Add([]byte{byte(TSparseVec)}, int64(3), []byte{0, 200, 0xFF, 1, 7, 1})
+	f.Add([]byte{byte(TDenseVec), byte(TInt64)}, int64(4), []byte{5, 0, 2})
+	f.Add([]byte{byte(TInt32Vec), byte(TString)}, int64(5), []byte{9, 128, 0x10})
+	f.Fuzz(func(t *testing.T, colTypes []byte, seed int64, flips []byte) {
+		if len(colTypes) == 0 || len(colTypes) > 8 {
+			return
+		}
+		schema := make(Schema, len(colTypes))
+		out := Schema{{Name: "n", Type: TInt64}}
+		cols := []ColFrom{{Kind: RowNumber}}
+		for c, ty := range colTypes {
+			schema[c] = Column{Name: fmt.Sprint("c", c), Type: Type(ty%6 + 1)}
+			out, cols = append(out, schema[c]), append(cols, ColFrom{Kind: FromSource, Src: c})
+			if schema[c].Type == TInt64 {
+				out, cols = append(out, Column{Name: "f", Type: TFloat64}), append(cols, ColFrom{Kind: IntToFloat, Src: c})
+			}
+		}
+		rng := rand.New(rand.NewSource(seed))
+		recs := make([][]byte, 1+rng.Intn(32))
+		for i := range recs {
+			recs[i] = fuzzRow(rng, schema).Encode()
+		}
+		for ; len(flips) >= 3; flips = flips[3:] {
+			rec := recs[int(flips[0])%len(recs)]
+			rec[int(flips[1])*len(rec)/256] ^= flips[2]
+		}
+		// Pages hold a record or two, so the table spans chunks for eight
+		// workers in few rows.
+		tbl := NewMemTable("f", schema)
+		for i := 0; tbl.NumPages() < 8*chunksPerWorker*buildChunkPages; i++ {
+			if err := tbl.heap.Append(recs[i%len(recs)]); err != nil {
+				t.Fatal(err)
+			}
+			if rng.Intn(2) == 0 {
+				if err := tbl.heap.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, degraded := range []bool{false, true} {
+			p := Projection{Schema: out, Cols: cols, Rows: tbl.NumRows(), Degraded: degraded}
+			want, wantStats, wantErr := referenceBuild(t, tbl, p)
+			for _, k := range buildWorkers {
+				withWorkers(k, func() {
+					got, stats, err := tbl.build(p)
+					if wantErr != nil {
+						var ce *CorruptRecordError
+						if !errors.As(err, &ce) || err.Error() != wantErr.Error() {
+							t.Fatalf("degraded=%v workers=%d: %v, the reference failed with %v", degraded, k, err, wantErr)
+						}
+						return
+					}
+					if err != nil || got.n != want.n || !reflect.DeepEqual(got.cols, want.cols) || stats != wantStats {
+						t.Fatalf("degraded=%v workers=%d: %d rows, stats %+v, error %v; the reference's %d, %+v",
+							degraded, k, got.n, stats, err, want.n, wantStats)
+					}
+				})
+			}
+		}
+	})
+}
+
+// fuzzRow is a random row of schema: short strings and vectors, and now
+// and then a dense vector whose record spans an overflow chain.
+func fuzzRow(rng *rand.Rand, schema Schema) Tuple {
+	row := make(Tuple, len(schema))
+	for c, col := range schema {
+		switch col.Type {
+		case TInt64:
+			row[c] = I64(rng.Int63() - rng.Int63())
+		case TFloat64:
+			row[c] = F64(rng.NormFloat64())
+		case TString:
+			row[c] = Str(string([]byte("abcdefghij")[:rng.Intn(10)]))
+		case TDenseVec:
+			v := make(vector.Dense, rng.Intn(24))
+			if rng.Intn(40) == 0 {
+				v = make(vector.Dense, 1500+rng.Intn(3000))
+			}
+			for j := range v {
+				v[j] = rng.NormFloat64()
+			}
+			row[c] = DenseV(v)
+		case TSparseVec:
+			idx, val := make([]int32, rng.Intn(12)), []float64(nil)
+			for j := range idx {
+				idx[j] = int32(j*5 + rng.Intn(5))
+				val = append(val, rng.NormFloat64())
+			}
+			row[c] = SparseV(vector.NewSparse(idx, val))
+		case TInt32Vec:
+			v := make([]int32, rng.Intn(8))
+			for j := range v {
+				v[j] = rng.Int31()
+			}
+			row[c] = IntsV(v)
+		}
+	}
+	return row
 }
 
 // chainCut returns a chunk-boundary page that continues an overflow chain,
@@ -421,7 +705,7 @@ func TestOrderedOpenWalk(t *testing.T) {
 	}
 }
 
-// TestOrderedBuildPanicFailsTheBuild: a panicking Map fails the build with
+// TestOrderedBuildPanicFailsTheBuild: a panicking Keep fails the build with
 // an error, at any worker count, and leaves no worker behind.
 func TestOrderedBuildPanicFailsTheBuild(t *testing.T) {
 	tbl := NewMemTable("p", slabSchema())
@@ -433,15 +717,14 @@ func TestOrderedBuildPanicFailsTheBuild(t *testing.T) {
 	spansWorkers(t, tbl)
 	for _, k := range buildWorkers {
 		withWorkers(k, func() {
-			_, _, err := tbl.build(Projection{Schema: tbl.Schema, Map: func(src, dst Tuple) (bool, error) {
+			_, _, err := tbl.build(Projection{Schema: tbl.Schema, Keep: func(src Tuple) (bool, error) {
 				if src[0].Int == 12345 {
 					panic(fmt.Sprintf("row %d", src[0].Int))
 				}
-				copy(dst, src)
 				return true, nil
 			}})
 			if err == nil {
-				t.Fatalf("workers=%d: a panicking Map must fail the build", k)
+				t.Fatalf("workers=%d: a panicking Keep must fail the build", k)
 			}
 		})
 	}

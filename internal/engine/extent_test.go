@@ -9,7 +9,10 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // extentSchema is the layout of the extent tests: an id, a dense vector and
@@ -224,6 +227,103 @@ func TestCopyToWriteFault(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestCopyToFaultWhileRunInFlight: CopyTo reads and seals run 1 while run
+// 0's write is still held back, and a write fault in run 1 then leaves the
+// error, file bytes, record count, per-page counts and tail page that a
+// record-by-record copy leaves: the double-buffered writer stops where the
+// sequential one did, and nothing read ahead reaches the file.
+func TestCopyToFaultWhileRunInFlight(t *testing.T) {
+	const faultPage = buildChunkPages + 2
+	srcDir := t.TempDir()
+	src := openCopyTable(t, srcDir, "src", nil)
+	for i := 0; i < 20000; i++ {
+		src.MustInsert(denseBuildRow(i, 4))
+	}
+	if err := src.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, fault := range []IOFault{IOWriteError, IOShortWrite, IOTornWrite} {
+		t.Run(fault.String(), func(t *testing.T) {
+			// Once armed, after the open walk, the source signals when its
+			// reader reaches run 1's last page; the destination holds page
+			// 0's write until then.
+			runOneRead := make(chan struct{})
+			var once sync.Once
+			var armed atomic.Bool
+			src := openCopyTable(t, srcDir, "src", &IOHooks{Read: func(_ string, id int) IOFault {
+				if id == 2*buildChunkPages-1 && armed.Load() {
+					once.Do(func() { close(runOneRead) })
+				}
+				return IONone
+			}})
+			armed.Store(true)
+			if src.NumPages() <= 2*buildChunkPages {
+				t.Fatalf("%d pages, want a third run", src.NumPages())
+			}
+			faultAt := func(id int) IOFault {
+				if id == faultPage {
+					return fault
+				}
+				return IONone
+			}
+			overlapped := false
+			held := &IOHooks{Write: func(_ string, id int) IOFault {
+				if id == 0 {
+					select {
+					case <-runOneRead:
+						overlapped = true
+					case <-time.After(5 * time.Second):
+					}
+				}
+				return faultAt(id)
+			}}
+			got := faultedCopy(t, src, held, (*Table).CopyTo)
+			if !overlapped {
+				t.Fatal("run 1 was not read while run 0 was being written")
+			}
+			want := faultedCopy(t, src, &IOHooks{Write: func(_ string, id int) IOFault { return faultAt(id) }}, recordCopy)
+			if got.err != want.err || got.nrec != want.nrec || got.pageRecs != want.pageRecs {
+				t.Fatalf("CopyTo left error %q, %d records, per page %s; a record copy %q, %d, %s",
+					got.err, got.nrec, got.pageRecs, want.err, want.nrec, want.pageRecs)
+			}
+			if !bytes.Equal(got.file, want.file) || !bytes.Equal(got.tail, want.tail) {
+				t.Fatalf("CopyTo left %d file bytes and a %d-byte tail page unlike a record copy's %d and %d",
+					len(got.file), len(got.tail), len(want.file), len(want.tail))
+			}
+		})
+	}
+}
+
+// copyOutcome is what a faulted copy leaves: its error (paths cut), the
+// file's bytes, the record count, the per-page counts and the tail page.
+type copyOutcome struct {
+	err, pageRecs string
+	file, tail    []byte
+	nrec          int
+}
+
+// faultedCopy copies src into a fresh file table under hooks with copyFn,
+// which must fail.
+func faultedCopy(t *testing.T, src *Table, hooks *IOHooks, copyFn func(src, dst *Table) error) copyOutcome {
+	t.Helper()
+	dir := t.TempDir()
+	dst := openCopyTable(t, dir, "dst", hooks)
+	err := copyFn(src, dst)
+	if err == nil {
+		t.Fatal("the write fault was not reported")
+	}
+	file, rerr := os.ReadFile(filepath.Join(dir, "dst.heap"))
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	var tail []byte
+	if h := dst.heap; h.cur != nil && h.cur.slotCount() > 0 {
+		tail = bytes.Clone(h.cur[:payloadEnd])
+	}
+	return copyOutcome{err: strings.ReplaceAll(err.Error(), dir, ""), pageRecs: fmt.Sprint(dst.heap.pageRecs),
+		file: file, tail: tail, nrec: dst.NumRows()}
 }
 
 // TestCopyToKeepsSourceLayout: from a file source synced partway through

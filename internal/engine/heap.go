@@ -893,42 +893,91 @@ func (h *Heap) emptyFile() bool {
 // its per-page counts are src's. When src has no tail page, its last data
 // page becomes h's, so later appends fill it, as after a record-by-record
 // copy. The pages go out sealed, in runs of up to buildChunkPages pages,
-// one write a run; of a run that fails, the pages that landed count, and a
-// failed data page becomes the tail page, as its records would have stayed
-// in Append's tail. src's tail records are appended one by one. src must
+// one write a run, double-buffered: one goroutine reads, copies and seals
+// run k+1 (sealRuns) while another writes run k (writeRuns). Of a run that
+// fails, the pages that landed count, and a failed data page becomes the
+// tail page, as its records would have stayed in Append's tail; no later
+// run is written. src's tail records are appended one by one. src must
 // have no quarantined page.
 func (h *Heap) copyPages(src *Heap) error {
-	fs := h.st.(*fileStore)
 	np := src.NumPages()
 	tail := -1 // src's page that becomes h's tail page
 	if src.cur == nil || src.cur.slotCount() == 0 {
 		tail = np - 1
 	}
-	src.mu.RLock()
-	srcRecs := src.pageRecs
-	src.mu.RUnlock()
-	read := src.st.bulk(np)
-	run := make([]byte, min(np, buildChunkPages)*PageSize)
-	recs := make([]int, 0, buildChunkPages)   // records that begin on each page of the run
-	done := make([]int, 1, buildChunkPages+1) // done[k]: records the run's first k pages complete
-	chainEnd := 0                             // the page after the last overflow chain read
-	flush := func() error {
-		m, err := fs.appendRun(run[:len(recs)*PageSize])
-		h.tracked(recs[:m], done[m])
-		if q := page(run[m*PageSize:]); err != nil && m < len(recs) && q.kind() == pageData {
-			h.keepTail(q[:PageSize])
-		}
-		recs, done = recs[:0], done[:1]
-		return err
+	// Two runs circulate: the one being filled and the one being written.
+	full, free, stop := make(chan *copyRun, 2), make(chan *copyRun, 2), make(chan struct{})
+	for range 2 {
+		free <- &copyRun{buf: make([]byte, min(np, buildChunkPages)*PageSize),
+			recs: make([]int, 0, buildChunkPages), done: make([]int, 1, buildChunkPages+1)}
 	}
 	var last page // src's last data page, when it becomes h's tail page
+	// The writer is block 0: when both fail, its error is the one a
+	// sequential copy meets first, as every run it writes precedes the
+	// page the reader failed on.
+	err := RunBlocks(2, 2, func(_, b int) error {
+		if b == 0 {
+			defer close(stop)
+			return h.writeRuns(full, free)
+		}
+		defer close(full)
+		var err error
+		last, err = src.sealRuns(tail, free, full, stop)
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	if last != nil {
+		h.keepTail(last)
+	}
+	if src.cur == nil {
+		return nil
+	}
+	return scanData(&frame{data: src.cur}, false, nil, h.Append)
+}
+
+// copyRun is one run of copyPages: up to buildChunkPages sealed pages, the
+// records that begin on each, and done[k], the records its first k pages
+// complete.
+type copyRun struct {
+	buf        []byte
+	recs, done []int
+}
+
+// sealRuns reads h's pages in order, copies each into a run taken from
+// free and seals it, and hands every filled run, and the last one partly
+// filled, to full. It stops at page tail, when that is a data page, and
+// returns it unsealed: it lies past the run it was read into, which is
+// handed on but not taken again. It stops early, with no error, once stop
+// is closed.
+func (h *Heap) sealRuns(tail int, free <-chan *copyRun, full chan<- *copyRun, stop <-chan struct{}) (page, error) {
+	np := h.NumPages()
+	h.mu.RLock()
+	srcRecs := h.pageRecs
+	h.mu.RUnlock()
+	read := h.st.bulk(np)
+	var r *copyRun
+	take := func() bool {
+		select {
+		case r = <-free:
+			return true
+		case <-stop:
+			return false
+		}
+	}
+	if !take() {
+		return nil, nil
+	}
+	chainEnd := 0 // the page after the last overflow chain read
+	var last page
 	for i := 0; i < np; i++ {
 		p, err := read(i, np-i)
 		if err != nil {
-			return src.readFailed(i, err)
+			return nil, h.readFailed(i, err)
 		}
-		k := len(recs)
-		q := page(run[k*PageSize : (k+1)*PageSize])
+		k := len(r.recs)
+		q := page(r.buf[k*PageSize : (k+1)*PageSize])
 		copy(q, p.data)
 		p.unpin()
 		if i == tail && q.kind() == pageData {
@@ -946,23 +995,40 @@ func (h *Heap) copyPages(src *Heap) error {
 		if q.kind() != pageData && i == chainEnd-1 {
 			fin = 1
 		}
-		recs, done = append(recs, srcRecs[i]), append(done, done[k]+fin)
-		if len(recs)*PageSize == len(run) {
-			if err := flush(); err != nil {
-				return err
+		r.recs, r.done = append(r.recs, srcRecs[i]), append(r.done, r.done[k]+fin)
+		if len(r.recs)*PageSize == len(r.buf) {
+			full <- r
+			if !take() {
+				return nil, nil
 			}
 		}
 	}
-	if err := flush(); err != nil {
-		return err
+	if len(r.recs) > 0 {
+		full <- r
 	}
-	if last != nil {
-		h.keepTail(last)
+	return last, nil
+}
+
+// writeRuns appends each run from full to h, an empty file heap, with one
+// write, and returns it to free; it stops at the first run that fails. The
+// Write hook is consulted page by page (appendRun): the pages before a
+// faulted one land and are accounted, and a failed data page becomes the
+// tail page.
+func (h *Heap) writeRuns(full <-chan *copyRun, free chan<- *copyRun) error {
+	fs := h.st.(*fileStore)
+	for r := range full {
+		m, err := fs.appendRun(r.buf[:len(r.recs)*PageSize])
+		h.tracked(r.recs[:m], r.done[m])
+		if q := page(r.buf[m*PageSize:]); err != nil && m < len(r.recs) && q.kind() == pageData {
+			h.keepTail(q[:PageSize])
+		}
+		if err != nil {
+			return err
+		}
+		r.recs, r.done = r.recs[:0], r.done[:1]
+		free <- r
 	}
-	if src.cur == nil {
-		return nil
-	}
-	return scanData(&frame{data: src.cur}, false, nil, h.Append)
+	return nil
 }
 
 // tracked accounts flushed pages appended behind appendTracked's back: the

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"flag"
 	"fmt"
 	"io/fs"
 	"os"
@@ -32,6 +33,12 @@ func TestMain(m *testing.M) {
 	}
 	base := runtime.NumGoroutine()
 	code := m.Run()
+	if f := flag.Lookup("test.fuzz"); f != nil && f.Value.String() != "" {
+		// A fuzzing run's coordinator starts os/signal's watcher, which
+		// lives as long as the process: it is the testing package's, not
+		// a pass's.
+		base++
+	}
 	if stacks := goroutineLeak(base, time.Second); stacks != "" {
 		fmt.Fprintf(os.Stderr, "engine tests leaked goroutines:\n%s\n", stacks)
 		if code == 0 {

@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 )
 
 // This file implements the decoded-row cache of the zero-allocation epoch
@@ -256,14 +258,15 @@ func rowSegments(rows, n int) [][2]int {
 	return segs
 }
 
-// MatBuilder accumulates decoded rows into the columnar slabs of a
-// Materialized. The ordered build (Table.Materialize, Table.Project) sizes
-// its slabs with one and stages its workers' chunks in others.
+// MatBuilder accumulates rows into the columnar slabs of a Materialized.
+// The ordered build (Table.Materialize, Table.Project) writes its slabs
+// with one and stages its workers' chunks in others, one parsed record at a
+// time (appendRecord).
 type MatBuilder struct {
 	schema Schema
 	cols   []matCol
 	n      int
-	// The first Add sizes every slab for rows rows of the first row's
+	// The first row sizes every slab for rows rows of the first row's
 	// widths, so fixed-width data never regrows (0 leaves growth to append).
 	// srcBytes, the encoded size of the rows' source, bounds the vector
 	// slabs between them: a decoded vector is no larger than its record, so
@@ -286,12 +289,13 @@ func (b *MatBuilder) entries(width, size int) int {
 	return n
 }
 
-// reserve sizes the slabs from the first row.
-func (b *MatBuilder) reserve(first Tuple) {
+// reserve sizes the slabs from the first row, whose vector column c holds
+// width(c) entries.
+func (b *MatBuilder) reserve(width func(c int) int) {
 	b.reserved = true
-	for c := range first {
-		v, col := &first[c], &b.cols[c]
-		switch v.Type {
+	for c := range b.cols {
+		col := &b.cols[c]
+		switch b.schema[c].Type {
 		case TInt64:
 			col.ints = make([]int64, 0, b.rows)
 		case TFloat64:
@@ -299,17 +303,25 @@ func (b *MatBuilder) reserve(first Tuple) {
 		case TString:
 			col.strs = make([]string, 0, b.rows)
 		case TDenseVec:
-			col.f64s = make([]float64, 0, b.entries(len(v.Dense), 8))
+			col.f64s = make([]float64, 0, b.entries(width(c), 8))
 		case TSparseVec:
-			col.i32s = make([]int32, 0, b.entries(len(v.Sparse.Idx), 12))
+			col.i32s = make([]int32, 0, b.entries(width(c), 12))
 			col.f64s = make([]float64, 0, cap(col.i32s))
 		case TInt32Vec:
-			col.i32s = make([]int32, 0, b.entries(len(v.Ints), 4))
+			col.i32s = make([]int32, 0, b.entries(width(c), 4))
 		}
-		if v.Type > TString { // the vector types
+		if b.schema[c].Type > TString { // the vector types
 			col.offs = append(make([]int32, 0, b.rows+1), 0)
 		}
 	}
+}
+
+// width is how many entries row r of a vector column holds.
+func (c *matCol) width(r int) int {
+	if c.offs == nil {
+		return 0
+	}
+	return int(c.offs[r+1] - c.offs[r])
 }
 
 // SlabOverflowError reports a cache that would outgrow the int32 its slabs
@@ -334,56 +346,78 @@ func (c *matCol) endRow(n int) error {
 	return nil
 }
 
-// Add copies one row into the slabs, validating it against the schema. The
-// tuple may alias reusable scratch; nothing of it is retained.
-func (b *MatBuilder) Add(tp Tuple) error {
-	if len(tp) != len(b.schema) {
-		return corrupt("", "row has %d columns, schema wants %d", len(tp), len(b.schema))
-	}
+// appendRecord writes one output row into the slabs from rec, a record
+// parseRecord accepted into fields fs, under the column plan cols: each
+// cell goes from the record's bytes straight into its slab, a vector's
+// entries in one block copy, with no tuple between.
+func (b *MatBuilder) appendRecord(rec []byte, fs []field, cols []ColFrom) error {
 	if !b.reserved {
-		b.reserve(tp)
+		b.reserve(func(c int) int {
+			if cols[c].Kind == FromSource {
+				return fs[cols[c].Src].n
+			}
+			return 0
+		})
 	}
 	if b.n == math.MaxInt32 {
 		return &SlabOverflowError{Count: b.n + 1}
 	}
-	for c := range tp {
-		v, col := &tp[c], &b.cols[c]
-		if v.Type != b.schema[c].Type {
-			return corrupt("", "column %d has type %s, schema wants %s", c, v.Type, b.schema[c].Type)
+	for c, from := range cols {
+		col, ty := &b.cols[c], b.schema[c].Type
+		src, f := zeroCell[:], field{} // a zero fill reads 0, "" or no entries
+		if from.Kind == FromSource || from.Kind == IntToFloat {
+			src, f = rec, fs[from.Src]
 		}
-		switch v.Type {
-		case TInt64:
-			col.ints = append(col.ints, v.Int)
-		case TFloat64:
-			col.flts = append(col.flts, v.Float)
-		case TString:
-			col.strs = append(col.strs, v.Str)
-		case TDenseVec:
-			col.f64s = append(col.f64s, v.Dense...)
-			if err := col.endRow(len(col.f64s)); err != nil {
+		switch {
+		case from.Kind == RowNumber:
+			col.ints = append(col.ints, int64(b.n))
+		case from.Kind == IntToFloat:
+			col.flts = append(col.flts, float64(int64(binary.LittleEndian.Uint64(src[f.at:]))))
+		case ty == TInt64:
+			col.ints = append(col.ints, int64(binary.LittleEndian.Uint64(src[f.at:])))
+		case ty == TFloat64:
+			col.flts = append(col.flts, math.Float64frombits(binary.LittleEndian.Uint64(src[f.at:])))
+		case ty == TString:
+			col.strs = append(col.strs, string(src[f.at:f.at+f.n]))
+		case ty == TDenseVec:
+			col.f64s = appendF64s(col.f64s, src[f.at:], f.n)
+		case ty == TSparseVec:
+			col.i32s = appendI32s(col.i32s, src[f.at:], f.n)
+			col.f64s = appendF64s(col.f64s, src[f.at+4*f.n:], f.n)
+		case ty == TInt32Vec:
+			col.i32s = appendI32s(col.i32s, src[f.at:], f.n)
+		}
+		if col.offs != nil {
+			end := len(col.i32s)
+			if ty == TDenseVec {
+				end = len(col.f64s)
+			}
+			if err := col.endRow(end); err != nil {
 				return err
 			}
-		case TSparseVec:
-			if len(v.Sparse.Idx) != len(v.Sparse.Val) {
-				return corrupt("", "column %d sparse vec has %d indices, %d values",
-					c, len(v.Sparse.Idx), len(v.Sparse.Val))
-			}
-			col.i32s = append(col.i32s, v.Sparse.Idx...)
-			col.f64s = append(col.f64s, v.Sparse.Val...)
-			if err := col.endRow(len(col.i32s)); err != nil {
-				return err
-			}
-		case TInt32Vec:
-			col.i32s = append(col.i32s, v.Ints...)
-			if err := col.endRow(len(col.i32s)); err != nil {
-				return err
-			}
-		default:
-			return corrupt("", "column %d has unsupported type %s", c, v.Type)
 		}
 	}
 	b.n++
 	return nil
+}
+
+// zeroCell is the bytes a zero fill reads its scalar from.
+var zeroCell [8]byte
+
+// appendF64s appends the n little-endian float64s at the start of src to
+// s, growing it as append would.
+func appendF64s(s []float64, src []byte, n int) []float64 {
+	s = slices.Grow(s, n)
+	getF64s(s[len(s):len(s)+n], src)
+	return s[:len(s)+n]
+}
+
+// appendI32s appends the n little-endian int32s at the start of src to s,
+// growing it as append would.
+func appendI32s(s []int32, src []byte, n int) []int32 {
+	s = slices.Grow(s, n)
+	getI32s(s[len(s):len(s)+n], src)
+	return s[:len(s)+n]
 }
 
 // truncate empties the builder for reuse, keeping its slabs.

@@ -163,13 +163,19 @@ func (t *Table) ScanPages(from, to int, fn func(Tuple) error) error {
 // the table's name into a *CorruptRecordError.
 func (t *Table) decode(rec []byte, sc *TupleScratch) (Tuple, error) {
 	tp, err := DecodeTupleInto(rec, sc)
-	if err != nil {
-		var ce *CorruptRecordError
-		if errors.As(err, &ce) && ce.Table == "" {
-			ce.Table = t.Name
-		}
+	return tp, t.named(err)
+}
+
+// named stamps the table's name into a *CorruptRecordError that has none.
+func (t *Table) named(err error) error {
+	if err == nil {
+		return nil
 	}
-	return tp, err
+	var ce *CorruptRecordError
+	if errors.As(err, &ce) && ce.Table == "" {
+		ce.Table = t.Name
+	}
+	return err
 }
 
 // ScanSegment makes Table satisfy the Relation scan contract; segments are

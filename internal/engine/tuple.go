@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 
 	"bismarck/internal/vector"
 )
@@ -171,13 +172,6 @@ func (t Tuple) AppendEncode(dst []byte) []byte {
 	return buf
 }
 
-func readLen(buf []byte) (int, []byte, error) {
-	if len(buf) < 4 {
-		return 0, nil, fmt.Errorf("engine: decode: short length prefix")
-	}
-	return int(binary.LittleEndian.Uint32(buf)), buf[4:], nil
-}
-
 // CorruptRecordError reports a heap record that failed to decode or whose
 // decoded shape (arity or column types) does not match the table schema.
 // Scans return it instead of letting a truncated record surface later as an
@@ -209,6 +203,7 @@ func corrupt(table, format string, args ...any) *CorruptRecordError {
 // the training hot path carries strings.
 type TupleScratch struct {
 	schema Schema
+	fields []field
 	tup    Tuple
 	f64    [][]float64 // per-column float backing (dense components, sparse values)
 	i32    [][]int32   // per-column int backing (sparse indices, int32 vectors)
@@ -218,6 +213,7 @@ type TupleScratch struct {
 func NewTupleScratch(s Schema) *TupleScratch {
 	return &TupleScratch{
 		schema: s,
+		fields: make([]field, len(s)),
 		tup:    make(Tuple, len(s)),
 		f64:    make([][]float64, len(s)),
 		i32:    make([][]int32, len(s)),
@@ -242,102 +238,153 @@ func (sc *TupleScratch) growI32(col, n int) []int32 {
 	return sc.i32[col]
 }
 
+// field locates one column of a parsed record: where its payload starts
+// (past the type tag and any length prefix) and, for a length-prefixed
+// column, how many entries it holds — bytes of a string, components of a
+// vector.
+type field struct {
+	at, n int
+}
+
+// shortName names each column type in the error for a payload cut short.
+var shortName = [...]string{TInt64: "int64", TFloat64: "float64", TString: "string",
+	TDenseVec: "dense vec", TSparseVec: "sparse vec", TInt32Vec: "int32 vec"}
+
+// entrySize is the payload bytes of one entry of each length-prefixed
+// column type: a sparse entry is its int32 index and its float64 value.
+var entrySize = [...]int{TString: 1, TDenseVec: 8, TSparseVec: 12, TInt32Vec: 4}
+
+// parseRecord is the record format's one reader. It locates every column
+// of rec, a record Encode made, into fs, one field per column of schema,
+// and validates the record as it goes: each type tag against the schema,
+// each payload's length, the arity, and that sparse indices ascend. It
+// returns the first violation as a *CorruptRecordError, leaving fs
+// meaningless; a record it accepts can be read from fs without a further
+// check. DecodeTupleInto and the ordered build's slab writer both start
+// from it, so a record either parses whole or yields nothing.
+func parseRecord(rec []byte, schema Schema, fs []field) error {
+	at, col := 0, 0
+	for at < len(rec) {
+		if col >= len(schema) {
+			return corrupt("", "record has more than the schema's %d columns", len(schema))
+		}
+		ty := Type(rec[at])
+		if want := schema[col].Type; ty != want {
+			return corrupt("", "column %d has type tag %s, schema wants %s", col, ty, want)
+		}
+		if ty < TInt64 || ty > TInt32Vec {
+			return corrupt("", "unknown type tag %d in column %d", uint8(ty), col)
+		}
+		at++
+		size, n := 8, 0 // payload bytes, entries
+		if ty > TFloat64 {
+			if len(rec)-at < 4 {
+				return corrupt("", "short %s in column %d", shortName[ty], col)
+			}
+			n = int(binary.LittleEndian.Uint32(rec[at:]))
+			at += 4
+			size = n * entrySize[ty]
+		}
+		if len(rec)-at < size {
+			return corrupt("", "short %s in column %d", shortName[ty], col)
+		}
+		if ty == TSparseVec {
+			// Sparse indices are strictly ascending and non-negative by
+			// construction (vector.NewSparse); a violation means the record
+			// bytes are corrupt, and must be rejected here — the
+			// sorted-index fast paths of the vector kernels trust the last
+			// index to bound all of them.
+			prev := int32(-1)
+			for i := range n {
+				ix := int32(binary.LittleEndian.Uint32(rec[at+4*i:]))
+				if ix <= prev {
+					return corrupt("", "sparse vec indices not ascending in column %d", col)
+				}
+				prev = ix
+			}
+		}
+		fs[col] = field{at: at, n: n}
+		at += size
+		col++
+	}
+	if col != len(schema) {
+		return corrupt("", "record has %d columns, schema wants %d", col, len(schema))
+	}
+	return nil
+}
+
+// scalarCell sets v to the scalar of type ty at f in rec and reports true,
+// or, for a vector type, sets v to an empty cell of it and reports false.
+func scalarCell(v *Value, ty Type, rec []byte, f field) bool {
+	*v = Value{Type: ty}
+	switch ty {
+	case TInt64:
+		v.Int = int64(binary.LittleEndian.Uint64(rec[f.at:]))
+	case TFloat64:
+		v.Float = math.Float64frombits(binary.LittleEndian.Uint64(rec[f.at:]))
+	case TString:
+		v.Str = string(rec[f.at : f.at+f.n])
+	default:
+		return false
+	}
+	return true
+}
+
+// nativeLE reports whether the host lays out a float64 and an int32 in
+// memory as a record does, so that a vector payload copies as bytes.
+var nativeLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// getF64s fills dst from the little-endian float64s at the start of src.
+func getF64s(dst []float64, src []byte) {
+	if nativeLE && len(dst) > 0 {
+		copy(unsafe.Slice((*byte)(unsafe.Pointer(&dst[0])), 8*len(dst)), src)
+		return
+	}
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	}
+}
+
+// getI32s fills dst from the little-endian int32s at the start of src.
+func getI32s(dst []int32, src []byte) {
+	if nativeLE && len(dst) > 0 {
+		copy(unsafe.Slice((*byte)(unsafe.Pointer(&dst[0])), 4*len(dst)), src)
+		return
+	}
+	for i := range dst {
+		dst[i] = int32(binary.LittleEndian.Uint32(src[4*i:]))
+	}
+}
+
 // DecodeTupleInto parses a record produced by Encode into the scratch's
 // reusable buffers, validating arity and column types against the scratch's
-// schema as it goes. The returned tuple (and every slice-typed cell in it)
+// schema (parseRecord). The returned tuple (and every slice-typed cell in it)
 // aliases the scratch and is only valid until the next call; callers that
 // retain a row decode it through a scratch of its own. It returns a
 // *CorruptRecordError rather than panicking so corrupt pages surface
 // cleanly. Steady state allocates nothing.
 func DecodeTupleInto(buf []byte, sc *TupleScratch) (Tuple, error) {
-	col := 0
-	for len(buf) > 0 {
-		if col >= len(sc.schema) {
-			return nil, corrupt("", "record has more than the schema's %d columns", len(sc.schema))
-		}
-		ty := Type(buf[0])
-		if want := sc.schema[col].Type; ty != want {
-			return nil, corrupt("", "column %d has type tag %s, schema wants %s", col, ty, want)
-		}
-		buf = buf[1:]
-		v := &sc.tup[col]
-		*v = Value{Type: ty}
-		switch ty {
-		case TInt64:
-			if len(buf) < 8 {
-				return nil, corrupt("", "short int64 in column %d", col)
-			}
-			v.Int = int64(binary.LittleEndian.Uint64(buf))
-			buf = buf[8:]
-		case TFloat64:
-			if len(buf) < 8 {
-				return nil, corrupt("", "short float64 in column %d", col)
-			}
-			v.Float = math.Float64frombits(binary.LittleEndian.Uint64(buf))
-			buf = buf[8:]
-		case TString:
-			n, rest, err := readLen(buf)
-			if err != nil || len(rest) < n {
-				return nil, corrupt("", "short string in column %d", col)
-			}
-			v.Str = string(rest[:n])
-			buf = rest[n:]
-		case TDenseVec:
-			n, rest, err := readLen(buf)
-			if err != nil || len(rest) < 8*n {
-				return nil, corrupt("", "short dense vec in column %d", col)
-			}
-			dst := sc.growF64(col, n)
-			for i := 0; i < n; i++ {
-				dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[8*i:]))
-			}
-			v.Dense = dst
-			buf = rest[8*n:]
-		case TSparseVec:
-			n, rest, err := readLen(buf)
-			if err != nil || len(rest) < 12*n {
-				return nil, corrupt("", "short sparse vec in column %d", col)
-			}
-			idx := sc.growI32(col, n)
-			val := sc.growF64(col, n)
-			prev := int32(-1)
-			for i := 0; i < n; i++ {
-				ix := int32(binary.LittleEndian.Uint32(rest[4*i:]))
-				// Sparse indices are strictly ascending and non-negative by
-				// construction (vector.NewSparse); a violation means the
-				// record bytes are corrupt, and must be rejected here — the
-				// sorted-index fast paths of the vector kernels trust the
-				// last index to bound all of them.
-				if ix <= prev {
-					return nil, corrupt("", "sparse vec indices not ascending in column %d", col)
-				}
-				prev = ix
-				idx[i] = ix
-			}
-			rest = rest[4*n:]
-			for i := 0; i < n; i++ {
-				val[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[8*i:]))
-			}
-			v.Sparse.Idx, v.Sparse.Val = idx, val
-			buf = rest[8*n:]
-		case TInt32Vec:
-			n, rest, err := readLen(buf)
-			if err != nil || len(rest) < 4*n {
-				return nil, corrupt("", "short int32 vec in column %d", col)
-			}
-			dst := sc.growI32(col, n)
-			for i := 0; i < n; i++ {
-				dst[i] = int32(binary.LittleEndian.Uint32(rest[4*i:]))
-			}
-			v.Ints = dst
-			buf = rest[4*n:]
-		default:
-			return nil, corrupt("", "unknown type tag %d in column %d", uint8(ty), col)
-		}
-		col++
+	if err := parseRecord(buf, sc.schema, sc.fields); err != nil {
+		return nil, err
 	}
-	if col != len(sc.schema) {
-		return nil, corrupt("", "record has %d columns, schema wants %d", col, len(sc.schema))
+	for col, f := range sc.fields {
+		v, ty := &sc.tup[col], sc.schema[col].Type
+		if scalarCell(v, ty, buf, f) {
+			continue
+		}
+		p := buf[f.at:]
+		switch ty {
+		case TDenseVec:
+			v.Dense = sc.growF64(col, f.n)
+			getF64s(v.Dense, p)
+		case TSparseVec:
+			v.Sparse.Idx, v.Sparse.Val = sc.growI32(col, f.n), sc.growF64(col, f.n)
+			getI32s(v.Sparse.Idx, p)
+			getF64s(v.Sparse.Val, p[4*f.n:])
+		case TInt32Vec:
+			v.Ints = sc.growI32(col, f.n)
+			getI32s(v.Ints, p)
+		}
 	}
 	return sc.tup, nil
 }

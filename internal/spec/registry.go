@@ -3,6 +3,7 @@ package spec
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -90,14 +91,17 @@ var registry = struct {
 
 // Register adds a task spec to the registry; tasks call it from init().
 // It panics on duplicate or malformed registrations (a programming error).
-func Register(ts TaskSpec) {
+// The returned func removes the spec again, so a test that registers a
+// task of its own can leave the registry as it found it.
+func Register(ts TaskSpec) (unregister func()) {
 	if ts.Name == "" || ts.Build == nil || len(ts.Schema) == 0 {
 		panic(fmt.Sprintf("spec: invalid registration %+v", ts))
 	}
 	ts.Name = strings.ToLower(ts.Name)
+	keys := append([]string{ts.Name}, ts.Aliases...)
 	registry.Lock()
 	defer registry.Unlock()
-	for _, key := range append([]string{ts.Name}, ts.Aliases...) {
+	for _, key := range keys {
 		key = strings.ToLower(key)
 		if _, dup := registry.byName[key]; dup {
 			panic(fmt.Sprintf("spec: duplicate task registration %q", key))
@@ -105,6 +109,14 @@ func Register(ts TaskSpec) {
 		registry.byName[key] = &ts
 	}
 	registry.order = append(registry.order, ts.Name)
+	return func() {
+		registry.Lock()
+		defer registry.Unlock()
+		for _, key := range keys {
+			delete(registry.byName, strings.ToLower(key))
+		}
+		registry.order = slices.DeleteFunc(registry.order, func(n string) bool { return n == ts.Name })
+	}
 }
 
 // Lookup resolves a task name (or alias, case-insensitive) to its spec.

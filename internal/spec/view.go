@@ -143,30 +143,27 @@ func ProjectView(src *engine.Table, st *Statement, schema engine.Schema, opt Vie
 		}
 	}
 
-	// The projection decodes the source through reusable scratch on every
-	// worker and copies each kept row once, into columnar slabs sized up
-	// front from the source's row count; those slabs are the whole view
-	// (engine.Table.Project). A synthesized row number is the row's place
-	// in the output, which the build knows only once the rows before it
-	// are counted, so it writes that column itself.
-	proj := engine.Projection{Schema: out, Rows: src.NumRows(), Degraded: opt.Degraded,
-		RowNumber: synthesizable && srcIdx[0] == -1,
-		Map: func(tp, row engine.Tuple) (bool, error) {
-			if ok, err := filter(tp); err != nil || !ok {
-				return false, err
-			}
-			for i := range row {
-				switch {
-				case srcIdx[i] >= 0:
-					row[i] = castValue(tp[srcIdx[i]], out[i].Type)
-				case i == 0:
-					row[i] = engine.I64(0) // the build numbers the row
-				default:
-					row[i] = engine.F64(0)
-				}
-			}
-			return true, nil
-		}}
+	// The projection writes each kept record's cells from its page bytes
+	// straight into columnar slabs sized up front from the source's row
+	// count; those slabs are the whole view (engine.Table.Project). A
+	// synthesized row number is the row's place in the output, which the
+	// build knows only once the rows before it are counted, so it writes
+	// that column itself.
+	cols := make([]engine.ColFrom, n)
+	for i, ci := range srcIdx {
+		switch {
+		case ci >= 0 && out[i].Type != src.Schema[ci].Type:
+			cols[i] = engine.ColFrom{Kind: engine.IntToFloat, Src: ci}
+		case ci >= 0:
+			cols[i] = engine.ColFrom{Kind: engine.FromSource, Src: ci}
+		case i == 0 && synthesizable:
+			cols[i] = engine.ColFrom{Kind: engine.RowNumber}
+		default:
+			cols[i] = engine.ColFrom{Kind: engine.ZeroFill}
+		}
+	}
+	proj := engine.Projection{Schema: out, Rows: src.NumRows(), Cols: cols, Keep: filter,
+		Degraded: opt.Degraded}
 	if len(st.Where) > 0 {
 		proj.Rows = 0 // selectivity unknown: let the slabs grow
 	}
@@ -201,13 +198,6 @@ func typeCompatible(target, src engine.Type) bool {
 		return true
 	}
 	return false
-}
-
-func castValue(v engine.Value, target engine.Type) engine.Value {
-	if target == engine.TFloat64 && v.Type == engine.TInt64 {
-		return engine.F64(float64(v.Int))
-	}
-	return v
 }
 
 // selectedColumns resolves the SELECT list into a source-column index set
@@ -282,10 +272,12 @@ func resolveDefault(src *engine.Table, selected map[int]bool, used []int, target
 	return cand
 }
 
-// compileWhere builds the row filter of the ANDed predicates.
+// compileWhere builds the row filter of the ANDed predicates, nil when
+// there are none. The predicates compare scalar columns only, so the filter
+// reads nothing of a row's vectors.
 func compileWhere(src *engine.Table, preds []Predicate) (func(engine.Tuple) (bool, error), error) {
 	if len(preds) == 0 {
-		return func(engine.Tuple) (bool, error) { return true, nil }, nil
+		return nil, nil
 	}
 	type cmp struct {
 		col int

@@ -25,30 +25,26 @@ func (p panickyLossTask) Loss(w vector.Dense, tp engine.Tuple) float64 {
 	return p.LR.Loss(w, tp)
 }
 
-var registerLossPanicTask sync.Once
-
 // TestLossPanicFailsStatementNotProcess: a task whose loss panics on one
 // row fails the TRAIN with an error — over one loss block, where the pass
 // runs on the session's goroutine, and over several, where it runs on the
 // workers — and the session, catalog and process survive without a model.
 func TestLossPanicFailsStatementNotProcess(t *testing.T) {
-	registerLossPanicTask.Do(func() {
-		spec.Register(spec.TaskSpec{
-			Name:    "losspaniclr",
-			Summary: "test-only: LR whose Loss panics on one row",
-			Schema:  tasks.DenseExampleSchema,
-			Params:  []spec.ParamSpec{},
-			Build: func(in spec.BuildInput) (core.Task, error) {
-				dim, err := spec.InferVecDim(in.View, 1)
-				if err != nil {
-					return nil, err
-				}
-				return panickyLossTask{tasks.NewLR(dim)}, nil
-			},
-			Snapshot: func(core.Task) map[string]string { return nil },
-			Predict:  func(core.Task, vector.Dense, engine.Tuple) float64 { return 0 },
-		})
-	})
+	t.Cleanup(spec.Register(spec.TaskSpec{
+		Name:    "losspaniclr",
+		Summary: "test-only: LR whose Loss panics on one row",
+		Schema:  tasks.DenseExampleSchema,
+		Params:  []spec.ParamSpec{},
+		Build: func(in spec.BuildInput) (core.Task, error) {
+			dim, err := spec.InferVecDim(in.View, 1)
+			if err != nil {
+				return nil, err
+			}
+			return panickyLossTask{tasks.NewLR(dim)}, nil
+		},
+		Snapshot: func(core.Task) map[string]string { return nil },
+		Predict:  func(core.Task, vector.Dense, engine.Tuple) float64 { return 0 },
+	}))
 	s, _ := declSession(t)
 	for _, n := range []int{300, engine.BlockRows + 1000} {
 		src := fmt.Sprintf("papers%d", n)
@@ -87,8 +83,6 @@ func (p *panickyStepTask) Loss(w vector.Dense, tp engine.Tuple) float64 {
 	return p.LR.Loss(w, tp)
 }
 
-var registerStepPanicTask sync.Once
-
 // TestStepPanicFailsEveryPlan: a task whose gradient step panics fails the
 // TRAIN with the panic on every plan spec.Train dispatches — the
 // sequential epoch and the sampling plans on the session's goroutine, the
@@ -96,23 +90,21 @@ var registerStepPanicTask sync.Once
 // its own — persists no model,
 // and leaves the session able to train with the same plan.
 func TestStepPanicFailsEveryPlan(t *testing.T) {
-	registerStepPanicTask.Do(func() {
-		spec.Register(spec.TaskSpec{
-			Name:    "steppaniclr",
-			Summary: "test-only: LR whose Step panics",
-			Schema:  tasks.DenseExampleSchema,
-			Params:  []spec.ParamSpec{},
-			Build: func(in spec.BuildInput) (core.Task, error) {
-				dim, err := spec.InferVecDim(in.View, 1)
-				if err != nil {
-					return nil, err
-				}
-				return &panickyStepTask{LR: tasks.NewLR(dim), stepped: make(chan struct{})}, nil
-			},
-			Snapshot: func(core.Task) map[string]string { return nil },
-			Predict:  func(core.Task, vector.Dense, engine.Tuple) float64 { return 0 },
-		})
-	})
+	t.Cleanup(spec.Register(spec.TaskSpec{
+		Name:    "steppaniclr",
+		Summary: "test-only: LR whose Step panics",
+		Schema:  tasks.DenseExampleSchema,
+		Params:  []spec.ParamSpec{},
+		Build: func(in spec.BuildInput) (core.Task, error) {
+			dim, err := spec.InferVecDim(in.View, 1)
+			if err != nil {
+				return nil, err
+			}
+			return &panickyStepTask{LR: tasks.NewLR(dim), stepped: make(chan struct{})}, nil
+		},
+		Snapshot: func(core.Task) map[string]string { return nil },
+		Predict:  func(core.Task, vector.Dense, engine.Tuple) float64 { return 0 },
+	}))
 	s, _ := declSession(t)
 	copyInto(t, s, "papers", data.Forest(200, 5))
 	for _, plan := range []string{"", ", parallel=lock, workers=2", ", parallel=aig, workers=2",

@@ -107,33 +107,29 @@ func (p *panickyShardTask) Step(m core.Model, tp engine.Tuple, alpha float64) {
 	p.LR.Step(m, tp, alpha)
 }
 
-var registerPanicTask sync.Once
-
 // TestShardWorkerPanicFailsStatementNotProcess is the statement-level half
 // of the panic-containment satellite: a task whose gradient step panics
 // inside a shard worker fails the TRAIN statement with an error naming the
 // shard — the session, the catalog, and the process all survive, and no
 // model table is created.
 func TestShardWorkerPanicFailsStatementNotProcess(t *testing.T) {
-	registerPanicTask.Do(func() {
-		spec.Register(spec.TaskSpec{
-			Name:    "paniclr",
-			Summary: "test-only: LR whose Step panics mid-epoch",
-			Schema:  tasks.DenseExampleSchema,
-			Params:  []spec.ParamSpec{},
-			Build: func(in spec.BuildInput) (core.Task, error) {
-				dim, err := spec.InferVecDim(in.View, 1)
-				if err != nil {
-					return nil, err
-				}
-				return &panickyShardTask{LR: tasks.NewLR(dim)}, nil
-			},
-			Snapshot: func(core.Task) map[string]string { return nil },
-			Predict: func(tsk core.Task, w vector.Dense, tp engine.Tuple) float64 {
-				return 0
-			},
-		})
-	})
+	t.Cleanup(spec.Register(spec.TaskSpec{
+		Name:    "paniclr",
+		Summary: "test-only: LR whose Step panics mid-epoch",
+		Schema:  tasks.DenseExampleSchema,
+		Params:  []spec.ParamSpec{},
+		Build: func(in spec.BuildInput) (core.Task, error) {
+			dim, err := spec.InferVecDim(in.View, 1)
+			if err != nil {
+				return nil, err
+			}
+			return &panickyShardTask{LR: tasks.NewLR(dim)}, nil
+		},
+		Snapshot: func(core.Task) map[string]string { return nil },
+		Predict: func(tsk core.Task, w vector.Dense, tp engine.Tuple) float64 {
+			return 0
+		},
+	}))
 	s, _ := declSession(t)
 	copyInto(t, s, "papers", data.Forest(200, 5))
 

@@ -83,9 +83,10 @@ func (r reader) add(i int, d float64) {
 	r.m.Add(i, d)
 }
 
-// inference runs forward-backward, returning the log-partition, the node
-// potentials, and the alpha/beta tables (all in log space, T×L row-major).
-func (t *CRF) inference(r reader, s seq) (logZ float64, node, al, be []float64) {
+// inference runs forward-backward under the L×L transition weights tr
+// (row-major, y1·L+y2), returning the log-partition, the node potentials,
+// and the alpha/beta tables (all in log space, T×L row-major).
+func (t *CRF) inference(r reader, tr []float64, s seq) (logZ float64, node, al, be []float64) {
 	T, L := s.T(), t.L
 	node = make([]float64, T*L)
 	for tt := 0; tt < T; tt++ {
@@ -105,7 +106,7 @@ func (t *CRF) inference(r reader, s seq) (logZ float64, node, al, be []float64) 
 	for tt := 1; tt < T; tt++ {
 		for y := 0; y < L; y++ {
 			for y1 := 0; y1 < L; y1++ {
-				tmp[y1] = al[(tt-1)*L+y1] + r.get(t.trOff(y1, y))
+				tmp[y1] = al[(tt-1)*L+y1] + tr[y1*L+y]
 			}
 			al[tt*L+y] = logSumExp(tmp) + node[tt*L+y]
 		}
@@ -116,7 +117,7 @@ func (t *CRF) inference(r reader, s seq) (logZ float64, node, al, be []float64) 
 	for tt := T - 2; tt >= 0; tt-- {
 		for y := 0; y < L; y++ {
 			for y2 := 0; y2 < L; y2++ {
-				tmp[y2] = r.get(t.trOff(y, y2)) + node[(tt+1)*L+y2] + be[(tt+1)*L+y2]
+				tmp[y2] = tr[y*L+y2] + node[(tt+1)*L+y2] + be[(tt+1)*L+y2]
 			}
 			be[tt*L+y] = logSumExp(tmp)
 		}
@@ -133,7 +134,15 @@ func (t *CRF) Step(m core.Model, e engine.Tuple, alpha float64) {
 		return
 	}
 	r := newReader(m)
-	logZ, node, al, be := t.inference(r, s)
+	// Every sequence touches all L² transition weights, so under AIG and
+	// NoLock another worker may write them mid-step. Read them once: the
+	// forward pass, the backward pass and the pairwise marginals then agree
+	// on one model, and exp(α + β − log Z) stays a probability.
+	tr := make([]float64, L*L)
+	for i := range tr {
+		tr[i] = r.get(t.trOff(0, 0) + i)
+	}
+	logZ, node, al, be := t.inference(r, tr, s)
 
 	// Empirical counts: +α on the gold features and transitions.
 	for tt := 0; tt < T; tt++ {
@@ -162,7 +171,7 @@ func (t *CRF) Step(m core.Model, e engine.Tuple, alpha float64) {
 		for y1 := 0; y1 < L; y1++ {
 			a := al[(tt-1)*L+y1]
 			for y2 := 0; y2 < L; y2++ {
-				p := math.Exp(a + r.get(t.trOff(y1, y2)) + node[tt*L+y2] + be[tt*L+y2] - logZ)
+				p := math.Exp(a + tr[y1*L+y2] + node[tt*L+y2] + be[tt*L+y2] - logZ)
 				if p != 0 {
 					r.add(t.trOff(y1, y2), -alpha*p)
 				}
@@ -178,8 +187,7 @@ func (t *CRF) Loss(w vector.Dense, e engine.Tuple) float64 {
 	if s.T() == 0 {
 		return 0
 	}
-	r := reader{w: w}
-	logZ, node, _, _ := t.inference(r, s)
+	logZ, node, _, _ := t.inference(reader{w: w}, w[t.trOff(0, 0):], s)
 	var score float64
 	for tt := 0; tt < s.T(); tt++ {
 		y := int(s.labels[tt])

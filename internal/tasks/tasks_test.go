@@ -204,7 +204,7 @@ func TestCRFLogZMatchesBruteForce(t *testing.T) {
 	w := randDense(rng, task.Dim())
 	tp := tinySeq([]int32{0, 2, 1})
 	r := reader{w: w}
-	logZ, _, _, _ := task.inference(r, decodeSeq(tp))
+	logZ, _, _, _ := task.inference(r, w[task.trOff(0, 0):], decodeSeq(tp))
 	want := bruteLogZ(task, w, tp)
 	if math.Abs(logZ-want) > 1e-9 {
 		t.Fatalf("logZ = %.9f, brute force = %.9f", logZ, want)
