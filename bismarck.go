@@ -273,9 +273,8 @@ var (
 	NewReservoir = sampling.NewReservoir
 	// NewReservoirRunner is the plan that trains on one reservoir sample.
 	NewReservoirRunner = sampling.NewReservoirRunner
-	// NewMRSRunner is multiplexed reservoir sampling; call the returned
-	// stop func when training is over — it returns the Memory worker's
-	// failure, if any.
+	// NewMRSRunner is multiplexed reservoir sampling: the reservoir's
+	// buffer and the tuples it drops, interleaved on the caller's goroutine.
 	NewMRSRunner = sampling.NewMRSRunner
 )
 

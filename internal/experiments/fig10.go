@@ -77,7 +77,7 @@ func RunFig10A(w io.Writer, cfg Config) error {
 		series = append(series, lossSeries("Subsampling", res.Losses))
 		finals["Subsampling"] = res.FinalLoss()
 	}
-	// MRS: reservoir + dropped-tuple steps + memory worker.
+	// MRS: dropped-tuple steps interleaved with steps over the last buffer.
 	{
 		tbl, err := build()
 		if err != nil {
@@ -168,22 +168,15 @@ func RunFig10B(w io.Writer, cfg Config) error {
 // is set — for a fixed number of passes with a buf-tuple buffer.
 func trainSampled(task core.Task, step core.StepRule, epochs, buf int, seed int64,
 	tbl *engineTable, mrs bool) (*core.Result, error) {
-	var r core.EpochRunner
-	var err error
-	stop := func() error { return nil }
+	newRunner := sampling.NewReservoirRunner
 	if mrs {
-		r, stop, err = sampling.NewMRSRunner(task, tbl, buf, seed)
-	} else {
-		r, err = sampling.NewReservoirRunner(task, tbl, buf, seed)
+		newRunner = sampling.NewMRSRunner
 	}
+	r, err := newRunner(task, tbl, buf, seed)
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.Drive(r, core.LoopConfig{Task: task, Step: step, MaxEpochs: epochs, Seed: seed})
-	if serr := stop(); err == nil {
-		err = serr
-	}
-	return res, err
+	return core.Drive(r, core.LoopConfig{Task: task, Step: step, MaxEpochs: epochs, Seed: seed})
 }
 
 func lossSeries(name string, losses []float64) Series {

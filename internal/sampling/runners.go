@@ -2,14 +2,10 @@ package sampling
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"runtime"
-	"sync/atomic"
 
 	"bismarck/internal/core"
 	"bismarck/internal/engine"
-	"bismarck/internal/parallel"
 	"bismarck/internal/vector"
 )
 
@@ -49,122 +45,62 @@ func (r *reservoirRunner) Loss(w vector.Dense) (float64, error) {
 	return core.TotalLoss(r.task, w, r.tbl)
 }
 
-// mrsMemRatio caps the Memory worker at this multiple of the I/O worker's
-// gradient steps. Without a cap, a fast memory worker loops the small
-// buffer far more often than the I/O worker advances, over-weighting the
-// buffered examples; the paper's setup naturally balances the two because
-// the I/O worker runs at disk speed on its own core.
-const mrsMemRatio = 1.0
-
-// mrsRunner is multiplexed reservoir sampling (Figure 6): each epoch the
-// I/O worker (Run's caller) scans the table, reservoir-sampling into one
-// buffer while taking gradient steps on every dropped tuple; a Memory
-// worker concurrently loops gradient steps over the buffer filled by the
-// previous pass. The two buffers swap after each pass, and both workers
-// update one shared model with NoLock (Hogwild) semantics. That model
-// lives here, not in Drive's w, because the Memory worker keeps updating
-// it between calls: w seeds it on the first pass and receives a snapshot
-// after every pass.
+// mrsRunner is multiplexed reservoir sampling (Figure 6) on one goroutine.
+// Each pass the I/O side scans the table into a fresh reservoir, stepping
+// on every tuple it drops, and the Memory side steps over the buffer the
+// previous pass filled. The paper runs the two as concurrent workers on
+// one NoLock model; interleaving their steps into the scan is one valid
+// serialization of that Hogwild schedule (Niu et al.), and it repeats
+// under the seed. The Memory side takes max(len(prev), prevRows−len(prev))
+// steps a pass — as many as the I/O side took last pass, and at least one
+// sweep of its buffer, so a buffer that holds the whole table still trains
+// — spread evenly over the scan, the rest taken after it.
 type mrsRunner struct {
 	task   core.Task
 	tbl    *engine.Table
 	bufCap int
 	rng    *rand.Rand
-	model  *parallel.AtomicModel // built on the first pass, before memBuf is first published
 
-	// The Memory worker polls memBuf (an atomically published tuple slice)
-	// and alphaBits, looping gradient steps until told to stop — the
-	// paper's "signaled by polling a common integer".
-	memBuf            atomic.Pointer[[]engine.Tuple]
-	alphaBits         atomic.Uint64
-	quit              atomic.Bool
-	memSteps, ioSteps atomic.Int64
-
-	// memErr is the Memory worker's panic, recovered into an error; the
-	// worker stops there, and the next Run and the stop func return it.
-	memErr atomic.Pointer[error]
+	prev     []engine.Tuple // the buffer the previous pass filled
+	prevRows int            // the rows the previous pass scanned
 }
 
-// NewMRSRunner starts the Memory worker and returns the MRS plan plus the
-// stop func that ends the worker, waits for it and returns its failure;
-// call stop once training is over (it is what keeps EpochRunner at two
-// methods).
-func NewMRSRunner(task core.Task, tbl *engine.Table, bufCap int, seed int64) (core.EpochRunner, func() error, error) {
+// NewMRSRunner returns the MRS plan: a bufCap-tuple reservoir, sampled
+// with an rng seeded with seed.
+func NewMRSRunner(task core.Task, tbl *engine.Table, bufCap int, seed int64) (core.EpochRunner, error) {
 	if bufCap <= 0 {
-		return nil, nil, fmt.Errorf("sampling: buffer capacity must be > 0, got %d", bufCap)
+		return nil, fmt.Errorf("sampling: buffer capacity must be > 0, got %d", bufCap)
 	}
-	r := &mrsRunner{task: task, tbl: tbl, bufCap: bufCap, rng: rand.New(rand.NewSource(seed))}
-	stopped := make(chan struct{})
-	go func() {
-		defer close(stopped)
-		if err := engine.Contain(r.memoryWorker); err != nil {
-			r.memErr.Store(&err)
-		}
-	}()
-	return r, func() error {
-		r.quit.Store(true)
-		<-stopped
-		return r.workerErr()
-	}, nil
-}
-
-// workerErr is the Memory worker's failure, or nil.
-func (r *mrsRunner) workerErr() error {
-	if p := r.memErr.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-func (r *mrsRunner) memoryWorker() error {
-	for !r.quit.Load() {
-		bp := r.memBuf.Load()
-		if bp == nil || len(*bp) == 0 {
-			runtime.Gosched()
-			continue
-		}
-		alpha := math.Float64frombits(r.alphaBits.Load())
-		for _, tp := range *bp {
-			if r.quit.Load() {
-				return nil
-			}
-			if float64(r.memSteps.Load()) > mrsMemRatio*float64(r.ioSteps.Load()) {
-				runtime.Gosched()
-				continue
-			}
-			r.task.Step(r.model, tp, alpha)
-			r.memSteps.Add(1)
-		}
-	}
-	return nil
+	return &mrsRunner{task: task, tbl: tbl, bufCap: bufCap, rng: rand.New(rand.NewSource(seed))}, nil
 }
 
 func (r *mrsRunner) Run(_ int, w vector.Dense, alpha float64) error {
-	if err := r.workerErr(); err != nil {
-		return err
+	dm := &core.DenseModel{W: w}
+	budget, done := max(len(r.prev), r.prevRows-len(r.prev)), 0
+	memSteps := func(upTo int) {
+		for ; done < upTo; done++ {
+			r.task.Step(dm, r.prev[done%len(r.prev)], alpha)
+		}
 	}
-	if r.model == nil { // first pass: the Memory worker idles until the swap below
-		r.model = parallel.NewAtomicModel(len(w), false)
-		r.model.SetFrom(w)
-	}
-	r.alphaBits.Store(math.Float64bits(alpha))
 	resv := NewReservoir(r.bufCap, r.rng)
+	rows := 0
 	// ScanStable: the reservoir retains tuples, and MRS must not build a
 	// cache for a table it exists to avoid holding twice.
 	err := r.tbl.ScanStable(func(tp engine.Tuple) error {
 		if dropped := resv.Offer(tp); dropped != nil {
-			r.task.Step(r.model, dropped, alpha)
-			r.ioSteps.Add(1)
+			r.task.Step(dm, dropped, alpha)
+		}
+		rows++
+		if budget > 0 {
+			memSteps(min(budget, rows*budget/r.prevRows))
 		}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	// Swap: the buffer just filled becomes the Memory worker's input.
-	items := resv.Items()
-	r.memBuf.Store(&items)
-	r.model.CopyTo(w)
+	memSteps(budget)
+	r.prev, r.prevRows = resv.Items(), rows
 	return nil
 }
 

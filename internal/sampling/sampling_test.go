@@ -3,10 +3,7 @@ package sampling
 import (
 	"math"
 	"math/rand"
-	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"bismarck/internal/core"
 	"bismarck/internal/engine"
@@ -160,11 +157,10 @@ func trainReservoir(tbl *engine.Table, task core.Task, step core.StepRule, epoch
 }
 
 func trainMRS(tbl *engine.Table, task core.Task, step core.StepRule, passes, buf int) (*core.Result, error) {
-	r, stop, err := NewMRSRunner(task, tbl, buf, 1)
+	r, err := NewMRSRunner(task, tbl, buf, 1)
 	if err != nil {
 		return nil, err
 	}
-	defer stop()
 	return core.Drive(r, core.LoopConfig{Task: task, Step: step, MaxEpochs: passes, Seed: 1})
 }
 
@@ -235,52 +231,39 @@ func TestMRSBeatsSubsamplingAtEqualBudget(t *testing.T) {
 	}
 }
 
-// memPanicTask is LR whose gradient step panics. Under MRS with a buffer
-// that holds the whole table the I/O worker drops no tuple, so only the
-// Memory worker ever steps; Loss, which Drive calls on the I/O side after
-// every epoch, waits for that first step, so the failure lands mid-run.
-type memPanicTask struct {
-	*tasks.LR
-	once    sync.Once
-	stepped chan struct{}
-}
-
-func (p *memPanicTask) Step(core.Model, engine.Tuple, float64) {
-	p.once.Do(func() { close(p.stepped) })
-	panic("injected memory worker panic")
-}
-
-func (p *memPanicTask) Loss(w vector.Dense, tp engine.Tuple) float64 {
-	select {
-	case <-p.stepped:
-	case <-time.After(10 * time.Second):
-	}
-	return p.LR.Loss(w, tp)
-}
-
-// TestMRSMemoryWorkerPanicFailsRun: a panic in the Memory worker's step
-// fails the training run with the panic, and the stop func returns it
-// instead of the process dying or stop waiting on a dead worker.
-func TestMRSMemoryWorkerPanicFailsRun(t *testing.T) {
-	tbl, lr := lrTable(t, 50, 3)
-	task := &memPanicTask{LR: lr, stepped: make(chan struct{})}
-	r, stop, err := NewMRSRunner(task, tbl, 64, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, runErr := core.Drive(r, core.LoopConfig{Task: task, Step: core.ConstantStep{A: 0.1}, MaxEpochs: 4, Seed: 1})
-	stopped := make(chan error, 1)
-	go func() { stopped <- stop() }()
-	var stopErr error
-	select {
-	case stopErr = <-stopped:
-	case <-time.After(10 * time.Second):
-		t.Fatal("stop did not return after the Memory worker panicked")
-	}
-	if stopErr == nil || !strings.Contains(stopErr.Error(), "panicked") {
-		t.Fatalf("stop must return the Memory worker's panic: %v", stopErr)
-	}
-	if runErr != nil && !strings.Contains(runErr.Error(), "panicked") {
-		t.Fatalf("run failed with something other than the panic: %v", runErr)
+// TestMRSTrainsAtEveryBuffer: MRS learns at every buffer size, up to and
+// past the table's row count, where the I/O side drops nothing and each
+// pass is one sweep of the buffer, and a rerun repeats it bit for bit. It
+// beats the reservoir plan while the buffer holds a fraction of the table.
+// From the row count on it may trail that plan by up to 10 %: MRS's first
+// pass has an empty memory buffer, so over 10 passes it takes 9 sweeps of
+// the table against the reservoir plan's 10.
+func TestMRSTrainsAtEveryBuffer(t *testing.T) {
+	const passes = 10
+	for _, seed := range []int64{1, 3} {
+		tbl, task := lrTable(t, 400, seed)
+		for _, buf := range []int{40, 200, 399, 400, 800} {
+			sub, err := trainReservoir(tbl, task, core.DefaultStep(0.3), passes, buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mrs, err := trainMRS(tbl, task, core.DefaultStep(0.3), passes, buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("seed %d buf %d: MRS %.4g, reservoir %.4g", seed, buf, mrs.FinalLoss(), sub.FinalLoss())
+			if m, s := mrs.FinalLoss(), sub.FinalLoss(); m > 1.10*s || (buf <= 200 && m >= s) {
+				t.Errorf("seed %d buf %d: MRS final loss %g against reservoir's %g", seed, buf, m, s)
+			}
+			again, err := trainMRS(tbl, task, core.DefaultStep(0.3), passes, buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range mrs.Model {
+				if math.Float64bits(mrs.Model[i]) != math.Float64bits(again.Model[i]) {
+					t.Fatalf("seed %d buf %d: rerun's model %v differs from %v", seed, buf, again.Model, mrs.Model)
+				}
+			}
+		}
 	}
 }

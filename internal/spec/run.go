@@ -371,9 +371,9 @@ func Train(ctx context.Context, ts *TaskSpec, task core.Task, k Knobs, view *eng
 
 // planRunner builds the epoch runner the knobs select, its human-readable
 // dispatch description, and the func that releases whatever the plan holds
-// (shard heaps, executor connections, the MRS memory worker) and returns
-// what it found failed: a shard heap's close, or the MRS memory worker.
-// Train reports that error when the run itself succeeded.
+// (shard heaps, executor connections) and returns what it found failed: a
+// shard heap's close. Train reports that error when the run itself
+// succeeded.
 func planRunner(ts *TaskSpec, task core.Task, k Knobs, view *engine.Table) (
 	r core.EpochRunner, method string, done func() error, err error) {
 	done = func() error { return nil }
@@ -399,7 +399,7 @@ func planRunner(ts *TaskSpec, task core.Task, k Knobs, view *engine.Table) (
 		return nil, "", done, fmt.Errorf("spec: solver=%s cannot train task %s", k.Solver, ts.Name)
 
 	case k.MRS > 0:
-		r, done, err = sampling.NewMRSRunner(task, view, k.MRS, k.Seed)
+		r, err = sampling.NewMRSRunner(task, view, k.MRS, k.Seed)
 		return r, fmt.Sprintf("IGD/MRS(buf=%d)", k.MRS), done, err
 
 	case k.Reservoir > 0:

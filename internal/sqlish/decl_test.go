@@ -248,6 +248,33 @@ func TestOrderingParallelSamplingKnobs(t *testing.T) {
 	}
 }
 
+// TestMRSBufferPastRowCountTrains: an mrs= buffer that holds the whole
+// table makes each MRS pass one sweep of it, so the statement trains about
+// as far as the same statement without mrs.
+func TestMRSBufferPastRowCountTrains(t *testing.T) {
+	s, _ := declSession(t)
+	copyInto(t, s, "forest", data.Forest(1500, 7))
+	src, err := s.Cat.Get("forest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loss := func(with string) float64 {
+		mustExec(t, s, "SELECT vec, label FROM forest TO TRAIN lr WITH epochs=300"+with+" INTO m;")
+		snap, _, err := s.LoadSnapshot("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := core.TotalLoss(snap.Task, snap.W, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	if plain, mrs := loss(""), loss(", mrs=2000"); mrs > 1.10*plain {
+		t.Fatalf("mrs=2000 over 1500 rows: final loss %g, plain plan %g", mrs, plain)
+	}
+}
+
 // TestDeclarativeErrors covers the statement-level failure modes.
 func TestDeclarativeErrors(t *testing.T) {
 	s, _ := declSession(t)

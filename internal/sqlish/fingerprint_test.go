@@ -48,6 +48,8 @@ var planFingerprints = map[string]string{
 	"dense-lr/go/seq/reltol":                                             "model=4530482922cd4b77 loss=3fdc612f0acc936b epochs=17",
 	"dense-lr/go/seq/shuffle_always":                                     "model=429f825c011f70f7 loss=3feda5f2103fa8fd epochs=4",
 	"dense-lr/go/seq/shuffle_once":                                       "model=9779b6497bb606ef loss=3fedae0a525e6d4b epochs=4",
+	"dense-lr/sql/mrs=400":                                               "model=38a92ff01f79e605 reply=LR trained on src via IGD/MRS(buf=400): 4 epochs, final loss 1.15197; model saved to table \"m\"",
+	"dense-lr/sql/mrs=60":                                                "model=c9e9495282a06e4c reply=LR trained on src via IGD/MRS(buf=60): 4 epochs, final loss 0.6816; model saved to table \"m\"",
 	"dense-lr/sql/order=clustered":                                       "model=dd6bc9f044f13714 reply=LR trained on src via IGD: 4 epochs, final loss 0.883646; model saved to table \"m\"",
 	"dense-lr/sql/order=shuffle_always":                                  "model=51c26cc46862f922 reply=LR trained on src via IGD: 4 epochs, final loss 0.868272; model saved to table \"m\"",
 	"dense-lr/sql/order=shuffle_once":                                    "model=c9fe985689de96ab reply=LR trained on src via IGD: 4 epochs, final loss 0.869289; model saved to table \"m\"",
@@ -73,6 +75,8 @@ var planFingerprints = map[string]string{
 	"sparse-svm/go/seq/reltol":                                           "model=2d66b063836ce03a loss=40291f6265945dce epochs=21",
 	"sparse-svm/go/seq/shuffle_always":                                   "model=f0a957ddbbef9702 loss=4044e24bbc26d783 epochs=4",
 	"sparse-svm/go/seq/shuffle_once":                                     "model=758420d111557bf0 loss=4047f3466b0cd359 epochs=4",
+	"sparse-svm/sql/mrs=400":                                             "model=c066b0fd6822c8ea reply=SVM trained on src via IGD/MRS(buf=400): 4 epochs, final loss 58.509; model saved to table \"m\"",
+	"sparse-svm/sql/mrs=60":                                              "model=a77e17358f985db5 reply=SVM trained on src via IGD/MRS(buf=60): 4 epochs, final loss 41.4685; model saved to table \"m\"",
 	"sparse-svm/sql/order=clustered":                                     "model=3d5963bb4131c952 reply=SVM trained on src via IGD: 4 epochs, final loss 52.0392; model saved to table \"m\"",
 	"sparse-svm/sql/order=shuffle_always":                                "model=583d96a996b5df9b reply=SVM trained on src via IGD: 4 epochs, final loss 42.0536; model saved to table \"m\"",
 	"sparse-svm/sql/order=shuffle_once":                                  "model=59cee38f5d611dd0 reply=SVM trained on src via IGD: 4 epochs, final loss 43.4075; model saved to table \"m\"",
@@ -184,6 +188,8 @@ func TestPlanFingerprints(t *testing.T) {
 			"parallel=lock, workers=1",
 			"parallel=nolock, workers=1",
 			"reservoir=60",
+			"mrs=60",
+			"mrs=400",
 		}
 		for _, k := range []int{1, 2, 3} {
 			for _, by := range []string{"roundrobin", "hash"} {

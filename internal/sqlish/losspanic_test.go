@@ -3,9 +3,7 @@ package sqlish
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"bismarck/internal/core"
 	"bismarck/internal/data"
@@ -60,34 +58,17 @@ func TestLossPanicFailsStatementNotProcess(t *testing.T) {
 	}
 }
 
-// panickyStepTask is LR whose every gradient step panics. Its loss first
-// waits for a step to have been taken: with mrs at least the row count the
-// I/O worker drops no tuple, so only MRS's Memory worker steps, and the
-// statement must not end before it has.
-type panickyStepTask struct {
-	*tasks.LR
-	once    sync.Once
-	stepped chan struct{}
-}
+// panickyStepTask is LR whose every gradient step panics.
+type panickyStepTask struct{ *tasks.LR }
 
-func (p *panickyStepTask) Step(core.Model, engine.Tuple, float64) {
-	p.once.Do(func() { close(p.stepped) })
+func (p panickyStepTask) Step(core.Model, engine.Tuple, float64) {
 	panic("injected step panic")
-}
-
-func (p *panickyStepTask) Loss(w vector.Dense, tp engine.Tuple) float64 {
-	select {
-	case <-p.stepped:
-	case <-time.After(10 * time.Second):
-	}
-	return p.LR.Loss(w, tp)
 }
 
 // TestStepPanicFailsEveryPlan: a task whose gradient step panics fails the
 // TRAIN with the panic on every plan spec.Train dispatches — the
 // sequential epoch and the sampling plans on the session's goroutine, the
-// §3.3 schemes and the shards on RunBlocks workers, MRS's Memory worker on
-// its own — persists no model,
+// §3.3 schemes and the shards on RunBlocks workers — persists no model,
 // and leaves the session able to train with the same plan.
 func TestStepPanicFailsEveryPlan(t *testing.T) {
 	t.Cleanup(spec.Register(spec.TaskSpec{
@@ -100,7 +81,7 @@ func TestStepPanicFailsEveryPlan(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return &panickyStepTask{LR: tasks.NewLR(dim), stepped: make(chan struct{})}, nil
+			return panickyStepTask{tasks.NewLR(dim)}, nil
 		},
 		Snapshot: func(core.Task) map[string]string { return nil },
 		Predict:  func(core.Task, vector.Dense, engine.Tuple) float64 { return 0 },
