@@ -115,9 +115,10 @@ func (NoOrder) PrepareLogical(*engine.MatView, int, *rand.Rand) error { return n
 // every epoch over the table's decoded-row cache, expressing shuffles as
 // permutations of a per-run view; only the initial materialization touches
 // page bytes. The physical path — profile charges rewrite cost, or the
-// ordering has no logical form — reorders on disk and re-decodes per epoch
-// through reusable scratch. The returned prepare function applies the
-// ordering before each epoch against whichever pipeline was chosen.
+// ordering has no logical form — reorders on disk and scans the table
+// itself, re-decoding its pages through scratch each epoch. The returned
+// prepare function applies the ordering before each epoch against
+// whichever pipeline was chosen.
 func EpochSource(tbl *engine.Table, order OrderStrategy, p engine.Profile) (
 	engine.Relation, func(epoch int, rng *rand.Rand) error, error) {
 	logical, canLogical := order.(LogicalOrderStrategy)
@@ -131,7 +132,7 @@ func EpochSource(tbl *engine.Table, order OrderStrategy, p engine.Profile) (
 			return logical.PrepareLogical(view, e, rng)
 		}, nil
 	}
-	return tbl.Reuse(), func(e int, rng *rand.Rand) error {
+	return tbl, func(e int, rng *rand.Rand) error {
 		return order.Prepare(tbl, e, rng)
 	}, nil
 }

@@ -45,8 +45,8 @@ func TestForestIsLearnable(t *testing.T) {
 func TestForestDeterministicPerSeed(t *testing.T) {
 	a, b := Forest(50, 7), Forest(50, 7)
 	var rowsA, rowsB []engine.Tuple
-	a.Scan(func(tp engine.Tuple) error { rowsA = append(rowsA, tp); return nil })
-	b.Scan(func(tp engine.Tuple) error { rowsB = append(rowsB, tp); return nil })
+	a.Scan(func(tp engine.Tuple) error { rowsA = append(rowsA, tp.Clone()); return nil })
+	b.Scan(func(tp engine.Tuple) error { rowsB = append(rowsB, tp.Clone()); return nil })
 	for i := range rowsA {
 		if rowsA[i][2].Float != rowsB[i][2].Float ||
 			rowsA[i][1].Dense[0] != rowsB[i][1].Dense[0] {

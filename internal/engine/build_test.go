@@ -83,7 +83,7 @@ func referenceBuild(t *testing.T, tbl *Table, p Projection) (*Materialized, Degr
 // may alias reusable scratch; nothing of it is retained.
 func (b *MatBuilder) Add(tp Tuple) error {
 	if len(tp) != len(b.schema) {
-		return corrupt("", "row has %d columns, schema wants %d", len(tp), len(b.schema))
+		return corrupt("row has %d columns, schema wants %d", len(tp), len(b.schema))
 	}
 	if !b.reserved {
 		b.reserve(func(c int) int {
@@ -104,7 +104,7 @@ func (b *MatBuilder) Add(tp Tuple) error {
 	for c := range tp {
 		v, col := &tp[c], &b.cols[c]
 		if v.Type != b.schema[c].Type {
-			return corrupt("", "column %d has type %s, schema wants %s", c, v.Type, b.schema[c].Type)
+			return corrupt("column %d has type %s, schema wants %s", c, v.Type, b.schema[c].Type)
 		}
 		switch v.Type {
 		case TInt64:
@@ -120,7 +120,7 @@ func (b *MatBuilder) Add(tp Tuple) error {
 			}
 		case TSparseVec:
 			if len(v.Sparse.Idx) != len(v.Sparse.Val) {
-				return corrupt("", "column %d sparse vec has %d indices, %d values",
+				return corrupt("column %d sparse vec has %d indices, %d values",
 					c, len(v.Sparse.Idx), len(v.Sparse.Val))
 			}
 			col.i32s = append(col.i32s, v.Sparse.Idx...)
@@ -134,7 +134,7 @@ func (b *MatBuilder) Add(tp Tuple) error {
 				return err
 			}
 		default:
-			return corrupt("", "column %d has unsupported type %s", c, v.Type)
+			return corrupt("column %d has unsupported type %s", c, v.Type)
 		}
 	}
 	b.n++
@@ -727,5 +727,35 @@ func TestOrderedBuildPanicFailsTheBuild(t *testing.T) {
 				t.Fatalf("workers=%d: a panicking Keep must fail the build", k)
 			}
 		})
+	}
+}
+
+// BenchmarkDegradedBuildCorruptRecords: a degraded build over a heap where
+// every other record is cut short, so it counts and drops half its rows. A
+// dropped record's error is never printed, so what it may cost is its parse.
+func BenchmarkDegradedBuildCorruptRecords(b *testing.B) {
+	const rows = 20000
+	dense := Schema{{Name: "id", Type: TInt64}, {Name: "vec", Type: TDenseVec}, {Name: "label", Type: TFloat64}}
+	tbl := NewMemTable("t", dense)
+	for i := range rows {
+		rec := denseBuildRow(i, 54).Encode()
+		if i%2 == 1 {
+			rec = rec[:len(rec)-4] // a short label
+		}
+		if err := tbl.heap.Append(rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := tbl.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	p := Projection{Schema: dense, Rows: rows, Degraded: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, stats, err := tbl.build(p)
+		if err != nil || m.NumRows() != rows/2 || stats.SkippedRows != rows/2 {
+			b.Fatalf("%d rows, %+v, %v", m.NumRows(), stats, err)
+		}
 	}
 }

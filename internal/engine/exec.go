@@ -3,11 +3,11 @@ package engine
 import "fmt"
 
 // Relation is the scan contract the executors run over: a physical table
-// (page-granular segments, decode per row), a table's reusable-scratch view
-// (Table.Reuse), or a materialized row cache and its logically-ordered
-// views (row-granular segments, zero decode). Consumers must not retain
-// tuples past the callback; the cells of a Materialized row (not its
-// header) are the one exception — see Table.ScanStable.
+// (page-granular segments, each decoded through a scratch of the scan's
+// own), or a materialized row cache and its logically-ordered views
+// (row-granular segments, zero decode). Either way the tuple a scan hands
+// out is overwritten by the next row: consumers must not retain tuples past
+// the callback, and one that keeps a row keeps its Clone.
 type Relation interface {
 	// Scan visits every tuple in the relation's order.
 	Scan(fn func(Tuple) error) error
@@ -24,17 +24,16 @@ var (
 	_ Relation = (*Table)(nil)
 	_ Relation = (*Materialized)(nil)
 	_ Relation = (*MatView)(nil)
-	_ Relation = reuseRelation{}
 )
 
 // RunUDA executes a user-defined aggregate over a relation under an engine
-// profile: the standard aggregation query plan. Over a *Table tuples are
-// decoded fresh per row (a UDA may retain them); the trainers run the same
-// plan over the decoded-row cache. With Segments == 1 the scan is
-// sequential; otherwise the engine's built-in shared-nothing parallelism is
-// used — each segment aggregates independently, one RunBlocks block a
-// segment, and the states are merged left-to-right, which requires the UDA
-// to implement Merger.
+// profile: the standard aggregation query plan. A *Table decodes each row
+// into its scan's scratch and a cache loads each into one, so a UDA that
+// retains a row keeps its Clone. With Segments == 1 the scan is sequential;
+// otherwise the engine's built-in shared-nothing parallelism is used — each
+// segment aggregates independently, one RunBlocks block a segment, and the
+// states are merged left-to-right, which requires the UDA to implement
+// Merger.
 func RunUDA(r Relation, u UDA, p Profile) (State, error) {
 	if p.Segments <= 1 {
 		s := u.Initialize()

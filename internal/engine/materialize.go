@@ -26,9 +26,7 @@ import (
 // column share one []float64, all sparse indices one []int32, ...) plus
 // per-row offsets into them. There are no stored row headers: a scan
 // assembles each row in one scratch tuple it owns, overwritten by the next
-// row. The cells it points at are not — slabs never move or change for the
-// lifetime of the cache — so a consumer that retains rows (the reservoir
-// samplers do) copies the header and may keep the copy indefinitely.
+// row, so a consumer that keeps a row keeps its Clone, as from a table scan.
 type Materialized struct {
 	version uint64
 	schema  Schema
@@ -109,7 +107,7 @@ func (m *Materialized) ScanBlock(b int, fn func(Tuple) error) error {
 const gatherRows = 64
 
 // ScanSegment visits rows [from, to) in order — the row-granular analogue
-// of Table.ScanPages — through one scratch tuple. A shuffled index visits
+// of Table.ScanSegment — through one scratch tuple. A shuffled index visits
 // them in blocks of gatherRows, each gathered before its first callback:
 // in random order every row is a cache and TLB miss, and the gather puts a
 // block's misses in flight together instead of stalling on them one by one.

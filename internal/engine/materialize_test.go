@@ -415,18 +415,13 @@ func TestScanRejectsCorruptRecords(t *testing.T) {
 			if err := tbl.heap.Append(c.rec); err != nil {
 				t.Fatal(err)
 			}
-			for _, scan := range []struct {
-				name string
-				fn   func(func(Tuple) error) error
-			}{{"Scan", tbl.Scan}, {"ScanReuse", tbl.ScanReuse}} {
-				err := scan.fn(func(Tuple) error { return nil })
-				var ce *CorruptRecordError
-				if !errors.As(err, &ce) {
-					t.Fatalf("%s: want CorruptRecordError, got %v", scan.name, err)
-				}
-				if ce.Table != "c" {
-					t.Fatalf("%s: error lost the table name: %v", scan.name, ce)
-				}
+			err := tbl.Scan(func(Tuple) error { return nil })
+			var ce *CorruptRecordError
+			if !errors.As(err, &ce) {
+				t.Fatalf("want CorruptRecordError, got %v", err)
+			}
+			if ce.Table != "c" {
+				t.Fatalf("error lost the table name: %v", ce)
 			}
 		})
 	}
@@ -445,19 +440,17 @@ func TestScanRejectsUnsortedSparse(t *testing.T) {
 	if err := tbl.heap.Append(bad.Encode()); err != nil {
 		t.Fatal(err)
 	}
-	for _, scan := range []struct {
-		name string
-		fn   func(func(Tuple) error) error
-	}{{"Scan", tbl.Scan}, {"ScanReuse", tbl.ScanReuse}} {
-		err := scan.fn(func(Tuple) error { return nil })
-		var ce *CorruptRecordError
-		if !errors.As(err, &ce) {
-			t.Fatalf("%s: want CorruptRecordError for unsorted sparse indices, got %v", scan.name, err)
-		}
+	err := tbl.Scan(func(Tuple) error { return nil })
+	var ce *CorruptRecordError
+	if !errors.As(err, &ce) {
+		t.Fatalf("want CorruptRecordError for unsorted sparse indices, got %v", err)
 	}
 }
 
-func TestScanReuseMatchesScan(t *testing.T) {
+// TestRowsMatchesScan: the two reads of a table — Rows() over a fresh
+// cache and Scan over the pages — yield the same records in the same order,
+// across sparse, int32-vector and string columns.
+func TestRowsMatchesScan(t *testing.T) {
 	schema := Schema{
 		{Name: "id", Type: TInt64},
 		{Name: "sv", Type: TSparseVec},
@@ -465,35 +458,24 @@ func TestScanReuseMatchesScan(t *testing.T) {
 		{Name: "s", Type: TString},
 	}
 	tbl := NewMemTable("r", schema)
+	var want [][]byte
 	for i := 0; i < 20; i++ {
 		sv := vector.NewSparse([]int32{int32(i), int32(i + 5)}, []float64{float64(i), -float64(i)})
 		tp := Tuple{I64(int64(i)), SparseV(sv), IntsV([]int32{int32(i), 0, 3}), Str(fmt.Sprintf("row%d", i))}
 		if err := tbl.Insert(tp); err != nil {
 			t.Fatal(err)
 		}
+		want = append(want, tp.Encode())
 	}
-	var want []Tuple
-	if err := tbl.Scan(func(tp Tuple) error { want = append(want, tp); return nil }); err != nil {
+	sameRecords(t, "Scan", encodedRows(t, tbl.Scan), want)
+	if _, err := tbl.Materialize(); err != nil {
 		t.Fatal(err)
 	}
-	i := 0
-	err := tbl.ScanReuse(func(tp Tuple) error {
-		w := want[i]
-		if tp[0].Int != w[0].Int || tp[3].Str != w[3].Str ||
-			len(tp[1].Sparse.Idx) != len(w[1].Sparse.Idx) ||
-			tp[1].Sparse.Val[1] != w[1].Sparse.Val[1] ||
-			tp[2].Ints[0] != w[2].Ints[0] {
-			return fmt.Errorf("row %d: reuse decode %v != %v", i, tp, w)
-		}
-		i++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	rows := tbl.Rows()
+	if _, ok := rows.(*Materialized); !ok {
+		t.Fatalf("Rows() over a fresh cache is a %T, want the cache", rows)
 	}
-	if i != 20 {
-		t.Fatalf("reuse scan visited %d rows, want 20", i)
-	}
+	sameRecords(t, "Rows", encodedRows(t, rows.Scan), want)
 }
 
 // TestConcurrentSegmentScans exercises the sharded buffer pool under
@@ -522,17 +504,12 @@ func TestConcurrentSegmentScans(t *testing.T) {
 	for rep := 0; rep < 2; rep++ {
 		for i, seg := range segs {
 			wg.Add(1)
-			go func(slot, from, to int, reuse bool) {
+			go func(slot, from, to int) {
 				defer wg.Done()
 				n := 0
-				count := func(Tuple) error { n++; return nil }
-				if reuse {
-					errs[slot] = tbl.ScanPagesReuse(from, to, count)
-				} else {
-					errs[slot] = tbl.ScanPages(from, to, count)
-				}
+				errs[slot] = tbl.ScanSegment(from, to, func(Tuple) error { n++; return nil })
 				total[slot] = n
-			}(rep*len(segs)+i, seg[0], seg[1], rep == 1)
+			}(rep*len(segs)+i, seg[0], seg[1])
 		}
 	}
 	wg.Wait()

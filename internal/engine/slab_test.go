@@ -101,7 +101,7 @@ func TestSlabViewLazyHeap(t *testing.T) {
 			}
 			return encodedRows(t, func(fn func(Tuple) error) error {
 				for _, seg := range segs {
-					if err := v.ScanPages(seg[0], seg[1], fn); err != nil {
+					if err := v.ScanSegment(seg[0], seg[1], fn); err != nil {
 						return err
 					}
 				}
@@ -129,7 +129,6 @@ func TestSlabViewLazyHeap(t *testing.T) {
 			v := slabView(t, n)
 			// Logical reads leave the view slab-only.
 			sameRecords(t, "Rows", encodedRows(t, v.Rows().Scan), want)
-			sameRecords(t, "ScanStable", encodedRows(t, v.ScanStable), want)
 			if mat, err := v.Materialize(); err != nil || mat.NumRows() != n || v.NumRows() != n {
 				t.Fatalf("Materialize: %v, %d / %d rows", err, mat.NumRows(), v.NumRows())
 			}
@@ -160,35 +159,6 @@ func TestSlabViewLazyHeap(t *testing.T) {
 			}
 			sameRecords(t, op.name, got, want)
 		})
-	}
-}
-
-// TestSlabViewRetainedCellsStable: a header copied out of a stable scan
-// still reads its original values after later scans and a view Permute —
-// the contract the reservoir samplers rely on.
-func TestSlabViewRetainedCellsStable(t *testing.T) {
-	v := slabView(t, 200)
-	var kept []Tuple
-	if err := v.ScanStable(func(tp Tuple) error {
-		if tp[0].Int%17 == 0 {
-			kept = append(kept, append(Tuple(nil), tp...))
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	mat, _ := v.Materialize()
-	view := mat.View()
-	view.Permute(rand.New(rand.NewSource(1)))
-	for _, scan := range []func(func(Tuple) error) error{view.Scan, v.Rows().Scan, v.Scan} {
-		if err := scan(func(Tuple) error { return nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, tp := range kept {
-		if !bytes.Equal(tp.Encode(), slabRow(int(tp[0].Int)).Encode()) {
-			t.Fatalf("retained row %d changed under later scans", tp[0].Int)
-		}
 	}
 }
 
@@ -460,7 +430,7 @@ func TestPoolPinConcurrentScansAndScrub(t *testing.T) {
 			defer wg.Done()
 			for p := 0; p < passes && errs[g] == nil; p++ {
 				i := 0
-				errs[g] = tbl.ScanReuse(func(tp Tuple) error {
+				errs[g] = tbl.Scan(func(tp Tuple) error {
 					if tp[0].Int != int64(i) || len(tp[1].Dense) != dim ||
 						tp[1].Dense[0] != float64(i*dim) || tp[1].Dense[dim-1] != float64(i*dim+dim-1) ||
 						tp[2].Float != float64(i%2) {

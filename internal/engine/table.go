@@ -138,26 +138,36 @@ func (t *Table) Flush() error { return t.heap.Flush() }
 // shadow-swap protocol (no-op persistence-wise for in-memory tables).
 func (t *Table) Sync() error { return t.heap.Sync() }
 
-// Scan visits every tuple in storage order. Each tuple is freshly
-// allocated, so callers may retain them; bulk read paths that do not retain
-// rows should prefer ScanReuse or the materialized cache.
+// Scan visits every tuple in storage order, decoding the heap's pages
+// through one TupleScratch: the tuple passed to fn, and every slice-typed
+// cell in it, is overwritten by the next row, so it is valid only during
+// the callback and a caller that keeps a row keeps its Clone. Steady state
+// allocates nothing beyond the scratch's high-water mark. Records that
+// fail to decode or do not match the table schema (a truncated heap record
+// would otherwise surface as an index panic deep inside task code) return a
+// *CorruptRecordError.
 func (t *Table) Scan(fn func(Tuple) error) error {
-	return t.ScanPages(0, t.pages().NumPages(), fn)
+	return t.ScanSegment(0, t.pages().NumPages(), fn)
 }
 
-// ScanPages visits tuples stored in pages [from, to) — the unit of
-// shared-nothing segmentation. Records that fail to decode or do not match
-// the table schema (a truncated heap record would otherwise surface as an
-// index panic deep inside task code) return a *CorruptRecordError.
-func (t *Table) ScanPages(from, to int, fn func(Tuple) error) error {
+// ScanSegment is Scan over the tuples stored in pages [from, to) — the
+// unit of shared-nothing segmentation. Each call owns its scratch, so
+// concurrent segment scans are safe.
+func (t *Table) ScanSegment(from, to int, fn func(Tuple) error) error {
+	sc := NewTupleScratch(t.Schema)
 	return t.pages().ScanPages(from, to, func(rec []byte) error {
-		tp, err := t.decode(rec, NewTupleScratch(t.Schema))
+		tp, err := t.decode(rec, sc)
 		if err != nil {
 			return err
 		}
 		return fn(tp)
 	})
 }
+
+// ScanReuse is Scan under its former name, kept only because the
+// benchmark harness calls it; it goes when the harness stops replaying
+// statements in its own process.
+func (t *Table) ScanReuse(fn func(Tuple) error) error { return t.Scan(fn) }
 
 // decode parses one heap record under the table's schema into sc, stamping
 // the table's name into a *CorruptRecordError.
@@ -177,48 +187,6 @@ func (t *Table) named(err error) error {
 	}
 	return err
 }
-
-// ScanSegment makes Table satisfy the Relation scan contract; segments are
-// page ranges.
-func (t *Table) ScanSegment(from, to int, fn func(Tuple) error) error {
-	return t.ScanPages(from, to, fn)
-}
-
-// ScanReuse visits every tuple in storage order through one reusable
-// decode scratch: the tuple passed to fn (and every slice-typed cell in it)
-// is overwritten by the next row and must not be retained. Steady state
-// allocates nothing beyond the scratch's high-water mark.
-func (t *Table) ScanReuse(fn func(Tuple) error) error {
-	return t.ScanPagesReuse(0, t.pages().NumPages(), fn)
-}
-
-// ScanPagesReuse is ScanReuse over the page range [from, to). Each call
-// owns its own scratch, so concurrent segment scans are safe.
-func (t *Table) ScanPagesReuse(from, to int, fn func(Tuple) error) error {
-	sc := NewTupleScratch(t.Schema)
-	return t.pages().ScanPages(from, to, func(rec []byte) error {
-		tp, err := t.decode(rec, sc)
-		if err != nil {
-			return err
-		}
-		return fn(tp)
-	})
-}
-
-// reuseRelation adapts a table to the Relation contract through the
-// reusable-scratch decode path. Tuples are only valid during the callback.
-type reuseRelation struct{ t *Table }
-
-func (r reuseRelation) Scan(fn func(Tuple) error) error { return r.t.ScanReuse(fn) }
-func (r reuseRelation) ScanSegment(from, to int, fn func(Tuple) error) error {
-	return r.t.ScanPagesReuse(from, to, fn)
-}
-func (r reuseRelation) Segments(n int) ([][2]int, error) { return r.t.Segments(n) }
-
-// Reuse returns a Relation over the table that decodes through reusable
-// scratch buffers instead of allocating per row. Safe for consumers that do
-// not retain tuples past the callback (every IGD transition function).
-func (t *Table) Reuse() Relation { return reuseRelation{t} }
 
 // Scrub re-verifies every flushed page against the backing store and
 // quarantines failures — the engine behind CHECK TABLE.
@@ -269,32 +237,16 @@ func (t *Table) CachedRows() *Materialized {
 	return nil
 }
 
-// ScanStable visits every tuple with cells the caller may retain past the
-// callback (the rule the reservoir samplers need): the fresh decoded-row
-// cache when present — its slabs never move and are pinned by the table
-// anyway — otherwise freshly allocated tuples via Scan. Only the cells are
-// stable: the cache reuses one tuple header for every row, so a retainer
-// copies the header. It never builds a cache, so retaining a small sample
-// cannot pin a whole decoded table.
-func (t *Table) ScanStable(fn func(Tuple) error) error {
-	if mat := t.CachedRows(); mat != nil {
-		return mat.Scan(fn)
-	}
-	return t.Scan(fn)
-}
-
-// Rows returns the fastest safe bulk-read path that never builds or pins a
-// cache: the materialized cache when one is already fresh (e.g. a primed
-// training view), otherwise the reusable-scratch relation — so a one-shot
-// scan of a large uncached table does not double its memory footprint.
-// Tuples seen through the reuse fallback are only valid during the
-// callback, so callers must not retain them (retaining consumers use
-// Materialize or Scan explicitly).
+// Rows returns the table's logical read: the materialized cache when one
+// is already fresh (e.g. a primed training view), otherwise the table
+// itself. It never builds or pins a cache, so a one-shot scan of a large
+// uncached table does not double its memory footprint. Either way the
+// tuple is valid only during the callback.
 func (t *Table) Rows() Relation {
 	if mat := t.CachedRows(); mat != nil {
 		return mat
 	}
-	return reuseRelation{t}
+	return t
 }
 
 // Segments splits the table's pages into n contiguous ranges of roughly
@@ -308,34 +260,13 @@ func (t *Table) Segments(n int) ([][2]int, error) {
 }
 
 // Shuffle randomly permutes the table rows on disk the way ORDER BY
-// RANDOM() does: every row is decoded, tagged with a random sort key,
-// sorted, re-encoded and written back as a full table rewrite. This is
-// deliberately NOT a cheap in-place permutation — the cost of this operator
-// is exactly the shuffle overhead §3.2 measures (it dominates the gradient
-// work for simple tasks).
+// RANDOM() does: every row is decoded and tagged, in scan order, with a
+// random sort key, and the table is rewritten sorted by it (ClusterBy).
+// This is deliberately NOT a cheap in-place permutation — the cost of this
+// operator is exactly the shuffle overhead §3.2 measures (it dominates the
+// gradient work for simple tasks).
 func (t *Table) Shuffle(rng *rand.Rand) error {
-	type keyed struct {
-		k  float64
-		tp Tuple
-	}
-	var rows []keyed
-	err := t.Scan(func(tp Tuple) error {
-		rows = append(rows, keyed{k: rng.Float64(), tp: tp})
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].k < rows[j].k })
-	out := make([][]byte, len(rows))
-	for i := range rows {
-		out[i] = rows[i].tp.Encode()
-	}
-	if err := t.pages().Rewrite(out); err != nil {
-		return err
-	}
-	t.version.Add(1)
-	return nil
+	return t.ClusterBy(func(Tuple) float64 { return rng.Float64() })
 }
 
 // ClusterBy physically rewrites the table ordered by the given key — the

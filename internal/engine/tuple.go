@@ -107,6 +107,21 @@ func IntsV(v []int32) Value { return Value{Type: TInt32Vec, Ints: v} }
 // Tuple is one row: values positionally matching the table schema.
 type Tuple []Value
 
+// Clone returns a deep copy of t: its own header and its own copies of the
+// Dense, Sparse and Ints cells. Scans hand out one tuple overwritten row
+// after row; a caller that keeps a row past the callback keeps a Clone.
+func (t Tuple) Clone() Tuple {
+	out := slices.Clone(t)
+	for i := range out {
+		v := &out[i]
+		v.Dense = slices.Clone(v.Dense)
+		v.Sparse.Idx = slices.Clone(v.Sparse.Idx)
+		v.Sparse.Val = slices.Clone(v.Sparse.Val)
+		v.Ints = slices.Clone(v.Ints)
+	}
+	return out
+}
+
 // encodedSize returns the number of bytes Encode will produce for t.
 func (t Tuple) encodedSize() int {
 	n := 0
@@ -178,21 +193,25 @@ func (t Tuple) AppendEncode(dst []byte) []byte {
 // index panic inside task code; callers can errors.As for it to distinguish
 // storage corruption from ordinary scan-callback errors.
 type CorruptRecordError struct {
-	Table  string // table name, when known
-	Reason string
+	Table string // table name, when known
+	// format and args make the reason, formatted only by Error: a degraded
+	// read counts and drops its bad records without printing them.
+	format string
+	args   []any
 }
 
 // Error implements error.
 func (e *CorruptRecordError) Error() string {
+	reason := fmt.Sprintf(e.format, e.args...)
 	if e.Table == "" {
-		return "engine: corrupt record: " + e.Reason
+		return "engine: corrupt record: " + reason
 	}
-	return fmt.Sprintf("engine: corrupt record in table %q: %s", e.Table, e.Reason)
+	return fmt.Sprintf("engine: corrupt record in table %q: %s", e.Table, reason)
 }
 
-// corrupt builds a CorruptRecordError with a formatted reason.
-func corrupt(table, format string, args ...any) *CorruptRecordError {
-	return &CorruptRecordError{Table: table, Reason: fmt.Sprintf(format, args...)}
+// corrupt builds a CorruptRecordError from its reason's format and args.
+func corrupt(format string, args ...any) *CorruptRecordError {
+	return &CorruptRecordError{format: format, args: args}
 }
 
 // TupleScratch holds the reusable buffers of the zero-allocation decode
@@ -266,27 +285,27 @@ func parseRecord(rec []byte, schema Schema, fs []field) error {
 	at, col := 0, 0
 	for at < len(rec) {
 		if col >= len(schema) {
-			return corrupt("", "record has more than the schema's %d columns", len(schema))
+			return corrupt("record has more than the schema's %d columns", len(schema))
 		}
 		ty := Type(rec[at])
 		if want := schema[col].Type; ty != want {
-			return corrupt("", "column %d has type tag %s, schema wants %s", col, ty, want)
+			return corrupt("column %d has type tag %s, schema wants %s", col, ty, want)
 		}
 		if ty < TInt64 || ty > TInt32Vec {
-			return corrupt("", "unknown type tag %d in column %d", uint8(ty), col)
+			return corrupt("unknown type tag %d in column %d", uint8(ty), col)
 		}
 		at++
 		size, n := 8, 0 // payload bytes, entries
 		if ty > TFloat64 {
 			if len(rec)-at < 4 {
-				return corrupt("", "short %s in column %d", shortName[ty], col)
+				return corrupt("short %s in column %d", shortName[ty], col)
 			}
 			n = int(binary.LittleEndian.Uint32(rec[at:]))
 			at += 4
 			size = n * entrySize[ty]
 		}
 		if len(rec)-at < size {
-			return corrupt("", "short %s in column %d", shortName[ty], col)
+			return corrupt("short %s in column %d", shortName[ty], col)
 		}
 		if ty == TSparseVec {
 			// Sparse indices are strictly ascending and non-negative by
@@ -298,7 +317,7 @@ func parseRecord(rec []byte, schema Schema, fs []field) error {
 			for i := range n {
 				ix := int32(binary.LittleEndian.Uint32(rec[at+4*i:]))
 				if ix <= prev {
-					return corrupt("", "sparse vec indices not ascending in column %d", col)
+					return corrupt("sparse vec indices not ascending in column %d", col)
 				}
 				prev = ix
 			}
@@ -308,7 +327,7 @@ func parseRecord(rec []byte, schema Schema, fs []field) error {
 		col++
 	}
 	if col != len(schema) {
-		return corrupt("", "record has %d columns, schema wants %d", col, len(schema))
+		return corrupt("record has %d columns, schema wants %d", col, len(schema))
 	}
 	return nil
 }
@@ -359,10 +378,10 @@ func getI32s(dst []int32, src []byte) {
 // DecodeTupleInto parses a record produced by Encode into the scratch's
 // reusable buffers, validating arity and column types against the scratch's
 // schema (parseRecord). The returned tuple (and every slice-typed cell in it)
-// aliases the scratch and is only valid until the next call; callers that
-// retain a row decode it through a scratch of its own. It returns a
-// *CorruptRecordError rather than panicking so corrupt pages surface
-// cleanly. Steady state allocates nothing.
+// aliases the scratch and is only valid until the next call; a caller that
+// keeps a row keeps its Clone. It returns a *CorruptRecordError rather than
+// panicking so corrupt pages surface cleanly. Steady state allocates
+// nothing.
 func DecodeTupleInto(buf []byte, sc *TupleScratch) (Tuple, error) {
 	if err := parseRecord(buf, sc.schema, sc.fields); err != nil {
 		return nil, err

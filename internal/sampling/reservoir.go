@@ -32,18 +32,19 @@ func NewReservoir(capTuples int, rng *rand.Rand) *Reservoir {
 // Offer presents one tuple. It returns the tuple that was *dropped* by the
 // sampler (nil while the reservoir is still filling): either the offered
 // tuple itself or the buffer entry it evicted. MRS feeds the dropped tuple
-// to the I/O worker's gradient step, so no data is wasted. What it keeps is
-// a copy of the header: engine.Table.ScanStable promises stable cells only.
+// to the I/O worker's gradient step, so no data is wasted. A scan hands out
+// one tuple overwritten row after row, so what the reservoir keeps is a
+// Clone, taken only of the tuples it keeps.
 func (r *Reservoir) Offer(t engine.Tuple) engine.Tuple {
 	r.seen++
 	if len(r.buf) < r.cap {
-		r.buf = append(r.buf, append(engine.Tuple(nil), t...))
+		r.buf = append(r.buf, t.Clone())
 		return nil
 	}
 	s := r.rng.Intn(r.seen)
 	if s < r.cap {
 		dropped := r.buf[s]
-		r.buf[s] = append(engine.Tuple(nil), t...)
+		r.buf[s] = t.Clone()
 		return dropped
 	}
 	return t
@@ -56,14 +57,12 @@ func (r *Reservoir) Items() []engine.Tuple { return r.buf }
 func (r *Reservoir) Len() int { return len(r.buf) }
 
 // SampleTable scans tbl once and returns a uniform sample of up to
-// capTuples rows. The reservoir retains tuples past the scan callback, so
-// the scan goes through ScanStable — cells in an already-fresh cache or in
-// freshly allocated tuples, never the reusable-scratch path, and never a
-// cache built just for the sample (which would pin a full decoded copy of
-// a table this trainer exists to avoid holding).
+// capTuples rows. The scan is tbl.Rows(), which never builds a cache (one
+// would pin a full decoded copy of a table this trainer exists to avoid
+// holding); the reservoir clones the rows it keeps.
 func SampleTable(tbl *engine.Table, capTuples int, rng *rand.Rand) ([]engine.Tuple, error) {
 	r := NewReservoir(capTuples, rng)
-	err := tbl.ScanStable(func(tp engine.Tuple) error {
+	err := tbl.Rows().Scan(func(tp engine.Tuple) error {
 		r.Offer(tp)
 		return nil
 	})

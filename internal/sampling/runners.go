@@ -84,9 +84,9 @@ func (r *mrsRunner) Run(_ int, w vector.Dense, alpha float64) error {
 	}
 	resv := NewReservoir(r.bufCap, r.rng)
 	rows := 0
-	// ScanStable: the reservoir retains tuples, and MRS must not build a
-	// cache for a table it exists to avoid holding twice.
-	err := r.tbl.ScanStable(func(tp engine.Tuple) error {
+	// Rows: MRS must not build a cache for a table it exists to avoid
+	// holding twice; the reservoir clones the rows it keeps.
+	err := r.tbl.Rows().Scan(func(tp engine.Tuple) error {
 		if dropped := resv.Offer(tp); dropped != nil {
 			r.task.Step(dm, dropped, alpha)
 		}

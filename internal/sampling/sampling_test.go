@@ -93,15 +93,12 @@ func TestSampleTable(t *testing.T) {
 	}
 }
 
-// TestSampleOfCachedTableIsRetainable: over a cached table the stable scan
-// reuses one tuple header, so the reservoir must copy what it keeps — a
-// sample has to read its own rows' values after later scans and a view
-// permutation have run over the same slabs.
+// TestSampleOfCachedTableIsRetainable: over a cached table the scan reuses
+// one tuple header, so the reservoir must copy what it keeps — a sample has
+// to read its own rows' values after later scans and a view permutation
+// have run over the same slabs.
 func TestSampleOfCachedTableIsRetainable(t *testing.T) {
-	tbl := engine.NewMemTable("t", engine.Schema{{Name: "id", Type: engine.TInt64}, {Name: "vec", Type: engine.TDenseVec}})
-	for i := 0; i < 300; i++ {
-		tbl.MustInsert(engine.Tuple{engine.I64(int64(i)), engine.DenseV(vector.Dense{float64(i), float64(2 * i)})})
-	}
+	tbl := idVecTable(300)
 	mat, err := tbl.Materialize()
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +109,39 @@ func TestSampleOfCachedTableIsRetainable(t *testing.T) {
 	}
 	view := mat.View()
 	view.Permute(rand.New(rand.NewSource(6)))
-	for _, scan := range []func(func(engine.Tuple) error) error{view.Scan, tbl.ScanStable} {
+	checkSample(t, sample, 25, view.Scan, tbl.Rows().Scan)
+}
+
+// TestSampleOfUncachedTableIsRetainable is the uncached twin of the test
+// above: with no cache, SampleTable reads the table's pages through one
+// decode scratch, so a kept row whose cells still pointed into it would
+// read whatever row the scratch held last.
+func TestSampleOfUncachedTableIsRetainable(t *testing.T) {
+	tbl := idVecTable(300)
+	sample, err := SampleTable(tbl, 25, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tbl.CachedRows() != nil {
+		t.Fatal("sampling built a cache")
+	}
+	checkSample(t, sample, 25, tbl.Scan, tbl.Rows().Scan)
+}
+
+// idVecTable holds n rows (i, [i, 2i]).
+func idVecTable(n int) *engine.Table {
+	tbl := engine.NewMemTable("t", engine.Schema{{Name: "id", Type: engine.TInt64}, {Name: "vec", Type: engine.TDenseVec}})
+	for i := 0; i < n; i++ {
+		tbl.MustInsert(engine.Tuple{engine.I64(int64(i)), engine.DenseV(vector.Dense{float64(i), float64(2 * i)})})
+	}
+	return tbl
+}
+
+// checkSample runs the later scans, then checks that the sample of an
+// idVecTable holds want distinct rows that each still read their own cells.
+func checkSample(t *testing.T, sample []engine.Tuple, want int, later ...func(func(engine.Tuple) error) error) {
+	t.Helper()
+	for _, scan := range later {
 		if err := scan(func(engine.Tuple) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
@@ -125,8 +154,8 @@ func TestSampleOfCachedTableIsRetainable(t *testing.T) {
 		}
 		seen[id] = true
 	}
-	if len(seen) != 25 {
-		t.Fatalf("sample holds %d distinct rows, want 25", len(seen))
+	if len(seen) != want {
+		t.Fatalf("sample holds %d distinct rows, want %d", len(seen), want)
 	}
 }
 

@@ -782,7 +782,7 @@ func (s *Session) loadModel(name string, dim int64) (vector.Dense, error) {
 		return nil, err
 	}
 	w := vector.NewDense(int(dim))
-	if err := tbl.ScanReuse(func(tp engine.Tuple) error {
+	if err := tbl.Scan(func(tp engine.Tuple) error {
 		i := tp[0].Int
 		if i < 0 {
 			return fmt.Errorf("sqlish: model %q stores coefficient index %d", name, i)
@@ -812,7 +812,7 @@ func (s *Session) loadMeta(name string) (string, map[string]string, error) {
 	}
 	task := ""
 	kv := map[string]string{}
-	err = tbl.ScanReuse(func(tp engine.Tuple) error {
+	err = tbl.Scan(func(tp engine.Tuple) error {
 		k, v := tp[0].Str, tp[1].Str
 		switch {
 		case k == "task":
