@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 )
 
@@ -115,9 +114,11 @@ func (t *Table) Project(name string, p Projection) (*Table, DegradedStats, error
 //
 // The slabs are sized as MatBuilder sizes them — p.Rows × the first row's
 // widths, bounded by the heap's bytes — and a chunk whose rows do not fit
-// grows them at its turn, under the write lock, the way append would. A
+// grows them at its turn, under the write lock, by at least a quarter. A
 // failed chunk publishes too, at its turn, so the build returns the error
-// of the lowest failing chunk: the page a sequential scan reports.
+// of the lowest failing chunk: the page a sequential scan reports. Slabs of
+// 4 MB or more take the huge page hint as they are made, and every return
+// of the build withdraws it (thp_linux.go).
 func (t *Table) build(p Projection) (*Materialized, DegradedStats, error) {
 	cols, err := p.plan(t.Schema)
 	if err != nil {
@@ -129,6 +130,7 @@ func (t *Table) build(p Projection) (*Materialized, DegradedStats, error) {
 	workers := max(1, min(Workers(), nchunks/chunksPerWorker))
 	ob := &orderedBuild{t: t, h: h, p: p, cols: cols, np: np, chunks: make([]*chunkState, workers),
 		ents: make([]int, len(p.Schema)), out: NewMatBuilder(p.Schema, p.Rows, (np+1)*PageSize)}
+	defer ob.out.huge.withdraw()
 	if workers == 1 {
 		return ob.sequential()
 	}
@@ -277,12 +279,12 @@ func (cs *chunkState) scan(from, to int) (scanned, error) {
 func (cs *chunkState) decodeRec(rec []byte) error {
 	ob := cs.ob
 	schema := ob.t.Schema
-	if err := parseRecord(rec, schema, cs.fields); err != nil {
+	if bad := parseRecord(rec, schema, cs.fields); bad.kind != 0 {
 		if ob.p.Degraded {
 			cs.bad++
 			return nil
 		}
-		return ob.t.named(err)
+		return ob.t.named(bad.err())
 	}
 	if ob.p.Keep != nil {
 		for c, f := range cs.fields {
@@ -370,10 +372,11 @@ func (ob *orderedBuild) claim(cs *chunkState) error {
 // grow makes the slabs hold n rows and ents[c] entries of column c, and
 // stretches each to its capacity. The caller holds the write lock.
 func (ob *orderedBuild) grow(n int, ents []int) {
+	r := &ob.out.huge
 	for c := range ob.out.cols {
 		col, e := &ob.out.cols[c], ents[c]
-		col.ints, col.flts, col.strs = fit(col.ints, n), fit(col.flts, n), fit(col.strs, n)
-		col.f64s, col.i32s, col.offs = fit(col.f64s, e), fit(col.i32s, e), fit(col.offs, n+1)
+		col.ints, col.flts, col.strs = fit(r, col.ints, n), fit(r, col.flts, n), fit(r, col.strs, n)
+		col.f64s, col.i32s, col.offs = fit(r, col.f64s, e), fit(r, col.i32s, e), fit(r, col.offs, n+1)
 	}
 }
 
@@ -440,14 +443,18 @@ func room[T any](s []T) int {
 	return len(s)
 }
 
-// fit grows s to hold n elements the way append grows a slice, keeping its
-// contents, and returns it at its full capacity.
-func fit[T any](s []T, n int) []T {
+// fit grows s to hold n elements, by at least a quarter as append grows a
+// large slice, keeping its contents, and returns it at its full capacity.
+// The new slab takes the huge page hint before its contents are copied in,
+// and the one it replaces gives its hint up.
+func fit[T any](r *hugeRanges, s []T, n int) []T {
 	if s == nil {
 		return nil
 	}
 	if n > cap(s) {
-		s = slices.Grow(s[:cap(s)], n-cap(s))
+		grown := append(slab[T](r, max(n, cap(s)+cap(s)/4)), s[:cap(s)]...)
+		dropHuge(r, s)
+		s = grown
 	}
 	return s[:cap(s)]
 }

@@ -34,6 +34,7 @@ func withWorkers(k int, fn func()) {
 func referenceBuild(t *testing.T, tbl *Table, p Projection) (*Materialized, DegradedStats, error) {
 	t.Helper()
 	b := NewMatBuilder(p.Schema, p.Rows, (tbl.pages().NumPages()+1)*PageSize)
+	defer b.huge.withdraw()
 	sc, row := NewTupleScratch(tbl.Schema), make(Tuple, len(p.Schema))
 	bad := 0
 	visit := func(rec []byte) error {
@@ -83,7 +84,7 @@ func referenceBuild(t *testing.T, tbl *Table, p Projection) (*Materialized, Degr
 // may alias reusable scratch; nothing of it is retained.
 func (b *MatBuilder) Add(tp Tuple) error {
 	if len(tp) != len(b.schema) {
-		return corrupt("row has %d columns, schema wants %d", len(tp), len(b.schema))
+		return fmt.Errorf("row has %d columns, schema wants %d", len(tp), len(b.schema))
 	}
 	if !b.reserved {
 		b.reserve(func(c int) int {
@@ -104,7 +105,7 @@ func (b *MatBuilder) Add(tp Tuple) error {
 	for c := range tp {
 		v, col := &tp[c], &b.cols[c]
 		if v.Type != b.schema[c].Type {
-			return corrupt("column %d has type %s, schema wants %s", c, v.Type, b.schema[c].Type)
+			return fmt.Errorf("column %d has type %s, schema wants %s", c, v.Type, b.schema[c].Type)
 		}
 		switch v.Type {
 		case TInt64:
@@ -120,7 +121,7 @@ func (b *MatBuilder) Add(tp Tuple) error {
 			}
 		case TSparseVec:
 			if len(v.Sparse.Idx) != len(v.Sparse.Val) {
-				return corrupt("column %d sparse vec has %d indices, %d values",
+				return fmt.Errorf("column %d sparse vec has %d indices, %d values",
 					c, len(v.Sparse.Idx), len(v.Sparse.Val))
 			}
 			col.i32s = append(col.i32s, v.Sparse.Idx...)
@@ -134,7 +135,7 @@ func (b *MatBuilder) Add(tp Tuple) error {
 				return err
 			}
 		default:
-			return corrupt("column %d has unsupported type %s", c, v.Type)
+			return fmt.Errorf("column %d has unsupported type %s", c, v.Type)
 		}
 	}
 	b.n++
@@ -730,10 +731,9 @@ func TestOrderedBuildPanicFailsTheBuild(t *testing.T) {
 	}
 }
 
-// BenchmarkDegradedBuildCorruptRecords: a degraded build over a heap where
-// every other record is cut short, so it counts and drops half its rows. A
-// dropped record's error is never printed, so what it may cost is its parse.
-func BenchmarkDegradedBuildCorruptRecords(b *testing.B) {
+// shortLabelTable is a heap where every other record is cut short, and the
+// degraded projection that counts and drops half its rows.
+func shortLabelTable(tb testing.TB) (*Table, Projection) {
 	const rows = 20000
 	dense := Schema{{Name: "id", Type: TInt64}, {Name: "vec", Type: TDenseVec}, {Name: "label", Type: TFloat64}}
 	tbl := NewMemTable("t", dense)
@@ -743,19 +743,43 @@ func BenchmarkDegradedBuildCorruptRecords(b *testing.B) {
 			rec = rec[:len(rec)-4] // a short label
 		}
 		if err := tbl.heap.Append(rec); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	if err := tbl.Flush(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	p := Projection{Schema: dense, Rows: rows, Degraded: true}
+	return tbl, Projection{Schema: dense, Rows: rows, Degraded: true}
+}
+
+// buildShortLabels builds shortLabelTable's projection and checks what it
+// kept and dropped.
+func buildShortLabels(tb testing.TB, tbl *Table, p Projection) {
+	m, stats, err := tbl.build(p)
+	if err != nil || m.NumRows() != p.Rows/2 || stats.SkippedRows != p.Rows/2 {
+		tb.Fatalf("%d rows, %+v, %v", m.NumRows(), stats, err)
+	}
+}
+
+// TestAllocBudgetDegradedBuild: a degraded build drops a bad record without
+// allocating — the reason is a value, wrapped in an error only by a strict
+// read — so dropping 10 000 records costs what a build's slabs and chunk
+// buffers cost, not three objects a record.
+func TestAllocBudgetDegradedBuild(t *testing.T) {
+	tbl, p := shortLabelTable(t)
+	if allocs := testing.AllocsPerRun(3, func() { buildShortLabels(t, tbl, p) }); allocs > 100 {
+		t.Fatalf("a degraded build dropping %d records allocated %.0f objects, budget 100", p.Rows/2, allocs)
+	}
+}
+
+// BenchmarkDegradedBuildCorruptRecords: a degraded build over a heap where
+// every other record is cut short, so it counts and drops half its rows. A
+// dropped record's error is never printed, so what it may cost is its parse.
+func BenchmarkDegradedBuildCorruptRecords(b *testing.B) {
+	tbl, p := shortLabelTable(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, stats, err := tbl.build(p)
-		if err != nil || m.NumRows() != rows/2 || stats.SkippedRows != rows/2 {
-			b.Fatalf("%d rows, %+v, %v", m.NumRows(), stats, err)
-		}
+		buildShortLabels(b, tbl, p)
 	}
 }

@@ -183,6 +183,31 @@ func lineSum[T int32 | float64](s []T, perLine int) T {
 	return sum
 }
 
+// VecDim is the dimension of vector column col over the cached rows, read
+// from its slab offsets: the most components of a dense row, or one past
+// the last (largest) index of a sparse row, as vector.Sparse.MaxIdx gives
+// it. It is 0 for a column of another type or rows with no entries.
+func (m *Materialized) VecDim(col int) int {
+	c, ty := &m.cols[col], m.schema[col].Type
+	if ty != TDenseVec && ty != TSparseVec {
+		return 0
+	}
+	dim := 0
+	for i := range m.n {
+		r := i
+		if m.idx != nil {
+			r = int(m.idx[i])
+		}
+		lo, hi := c.offs[r], c.offs[r+1]
+		if ty == TDenseVec {
+			dim = max(dim, int(hi-lo))
+		} else if hi > lo {
+			dim = max(dim, int(c.i32s[hi-1])+1)
+		}
+	}
+	return dim
+}
+
 // Segments splits the rows into n contiguous ranges of roughly equal size.
 func (m *Materialized) Segments(n int) ([][2]int, error) {
 	return rowSegments(m.n, n), nil
@@ -271,6 +296,9 @@ type MatBuilder struct {
 	// one wide first row cannot reserve more than the data could fill.
 	rows, srcBytes int
 	reserved       bool
+	// huge is the slab memory that took the huge page hint; the build
+	// that owns the builder withdraws it.
+	huge hugeRanges
 }
 
 // NewMatBuilder returns a builder for the given schema expecting about
@@ -291,27 +319,36 @@ func (b *MatBuilder) entries(width, size int) int {
 // width(c) entries.
 func (b *MatBuilder) reserve(width func(c int) int) {
 	b.reserved = true
+	r := &b.huge
 	for c := range b.cols {
 		col := &b.cols[c]
 		switch b.schema[c].Type {
 		case TInt64:
-			col.ints = make([]int64, 0, b.rows)
+			col.ints = slab[int64](r, b.rows)
 		case TFloat64:
-			col.flts = make([]float64, 0, b.rows)
+			col.flts = slab[float64](r, b.rows)
 		case TString:
-			col.strs = make([]string, 0, b.rows)
+			col.strs = slab[string](r, b.rows)
 		case TDenseVec:
-			col.f64s = make([]float64, 0, b.entries(width(c), 8))
+			col.f64s = slab[float64](r, b.entries(width(c), 8))
 		case TSparseVec:
-			col.i32s = make([]int32, 0, b.entries(width(c), 12))
-			col.f64s = make([]float64, 0, cap(col.i32s))
+			col.i32s = slab[int32](r, b.entries(width(c), 12))
+			col.f64s = slab[float64](r, cap(col.i32s))
 		case TInt32Vec:
-			col.i32s = make([]int32, 0, b.entries(width(c), 4))
+			col.i32s = slab[int32](r, b.entries(width(c), 4))
 		}
 		if b.schema[c].Type > TString { // the vector types
-			col.offs = append(make([]int32, 0, b.rows+1), 0)
+			col.offs = append(slab[int32](r, b.rows+1), 0)
 		}
 	}
+}
+
+// slab returns an empty slab of capacity n whose memory took the huge page
+// hint, recorded in r, before anything was written into it.
+func slab[T any](r *hugeRanges, n int) []T {
+	s := make([]T, 0, n)
+	adviseHuge(r, s)
+	return s
 }
 
 // width is how many entries row r of a vector column holds.

@@ -193,25 +193,66 @@ func (t Tuple) AppendEncode(dst []byte) []byte {
 // index panic inside task code; callers can errors.As for it to distinguish
 // storage corruption from ordinary scan-callback errors.
 type CorruptRecordError struct {
-	Table string // table name, when known
-	// format and args make the reason, formatted only by Error: a degraded
-	// read counts and drops its bad records without printing them.
-	format string
-	args   []any
+	Table string    // table name, when known
+	why   badRecord // formatted only by Error
 }
 
 // Error implements error.
 func (e *CorruptRecordError) Error() string {
-	reason := fmt.Sprintf(e.format, e.args...)
 	if e.Table == "" {
-		return "engine: corrupt record: " + reason
+		return "engine: corrupt record: " + e.why.String()
 	}
-	return fmt.Sprintf("engine: corrupt record in table %q: %s", e.Table, reason)
+	return fmt.Sprintf("engine: corrupt record in table %q: %s", e.Table, e.why)
 }
 
-// corrupt builds a CorruptRecordError from its reason's format and args.
-func corrupt(format string, args ...any) *CorruptRecordError {
-	return &CorruptRecordError{format: format, args: args}
+// badRecord is why parseRecord rejected a record, as a value: a degraded
+// read counts and drops its bad records without allocating, and only a
+// strict one wraps the reason in a *CorruptRecordError. The zero value
+// rejects nothing.
+type badRecord struct {
+	kind      badKind
+	col       int  // the column at fault; the columns read, for wrongArity
+	tag, want Type // the record's type tag and the schema's
+	cols      int  // the schema's column count
+}
+
+// badKind is what a rejected record got wrong.
+type badKind uint8
+
+// The reasons a record is rejected.
+const (
+	extraColumns badKind = iota + 1
+	wrongTag
+	unknownTag
+	shortPayload
+	unsortedSparse
+	wrongArity
+)
+
+// err returns b as a *CorruptRecordError, or nil for the zero badRecord.
+func (b badRecord) err() error {
+	if b.kind == 0 {
+		return nil
+	}
+	return &CorruptRecordError{why: b}
+}
+
+// String is the reason's text.
+func (b badRecord) String() string {
+	switch b.kind {
+	case extraColumns:
+		return fmt.Sprintf("record has more than the schema's %d columns", b.cols)
+	case wrongTag:
+		return fmt.Sprintf("column %d has type tag %s, schema wants %s", b.col, b.tag, b.want)
+	case unknownTag:
+		return fmt.Sprintf("unknown type tag %d in column %d", uint8(b.tag), b.col)
+	case shortPayload:
+		return fmt.Sprintf("short %s in column %d", shortName[b.tag], b.col)
+	case unsortedSparse:
+		return fmt.Sprintf("sparse vec indices not ascending in column %d", b.col)
+	default: // wrongArity
+		return fmt.Sprintf("record has %d columns, schema wants %d", b.col, b.cols)
+	}
 }
 
 // TupleScratch holds the reusable buffers of the zero-allocation decode
@@ -277,35 +318,35 @@ var entrySize = [...]int{TString: 1, TDenseVec: 8, TSparseVec: 12, TInt32Vec: 4}
 // of rec, a record Encode made, into fs, one field per column of schema,
 // and validates the record as it goes: each type tag against the schema,
 // each payload's length, the arity, and that sparse indices ascend. It
-// returns the first violation as a *CorruptRecordError, leaving fs
-// meaningless; a record it accepts can be read from fs without a further
+// returns the first violation, leaving fs meaningless, or the zero
+// badRecord; a record it accepts can be read from fs without a further
 // check. DecodeTupleInto and the ordered build's slab writer both start
 // from it, so a record either parses whole or yields nothing.
-func parseRecord(rec []byte, schema Schema, fs []field) error {
+func parseRecord(rec []byte, schema Schema, fs []field) badRecord {
 	at, col := 0, 0
 	for at < len(rec) {
 		if col >= len(schema) {
-			return corrupt("record has more than the schema's %d columns", len(schema))
+			return badRecord{kind: extraColumns, cols: len(schema)}
 		}
 		ty := Type(rec[at])
 		if want := schema[col].Type; ty != want {
-			return corrupt("column %d has type tag %s, schema wants %s", col, ty, want)
+			return badRecord{kind: wrongTag, col: col, tag: ty, want: want}
 		}
 		if ty < TInt64 || ty > TInt32Vec {
-			return corrupt("unknown type tag %d in column %d", uint8(ty), col)
+			return badRecord{kind: unknownTag, col: col, tag: ty}
 		}
 		at++
 		size, n := 8, 0 // payload bytes, entries
 		if ty > TFloat64 {
 			if len(rec)-at < 4 {
-				return corrupt("short %s in column %d", shortName[ty], col)
+				return badRecord{kind: shortPayload, col: col, tag: ty}
 			}
 			n = int(binary.LittleEndian.Uint32(rec[at:]))
 			at += 4
 			size = n * entrySize[ty]
 		}
 		if len(rec)-at < size {
-			return corrupt("short %s in column %d", shortName[ty], col)
+			return badRecord{kind: shortPayload, col: col, tag: ty}
 		}
 		if ty == TSparseVec {
 			// Sparse indices are strictly ascending and non-negative by
@@ -317,7 +358,7 @@ func parseRecord(rec []byte, schema Schema, fs []field) error {
 			for i := range n {
 				ix := int32(binary.LittleEndian.Uint32(rec[at+4*i:]))
 				if ix <= prev {
-					return corrupt("sparse vec indices not ascending in column %d", col)
+					return badRecord{kind: unsortedSparse, col: col}
 				}
 				prev = ix
 			}
@@ -327,9 +368,9 @@ func parseRecord(rec []byte, schema Schema, fs []field) error {
 		col++
 	}
 	if col != len(schema) {
-		return corrupt("record has %d columns, schema wants %d", col, len(schema))
+		return badRecord{kind: wrongArity, col: col, cols: len(schema)}
 	}
-	return nil
+	return badRecord{}
 }
 
 // scalarCell sets v to the scalar of type ty at f in rec and reports true,
@@ -383,7 +424,7 @@ func getI32s(dst []int32, src []byte) {
 // panicking so corrupt pages surface cleanly. Steady state allocates
 // nothing.
 func DecodeTupleInto(buf []byte, sc *TupleScratch) (Tuple, error) {
-	if err := parseRecord(buf, sc.schema, sc.fields); err != nil {
+	if err := parseRecord(buf, sc.schema, sc.fields).err(); err != nil {
 		return nil, err
 	}
 	for col, f := range sc.fields {

@@ -155,27 +155,24 @@ func errNoView(what string) error {
 	return fmt.Errorf("spec: cannot infer %s without a data view (model metadata incomplete?)", what)
 }
 
-// InferVecDim scans the view's column (dense or sparse vectors) and
-// returns the maximum dimension.
+// InferVecDim returns the maximum dimension of the view's column (dense or
+// sparse vectors): from the slab offsets of a fresh cache, else by a scan.
 func InferVecDim(tbl *engine.Table, col int) (int, error) {
 	if tbl == nil {
 		return 0, errNoView("the feature dimension")
 	}
 	dim := 0
-	err := tbl.Rows().Scan(func(tp engine.Tuple) error {
+	if m := tbl.CachedRows(); m != nil {
+		dim = m.VecDim(col)
+	} else if err := tbl.Scan(func(tp engine.Tuple) error {
 		switch tp[col].Type {
 		case engine.TDenseVec:
-			if d := len(tp[col].Dense); d > dim {
-				dim = d
-			}
+			dim = max(dim, len(tp[col].Dense))
 		case engine.TSparseVec:
-			if d := tp[col].Sparse.MaxIdx(); d > dim {
-				dim = d
-			}
+			dim = max(dim, tp[col].Sparse.MaxIdx())
 		}
 		return nil
-	})
-	if err != nil {
+	}); err != nil {
 		return 0, err
 	}
 	if dim == 0 {

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -126,6 +127,46 @@ func TestSlabViewProjection(t *testing.T) {
 			}
 			if got := viewRecords(t, view.Table.Scan); len(got) != c.rows {
 				t.Fatalf("physical shuffle left %d rows, want %d", len(got), c.rows)
+			}
+		})
+	}
+}
+
+// TestInferVecDimCachedMatchesScan: over a fresh cache InferVecDim reads
+// the slab offsets, and it must give what the scan of the uncached table
+// gives — the same dimension, or for a column with no entries the same
+// error.
+func TestInferVecDimCachedMatchesScan(t *testing.T) {
+	dense := func(n int) engine.Value { return engine.DenseV(make(vector.Dense, n)) }
+	sparse := func(idx ...int32) engine.Value {
+		return engine.SparseV(vector.Sparse{Idx: idx, Val: make([]float64, len(idx))})
+	}
+	cases := []struct {
+		name string
+		typ  engine.Type
+		vecs []engine.Value
+		want int
+	}{
+		{"dense", engine.TDenseVec, []engine.Value{dense(4), dense(4), dense(4)}, 4},
+		{"ragged dense", engine.TDenseVec, []engine.Value{dense(2), dense(9), dense(0), dense(5)}, 9},
+		{"sparse", engine.TSparseVec, []engine.Value{sparse(0, 7), sparse(3), sparse(1, 2, 40), sparse()}, 41},
+		{"empty dense", engine.TDenseVec, []engine.Value{dense(0), dense(0)}, 0},
+		{"empty sparse", engine.TSparseVec, []engine.Value{sparse(), sparse()}, 0},
+		{"no rows", engine.TSparseVec, nil, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tbl := engine.NewMemTable("t", engine.Schema{{Name: "id", Type: engine.TInt64}, {Name: "vec", Type: c.typ}})
+			for i, v := range c.vecs {
+				tbl.MustInsert(engine.Tuple{engine.I64(int64(i)), v})
+			}
+			scanned, scanErr := InferVecDim(tbl, 1)
+			if _, err := tbl.Materialize(); err != nil {
+				t.Fatal(err)
+			}
+			cached, cachedErr := InferVecDim(tbl, 1)
+			if scanned != c.want || cached != c.want || fmt.Sprint(scanErr) != fmt.Sprint(cachedErr) || (c.want == 0) != (cachedErr != nil) {
+				t.Fatalf("scan %d, %v; cache %d, %v; want %d", scanned, scanErr, cached, cachedErr, c.want)
 			}
 		})
 	}
